@@ -26,7 +26,7 @@ MEM_RATIO ?= 0
 SPEC ?= on
 WORKERS_CURVE ?= 1,2,4,8
 
-.PHONY: build test test-race race bench bench-check bench-parallel bench-ingest bench-full serve-smoke apidiff
+.PHONY: build test test-race race bench bench-check bench-parallel bench-ingest bench-full serve-smoke apidiff perfbench-smoke
 
 build:
 	$(GO) build ./...
@@ -129,6 +129,13 @@ serve-smoke:
 # on the runner and pins the base to the PR's base commit.
 apidiff:
 	sh scripts/apidiff.sh
+
+# The benchmark harness is a module of its own (perfbench/go.mod), so
+# build, vet and test at the root never compile it. Vet it and run its
+# smoke test: every workload at reduced size, every metric present and
+# finite, failed 0, and a wrong reference counted as a failure.
+perfbench-smoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The full paper-evaluation suite (slow; writes Markdown to stdout).
 bench-full:

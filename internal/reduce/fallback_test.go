@@ -9,6 +9,7 @@ import (
 // The per-edge map fallback must agree exactly with the flat-array path
 // for both support reductions.
 func TestEdgeCounterMapFallbackEquivalence(t *testing.T) {
+	setDenseCutoff(t, 0) // the counters live on the merge path
 	g := random(99, 50, 0.3)
 	col := color.Greedy(g)
 	flatPlain := ColorfulSup(g, col, 3)

@@ -133,8 +133,18 @@ func (c *edgeCounter) get(e int32, attr graph.Attr, col int32) int32 {
 // ColorfulSup runs Algorithm 1: it peels every edge whose colorful
 // support violates Lemma 3 for the size constraint k and returns the
 // surviving edge/vertex masks. Any relative fair clique of G with both
-// attribute counts >= k survives intact. O(α·|E|) after coloring.
+// attribute counts >= k survives intact.
+//
+// Graphs of at most denseMaxVertices (graph.ChunkBits) vertices run on
+// dense adjacency rows (supDense): n²/8 bytes, O(n/64) words plus one
+// step per common neighbour for each edge's support. Larger graphs
+// merge sorted adjacency lists: deg(u)+deg(v) steps per edge (u,v) to
+// count its support and again for each peeled edge, with an
+// [|E| × 2 × colors] counter (per-edge maps past flatBudget).
 func ColorfulSup(g *graph.Graph, col *color.Coloring, k int32) *Result {
+	if g.N() <= denseMaxVertices {
+		return supDense(g, col, k, false)
+	}
 	m := g.M()
 	edgeAlive := make([]bool, m)
 	for i := range edgeAlive {
@@ -245,8 +255,12 @@ func gsupValues(ca, cb, cm, ta, tb int32, aFirst bool) (ga, gb int32) {
 // (Lemma 4): like ColorfulSup, but each color among an edge's common
 // neighbours is assigned exclusively to one attribute before the
 // support test, which removes the over-counting of mixed colors.
-// Strictly stronger than ColorfulSup.
+// Strictly stronger than ColorfulSup. Cost, memory and the dense-row
+// cutoff are ColorfulSup's.
 func EnColorfulSup(g *graph.Graph, col *color.Coloring, k int32) *Result {
+	if g.N() <= denseMaxVertices {
+		return supDense(g, col, k, true)
+	}
 	m := g.M()
 	edgeAlive := make([]bool, m)
 	for i := range edgeAlive {

@@ -188,37 +188,41 @@ func TestGsupFeasibilityProperty(t *testing.T) {
 }
 
 func TestColorfulSupMatchesBrute(t *testing.T) {
-	for seed := uint64(0); seed < 6; seed++ {
-		g := random(seed, 45, 0.3)
-		col := color.Greedy(g)
-		for _, k := range []int32{2, 3, 4} {
-			got := ColorfulSup(g, col, k)
-			want := bruteSupPeel(g, col, k, false)
-			for e := range want {
-				if got.EdgeAlive[e] != want[e] {
-					t.Fatalf("seed %d k=%d edge %d: got %v want %v",
-						seed, k, e, got.EdgeAlive[e], want[e])
+	bothPaths(t, func(t *testing.T) {
+		for seed := uint64(0); seed < 6; seed++ {
+			g := random(seed, 45, 0.3)
+			col := color.Greedy(g)
+			for _, k := range []int32{2, 3, 4} {
+				got := ColorfulSup(g, col, k)
+				want := bruteSupPeel(g, col, k, false)
+				for e := range want {
+					if got.EdgeAlive[e] != want[e] {
+						t.Fatalf("seed %d k=%d edge %d: got %v want %v",
+							seed, k, e, got.EdgeAlive[e], want[e])
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestEnColorfulSupMatchesBrute(t *testing.T) {
-	for seed := uint64(0); seed < 6; seed++ {
-		g := random(seed, 45, 0.3)
-		col := color.Greedy(g)
-		for _, k := range []int32{2, 3, 4} {
-			got := EnColorfulSup(g, col, k)
-			want := bruteSupPeel(g, col, k, true)
-			for e := range want {
-				if got.EdgeAlive[e] != want[e] {
-					t.Fatalf("seed %d k=%d edge %d: got %v want %v",
-						seed, k, e, got.EdgeAlive[e], want[e])
+	bothPaths(t, func(t *testing.T) {
+		for seed := uint64(0); seed < 6; seed++ {
+			g := random(seed, 45, 0.3)
+			col := color.Greedy(g)
+			for _, k := range []int32{2, 3, 4} {
+				got := EnColorfulSup(g, col, k)
+				want := bruteSupPeel(g, col, k, true)
+				for e := range want {
+					if got.EdgeAlive[e] != want[e] {
+						t.Fatalf("seed %d k=%d edge %d: got %v want %v",
+							seed, k, e, got.EdgeAlive[e], want[e])
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // Safety (Lemma 3 / Lemma 4): a planted balanced 2k-clique survives
@@ -363,25 +367,5 @@ func TestPipelineInfeasibleK(t *testing.T) {
 	sub, _ := Pipeline(g, 10)
 	if sub.G.N() != 0 || sub.G.M() != 0 {
 		t.Fatalf("expected empty graph, got n=%d m=%d", sub.G.N(), sub.G.M())
-	}
-}
-
-func BenchmarkColorfulSup(b *testing.B) {
-	g := random(1, 400, 0.1)
-	col := color.Greedy(g)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ColorfulSup(g, col, 3)
-	}
-}
-
-func BenchmarkEnColorfulSup(b *testing.B) {
-	g := random(1, 400, 0.1)
-	col := color.Greedy(g)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		EnColorfulSup(g, col, 3)
 	}
 }
