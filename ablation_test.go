@@ -1,6 +1,6 @@
-// Ablation benchmarks for the design choices called out in DESIGN.md:
-// what each reduction stage buys, how deep the expensive bounds should
-// be evaluated, and what component-level parallelism contributes.
+// Ablation benchmarks for the engine's design choices: what each
+// reduction stage buys, how deep the expensive bounds should be
+// evaluated, and what component-level parallelism contributes.
 package fairclique_test
 
 import (

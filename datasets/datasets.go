@@ -1,8 +1,11 @@
 // Package datasets exposes the repository's deterministic benchmark
 // graphs through the public fairclique API: the six stand-ins for the
 // paper's evaluation datasets (Table I) and the four labelled
-// case-study graphs (Fig. 10). See DESIGN.md "Substitutions" for what
-// each stand-in imitates and why.
+// case-study graphs (Fig. 10). The real graphs are not available
+// offline, so each stand-in is a seeded generator with the structure of
+// the graph it replaces (power-law, clustered or team-based, see
+// Describe) plus a planted family of fair cliques of known size;
+// datasets/README.md lists which generator replaces which graph.
 package datasets
 
 import (

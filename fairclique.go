@@ -39,9 +39,9 @@
 //	res, err := fairclique.Find(g, fairclique.Options{K: 2, Delta: 0})
 //	// res.Clique == [0 1 2 3]
 //
-// See the examples/ directory for runnable programs and DESIGN.md for
-// the system inventory and the documented corrections to the paper's
-// pseudo-code.
+// See the examples/ directory for runnable programs, ARCHITECTURE.md for
+// the layer map, and README.md for where the departures from the
+// paper's pseudo-code are documented.
 package fairclique
 
 import (

@@ -8,10 +8,11 @@
 //
 // All bounds are evaluated on the subgraph G' induced by a search
 // instance (R, C). Where the paper's printed formulas are off by a
-// small constant (see DESIGN.md, "Corrections"), the provably safe
-// variants are used: ω ≤ degeneracy+1, ω ≤ h-index+1, and the
-// colorful analogues with the same +1; ubeac uses the balanced
-// mixed-color assignment.
+// small constant, the provably safe variants are used: a clique of ω
+// vertices has degeneracy and h-index ω−1, so ω ≤ degeneracy+1 and
+// ω ≤ h-index+1, and the colorful analogues carry the same +1
+// (2·(colorful degeneracy+1)+δ and 2·(colorful h-index+1)+δ); ubeac
+// uses the balanced mixed-color assignment.
 package bounds
 
 import (

@@ -34,15 +34,15 @@ type Evaluator struct {
 	stampA, stampB []int32
 	da, db         []int32
 
-	// Colorful (attr, color) counter segments for the colorful
-	// degeneracy peel: vertex u's live neighbour colors are
-	// segKeys[segOff[u]:segOff[u+1]] (sorted) with multiplicities in
-	// segCnt.
-	segOff    []int32
-	segKeys   []int32
-	segCnt    []int32
-	slotStamp []int32
-	slotIdx   []int32
+	// Colorful (attr, color) neighbour counters for the colorful
+	// degeneracy peel (buildColorCounter): ccnt holds one counter per
+	// (vertex, key) pair present in the view, and edgeSlot[p] is the
+	// counter view-CSR position p incremented. keyStart is the counting
+	// sort by key; lastKey/lastSlot are each vertex's newest counter.
+	ccnt              []int32
+	edgeSlot          []int32
+	keyStart          []int32
+	lastKey, lastSlot []int32
 
 	// Lazy-bucket min-peel scratch.
 	key     []int32
@@ -183,9 +183,9 @@ func (e *Evaluator) grow(n int32) {
 		e.stampB = make([]int32, 2*n)
 		e.da = make([]int32, n)
 		e.db = make([]int32, n)
-		e.segOff = make([]int32, n+1)
-		e.slotStamp = make([]int32, 2*n)
-		e.slotIdx = make([]int32, 2*n)
+		e.keyStart = make([]int32, 2*n+1)
+		e.lastKey = make([]int32, n)
+		e.lastSlot = make([]int32, n)
 		e.key = make([]int32, n)
 		e.removed = make([]bool, n)
 		e.rank = make([]int32, n)
@@ -365,64 +365,65 @@ func (e *Evaluator) colorfulDegrees(n, numColors int32) {
 }
 
 // buildColorCounter builds the per-vertex (attr, color) multiplicity
-// segments used by the colorful degeneracy peel, and fills e.da/e.db.
-// Keys are attr*numColors+color; each vertex's segment is sorted so the
-// peel can binary-search it.
+// counters used by the colorful degeneracy peel, and fills e.da/e.db.
+// Keys are attr*numColors+color. View vertices are visited grouped by
+// key in ascending key order (a counting sort into e.order, whose
+// coloring order is dead by now), so each vertex's counter for a key
+// is created exactly once — on its first neighbour with that key — and
+// needs no sorting or lookup. Counters live in e.ccnt; e.edgeSlot[p]
+// records the counter that view-CSR position p (an edge from the row's
+// owner v to w) incremented: w's counter for v's key, which is the one
+// the peel decrements when v is removed.
 func (e *Evaluator) buildColorCounter(n, numColors int32) {
-	slotStamp := e.slotStamp[:2*numColors]
-	for i := range slotStamp {
-		slotStamp[i] = 0
+	keys := 2 * numColors
+	starts := e.keyStart[:keys+1]
+	for i := range starts {
+		starts[i] = 0
 	}
-	e.segKeys = e.segKeys[:0]
-	e.segCnt = e.segCnt[:0]
-	e.segOff[0] = 0
-	for u := int32(0); u < n; u++ {
-		e.da[u] = 0
-		e.db[u] = 0
-		start := int32(len(e.segKeys))
-		for _, w := range e.sc.Row(u) {
-			k := int32(e.attrs[w])*numColors + e.colors[w]
-			if slotStamp[k] != u+1 {
-				slotStamp[k] = u + 1
-				e.slotIdx[k] = int32(len(e.segKeys))
-				e.segKeys = append(e.segKeys, k)
-				e.segCnt = append(e.segCnt, 1)
-				if k < numColors {
-					e.da[u]++
-				} else {
-					e.db[u]++
-				}
-			} else {
-				e.segCnt[e.slotIdx[k]]++
-			}
-		}
-		// Insertion sort the segment by key (cnt travels with key).
-		seg := e.segKeys[start:]
-		cnt := e.segCnt[start:]
-		for i := 1; i < len(seg); i++ {
-			for j := i; j > 0 && seg[j] < seg[j-1]; j-- {
-				seg[j], seg[j-1] = seg[j-1], seg[j]
-				cnt[j], cnt[j-1] = cnt[j-1], cnt[j]
-			}
-		}
-		e.segOff[u+1] = int32(len(e.segKeys))
+	for v := int32(0); v < n; v++ {
+		starts[int32(e.attrs[v])*numColors+e.colors[v]+1]++
 	}
-}
+	for k := int32(0); k < keys; k++ {
+		starts[k+1] += starts[k]
+	}
+	for v := int32(0); v < n; v++ {
+		k := int32(e.attrs[v])*numColors + e.colors[v]
+		e.order[starts[k]] = v
+		starts[k]++
+	}
 
-// decColor decrements vertex u's counter for key k and reports whether
-// it reached zero (the color disappeared from u's alive neighbours).
-func (e *Evaluator) decColor(u, k int32) bool {
-	lo, hi := e.segOff[u], e.segOff[u+1]
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if e.segKeys[mid] < k {
-			lo = mid + 1
-		} else {
-			hi = mid
+	da, db := e.da[:n], e.db[:n]
+	lastKey, lastSlot := e.lastKey[:n], e.lastSlot[:n]
+	for u := range lastKey {
+		da[u], db[u], lastKey[u] = 0, 0, -1
+	}
+	// At most one counter per view-CSR position.
+	nbrs := e.sc.Nbrs
+	if cap(e.edgeSlot) < len(nbrs) {
+		e.edgeSlot = make([]int32, len(nbrs))
+		e.ccnt = make([]int32, len(nbrs))
+	}
+	edgeSlot, ccnt := e.edgeSlot[:len(nbrs)], e.ccnt[:len(nbrs)]
+	next := int32(0)
+	for _, v := range e.order[:n] {
+		kv := int32(e.attrs[v])*numColors + e.colors[v]
+		for p := e.sc.Offsets[v]; p < e.sc.Offsets[v+1]; p++ {
+			w := nbrs[p]
+			if lastKey[w] != kv {
+				lastKey[w], lastSlot[w] = kv, next
+				ccnt[next] = 0
+				next++
+				if kv < numColors {
+					da[w]++
+				} else {
+					db[w]++
+				}
+			}
+			slot := lastSlot[w]
+			ccnt[slot]++
+			edgeSlot[p] = slot
 		}
 	}
-	e.segCnt[lo]--
-	return e.segCnt[lo] == 0
 }
 
 // viewColorfulDegeneracy is the view-CSR port of colorful.Decompose
@@ -430,6 +431,7 @@ func (e *Evaluator) decColor(u, k int32) bool {
 // Dmin = min(Da, Db) with a lazy bucket queue.
 func (e *Evaluator) viewColorfulDegeneracy(n, numColors int32) int32 {
 	e.buildColorCounter(n, numColors)
+	nbrs, edgeSlot, ccnt := e.sc.Nbrs, e.edgeSlot, e.ccnt
 	maxKey := int32(0)
 	for i := int32(0); i < n; i++ {
 		k := e.da[i]
@@ -464,11 +466,14 @@ func (e *Evaluator) viewColorfulDegeneracy(n, numColors int32) int32 {
 			level = ptr
 		}
 		kv := int32(e.attrs[v])*numColors + e.colors[v]
-		for _, w := range e.sc.Row(v) {
+		for p := e.sc.Offsets[v]; p < e.sc.Offsets[v+1]; p++ {
+			w := nbrs[p]
 			if e.removed[w] {
 				continue
 			}
-			if e.decColor(w, kv) {
+			slot := edgeSlot[p]
+			ccnt[slot]--
+			if ccnt[slot] == 0 { // v's key left w's alive neighbourhood
 				if kv < numColors {
 					e.da[w]--
 				} else {

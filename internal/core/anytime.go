@@ -129,7 +129,7 @@ func (w *worker) priceRootBranches(tasks []int32) {
 		var avail [2]int32
 		var row *graph.LiveRow
 		var cs []int32
-		if d.succ != nil {
+		if d.bitset() {
 			w.ensureBits(1)
 			avail = w.makeChildBits(w.cand[1], d.fullRow, u, false)
 			row = &w.cand[1]

@@ -2,11 +2,13 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"fairclique/internal/bounds"
 	"fairclique/internal/gen"
 	"fairclique/internal/graph"
+	"fairclique/internal/reduce"
 	"fairclique/internal/rng"
 	"fairclique/internal/sched"
 )
@@ -37,40 +39,47 @@ func sixBoundConfigs(k, delta int) []Options {
 	return out
 }
 
+// runWithChunkedRows runs MaxRFC with chunked successor rows forced on
+// every component, including those that would take flat rows.
+func runWithChunkedRows(t *testing.T, g *graph.Graph, opt Options) *Result {
+	t.Helper()
+	defer forceChunkedRows()()
+	return mustMaxRFC(t, g, opt)
+}
+
 // Differential fuzz: random attributed graphs from the generator suite
-// run through the chunked-bitset engine and the slice oracle must agree
-// on the maximum fair clique size — and produce valid cliques — across
-// all six Table II bound configurations.
+// run through the bitset engine — with flat successor rows where a
+// component qualifies and with chunked rows forced everywhere — and the
+// slice oracle must agree on the maximum fair clique size, and produce
+// valid cliques, across all six Table II bound configurations. The two
+// row representations must also walk the identical search tree: serial
+// runs are deterministic, so their node, bound-check and bound-prune
+// counts must be equal.
 func TestDifferentialChunkedVsSliceOracle(t *testing.T) {
-	r := rng.New(20260729)
-	type instance struct {
-		name string
-		g    *graph.Graph
-	}
-	var instances []instance
-	for seed := uint64(0); seed < 6; seed++ {
-		n := 30 + int(r.Intn(30))
-		instances = append(instances,
-			instance{"er", gen.AssignUniform(seed+100, gen.ErdosRenyi(seed, n, n*4), 0.5)},
-			instance{"ba", gen.AssignUniform(seed+200, gen.BarabasiAlbert(seed, n, 5), 0.4)},
-			instance{"ws", gen.AssignUniform(seed+300, gen.WattsStrogatz(seed, n, 4, 0.2), 0.6)},
-		)
-		planted, _ := gen.PlantFairClique(seed+400, gen.ErdosRenyi(seed, n, n*2), 4, 4)
-		instances = append(instances, instance{"planted", planted})
-	}
-	for _, inst := range instances {
+	for _, inst := range differentialInstances() {
 		for _, kd := range [][2]int{{1, 1}, {2, 1}, {2, 3}} {
 			k, delta := kd[0], kd[1]
 			want := runWithSliceOracle(t, inst.g, Options{K: k, Delta: delta})
 			for _, opt := range sixBoundConfigs(k, delta) {
 				got := mustMaxRFC(t, inst.g, opt)
 				if got.Size() != want.Size() {
-					t.Fatalf("%s n=%d k=%d δ=%d extra=%v: chunked %d, slice oracle %d",
+					t.Fatalf("%s n=%d k=%d δ=%d extra=%v: bitset %d, slice oracle %d",
 						inst.name, inst.g.N(), k, delta, opt.Extra, got.Size(), want.Size())
 				}
 				if got.Size() > 0 && !inst.g.IsFairClique(got.Clique, k, delta) {
-					t.Fatalf("%s k=%d δ=%d extra=%v: chunked result not a fair clique",
+					t.Fatalf("%s k=%d δ=%d extra=%v: bitset result not a fair clique",
 						inst.name, k, delta, opt.Extra)
+				}
+				chunked := runWithChunkedRows(t, inst.g, opt)
+				if chunked.Size() != got.Size() {
+					t.Fatalf("%s k=%d δ=%d extra=%v: forced-chunked %d, default rows %d",
+						inst.name, k, delta, opt.Extra, chunked.Size(), got.Size())
+				}
+				if c, f := chunked.Stats, got.Stats; c.Nodes != f.Nodes ||
+					c.BoundChecks != f.BoundChecks || c.BoundPrunes != f.BoundPrunes {
+					t.Fatalf("%s k=%d δ=%d extra=%v: forced-chunked tree (nodes %d, checks %d, prunes %d) != default tree (%d, %d, %d)",
+						inst.name, k, delta, opt.Extra, c.Nodes, c.BoundChecks, c.BoundPrunes,
+						f.Nodes, f.BoundChecks, f.BoundPrunes)
 				}
 				// The oracle too must hand back a valid clique under the
 				// same bound configuration.
@@ -82,6 +91,53 @@ func TestDifferentialChunkedVsSliceOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The differential fuzz above compares flat with chunked rows only if
+// its instances' reduced components take flat rows by default: at
+// least half of the (instance, k) reductions must contain one.
+func TestDifferentialInstancesTakeFlatRows(t *testing.T) {
+	flat, total := 0, 0
+	for _, inst := range differentialInstances() {
+		for _, k := range []int32{1, 2} {
+			sub, _ := reduce.PipelineN(inst.g, k, 1)
+			p := PrepareReduced(sub.G, sub.ToParent)
+			total++
+			for ci := range p.comps {
+				if rowKind(p.comp(ci)) == "flat" {
+					flat++
+					break
+				}
+			}
+		}
+	}
+	t.Logf("%d of %d reduced fixtures contain a flat-row component", flat, total)
+	if 2*flat < total {
+		t.Fatalf("only %d of %d reduced fixtures contain a flat-row component", flat, total)
+	}
+}
+
+type instance struct {
+	name string
+	g    *graph.Graph
+}
+
+// differentialInstances is the fixture set of the differential fuzz:
+// six seeds of ER, BA, WS and planted-clique graphs of 30-59 vertices.
+func differentialInstances() []instance {
+	r := rng.New(20260729)
+	var instances []instance
+	for seed := uint64(0); seed < 6; seed++ {
+		n := 30 + int(r.Intn(30))
+		instances = append(instances,
+			instance{"er", gen.AssignUniform(seed+100, gen.ErdosRenyi(seed, n, n*4), 0.5)},
+			instance{"ba", gen.AssignUniform(seed+200, gen.BarabasiAlbert(seed, n, 5), 0.4)},
+			instance{"ws", gen.AssignUniform(seed+300, gen.WattsStrogatz(seed, n, 4, 0.2), 0.6)},
+		)
+		planted, _ := gen.PlantFairClique(seed+400, gen.ErdosRenyi(seed, n, n*2), 4, 4)
+		instances = append(instances, instance{"planted", planted})
+	}
+	return instances
 }
 
 // bigComponentInstance is the force-the-cap fixture: one connected
@@ -107,11 +163,11 @@ func TestBigComponentUsesChunkedPath(t *testing.T) {
 	}
 
 	// White-box: the component must be routed to the chunked
-	// representation, never the slice fallback.
+	// representation, never flat rows or the slice fallback.
 	s := &searcher{p: PrepareReduced(g, identity(g.N())), k: 2, delta: 1, opt: Options{K: 2, Delta: 1}}
 	d := s.newCompData(comps[0])
-	if d.succ == nil || d.allVerts != nil {
-		t.Fatalf("component of %d vertices did not take the chunked path", d.n)
+	if got := rowKind(d.compPrep); got != "chunked" {
+		t.Fatalf("component of %d vertices took %s rows, want chunked", d.n, got)
 	}
 	if d.words <= graph.ChunkWords {
 		t.Fatalf("candidate rows span %d words; want > one chunk (%d)", d.words, graph.ChunkWords)
@@ -146,6 +202,72 @@ func TestBigComponentUsesChunkedPath(t *testing.T) {
 			t.Fatalf("k=%d δ=%d with bounds: chunked %d, slice oracle %d",
 				k, delta, withBounds.Size(), oracle.Size())
 		}
+	}
+}
+
+// alternatingCycle is a cycle on n vertices whose attributes alternate:
+// one connected single-chunk component with m = n edges, sparser than
+// the n·⌈n/64⌉ words flat rows would need once n > 64.
+func alternatingCycle(n int) *graph.Graph {
+	b := graph.NewBuilder(n)
+	for v := 0; v < n; v++ {
+		b.SetAttr(int32(v), graph.Attr(v%2))
+		b.AddEdge(int32(v), int32((v+1)%n))
+	}
+	return b.Build()
+}
+
+// Which successor rows each fixture takes: the search-cold nucleus
+// (dense, one chunk) takes flat rows unless chunked rows are forced; a
+// >4096-vertex component and a sparse single-chunk cycle take chunked
+// rows. Either way the rows hold the same successor bits.
+func TestRowRepresentationSelection(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		g      *graph.Graph
+		forced bool
+		want   string
+	}{
+		{"searchcold-nucleus", searchColdNucleus(), false, "flat"},
+		{"searchcold-nucleus-forced", searchColdNucleus(), true, "chunked"},
+		{"big-component", bigComponentInstance(11), false, "chunked"},
+		{"alternating-cycle", alternatingCycle(1000), false, "chunked"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.forced {
+				t.Cleanup(forceChunkedRows())
+			}
+			p := prepare(tc.g)
+			if p.Components() != 1 {
+				t.Fatalf("fixture has %d components, want 1", p.Components())
+			}
+			d := p.comp(0)
+			if got := rowKind(d); got != tc.want {
+				t.Fatalf("component of %d vertices, %d edges took %s rows, want %s",
+					d.n, d.comp.M(), got, tc.want)
+			}
+			// Decode every successor row through the child kernel (a full
+			// source row, no declaration) and compare it with the
+			// adjacency-list definition of succ.
+			w := newWorker(&compData{compPrep: d, s: &searcher{}})
+			w.ensureBits(1)
+			for u := int32(0); u < d.n; u++ {
+				avail := w.makeChildBits(w.cand[1], d.fullRow, u, false)
+				var want []int32
+				for _, v := range d.comp.Neighbors(u) {
+					if d.comp.Attr(v) != d.comp.Attr(u) || v > u {
+						want = append(want, v)
+					}
+				}
+				got := w.cand[1].Append(nil)
+				if !slices.Equal(got, want) {
+					t.Fatalf("row %d = %v, want %v", u, got, want)
+				}
+				if int(avail[0]+avail[1]) != len(want) {
+					t.Fatalf("row %d: counts %v for %d successors", u, avail, len(want))
+				}
+			}
+		})
 	}
 }
 

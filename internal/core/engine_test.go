@@ -7,14 +7,47 @@ import (
 	"fairclique/internal/enum"
 	"fairclique/internal/gen"
 	"fairclique/internal/graph"
+	"fairclique/internal/reduce"
 	"fairclique/internal/sched"
 )
+
+// rowKind names the successor-row representation a prepared component
+// took: "flat", "chunked", "slice" (the test-only oracle) or "invalid"
+// when both bitset forms are set.
+func rowKind(d *compPrep) string {
+	switch {
+	case !d.bitset():
+		return "slice"
+	case d.flat != nil && d.succ == nil:
+		return "flat"
+	case d.flat == nil && d.succ != nil:
+		return "chunked"
+	}
+	return "invalid"
+}
+
+// forceChunkedRows makes every component prepared until restore runs
+// take chunked successor rows, whatever its size.
+func forceChunkedRows() (restore func()) {
+	old := flatMaxVertices
+	flatMaxVertices = 0
+	return func() { flatMaxVertices = old }
+}
+
+// searchColdNucleus is the component the search-cold benchmark
+// workload branches on: the k=2 PipelineN survivor of the 230-vertex
+// bigcomp nucleus inside its 5,120-vertex shell.
+func searchColdNucleus() *graph.Graph {
+	sub, _ := reduce.PipelineN(gen.BigComponent(1, 230, 0.5, graph.ChunkBits+1024), 2, 1)
+	return sub.G
+}
 
 // newWarmEngine builds a searcher plus a warmed worker over the single
 // component of g, ready for repeated full-tree runs: the first run
 // grows every arena and settles the incumbent, so subsequent runs are
-// the engine's steady state.
-func newWarmEngine(t testing.TB, g *graph.Graph, opt Options) (*searcher, *worker) {
+// the engine's steady state. The component must take the successor
+// rows named by rows (see rowKind).
+func newWarmEngine(t testing.TB, g *graph.Graph, opt Options, rows string) (*searcher, *worker) {
 	t.Helper()
 	if opt.BoundDepth <= 0 {
 		opt.BoundDepth = 1
@@ -24,8 +57,8 @@ func newWarmEngine(t testing.TB, g *graph.Graph, opt Options) (*searcher, *worke
 		t.Fatalf("test graph has %d components, want 1", got)
 	}
 	d := s.newCompData(s.p.comps[0])
-	if d.succ == nil {
-		t.Fatalf("component of %d vertices fell back to the slice path", d.n)
+	if got := rowKind(d.compPrep); got != rows {
+		t.Fatalf("component of %d vertices took %s rows, want %s", d.n, got, rows)
 	}
 	w := newWorker(d)
 	w.branchRoot() // warm: grows arenas and fixes the incumbent
@@ -39,29 +72,38 @@ func newWarmEngine(t testing.TB, g *graph.Graph, opt Options) (*searcher, *worke
 // Steady-state branching must allocate zero heap objects per node —
 // the acceptance criterion of the allocation-free engine. Checked for
 // the plain baseline and the default bounds configuration (whose
-// evaluator runs scratch-backed), on both a single-chunk component and
-// a multi-chunk >4096-vertex component (dense, sparse and run
-// containers all in play), and with the work-stealing state installed:
-// the donation hook on the hot path is a single atomic load and must
-// not allocate while no worker is hungry.
+// evaluator runs scratch-backed), on a single-chunk component with
+// flat rows and forced onto chunked rows, and on a multi-chunk
+// >4096-vertex component (dense, sparse and run containers all in
+// play), and with the work-stealing state installed: the donation hook
+// on the hot path is a single atomic load and must not allocate while
+// no worker is hungry.
 func TestBranchSteadyStateZeroAllocs(t *testing.T) {
 	small := random(42, 80, 0.4)
 	big := gen.BigComponent(42, 36, 0.5, graph.ChunkBits+120)
+	bounded := Options{K: 2, Delta: 1, UseBounds: true, Extra: bounds.ColorfulDegeneracy}
 	for _, tc := range []struct {
 		name  string
 		g     *graph.Graph
 		opt   Options
+		rows  string
 		steal bool
 	}{
-		{"plain", small, Options{K: 2, Delta: 1}, false},
-		{"bounds", small, Options{K: 2, Delta: 1, UseBounds: true, Extra: bounds.ColorfulDegeneracy}, false},
-		{"multichunk-plain", big, Options{K: 2, Delta: 1}, false},
-		{"multichunk-bounds", big, Options{K: 2, Delta: 1, UseBounds: true, Extra: bounds.ColorfulDegeneracy}, false},
-		{"steal-config", small, Options{K: 2, Delta: 1, Workers: 2}, true},
-		{"multichunk-steal", big, Options{K: 2, Delta: 1, Workers: 2}, true},
+		{"plain", small, Options{K: 2, Delta: 1}, "flat", false},
+		{"bounds", small, bounded, "flat", false},
+		{"chunked-plain", small, Options{K: 2, Delta: 1}, "chunked", false},
+		{"chunked-bounds", small, bounded, "chunked", false},
+		{"multichunk-plain", big, Options{K: 2, Delta: 1}, "chunked", false},
+		{"multichunk-bounds", big, bounded, "chunked", false},
+		{"steal-config", small, Options{K: 2, Delta: 1, Workers: 2}, "flat", true},
+		{"chunked-steal", small, Options{K: 2, Delta: 1, Workers: 2}, "chunked", true},
+		{"multichunk-steal", big, Options{K: 2, Delta: 1, Workers: 2}, "chunked", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, w := newWarmEngine(t, tc.g, tc.opt)
+			if tc.rows == "chunked" {
+				t.Cleanup(forceChunkedRows())
+			}
+			_, w := newWarmEngine(t, tc.g, tc.opt, tc.rows)
 			if tc.name[:4] == "mult" && w.d.words <= graph.ChunkWords {
 				t.Fatalf("multichunk fixture spans %d words; want > %d", w.d.words, graph.ChunkWords)
 			}
@@ -132,7 +174,7 @@ func TestBranchSteadyStateZeroAllocsOnRequery(t *testing.T) {
 // plus the node throughput.
 func BenchmarkBranchAllocs(b *testing.B) {
 	g := random(42, 120, 0.3)
-	s, w := newWarmEngine(b, g, Options{K: 2, Delta: 1})
+	s, w := newWarmEngine(b, g, Options{K: 2, Delta: 1}, "flat")
 	start := s.nodes.Load()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -143,6 +185,33 @@ func BenchmarkBranchAllocs(b *testing.B) {
 	b.StopTimer()
 	nodes := s.nodes.Load() - start
 	b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/sec")
+}
+
+// BenchmarkBranchSearchCold times the branch loop, with the search-cold
+// workload's Table II bound at depth 1, on the search-cold nucleus with
+// flat rows and forced onto chunked rows: the two sides of the
+// flat-row cutoff on one tree (go test -bench BranchSearchCold).
+// BenchmarkBigComponentPaths keeps the multi-chunk number.
+func BenchmarkBranchSearchCold(b *testing.B) {
+	g := searchColdNucleus()
+	opt := Options{K: 2, Delta: 2, UseBounds: true, Extra: bounds.ColorfulDegeneracy}
+	for _, rows := range []string{"flat", "chunked"} {
+		b.Run(rows, func(b *testing.B) {
+			if rows == "chunked" {
+				b.Cleanup(forceChunkedRows())
+			}
+			s, w := newWarmEngine(b, g, opt, rows)
+			start := s.nodes.Load()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.branchRoot()
+			}
+			w.flushNodes()
+			b.StopTimer()
+			b.ReportMetric(float64(s.nodes.Load()-start)/b.Elapsed().Seconds(), "nodes/sec")
+		})
+	}
 }
 
 // The slice oracle path must agree with the Bron–Kerbosch oracle, so

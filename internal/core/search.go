@@ -8,9 +8,29 @@
 // EnColorfulCore -> ColorfulSup -> EnColorfulSup, optionally seed the
 // incumbent with HeurRFC, then branch-and-bound each connected
 // component under the colorful-core peeling order (CalColorOD). The
-// branching preserves the paper's alternating-attribute design via the
-// count-difference state machine described in DESIGN.md (corrections
-// 7-9), which is validated against a brute-force oracle.
+// branching keeps the paper's alternating-attribute design under four
+// rules that make it exact; a brute-force oracle validates them.
+//
+// # Branching rules
+//
+//   - Later-rank rule. Branching on u keeps, of u's own attribute, only
+//     the neighbours after u in peel order, and of the other attribute
+//     all neighbours. Vertices of one attribute therefore join R in
+//     peel order, so no clique is built twice by reordering them.
+//   - Fairness recording. Every node whose R is fair (both counts at
+//     least k, difference at most δ) is offered to the incumbent, not
+//     only the leaves: the optimum may be an inner node all of whose
+//     extensions break fairness.
+//   - Count-difference state machine. With diff = |R∩A| − |R∩B|, a node
+//     at diff 0 adds an a, and at diff 1 adds a b, so the two sides
+//     alternate. At diff 0 with k a's, a second branch declares side a
+//     complete: it keeps only b candidates and adds b's from then on
+//     (diff ≤ −1). At diff 1 with k b's, a second branch declares side
+//     b complete the same way (diff ≥ 2, only a's).
+//   - δ-caps. Once an attribute x has no candidates left, |R∩x| is
+//     final and the other side may exceed it by at most δ. A node whose
+//     other side already sits at that cap, with candidates of it still
+//     pending, cannot grow into a larger fair clique and is pruned.
 //
 // # Performance architecture
 //
@@ -18,20 +38,30 @@
 // engine with no component-size cap:
 //
 //   - Each connected component is relabeled so that vertex id equals
-//     its CalColorOD peel rank. The "same-attribute, later-rank"
-//     branching rule (correction 1) then becomes a plain id
-//     comparison, and candidate sets iterated in id order are already
-//     in peel order.
+//     its CalColorOD peel rank. The later-rank rule then becomes a
+//     plain id comparison, and candidate sets iterated in id order are
+//     already in peel order.
 //   - Candidate sets are graph.LiveRow values: flat packed bitsets
 //     paired with a chunk-liveness bitmap, so per-node work scales
 //     with the chunks a vertex actually touches, not with the
 //     component size. The per-vertex successor masks (adjacency AND
-//     (same-attribute-later OR other-attribute)) live in a
-//     graph.ChunkedMatrix — roaring-style dense/sparse/run containers
-//     per 4096-bit chunk — which replaces the old dense BitMatrix and
-//     its 4096-vertex fast-path cap. Child-candidate construction is
-//     one ChunkedMatrix.AndInto call with fused per-attribute
-//     popcounts.
+//     (same-attribute-later OR other-attribute)) come in two forms,
+//     and each component gets exactly one (useFlatRows):
+//   - Flat rows, for a component of n ≤ graph.ChunkBits vertices and
+//     m edges with n·⌈n/64⌉ ≤ m: n rows of ⌈n/64⌉ words, never more
+//     memory than the component's adjacency lists. The branch loop
+//     (expandFlat) walks the candidate words directly and builds each
+//     child with one inline AND over the row's words, the
+//     per-attribute popcounts fused in, and marks the row's single
+//     chunk live.
+//   - Chunked rows, for larger or sparser components: a
+//     graph.ChunkedMatrix of roaring-style dense/sparse/run containers
+//     per 4096-bit chunk, with no dense n×n matrix and no size cap.
+//     Child construction is one ChunkedMatrix.AndInto call, which
+//     skips chunks dead in the candidate row, with fused
+//     per-attribute popcounts.
+//   - Both forms hold the same bits and walk the same search tree, so
+//     donation, bound checks and anytime pricing treat them alike.
 //   - All per-node state lives in per-worker arenas indexed by search
 //     depth: the clique buffer rbuf, one candidate row (or slice) per
 //     depth, and the bound evaluator's scratch. Steady-state branching
@@ -53,8 +83,7 @@
 //     counters off the hot path.
 //
 // The old binary-search slice path survives only as a differential-test
-// oracle behind the test-only useSliceOracle flag. Remaining follow-ups
-// are tracked in ROADMAP.md (SIMD-friendly popcount batching).
+// oracle behind the test-only useSliceOracle flag.
 package core
 
 import (
@@ -778,10 +807,25 @@ func cliqueEqual(a, b []int32) bool {
 }
 
 // useSliceOracle forces the legacy binary-search slice path for every
-// component. It exists only so differential tests can run the chunked
-// bitset engine against the independent slice implementation; the
-// production path is always chunked, with no component-size cap.
+// component. It exists only so differential tests can run the bitset
+// engine against the independent slice implementation; the production
+// path is always a bitset one, with no component-size cap.
 var useSliceOracle = false
+
+// flatMaxVertices is the largest component whose successor rows may be
+// stored flat (see useFlatRows). A variable so tests can force the
+// chunked rows (0) on single-chunk components.
+var flatMaxVertices int32 = graph.ChunkBits
+
+// useFlatRows reports whether a component of n vertices and m edges
+// gets flat successor rows: it must fit in one chunk, and its
+// n·⌈n/64⌉ words must not exceed m, so the rows never take more
+// memory than the component's own adjacency lists (2m int32s). Larger
+// or sparser components use the chunked rows, whose containers skip
+// dead chunks and cost memory in proportion to the edges.
+func useFlatRows(n, m int32) bool {
+	return n <= flatMaxVertices && int64(n)*int64(graph.BitWords(n)) <= int64(m)
+}
 
 // smallComponentLimit is the size below which a component is searched
 // by a single worker from the cross-component pool instead of being
@@ -790,8 +834,8 @@ var useSliceOracle = false
 const smallComponentLimit = 1024
 
 // compPrep is the query-independent prepared machinery of one
-// component: the peel-rank-relabeled induced graph, the chunked
-// successor masks, the attribute masks/histogram and the recycled
+// component: the peel-rank-relabeled induced graph, the flat or
+// chunked successor masks, the attribute masks/histogram and the recycled
 // worker arenas. It is built once per component (per Prepared) and
 // shared — read-only apart from the locked freelist — by every search
 // and every worker that ever branches inside the component. Because it
@@ -805,14 +849,16 @@ type compPrep struct {
 	n      int32
 	cnt    [2]int32 // attribute histogram of the whole component
 
-	// Chunked bitset representation (zero when useSliceOracle forces
-	// the test-only slice path).
+	// Bitset representation (zero when useSliceOracle forces the
+	// test-only slice path). The per-vertex branch-successor masks are
+	// either flat or chunked (see useFlatRows); exactly one is set.
 	words    int32                // flat words per candidate row
-	succ     *graph.ChunkedMatrix // per-vertex branch-successor masks
+	flat     []uint64             // flat masks: row u is flat[u*words:(u+1)*words]
+	succ     *graph.ChunkedMatrix // chunked masks
 	attrMask [2][]uint64          // vertices of each attribute
 	fullRow  graph.LiveRow        // all n bits set: the root candidate set
 
-	allVerts []int32 // 0..n-1: the root candidate slice (oracle path)
+	allVerts []int32 // 0..n-1: the root candidate slice (oracle path only)
 
 	wmu  sync.Mutex
 	free []*worker // recycled workers, arenas sized for this component
@@ -820,6 +866,10 @@ type compPrep struct {
 	tmu   sync.Mutex
 	tfree []*subtreeTask // recycled donation buffers, rows sized for this component
 }
+
+// bitset reports whether the component runs the bitset engine (flat
+// or chunked successor rows) rather than the test-only slice oracle.
+func (c *compPrep) bitset() bool { return c.allVerts == nil }
 
 // getWorker pops a recycled worker (rebinding it to this search's view)
 // or builds a fresh one. Recycling keeps repeated queries over a warm
@@ -868,7 +918,7 @@ func (c *compPrep) getTask() *subtreeTask {
 	}
 	c.tmu.Unlock()
 	if t == nil {
-		t = &subtreeTask{cand: c.succ.NewRow()}
+		t = &subtreeTask{cand: graph.NewLiveRow(c.n)}
 	}
 	return t
 }
@@ -902,7 +952,7 @@ func (s *searcher) newCompData(comp []int32) *compData {
 
 // prepareComp induces comp from the reduced graph and relabels it by
 // CalColorOD peel rank (Algorithm 2 line 9), then precomputes the
-// chunked bitset machinery (or the slice oracle's vertex list). toOrig
+// bitset machinery (or the slice oracle's vertex list). toOrig
 // maps the reduced graph's ids to original ids; the compPrep composes
 // the two so it is self-contained.
 func prepareComp(g *graph.Graph, comp []int32, toOrig []int32) *compPrep {
@@ -937,9 +987,15 @@ func prepareComp(g *graph.Graph, comp []int32, toOrig []int32) *compPrep {
 		d.fullRow.FillN(n)
 		// succ[u] = N(u) ∩ (same-attribute vertices after u ∪ the other
 		// attribute): exactly the vertices expand may keep in u's child.
-		// Built row by row from the sorted adjacency lists, so no dense
-		// n×n matrix is ever materialized and there is no size cap.
-		cb := graph.NewChunkedBuilder(n, n)
+		// Built row by row from the sorted adjacency lists; the chunked
+		// form never materializes a dense n×n matrix, so there is no
+		// size cap.
+		var cb *graph.ChunkedBuilder
+		if useFlatRows(n, d.comp.M()) {
+			d.flat = make([]uint64, int(n)*int(d.words))
+		} else {
+			cb = graph.NewChunkedBuilder(n, n)
+		}
 		var buf []int32
 		for u := int32(0); u < n; u++ {
 			buf = buf[:0]
@@ -949,9 +1005,18 @@ func prepareComp(g *graph.Graph, comp []int32, toOrig []int32) *compPrep {
 					buf = append(buf, v)
 				}
 			}
-			cb.AddRow(buf)
+			if cb != nil {
+				cb.AddRow(buf)
+				continue
+			}
+			row := d.flatRow(u)
+			for _, v := range buf {
+				graph.BitSet(row, v)
+			}
 		}
-		d.succ = cb.Build()
+		if cb != nil {
+			d.succ = cb.Build()
+		}
 	} else {
 		d.allVerts = make([]int32, n)
 		for i := range d.allVerts {
@@ -1017,7 +1082,7 @@ func newWorker(d *compData) *worker {
 		rbuf:       make([]int32, d.n),
 		flushEvery: flushEvery(d.s.opt),
 	}
-	if d.succ != nil {
+	if d.bitset() {
 		w.cand = append(w.cand, d.fullRow)
 	} else {
 		w.cs = append(w.cs, d.allVerts)
@@ -1326,7 +1391,7 @@ func (w *worker) rootTasks() []int32 {
 
 // branchRoot enters the root node: R = ∅, C = the whole component.
 func (w *worker) branchRoot() {
-	if w.d.succ != nil {
+	if w.d.bitset() {
 		w.branchBits(0, [2]int32{}, w.d.cnt)
 	} else {
 		w.branchSlice(0, w.d.allVerts, [2]int32{}, w.d.cnt)
@@ -1340,7 +1405,7 @@ func (w *worker) runRootBranch(u int32) {
 	var cnt [2]int32
 	cnt[d.comp.Attr(u)]++
 	w.rbuf[0] = u
-	if d.succ != nil {
+	if d.bitset() {
 		w.ensureBits(1)
 		avail := w.makeChildBits(w.cand[1], d.fullRow, u, false)
 		w.branchBits(1, cnt, avail)
@@ -1358,7 +1423,7 @@ func (w *worker) runRootBranch(u int32) {
 // inline). Slice-oracle components never donate, matching expandSlice.
 func (w *worker) runRootBranchPooled(u int32, scope *sched.Scope) {
 	d := w.d
-	if d.succ == nil {
+	if !d.bitset() {
 		w.runRootBranch(u)
 		return
 	}
@@ -1385,7 +1450,7 @@ func (w *worker) runStolen(t *subtreeTask) {
 // ensureBits guarantees a candidate row exists for the given depth.
 func (w *worker) ensureBits(depth int) {
 	for len(w.cand) <= depth {
-		w.cand = append(w.cand, w.d.succ.NewRow())
+		w.cand = append(w.cand, graph.NewLiveRow(w.d.n))
 	}
 }
 
@@ -1403,15 +1468,43 @@ func (w *worker) ensureSlice(depth, need int) {
 // makeChildBits writes into dst the child candidate set of branching on
 // u from src: src ∩ succ(u), restricted to u's attribute when declare
 // is set. Per-attribute candidate counts are fused into the AND pass,
-// which touches only chunks live in src and stored for u.
+// which on chunked rows touches only chunks live in src and stored
+// for u.
 func (w *worker) makeChildBits(dst, src graph.LiveRow, u int32, declare bool) [2]int32 {
 	d := w.d
 	var restrict []uint64
 	if declare {
 		restrict = d.attrMask[d.comp.Attr(u)]
 	}
-	a, b := d.succ.AndInto(dst, src, u, restrict, d.attrMask[0])
-	return [2]int32{a, b}
+	if d.flat == nil {
+		a, b := d.succ.AndInto(dst, src, u, restrict, d.attrMask[0])
+		return [2]int32{a, b}
+	}
+	if restrict == nil {
+		restrict = d.fullRow.Words // all ones: no restriction
+	}
+	a, t := andFlat(dst.Words, src.Words, d.flatRow(u), restrict, d.attrMask[0])
+	dst.Live[0] = 1
+	return [2]int32{a, t - a}
+}
+
+// flatRow returns u's flat successor row.
+func (c *compPrep) flatRow(u int32) []uint64 {
+	return c.flat[u*c.words : (u+1)*c.words]
+}
+
+// andFlat is ChunkedMatrix.AndInto on flat rows: dst = src ∧ row ∧
+// restrict over every word, returning a = |dst ∧ maskA| and t = |dst|
+// from the same pass. All five rows have the same length.
+func andFlat(dst, src, row, restrict, maskA []uint64) (a, t int32) {
+	src, dst, restrict, maskA = src[:len(row)], dst[:len(row)], restrict[:len(row)], maskA[:len(row)]
+	for j, x := range row {
+		x &= src[j] & restrict[j]
+		dst[j] = x
+		a += int32(bits.OnesCount64(x & maskA[j]))
+		t += int32(bits.OnesCount64(x))
+	}
+	return a, t
 }
 
 // makeChildSlice is makeChildBits for the oracle path: it fills the
@@ -1441,12 +1534,13 @@ func (w *worker) makeChildSlice(depth int, src []int32, u int32, declare bool) (
 	return child, avail
 }
 
-// prologue runs the shared per-node bookkeeping and pruning: node
-// accounting, fairness recording (correction 7), the size bound ubs and
-// 2k floor (lines 19-20), attribute feasibility (lines 21-23), δ-caps
-// (correction 9) and the expensive bounds at shallow depth (§VI). It
-// returns false when the node is pruned, and otherwise the expansion
-// sides via the count-difference state machine (correction 8).
+// prologue runs the shared per-node bookkeeping and pruning (see the
+// package comment's branching rules): node accounting, fairness
+// recording, the size bound ubs and 2k floor (lines 19-20), attribute
+// feasibility (lines 21-23), δ-caps and the expensive bounds at
+// shallow depth (§VI). It returns false when the node is pruned; the
+// caller then picks the expansion sides by the count-difference state
+// machine.
 func (w *worker) prologue(depth int, cnt, avail [2]int32, candBits *graph.LiveRow, candSlice []int32) bool {
 	s := w.d.s
 	if s.halted() {
@@ -1489,10 +1583,10 @@ func (w *worker) prologue(depth int, cnt, avail [2]int32, candBits *graph.LiveRo
 	return true
 }
 
-// branchBits is one node of the search tree on the chunked bitset path.
-// The candidates live in w.cand[depth], R in w.rbuf[:depth]. The
-// expansion sides follow the count-difference state machine
-// (correction 8).
+// branchBits is one node of the search tree on the bitset path (flat or
+// chunked rows). The candidates live in w.cand[depth], R in
+// w.rbuf[:depth]. The expansion sides follow the count-difference
+// state machine.
 func (w *worker) branchBits(depth int, cnt, avail [2]int32) {
 	if !w.prologue(depth, cnt, avail, &w.cand[depth], nil) {
 		return
@@ -1537,6 +1631,10 @@ func (w *worker) expandBits(depth int, attr graph.Attr, declare bool, cnt [2]int
 	dst := w.cand[depth+1]
 	ncnt := cnt
 	ncnt[attr]++
+	if d.flat != nil {
+		w.expandFlat(depth, src, dst, am, declare, ncnt)
+		return
+	}
 	st := d.steal
 	w.forEachLive(src, am, func(u int32) bool {
 		if s.halted() {
@@ -1551,6 +1649,42 @@ func (w *worker) expandBits(depth int, attr graph.Attr, declare bool, cnt [2]int
 		w.branchBits(depth+1, ncnt, avail)
 		return true
 	})
+}
+
+// expandFlat is expandBits on flat successor rows: it walks src ∧ am
+// word by word, with no chunk scan and no closure per candidate, and
+// builds each child with one AND over the row's words. Every candidate
+// has attribute attr, so the declare mask is am itself; without a
+// declaration the all-ones root row stands in for it. dst's single
+// chunk is marked live once, since every AND writes all its words.
+func (w *worker) expandFlat(depth int, src, dst graph.LiveRow, am []uint64, declare bool, ncnt [2]int32) {
+	d := w.d
+	s := d.s
+	st := d.steal
+	restrict := d.fullRow.Words
+	if declare {
+		restrict = am
+	}
+	maskA := d.attrMask[0]
+	dst.Live[0] = 1
+	for wi, sw := range src.Words {
+		word := sw & am[wi]
+		for word != 0 {
+			u := int32(wi<<6 + bits.TrailingZeros64(word))
+			word &= word - 1
+			if s.halted() {
+				return
+			}
+			a, t := andFlat(dst.Words, src.Words, d.flatRow(u), restrict, maskA)
+			avail := [2]int32{a, t - a}
+			w.rbuf[depth] = u
+			if st != nil && t > 0 && st.Hungry() &&
+				w.donate(st, depth+1, ncnt, avail, dst) {
+				continue // the subtree went to an idle executor
+			}
+			w.branchBits(depth+1, ncnt, avail)
+		}
+	}
 }
 
 // forEachLive calls fn for every bit of src ∧ mask in increasing id

@@ -2,9 +2,28 @@
 // that stand in for the paper's datasets (Table I) and case-study
 // graphs (Fig. 10). The real graphs (Themarker, Google, DBLP, Flixster,
 // Pokec, Aminer) are not available offline, so each gets a generator
-// reproducing its structural character at configurable scale; see
-// DESIGN.md "Substitutions" for the rationale. All generators are
-// seeded and produce identical graphs across runs and platforms.
+// reproducing its structural character at configurable scale:
+//
+//   - Themarker, Pokec and Flixster are power-law social networks:
+//     Barabási–Albert graphs with 16, 20 and 6 edges per new vertex,
+//     for dense, very dense and sparse.
+//   - Google is a clustered web graph: a stochastic block model of
+//     40-vertex blocks (edge probability 0.10 inside a block, 0.0006
+//     between blocks).
+//   - DBLP is co-authorship: overlapping teams (TeamGraph), whose
+//     cliques are the teams.
+//   - Aminer is co-authorship with a real-style gender attribute:
+//     teams drawn around id-local centres (LocalTeamGraph) and an
+//     attribute correlated with those id blocks (AssignByCommunity).
+//
+// The others get uniform attributes. Each stand-in then receives a
+// planted family of fair cliques (one of the designed maximum size and
+// decoys at 70% and 50% of it), so its maximum fair clique size is
+// known, mirroring the clique structure of Fig. 8. The case-study
+// graphs copy each Fig. 10 result's attribute split with synthetic
+// vertex names, since the real rosters are not available either. All
+// generators are seeded and produce identical graphs across runs and
+// platforms.
 package gen
 
 import (

@@ -99,9 +99,6 @@ type ChunkedMatrix struct {
 // Cols returns the column count rows were built against.
 func (m *ChunkedMatrix) Cols() int32 { return m.cols }
 
-// NewRow returns a zero LiveRow dimensioned for m's column space.
-func (m *ChunkedMatrix) NewRow() LiveRow { return NewLiveRow(m.cols) }
-
 // RowBytes returns the compressed storage of row v in bytes (container
 // payloads only), for memory accounting and tests.
 func (m *ChunkedMatrix) RowBytes(v int32) int {

@@ -13,7 +13,7 @@ func refRow(t *testing.T, m *ChunkedMatrix, v int32) []uint64 {
 	t.Helper()
 	src := NewLiveRow(m.Cols())
 	src.FillN(m.Cols())
-	dst := m.NewRow()
+	dst := NewLiveRow(m.Cols())
 	maskA := make([]uint64, BitWords(m.Cols()))
 	m.AndInto(dst, src, v, nil, maskA)
 	out := make([]uint64, len(dst.Words))
@@ -161,7 +161,7 @@ func TestAndIntoMatchesFlatReference(t *testing.T) {
 			if withRestrict {
 				rst = restrict
 			}
-			dst := m.NewRow()
+			dst := NewLiveRow(m.Cols())
 			a, bCnt := m.AndInto(dst, src, 0, rst, maskA)
 
 			var wantA, wantB int32

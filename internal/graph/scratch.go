@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // CSRScratch builds vertex-induced adjacency views of a parent graph
 // into reusable buffers, so callers that induce subgraphs in a loop
 // (the branch-and-bound bound checks) perform no steady-state heap
@@ -50,40 +52,29 @@ func (s *CSRScratch) InduceView(g *Graph, sets ...[]int32) {
 			s.Verts = append(s.Verts, v)
 		}
 	}
-	n := len(s.Verts)
-	if cap(s.Offsets) < n+1 {
-		s.Offsets = make([]int32, n+1)
-	}
-	s.Offsets = s.Offsets[:n+1]
-	for i := range s.Offsets {
-		s.Offsets[i] = 0
-	}
-	// Two passes over the parent adjacency: count view degrees, then
-	// fill rows via the running offsets.
-	for i, v := range s.Verts {
-		for _, w := range g.Neighbors(v) {
+	// One pass over the parent adjacency: each parent row is copied
+	// into the view row as view ids, and the write position advances
+	// only past members of the view. The copy is branch-free (an
+	// outsider's slot is simply overwritten by the next neighbour), so
+	// a view holding about half of a dense row costs no mispredicted
+	// branches.
+	s.Offsets = append(s.Offsets[:0], 0)
+	pos := 0
+	for _, v := range s.Verts {
+		nbrs := g.Neighbors(v)
+		s.Nbrs = slices.Grow(s.Nbrs[:pos], len(nbrs))
+		row := s.Nbrs[pos : pos+len(nbrs)]
+		k := 0
+		for _, w := range nbrs {
+			row[k] = s.idx[w]
 			if s.stamp[w] == s.epoch {
-				s.Offsets[i+1]++
+				k++
 			}
 		}
+		pos += k
+		s.Offsets = append(s.Offsets, int32(pos))
 	}
-	for i := 0; i < n; i++ {
-		s.Offsets[i+1] += s.Offsets[i]
-	}
-	m := s.Offsets[n]
-	if cap(s.Nbrs) < int(m) {
-		s.Nbrs = make([]int32, m)
-	}
-	s.Nbrs = s.Nbrs[:m]
-	for i, v := range s.Verts {
-		pos := s.Offsets[i]
-		for _, w := range g.Neighbors(v) {
-			if s.stamp[w] == s.epoch {
-				s.Nbrs[pos] = s.idx[w]
-				pos++
-			}
-		}
-	}
+	s.Nbrs = s.Nbrs[:pos]
 }
 
 // Permute returns a copy of g relabeled by the given permutation: new

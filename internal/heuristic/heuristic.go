@@ -35,7 +35,7 @@ func greedyRun(g *graph.Graph, k, delta int32, seed int32, score metric) []int32
 	// candidates (its count is then final, so x may exceed it by at
 	// most δ). The pseudo-code arms this cap only when the *chosen*
 	// attribute empties, which lets the run overshoot the δ window; we
-	// arm it for whichever side empties (see DESIGN.md corrections).
+	// arm it for whichever side empties.
 	limit := [2]int32{-1, -1}
 
 	salvage := func() []int32 {
