@@ -80,12 +80,17 @@ bench:
 # per-workers delta table and fails loudly when nodes/sec regresses by
 # more than 10% on the same instance. The grid and delta experiments
 # hard-fail when a session answer diverges from its independent run.
+# The anytime experiment is the end-to-end run of a bounded search on
+# a multi-chunk component (chunked rows, per-node bound included): it
+# hard-fails if its zero-deadline run reports inexact or any budgeted
+# run breaks the incumbent <= optimum <= certificate sandwich.
 # CI uploads the fresh records as a workflow artifact (see ci.yml).
 bench-check:
 	@mkdir -p $(BENCH_OUT_DIR)
 	$(GO) run ./cmd/benchmark -exp core -scale $(BENCH_SCALE) -baseline BENCH_core.json -out $(BENCH_OUT_DIR)/BENCH_core.new.json
 	$(GO) run ./cmd/benchmark -exp grid -scale $(BENCH_SCALE) -out $(BENCH_OUT_DIR)/BENCH_grid.new.json
 	$(GO) run ./cmd/benchmark -exp delta -scale $(BENCH_SCALE) -out $(BENCH_OUT_DIR)/BENCH_delta.new.json
+	$(GO) run ./cmd/benchmark -exp anytime -scale $(BENCH_SCALE) -out $(BENCH_OUT_DIR)/BENCH_anytime.new.json
 
 # Measure the session-global scheduler: the same grid serial (W1),
 # statically split (W4) and on the session-lifetime shared pool (W4),

@@ -67,10 +67,10 @@ func Extras() []Extra {
 	return []Extra{None, Degeneracy, HIndex, ColorfulDegeneracy, ColorfulHIndex, ColorfulPath}
 }
 
-// combine folds two attribute-side capacities x and y into a fair-size
+// Combine folds two attribute-side capacities x and y into a fair-size
 // bound under difference tolerance delta: min(x+y, 2*min(x,y)+delta).
 // This is the shared shape of Lemmas 6, 8, 12 and 13.
-func combine(x, y, delta int32) int32 {
+func Combine(x, y, delta int32) int32 {
 	lo := x
 	if y < lo {
 		lo = y
@@ -87,7 +87,7 @@ func Size(g *graph.Graph) int32 { return g.N() }
 // Attribute returns uba (Lemma 6) from the attribute counts of G'.
 func Attribute(g *graph.Graph, delta int32) int32 {
 	na, nb := g.AttrCount()
-	return combine(na, nb, delta)
+	return Combine(na, nb, delta)
 }
 
 // Color returns ubc (Lemma 7): the number of greedy colors of G'.
@@ -107,7 +107,7 @@ func AttributeColor(g *graph.Graph, col *color.Coloring, delta int32) int32 {
 			kb++
 		}
 	}
-	return combine(ka, kb, delta)
+	return Combine(ka, kb, delta)
 }
 
 // EnhancedAttributeColor returns ubeac (Lemma 9, corrected): colors are
@@ -129,12 +129,35 @@ func EnhancedAttributeColor(g *graph.Graph, col *color.Coloring, delta int32) in
 			cb++
 		}
 	}
+	return enhanced(ca, cb, cm, delta)
+}
+
+// enhanced is ubeac from the exclusive-a, exclusive-b and mixed class
+// counts: min(ca+cb+cm, 2t+δ) with t the balanced minimum side.
+func enhanced(ca, cb, cm, delta int32) int32 {
 	t := colorful.EDValue(ca, cb, cm)
 	total := ca + cb + cm
 	if ub := 2*t + delta; ub < total {
 		return ub
 	}
 	return total
+}
+
+// AD returns the advanced group ubAD (Lemmas 5-9) of an instance with
+// na a-vertices and nb b-vertices, given a proper colouring of it whose
+// classes split into ca a-only, cb b-only and cm mixed classes: the
+// minimum of ubs = na+nb, uba = Combine(na, nb, δ), ubc = ca+cb+cm,
+// ubac = Combine(ca+cm, cb+cm, δ) and ubeac. uba never exceeds ubs and
+// ubeac never exceeds ubc, so only the other three are computed.
+func AD(na, nb, ca, cb, cm, delta int32) int32 {
+	ub := Combine(na, nb, delta)
+	if v := Combine(ca+cm, cb+cm, delta); v < ub {
+		ub = v
+	}
+	if v := enhanced(ca, cb, cm, delta); v < ub {
+		ub = v
+	}
+	return ub
 }
 
 func attrColorSets(g *graph.Graph, col *color.Coloring) (a, b []bool) {

@@ -97,9 +97,47 @@ func TestCombine(t *testing.T) {
 		{4, 6, 1, 9}, // diff > delta: 2*4+1
 	}
 	for _, tc := range cases {
-		if got := combine(tc.x, tc.y, tc.d); got != tc.want {
-			t.Errorf("combine(%d,%d,%d) = %d; want %d", tc.x, tc.y, tc.d, got, tc.want)
+		if got := Combine(tc.x, tc.y, tc.d); got != tc.want {
+			t.Errorf("Combine(%d,%d,%d) = %d; want %d", tc.x, tc.y, tc.d, got, tc.want)
 		}
+	}
+}
+
+// AD, the one ubAD formula the evaluator and the branch loop share,
+// must equal the minimum of the five per-lemma functions (Lemmas 5-9)
+// when fed the attribute counts and the class split of the same greedy
+// colouring.
+func TestADMatchesPerLemmaBounds(t *testing.T) {
+	f := func(seed uint64, n8, p8, d8 uint8) bool {
+		g := random(seed, 1+int(n8%40), 0.1+float64(p8)/255*0.8)
+		delta := int32(d8 % 4)
+		col := color.Greedy(g)
+		hasA, hasB := attrColorSets(g, col)
+		var ca, cb, cm int32
+		for c := int32(0); c < col.Num; c++ {
+			switch {
+			case hasA[c] && hasB[c]:
+				cm++
+			case hasA[c]:
+				ca++
+			case hasB[c]:
+				cb++
+			}
+		}
+		want := Size(g)
+		for _, v := range []int32{Attribute(g, delta), Color(col),
+			AttributeColor(g, col, delta), EnhancedAttributeColor(g, col, delta)} {
+			want = min(want, v)
+		}
+		na, nb := g.AttrCount()
+		if got := AD(na, nb, ca, cb, cm, delta); got != want {
+			t.Logf("seed=%d n=%d δ=%d: AD = %d, per-lemma minimum %d", seed, g.N(), delta, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,9 +1,6 @@
 package bounds
 
-import (
-	"fairclique/internal/colorful"
-	"fairclique/internal/graph"
-)
+import "fairclique/internal/graph"
 
 // Evaluator computes the configured upper bound of a search instance
 // (R, C) directly on a view of the parent graph, without materializing
@@ -90,14 +87,7 @@ func (e *Evaluator) Evaluate(g *graph.Graph, r, c []int32, delta int32, extra Ex
 	}
 	numColors := e.greedyColor(n)
 
-	ub := n // ubs
-	if v := combine(na, nb, delta); v < ub {
-		ub = v
-	}
-	if numColors < ub {
-		ub = numColors // ubc
-	}
-	// ubac and ubeac from the attribute-color sets.
+	// ubAD from the attribute-colour sets.
 	for col := int32(0); col < numColors; col++ {
 		e.colorHasA[col] = false
 		e.colorHasB[col] = false
@@ -109,32 +99,18 @@ func (e *Evaluator) Evaluate(g *graph.Graph, r, c []int32, delta int32, extra Ex
 			e.colorHasB[e.colors[i]] = true
 		}
 	}
-	var ka, kb, ca, cb, cm int32
+	var ca, cb, cm int32
 	for col := int32(0); col < numColors; col++ {
 		switch {
 		case e.colorHasA[col] && e.colorHasB[col]:
-			ka++
-			kb++
 			cm++
 		case e.colorHasA[col]:
-			ka++
 			ca++
 		case e.colorHasB[col]:
-			kb++
 			cb++
 		}
 	}
-	if v := combine(ka, kb, delta); v < ub {
-		ub = v
-	}
-	t := colorful.EDValue(ca, cb, cm)
-	eac := ca + cb + cm
-	if v := 2*t + delta; v < eac {
-		eac = v
-	}
-	if eac < ub {
-		ub = eac
-	}
+	ub := AD(na, nb, ca, cb, cm, delta)
 
 	switch extra {
 	case Degeneracy:

@@ -187,11 +187,15 @@ func BenchmarkBranchAllocs(b *testing.B) {
 	b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/sec")
 }
 
-// BenchmarkBranchSearchCold times the branch loop, with the search-cold
-// workload's Table II bound at depth 1, on the search-cold nucleus with
-// flat rows and forced onto chunked rows: the two sides of the
-// flat-row cutoff on one tree (go test -bench BranchSearchCold).
-// BenchmarkBigComponentPaths keeps the multi-chunk number.
+// BenchmarkBranchSearchCold times one full search of the branch loop,
+// with the search-cold workload's bounds (ubAD at every node, the
+// Table II evaluator at depth 1), on the search-cold nucleus with flat
+// rows and forced onto chunked rows: the two sides of the flat-row
+// cutoff on one tree (go test -bench BranchSearchCold). Compare ns/op,
+// the time per search: the per-node bound makes each node dearer and
+// the tree smaller, so nodes/sec alone no longer tracks the loop's
+// speed; nodes/search reports the tree size. BenchmarkBigComponentPaths
+// keeps the multi-chunk number.
 func BenchmarkBranchSearchCold(b *testing.B) {
 	g := searchColdNucleus()
 	opt := Options{K: 2, Delta: 2, UseBounds: true, Extra: bounds.ColorfulDegeneracy}
@@ -209,7 +213,53 @@ func BenchmarkBranchSearchCold(b *testing.B) {
 			}
 			w.flushNodes()
 			b.StopTimer()
-			b.ReportMetric(float64(s.nodes.Load()-start)/b.Elapsed().Seconds(), "nodes/sec")
+			nodes := float64(s.nodes.Load() - start)
+			b.ReportMetric(nodes/b.Elapsed().Seconds(), "nodes/sec")
+			b.ReportMetric(nodes/float64(b.N), "nodes/search")
+		})
+	}
+}
+
+// nodeBoundSink keeps BenchmarkNodeBound's measured call alive.
+var nodeBoundSink int32
+
+// BenchmarkNodeBound times the per-node bound alone (worker.nodeBound:
+// the attribute bound plus the greedy colouring of C) on the largest
+// depth-1 candidate row of the search-cold nucleus, on flat rows, and
+// of the multi-chunk bigComponentInstance, on chunked rows.
+func BenchmarkNodeBound(b *testing.B) {
+	for _, tc := range []struct {
+		name, rows string
+		g          *graph.Graph
+	}{
+		{"searchcold-flat", "flat", searchColdNucleus()},
+		{"multichunk-chunked", "chunked", bigComponentInstance(11)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			opt := Options{K: 2, Delta: 2, UseBounds: true, Extra: bounds.ColorfulDegeneracy}
+			s, w := newWarmEngine(b, tc.g, opt, tc.rows)
+			s.bestSize.Store(0) // an empty incumbent: the colouring always runs
+			d := w.d
+			w.ensureBits(1)
+			var best [2]int32
+			var cnt [2]int32
+			for u := int32(0); u < d.n; u++ {
+				if avail := w.makeChildBits(w.cand[1], d.fullRow, u, false); avail[0]+avail[1] > best[0]+best[1] {
+					best, cnt = avail, [2]int32{}
+					cnt[d.comp.Attr(u)] = 1
+					w.rbuf[0] = u
+				}
+			}
+			w.makeChildBits(w.cand[1], d.fullRow, w.rbuf[0], false)
+			if ub := bounds.Combine(cnt[0]+best[0], cnt[1]+best[1], s.delta); ub < 2*s.k {
+				b.Fatalf("the attribute bound %d alone prunes the row", ub)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				nodeBoundSink = w.nodeBound(cnt, best, w.cand[1])
+			}
+			b.ReportMetric(float64(best[0]+best[1]), "candidates")
 		})
 	}
 }

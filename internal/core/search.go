@@ -32,6 +32,31 @@
 //     other side already sits at that cap, with candidates of it still
 //     pending, cannot grow into a larger fair clique and is pruned.
 //
+// # Per-node pruning
+//
+// Every branch node (R, C) runs these steps in order (prologue); the
+// first that fails prunes the node:
+//
+//  1. Fairness recording: a fair R is offered to the incumbent.
+//  2. The size bound ubs = |R|+|C| must beat the incumbent (or tie it,
+//     in collect mode) and reach 2k.
+//  3. Attribute feasibility: each side can still reach k.
+//  4. The δ-caps above.
+//  5. With UseBounds, on the bitset paths: ubAD (Lemmas 5-9) on R ∪ C.
+//     The attribute bound comes from the counts alone; the colour
+//     bounds from a greedy colouring of C, in which each R vertex is a
+//     class of its own, because R is a clique adjacent to all of C.
+//  6. With UseBounds and |R| ≤ BoundDepth: the Table II evaluator,
+//     ubAD on a fresh colouring of R ∪ C plus the Extra bound.
+//
+// The colouring needs no adjacency matrix beyond the successor rows.
+// It builds each class from Q = the uncoloured candidates by taking
+// v = the lowest vertex of Q and clearing succ(v) from Q. Every vertex
+// left in Q lies above v, and succ(v) holds every neighbour of v above
+// v (the same-attribute neighbours after v and every other-attribute
+// neighbour), so this removes exactly v's neighbours. The classes are
+// those of first-fit colouring in id (= peel rank) order.
+//
 // # Performance architecture
 //
 // The branch-and-bound hot path is an allocation-free, bitset-native
@@ -67,11 +92,16 @@
 //     depth, and the bound evaluator's scratch. Steady-state branching
 //     performs zero heap allocations per node (asserted by
 //     TestBranchSteadyStateZeroAllocs).
-//   - Upper bounds (internal/bounds) are evaluated on (component, R, C)
-//     views through bounds.Evaluator, which rebuilds the instance CSR
-//     into reusable scratch rather than materializing an induced
-//     subgraph per check; candidate rows are handed over as LiveRow
-//     values via Evaluator.EvaluateRow.
+//   - The per-node colouring uses two scratch rows per worker. On flat
+//     rows it and-nots successor rows inline, over the span of
+//     non-zero candidate words; on chunked rows it copies only the
+//     candidate row's live chunks and and-nots container by container
+//     (ChunkedMatrix.AndNot). The Table II evaluator
+//     (internal/bounds) runs on (component, R, C) views through
+//     bounds.Evaluator, which rebuilds the instance CSR into reusable
+//     scratch rather than materializing an induced subgraph per check;
+//     candidate rows are handed over as LiveRow values via
+//     Evaluator.EvaluateRow. Both compute ubAD with bounds.AD.
 //   - Options.Workers > 1 parallelizes *inside* a component: the
 //     branches of the root node are split across workers that share
 //     the atomic incumbent, and once the root branches run dry, idle
@@ -112,16 +142,18 @@ type Options struct {
 	K int
 	// Delta is the attribute-difference tolerance (delta >= 0).
 	Delta int
-	// UseBounds applies the advanced bound group ubAD plus Extra at
-	// shallow branch depths.
+	// UseBounds applies the advanced bound group ubAD (Lemmas 5-9) at
+	// every branch node, and the Table II evaluator (ubAD on a fresh
+	// colouring plus Extra) at |R| ≤ BoundDepth.
 	UseBounds bool
 	// Extra selects the additional non-trivial bound (Table II column).
 	Extra bounds.Extra
 	// UseHeuristic seeds the incumbent with HeurRFC before branching.
 	UseHeuristic bool
-	// BoundDepth is the largest |R| at which the expensive bounds are
-	// evaluated; 0 means the paper's default of 1 ("when selecting
-	// vertices to be added to R for the first time").
+	// BoundDepth is the largest |R| at which the Table II evaluator
+	// (ubAD plus Extra) runs; 0 means the paper's default of 1 ("when
+	// selecting vertices to be added to R for the first time"). ubAD
+	// alone runs at every node whatever the depth.
 	BoundDepth int
 	// SkipReduction disables the reduction pipeline (ablation only).
 	SkipReduction bool
@@ -203,8 +235,10 @@ type Options struct {
 type Stats struct {
 	// Nodes is the number of branch-and-bound nodes visited.
 	Nodes int64
-	// BoundChecks counts expensive bound evaluations; BoundPrunes counts
-	// how many of them pruned their node.
+	// BoundChecks counts Table II evaluator calls (|R| ≤ BoundDepth);
+	// BoundPrunes counts how many of them pruned their node. Neither
+	// counts the per-node ubAD bound, and the evaluator runs only on
+	// nodes that bound kept.
 	BoundChecks, BoundPrunes int64
 	// Donations counts subtree nodes shipped from busy workers to idle
 	// ones (0 for serial runs).
@@ -827,6 +861,11 @@ func useFlatRows(n, m int32) bool {
 	return n <= flatMaxVertices && int64(n)*int64(graph.BitWords(n)) <= int64(m)
 }
 
+// perNodeBound switches the per-node ubAD bound of bounded bitset
+// searches (see worker.nodeBound). A variable so tests can compare the
+// trees with and without it.
+var perNodeBound = true
+
 // smallComponentLimit is the size below which a component is searched
 // by a single worker from the cross-component pool instead of being
 // root-split: small components finish faster than the split's
@@ -1043,6 +1082,11 @@ type worker struct {
 	cs   [][]int32       // slice candidates, one per depth (oracle path)
 	ev   bounds.Evaluator
 
+	// colU and colQ are the per-node colouring's scratch rows, of the
+	// component's flat width: the uncoloured candidates and the open
+	// class's remaining candidates (see classesFlat).
+	colU, colQ []uint64
+
 	// collect, when non-nil, makes a depth-0 expand record the branch
 	// vertices here instead of recursing — how the root is split into
 	// parallel tasks without duplicating the branch prologue.
@@ -1084,6 +1128,8 @@ func newWorker(d *compData) *worker {
 	}
 	if d.bitset() {
 		w.cand = append(w.cand, d.fullRow)
+		w.colU = make([]uint64, d.words)
+		w.colQ = make([]uint64, d.words)
 	} else {
 		w.cs = append(w.cs, d.allVerts)
 	}
@@ -1535,12 +1581,12 @@ func (w *worker) makeChildSlice(depth int, src []int32, u int32, declare bool) (
 }
 
 // prologue runs the shared per-node bookkeeping and pruning (see the
-// package comment's branching rules): node accounting, fairness
+// package comment's per-node pruning steps): node accounting, fairness
 // recording, the size bound ubs and 2k floor (lines 19-20), attribute
-// feasibility (lines 21-23), δ-caps and the expensive bounds at
-// shallow depth (§VI). It returns false when the node is pruned; the
-// caller then picks the expansion sides by the count-difference state
-// machine.
+// feasibility (lines 21-23), δ-caps, ubAD on the bitset paths and the
+// Table II evaluator at shallow depth (§VI). It returns false when the
+// node is pruned; the caller then picks the expansion sides by the
+// count-difference state machine.
 func (w *worker) prologue(depth int, cnt, avail [2]int32, candBits *graph.LiveRow, candSlice []int32) bool {
 	s := w.d.s
 	if s.halted() {
@@ -1567,7 +1613,15 @@ func (w *worker) prologue(depth int, cnt, avail [2]int32, candBits *graph.LiveRo
 			return false
 		}
 	}
-	if s.opt.UseBounds && depth <= s.opt.BoundDepth {
+	if !s.opt.UseBounds {
+		return true
+	}
+	if candBits != nil && perNodeBound {
+		if ub := w.nodeBound(cnt, avail, *candBits); s.cut(ub) || ub < 2*s.k {
+			return false
+		}
+	}
+	if depth <= s.opt.BoundDepth {
 		s.boundChecks.Add(1)
 		var ub int32
 		if candBits != nil {
@@ -1581,6 +1635,137 @@ func (w *worker) prologue(depth int, cnt, avail [2]int32, candBits *graph.LiveRo
 		}
 	}
 	return true
+}
+
+// nodeBound returns ubAD (Lemmas 5-9) of the bitset node (R, C): the
+// attribute bound from the counts alone when that already prunes, and
+// otherwise the full group over a greedy colouring of C. R is a clique
+// adjacent to every candidate, so each R vertex is a colour class of
+// its own, exclusive to its attribute.
+func (w *worker) nodeBound(cnt, avail [2]int32, cand graph.LiveRow) int32 {
+	s := w.d.s
+	na, nb := cnt[0]+avail[0], cnt[1]+avail[1]
+	if ub := bounds.Combine(na, nb, s.delta); s.cut(ub) || ub < 2*s.k {
+		return ub
+	}
+	ca, cb, cm := w.colourClasses(cand)
+	return bounds.AD(na, nb, cnt[0]+ca, cnt[1]+cb, cm, s.delta)
+}
+
+// colourClasses colours the candidate row greedily in id (= peel rank)
+// order and returns its number of a-only, b-only and mixed classes.
+// The row is copied into the colU scratch first: its span of non-zero
+// words on flat rows, only its live chunks on chunked rows, whose dead
+// chunks hold stale words.
+func (w *worker) colourClasses(cand graph.LiveRow) (ca, cb, cm int32) {
+	if w.d.flat != nil {
+		lo, hi := nonZeroSpan(cand.Words, 0, len(cand.Words))
+		copy(w.colU[lo:hi], cand.Words[lo:hi])
+		return w.classesFlat(lo, hi)
+	}
+	lo, hi := -1, 0
+	cand.ForEachLiveChunk(func(w0, w1 int32) bool {
+		if lo < 0 {
+			lo = int(w0)
+		} else {
+			clear(w.colU[hi:w0]) // dead chunks between live ones
+		}
+		copy(w.colU[w0:w1], cand.Words[w0:w1])
+		hi = int(w1)
+		return true
+	})
+	if lo < 0 {
+		return 0, 0, 0
+	}
+	lo, hi = nonZeroSpan(w.colU, lo, hi)
+	return w.classesChunked(lo, hi)
+}
+
+// nonZeroSpan narrows [lo, hi) to the words from the first to the last
+// non-zero word of q (empty when all are zero).
+func nonZeroSpan(q []uint64, lo, hi int) (int, int) {
+	for lo < hi && q[lo] == 0 {
+		lo++
+	}
+	for hi > lo && q[hi-1] == 0 {
+		hi--
+	}
+	return lo, hi
+}
+
+// classesFlat colours the uncoloured candidates colU[lo:hi] on flat
+// rows, one class at a time. A class starts as Q = the uncoloured
+// candidates and repeatedly takes v = the lowest vertex of Q and sets
+// Q &^= succ(v). Every vertex left in Q lies above v, and succ(v)
+// holds every neighbour of v above v, so this drops exactly v's
+// neighbours; the and-not runs from v's word to hi only. The classes
+// are those of first-fit colouring in id order.
+func (w *worker) classesFlat(lo, hi int) (ca, cb, cm int32) {
+	d := w.d
+	maskA := d.attrMask[0]
+	nw := int(d.words)
+	for lo < hi {
+		unc, q := w.colU[:hi], w.colQ[:hi]
+		copy(q[lo:], unc[lo:])
+		var inA, inB uint64 // the class's members of each attribute, folded
+		for qi := lo; qi < hi; qi++ {
+			var took uint64 // the class's members in word qi
+			for x := q[qi]; x != 0; {
+				bit := x & -x
+				took |= bit
+				row := d.flat[(qi<<6+bits.TrailingZeros64(x))*nw+qi:]
+				x &^= bit | row[0]
+				qs := q[qi+1:]
+				row = row[1 : len(qs)+1]
+				for j := range qs {
+					qs[j] &^= row[j]
+				}
+			}
+			unc[qi] &^= took
+			inA |= took & maskA[qi]
+			inB |= took &^ maskA[qi]
+		}
+		ca, cb, cm = tally(ca, cb, cm, inA, inB)
+		lo, hi = nonZeroSpan(unc, lo, hi)
+	}
+	return ca, cb, cm
+}
+
+// classesChunked is classesFlat on chunked rows: the and-not is
+// ChunkedMatrix.AndNot over Q's words below hi (those below lo are
+// stale and never read).
+func (w *worker) classesChunked(lo, hi int) (ca, cb, cm int32) {
+	d := w.d
+	maskA := d.attrMask[0]
+	for lo < hi {
+		unc, q := w.colU[:hi], w.colQ[:hi]
+		copy(q[lo:], unc[lo:])
+		var inA, inB uint64
+		for qi := lo; qi < hi; qi++ {
+			var took uint64
+			for x := q[qi]; x != 0; x = q[qi] {
+				bit := x & -x
+				took |= bit
+				q[qi] = x &^ bit
+				d.succ.AndNot(q, int32(qi<<6+bits.TrailingZeros64(x)))
+			}
+			unc[qi] &^= took
+			inA |= took & maskA[qi]
+			inB |= took &^ maskA[qi]
+		}
+		ca, cb, cm = tally(ca, cb, cm, inA, inB)
+		lo, hi = nonZeroSpan(unc, lo, hi)
+	}
+	return ca, cb, cm
+}
+
+// tally adds one finished class, whose members of each attribute are
+// folded into inA and inB, to the a-only, b-only and mixed counts,
+// without a branch on the class's kind.
+func tally(ca, cb, cm int32, inA, inB uint64) (int32, int32, int32) {
+	a := int32((inA | -inA) >> 63) // 1 when the class has an a-vertex
+	b := int32((inB | -inB) >> 63)
+	return ca + a&^b, cb + b&^a, cm + a&b
 }
 
 // branchBits is one node of the search tree on the bitset path (flat or

@@ -466,3 +466,55 @@ func (m *ChunkedMatrix) AndInto(dst, src LiveRow, v int32, restrict, maskA []uin
 	}
 	return a, b
 }
+
+// AndNot clears row v's bits from the flat word slice q, q &^= row(v),
+// container by container: dense containers word by word over their
+// window, sparse ones bit by bit, runs by word-aligned range. q may be
+// shorter than the row width; row bits past its end are ignored. The
+// engine's greedy colouring uses it to drop a class member's
+// successors from the class's open candidates without decoding the row.
+func (m *ChunkedMatrix) AndNot(q []uint64, v int32) {
+	nq := int32(len(q))
+	for _, ref := range m.refs[m.rowOff[v]:m.rowOff[v+1]] {
+		base := ref.chunk << chunkWordShift
+		if base >= nq {
+			return // refs ascend by chunk: the rest lie past q
+		}
+		switch ref.kind {
+		case containerDense:
+			w0 := base + ref.woff
+			cw := m.words64[ref.off : ref.off+ref.n]
+			if w0+ref.n > nq {
+				cw = cw[:max(nq-w0, 0)]
+			}
+			for j, x := range cw {
+				q[w0+int32(j)] &^= x
+			}
+		case containerSparse:
+			for _, e := range m.u16[ref.off : ref.off+ref.n] {
+				wi := base + int32(e>>6)
+				if wi >= nq {
+					break
+				}
+				q[wi] &^= 1 << uint(e&63)
+			}
+		case containerRun:
+			pairs := m.u16[ref.off : ref.off+2*ref.n]
+			for p := 0; p < len(pairs); p += 2 {
+				start := int32(pairs[p])
+				end := start + int32(pairs[p+1]) // exclusive
+				w0, w1 := base+start>>6, base+(end-1)>>6
+				for wi := w0; wi <= w1 && wi < nq; wi++ {
+					mask := ^uint64(0)
+					if wi == w0 {
+						mask <<= uint(start & 63)
+					}
+					if wi == w1 && end&63 != 0 {
+						mask &= (1 << uint(end&63)) - 1
+					}
+					q[wi] &^= mask
+				}
+			}
+		}
+	}
+}

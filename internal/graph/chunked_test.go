@@ -301,3 +301,81 @@ func TestLiveRowFillN(t *testing.T) {
 		}
 	}
 }
+
+// AndNot must equal q &^ row(v) computed from the flat form, for rows
+// whose chunks mix dense, sparse and run containers, rows spanning two
+// or more chunks, and q slices cut shorter than the row width — at a
+// chunk boundary, mid-chunk, mid-run, and empty.
+func TestAndNotMatchesFlatReference(t *testing.T) {
+	const cols = 2*ChunkBits + 700 // 3 chunks, ragged tail
+	words := BitWords(cols)
+	r := rng.New(2718)
+	const rows = 30
+	b := NewChunkedBuilder(rows, cols)
+	flat := make([][]uint64, rows)
+	for v := 0; v < rows; v++ {
+		// Chunk c of row v takes density regime (v+c)%3, so every row
+		// mixes container kinds; every third row leaves its middle chunk
+		// empty, so rows also skip chunks.
+		var rowBits []int32
+		for c := int32(0); c < cols; c++ {
+			chunk := int(c >> chunkShift)
+			if v%3 == 2 && chunk == 1 {
+				continue
+			}
+			switch (v + chunk) % 3 {
+			case 0: // sparse
+				if r.Bool(0.01) {
+					rowBits = append(rowBits, c)
+				}
+			case 1: // runs of 97 bits, crossing word boundaries
+				if (c/97)%2 == int32(v%2) {
+					rowBits = append(rowBits, c)
+				}
+			default: // dense scattered
+				if r.Bool(0.45) {
+					rowBits = append(rowBits, c)
+				}
+			}
+		}
+		b.AddRow(rowBits)
+		flat[v] = make([]uint64, words)
+		for _, c := range rowBits {
+			BitSet(flat[v], c)
+		}
+	}
+	m := b.Build()
+	kinds := map[uint8]bool{}
+	multi := 0
+	for v := int32(0); v < rows; v++ {
+		refs := m.refs[m.rowOff[v]:m.rowOff[v+1]]
+		if len(refs) >= 2 {
+			multi++
+		}
+		for _, ref := range refs {
+			kinds[ref.kind] = true
+		}
+	}
+	if len(kinds) != 3 || multi == 0 {
+		t.Fatalf("fixture covers container kinds %v and %d multi-chunk rows; want all 3 kinds and ≥ 1", kinds, multi)
+	}
+
+	for _, nq := range []int32{words, words - 1, 2 * ChunkWords, ChunkWords + 5, ChunkWords, 3, 1, 0} {
+		for v := int32(0); v < rows; v++ {
+			q := make([]uint64, nq)
+			for i := range q {
+				q[i] = r.Uint64()
+			}
+			want := make([]uint64, nq)
+			for i := range want {
+				want[i] = q[i] &^ flat[v][i]
+			}
+			m.AndNot(q, v)
+			for i := range want {
+				if q[i] != want[i] {
+					t.Fatalf("len(q)=%d row %d word %d: %#x, want %#x", nq, v, i, q[i], want[i])
+				}
+			}
+		}
+	}
+}
