@@ -11,19 +11,16 @@ BENCH_SCALE ?= 1.0
 # directory so they cannot clobber each other's records (the old fixed
 # /tmp/BENCH_*.new.json paths collided).
 BENCH_OUT_DIR ?= /tmp
-# MIN_SPEEDUP gates bench-parallel and bench-ingest: the measured W4/W1
-# speedup must strictly exceed it (0 disables the gate; CI runs 1.0 on
-# the multi-core runner).
+# MIN_SPEEDUP gates bench-parallel and bench-ingest: the measured
+# speedup must strictly exceed it (0 disables the gate; CI runs 1.5 for
+# bench-parallel and 1.0 for bench-ingest on its multi-core runner).
 MIN_SPEEDUP ?= 0
 # MEM_RATIO gates bench-ingest: the streaming builder's deterministic
 # peak must stay under this multiple of the final CSR bytes (0 disables
 # the gate; CI runs 2.0 — "never hold the edge list and the CSR
 # twice"). Unlike the speedup gate it is enforceable on any machine.
 MEM_RATIO ?= 0
-# SPEC selects the sched experiment's headline speculation mode (the
-# on/off ablation is recorded either way); WORKERS_CURVE its scaling
-# curve points.
-SPEC ?= on
+# WORKERS_CURVE lists the sched experiment's scaling curve points.
 WORKERS_CURVE ?= 1,2,4,8
 
 .PHONY: build test test-race race bench bench-check bench-parallel bench-ingest bench-full serve-smoke apidiff perfbench-smoke
@@ -53,13 +50,11 @@ race: test-race
 # independent) embedded under "grid", the dynamic-session experiment
 # (single-edge Apply+requery vs NewSession+requery) embedded under
 # "delta", and the session-global scheduler experiment (grid serial vs
-# static split vs shared work-stealing pool) embedded under "sched",
-# and the paper-scale ingest experiment (streaming CSR build from SNAP
-# text, degeneracy pre-prune, component-parallel reduction on the
+# the shared work-stealing pool) embedded under "sched", and the
+# paper-scale ingest experiment (streaming CSR build from SNAP text,
+# degeneracy pre-prune, component-parallel reduction on the
 # ~2.2M-edge IngestGiant instance) embedded under "ingest", and the
-# daemon load experiment (concurrent clients against the in-process
-# serve handler — qps, p50/p99, cache hit rate, epoch churn) embedded
-# under "serve", and the anytime experiment (the gap-vs-budget curve:
+# anytime experiment (the gap-vs-budget curve:
 # deadline runs at fractions of the exact wall clock with certified
 # optimality gaps; hard-fails if a zero-deadline run reports inexact
 # or any budgeted run breaks the incumbent <= optimum <= certificate
@@ -69,9 +64,8 @@ bench:
 	$(GO) run ./cmd/benchmark -exp core -out BENCH_core.json
 	$(GO) run ./cmd/benchmark -exp grid -merge BENCH_core.json -out /dev/null
 	$(GO) run ./cmd/benchmark -exp delta -merge BENCH_core.json -out /dev/null
-	$(GO) run ./cmd/benchmark -exp sched -spec $(SPEC) -workers-curve $(WORKERS_CURVE) -merge BENCH_core.json -out /dev/null
+	$(GO) run ./cmd/benchmark -exp sched -workers-curve $(WORKERS_CURVE) -merge BENCH_core.json -out /dev/null
 	$(GO) run ./cmd/benchmark -exp ingest -merge BENCH_core.json -out /dev/null
-	$(GO) run ./cmd/benchmark -exp serve -merge BENCH_core.json -out /dev/null
 	$(GO) run ./cmd/benchmark -exp anytime -merge BENCH_core.json -out /dev/null
 	$(GO) run ./cmd/benchmark -exp enum -min-speedup 5 -merge BENCH_core.json -out /dev/null
 	@cat BENCH_core.json
@@ -92,16 +86,14 @@ bench-check:
 	$(GO) run ./cmd/benchmark -exp delta -scale $(BENCH_SCALE) -out $(BENCH_OUT_DIR)/BENCH_delta.new.json
 	$(GO) run ./cmd/benchmark -exp anytime -scale $(BENCH_SCALE) -out $(BENCH_OUT_DIR)/BENCH_anytime.new.json
 
-# Measure the session-global scheduler: the same grid serial (W1),
-# statically split (W4) and on the session-lifetime shared pool (W4),
-# plus the WORKERS_CURVE scaling curve and the speculation on/off
-# ablation at W4. With MIN_SPEEDUP > 0 the run exits 1 unless the
+# Measure the session-global scheduler: the same grid serial (W1) and
+# on the session-lifetime shared pool (W4), plus the WORKERS_CURVE
+# scaling curve. With MIN_SPEEDUP > 0 the run exits 1 unless the
 # shared-pool W4/W1 speedup strictly exceeds it — the CI parallel gate
-# (requires a multi-core machine; committed BENCH records are from
-# 1-CPU containers where the ratio is ~1.0 by construction).
+# (requires a multi-core machine).
 bench-parallel:
 	@mkdir -p $(BENCH_OUT_DIR)
-	$(GO) run ./cmd/benchmark -exp sched -scale $(BENCH_SCALE) -spec $(SPEC) -workers-curve $(WORKERS_CURVE) -min-speedup $(MIN_SPEEDUP) -out $(BENCH_OUT_DIR)/BENCH_sched.new.json
+	$(GO) run ./cmd/benchmark -exp sched -scale $(BENCH_SCALE) -workers-curve $(WORKERS_CURVE) -min-speedup $(MIN_SPEEDUP) -out $(BENCH_OUT_DIR)/BENCH_sched.new.json
 
 # The paper-scale ingest pipeline: stream the SNAP text of the
 # IngestGiant instance into a CSR, degeneracy-prune it at the fairness

@@ -10,7 +10,7 @@
 //	benchmark -out results.md
 //
 // Experiments: table1, fig4, fig5, table2, fig6, fig7, fig8, fig9,
-// casestudies, ablation, all. Eight extra experiments always emit JSON
+// casestudies, ablation, all. Seven extra experiments always emit JSON
 // and feed BENCH_core.json, the repo's perf trajectory: "core"
 // benchmarks the branch-and-bound engine itself (Workers 1 vs 4 on a
 // single-giant-component graph), "grid" measures the multi-query
@@ -19,24 +19,18 @@
 // "delta" measures the dynamic session: a single-edge Apply plus
 // requery on a warm Session versus NewSession plus requery on the
 // mutated graph, "sched" measures the session-global work-stealing
-// scheduler: the same grid serial, statically split and on the
-// session-lifetime shared pool, plus a worker scaling curve
-// (-workers-curve, default 1,2,4,8) and a speculation on/off ablation
-// at W4 (-spec selects the headline mode; -min-speedup X exits 1
-// unless the shared-pool W4/W1 speedup beats X — the bench-parallel CI
-// gate), and "ingest" measures the
+// scheduler: the same grid serial and on the session-lifetime shared
+// pool, plus a worker scaling curve (-workers-curve, default 1,2,4,8;
+// -min-speedup X exits 1 unless the shared-pool W4/W1 speedup beats X
+// — the bench-parallel CI gate), and "ingest" measures the
 // paper-scale pipeline: SNAP text through the streaming CSR builder,
 // the degeneracy pre-prune and the component-parallel reduction on the
 // reproducible multi-million-edge instance (-max-mem-ratio gates the
 // deterministic streaming high-water against the final CSR bytes,
 // -min-speedup gates parallel-over-serial reduction, -graph-dir caches
-// the generated SNAP pair), and "serve" load-tests the mfcd daemon's
-// handler in process: concurrent query clients plus a mutator against
-// one registered graph — qps, p50/p99 latency, result-cache hit rate,
-// epoch churn and a served-vs-fresh differential, and "anytime"
-// measures the gap-vs-budget curve: deadline-budgeted searches at
-// fractions of the exact wall clock, each reporting its incumbent and
-// certified optimality gap (hard-failing if a zero-deadline run is
+// the generated SNAP pair), and "anytime" measures the gap-vs-budget
+// curve: deadline-budgeted searches at fractions of the exact wall
+// clock, each reporting its incumbent and certified optimality gap (hard-failing if a zero-deadline run is
 // inexact or a budgeted run breaks the sandwich), and "enum" measures
 // enumeration: the engine's collect-at-optimum KindEnumerateAll versus
 // the Bron–Kerbosch all-optima baseline on the same cell — hard-failing
@@ -44,7 +38,7 @@
 // top-r cut, which must cover strictly more distinct vertices than the
 // first-r baseline (-min-speedup gates the engine-over-baseline
 // wall-clock ratio). Use -merge
-// BENCH_core.json to embed the records; `make bench` runs all eight.
+// BENCH_core.json to embed the records; `make bench` runs all seven.
 package main
 
 import (
@@ -69,7 +63,6 @@ func main() {
 		merge       = flag.String("merge", "", "for -exp grid/delta/sched: existing BENCH_core.json to embed the record into")
 		gridSpec    = flag.String("grid", "", "for -exp grid/sched: override the cell spec, e.g. 'k=2..4,delta=1..3[,mode=weak|strong]'")
 		minSpeedup  = flag.Float64("min-speedup", 0, "for -exp sched/ingest/enum: exit 1 unless the measured speedup strictly exceeds this (0 = no gate)")
-		spec        = flag.String("spec", "on", "for -exp sched: speculation mode of the shared-pool measurements, on or off (the on/off ablation is recorded either way)")
 		workersCrv  = flag.String("workers-curve", "", "for -exp sched: comma-separated worker counts of the scaling curve (default 1,2,4,8)")
 		maxMemRatio = flag.Float64("max-mem-ratio", 0, "for -exp ingest: exit 1 unless the streaming peak stays under this multiple of the final CSR bytes (0 = no gate)")
 		graphDir    = flag.String("graph-dir", "", "for -exp ingest: cache the generated SNAP instance pair in this directory")
@@ -86,7 +79,7 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	cfg := bench.Config{Scale: *scale, Out: w, MaxNodes: *maxNodes, GridSpec: *gridSpec, SchedSpec: *spec}
+	cfg := bench.Config{Scale: *scale, Out: w, MaxNodes: *maxNodes, GridSpec: *gridSpec}
 	if *workersCrv != "" {
 		for _, f := range strings.Split(*workersCrv, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(f))
@@ -134,8 +127,8 @@ func main() {
 	}
 	if *exp == "sched" {
 		// The session-global scheduler experiment: the grid serial vs
-		// static split vs shared work-stealing pool. JSON-only; -merge
-		// embeds it under "sched"; -min-speedup is the CI parallel gate.
+		// the shared work-stealing pool. JSON-only; -merge embeds it
+		// under "sched"; -min-speedup is the CI parallel gate.
 		if err := bench.WriteSchedBench(cfg, w, *merge, *minSpeedup); err != nil {
 			fmt.Fprintln(os.Stderr, "benchmark:", err)
 			os.Exit(1)
@@ -154,19 +147,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "benchmark: enum bench finished in %v\n", time.Since(start))
-		return
-	}
-	if *exp == "serve" {
-		// The daemon load experiment: an in-process load generator
-		// drives the serve handler with concurrent query clients and a
-		// mutator — qps, p50/p99, cache hit rate, epoch churn, plus a
-		// served-vs-fresh differential. JSON-only; -merge embeds it
-		// under "serve".
-		if err := bench.WriteServeBench(cfg, w, *merge); err != nil {
-			fmt.Fprintln(os.Stderr, "benchmark:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "benchmark: serve daemon bench finished in %v\n", time.Since(start))
 		return
 	}
 	if *exp == "anytime" {

@@ -54,26 +54,25 @@ var boundNames = map[string]fairclique.UpperBound{
 
 func main() {
 	var (
-		graphPath   = flag.String("graph", "", "path to the attributed graph file (required)")
-		k           = flag.Int("k", 2, "per-attribute minimum count")
-		delta       = flag.Int("delta", 1, "maximum attribute-count difference")
-		bound       = flag.String("bound", "cd", "extra upper bound: ad, deg, h, cd, ch, cp")
-		noHeur      = flag.Bool("no-heur", false, "disable HeurRFC seeding")
-		noBounds    = flag.Bool("no-bounds", false, "disable upper-bound pruning (plain MaxRFC)")
-		noReduce    = flag.Bool("no-reduce", false, "skip the reduction pipeline")
-		heurOnly    = flag.Bool("heuristic", false, "run only the linear-time heuristic")
-		reduceOnly  = flag.Bool("reduce", false, "run only the reduction pipeline and report sizes")
-		exhaustive  = flag.Bool("enum", false, "use the Bron-Kerbosch enumeration baseline (one clique)")
-		enumerate   = flag.Bool("enumerate", false, "enumerate ALL maximum fair cliques (collect-at-optimum engine)")
-		topR        = flag.Int("top", 0, "with or without -enumerate: print a diversified top-R subset of the maximum fair cliques (0 = all)")
-		maxNodes    = flag.Int64("max-nodes", 0, "abort after this many branch nodes (0 = unlimited)")
-		deadline    = flag.Duration("deadline", 0, "anytime wall-clock budget, e.g. 500ms (0 = none); an aborted run prints its certified upper bound and gap")
-		workers     = flag.Int("workers", 1, "parallel branching workers (a grid shares them through the session's work-stealing pool)")
-		staticSplit = flag.Bool("static-split", false, "grid scheduling baseline: slice -workers statically across concurrent cells instead of the shared work-stealing pool")
-		grid        = flag.String("grid", "", "answer a (k, delta) grid on one warm session, e.g. 'k=2..4,delta=1..3[,mode=weak|strong]'")
-		applySpec   = flag.String("apply", "", "apply a graph delta on a warm session and re-answer, e.g. '+e:0:5 -e:1:2 +v:a -v:7'")
-		repl        = flag.Bool("repl", false, "interactive session REPL on stdin (find/grid/apply/stats; see 'help')")
-		quiet       = flag.Bool("q", false, "print only the clique size")
+		graphPath  = flag.String("graph", "", "path to the attributed graph file (required)")
+		k          = flag.Int("k", 2, "per-attribute minimum count")
+		delta      = flag.Int("delta", 1, "maximum attribute-count difference")
+		bound      = flag.String("bound", "cd", "extra upper bound: ad, deg, h, cd, ch, cp")
+		noHeur     = flag.Bool("no-heur", false, "disable HeurRFC seeding")
+		noBounds   = flag.Bool("no-bounds", false, "disable upper-bound pruning (plain MaxRFC)")
+		noReduce   = flag.Bool("no-reduce", false, "skip the reduction pipeline")
+		heurOnly   = flag.Bool("heuristic", false, "run only the linear-time heuristic")
+		reduceOnly = flag.Bool("reduce", false, "run only the reduction pipeline and report sizes")
+		exhaustive = flag.Bool("enum", false, "use the Bron-Kerbosch enumeration baseline (one clique)")
+		enumerate  = flag.Bool("enumerate", false, "enumerate ALL maximum fair cliques (collect-at-optimum engine)")
+		topR       = flag.Int("top", 0, "with or without -enumerate: print a diversified top-R subset of the maximum fair cliques (0 = all)")
+		maxNodes   = flag.Int64("max-nodes", 0, "abort after this many branch nodes (0 = unlimited)")
+		deadline   = flag.Duration("deadline", 0, "anytime wall-clock budget, e.g. 500ms (0 = none); an aborted run prints its certified upper bound and gap")
+		workers    = flag.Int("workers", 1, "parallel branching workers (a grid shares them through the session's work-stealing pool)")
+		grid       = flag.String("grid", "", "answer a (k, delta) grid on one warm session, e.g. 'k=2..4,delta=1..3[,mode=weak|strong]'")
+		applySpec  = flag.String("apply", "", "apply a graph delta on a warm session and re-answer, e.g. '+e:0:5 -e:1:2 +v:a -v:7'")
+		repl       = flag.Bool("repl", false, "interactive session REPL on stdin (find/grid/apply/stats; see 'help')")
+		quiet      = flag.Bool("q", false, "print only the clique size")
 	)
 	flag.Parse()
 	if *graphPath == "" {
@@ -100,7 +99,6 @@ func main() {
 			DisableReduction: *noReduce,
 			MaxNodes:         *maxNodes,
 			Workers:          *workers,
-			StaticGridSplit:  *staticSplit,
 		}
 	}
 
@@ -384,13 +382,8 @@ func printSessionStats(s *fairclique.Session) {
 	fmt.Printf("session: %d queries, %d nodes, %d reduction builds (%d chained), %d reuses, %d warm starts, %d dominance skips\n",
 		st.Queries, st.Nodes, st.ReductionBuilds, st.ReductionChained, st.ReductionReuses, st.WarmStarts, st.DominanceSkips)
 	if st.WorkerReleases > 0 {
-		fmt.Printf("scheduler: %d donations, %d steals (%d cross-cell, %d local / %d remote), %d pool searches on %d lifetime workers\n",
-			st.Donations, st.Steals, st.CrossCellSteals, st.LocalSteals, st.RemoteSteals,
-			st.PoolSearches, st.WorkerReleases)
-	}
-	if st.SpeculativeStarts > 0 {
-		fmt.Printf("speculation: %d cells launched ahead of their chain (%d committed, %d cancelled)\n",
-			st.SpeculativeStarts, st.SpeculativeWins, st.SpeculativeCancels)
+		fmt.Printf("scheduler: %d donations, %d steals (%d cross-cell), %d pool searches on %d lifetime workers\n",
+			st.Donations, st.Steals, st.CrossCellSteals, st.PoolSearches, st.WorkerReleases)
 	}
 	if st.Applies > 0 {
 		fmt.Printf("dynamic: %d applies (epoch %d), %d comp preps reused, %d/%d snapshots verbatim (%d rippled), pool %d kept / %d dropped, %d bridge seeds\n",

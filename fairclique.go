@@ -367,9 +367,9 @@ func (r *Result) Size() int { return len(r.Clique) }
 // Find is a thin wrapper over a throwaway Session answering one
 // QuerySpec — the session's normalization is the ONLY query
 // normalization path, so one-shot and session answers can never
-// diverge. StaticGridSplit keeps the throwaway session off the shared
-// worker pool: a single query splits its Workers budget privately,
-// exactly as the historical direct search did.
+// diverge. The throwaway session is closed before it is queried, so it
+// never starts the shared worker pool: a closed session splits each
+// query's Workers budget privately (see Session.Close).
 func Find(g *Graph, opt Options) (*Result, error) {
 	sess := NewSession(g, SessionOptions{
 		Bound:            opt.Bound,
@@ -377,9 +377,8 @@ func Find(g *Graph, opt Options) (*Result, error) {
 		DisableHeuristic: opt.DisableHeuristic,
 		DisableReduction: opt.DisableReduction,
 		Workers:          opt.Workers,
-		StaticGridSplit:  true,
 	})
-	defer sess.Close()
+	sess.Close()
 	return sess.Find(QuerySpec{
 		K:        opt.K,
 		Delta:    opt.Delta,
@@ -484,9 +483,7 @@ func Reduce(g *Graph, k int) (kept []int, stages []ReduceStats, err error) {
 // returned a single clique from the Bron–Kerbosch baseline despite its
 // name; that behavior lives on as FindExhaustive.
 func Enumerate(g *Graph, k, delta int) (*ResultSet, error) {
-	sess := NewSession(g, SessionOptions{StaticGridSplit: true})
-	defer sess.Close()
-	return sess.Enumerate(QuerySpec{K: k, Delta: delta, Kind: KindEnumerateAll})
+	return NewSession(g).Enumerate(QuerySpec{K: k, Delta: delta, Kind: KindEnumerateAll})
 }
 
 // FindExhaustive computes a maximum fair clique via the Bron–Kerbosch
@@ -593,24 +590,6 @@ type ResultSet struct {
 // recommended default (all reductions, the colorful-degeneracy bound,
 // heuristic seeding, serial search). The per-query parameters live in
 // QuerySpec.
-// Speculation selects how FindGrid schedules the next dominance-chain
-// cell while the current one is still branching.
-type Speculation = session.Speculation
-
-const (
-	// SpecAuto (the default) speculates the next cell onto an idle
-	// executor only when the chain is weak — the inherited bound is far
-	// above the best warm-start seed, so the predecessor's answer is
-	// unlikely to dominance-skip the cell anyway. Strong and cold
-	// chains stay strictly sequential.
-	SpecAuto = session.SpecAuto
-	// SpecOff disables speculation: cells run strictly sequentially.
-	SpecOff = session.SpecOff
-	// SpecForce speculates every non-skippable cell; intended for
-	// ablations and tests (answers never change, only the work racing).
-	SpecForce = session.SpecForce
-)
-
 type SessionOptions struct {
 	// Bound selects the extra upper bound (default UBColorfulDegeneracy).
 	Bound UpperBound
@@ -626,22 +605,12 @@ type SessionOptions struct {
 	// Workers is the total branching parallelism. With Workers > 1 the
 	// session owns one lifetime work-stealing pool: Workers-1
 	// persistent executors are started at the first query and serve
-	// every Find, FindGrid and post-Apply requery until Close — a
-	// single Find's donated subtrees are stolen by the same executors
-	// that fan out a grid. The pool is partitioned into locality
-	// domains (one per four executors); an executor drains its own
-	// domain LIFO (cache-hot) before stealing the oldest task of a
-	// remote domain.
+	// every Find, FindGrid, Enumerate and post-Apply requery until
+	// Close — a single Find's donated subtrees are stolen by the same
+	// executors that fan out a grid. Every executor takes the most
+	// recently donated subtree first (one LIFO queue). After Close
+	// each query splits Workers privately instead (see Close).
 	Workers int
-	// Speculation controls chain-strength-aware cell speculation in
-	// FindGrid (default SpecAuto). See the Speculation constants.
-	Speculation Speculation
-	// StaticGridSplit reverts FindGrid to statically slicing the
-	// Workers budget across concurrent cells (the pre-scheduler
-	// behavior, kept as the measured baseline of benchmark -exp sched
-	// and as an escape hatch). Finished cells' workers then idle
-	// instead of stealing.
-	StaticGridSplit bool
 	// MaxPreparedK bounds how many distinct k values keep their
 	// prepared state (reduction snapshot, component machinery) warm in
 	// a long-lived session; beyond the cap the least recently used k is
@@ -698,25 +667,22 @@ type SessionStats struct {
 	// lifetime work-stealing pool; CrossCellSteals is the subset
 	// executed by an executor that was not driving the donating cell —
 	// proof that a finished or skipped cell's worker fed another cell.
-	// LocalSteals and RemoteSteals split Steals by locality domain: a
-	// local steal pops the executor's own domain queue (cache-hot
-	// LIFO), a remote steal takes the oldest task of another domain.
 	// WorkerReleases counts executors released into the pool; with the
 	// session-lifetime pool this happens exactly once per executor, so
 	// a WorkerReleases that stays at Workers-1 across many queries is
 	// the receipt that the worker set is being reused, not rebuilt.
 	Steals, CrossCellSteals, WorkerReleases int64
-	LocalSteals, RemoteSteals               int64
 	// PoolSearches counts queries that drew on the shared pool (both
 	// Find and FindGrid cells once the session has gone parallel).
 	PoolSearches int64
-	// SpeculativeStarts, SpeculativeWins and SpeculativeCancels count
-	// FindGrid cells launched speculatively ahead of their dominance
-	// predecessor, the subset whose exact result was committed as the
-	// cell's answer, and the subset cancelled (or returned inexact and
-	// quarantined). Starts always equals wins + cancels after a grid
-	// returns.
-	SpeculativeStarts, SpeculativeWins, SpeculativeCancels int64
+	// SpeculativeStarts and SpeculativeWins are always 0.
+	//
+	// Deprecated: FindGrid no longer speculates cells ahead of their
+	// dominance predecessor — the look-ahead never paid for itself in
+	// measurement — so nothing is counted here. The fields stay because
+	// the benchmark harness (perfbench/layers.go, whose files define
+	// the benchmark) reads both.
+	SpeculativeStarts, SpeculativeWins int64
 	// BridgeSeeds counts warm-start cliques grown around inserted
 	// edges that merged two components during Apply.
 	BridgeSeeds int64
@@ -782,16 +748,14 @@ func NewSession(g *Graph, opts ...SessionOptions) *Session {
 	}
 	return &Session{
 		inner: session.New(g.freeze(), session.Options{
-			UseBounds:       !o.DisableBounds,
-			Extra:           o.Bound,
-			UseHeuristic:    !o.DisableHeuristic,
-			SkipReduction:   o.DisableReduction,
-			MaxNodes:        o.MaxNodes,
-			Workers:         o.Workers,
-			Speculation:     o.Speculation,
-			StaticGridSplit: o.StaticGridSplit,
-			MaxPreparedK:    o.MaxPreparedK,
-			MaxPoolSeeds:    o.MaxPoolSeeds,
+			UseBounds:     !o.DisableBounds,
+			Extra:         o.Bound,
+			UseHeuristic:  !o.DisableHeuristic,
+			SkipReduction: o.DisableReduction,
+			MaxNodes:      o.MaxNodes,
+			Workers:       o.Workers,
+			MaxPreparedK:  o.MaxPreparedK,
+			MaxPoolSeeds:  o.MaxPoolSeeds,
 		}),
 	}
 }
@@ -1112,29 +1076,29 @@ func (s *Session) Stats() SessionStats {
 		Steals:           st.Steals,
 		CrossCellSteals:  st.CrossCellSteals,
 		WorkerReleases:   st.WorkerReleases,
-		LocalSteals:      st.LocalSteals,
-		RemoteSteals:     st.RemoteSteals,
 		PoolSearches:     st.PoolSearches,
 
-		SpeculativeStarts:  st.SpeculativeStarts,
-		SpeculativeWins:    st.SpeculativeWins,
-		SpeculativeCancels: st.SpeculativeCancels,
-		BridgeSeeds:        st.BridgeSeeds,
-		BoundInjections:    st.BoundInjections,
-		SeedInjections:     st.SeedInjections,
-		Enumerations:       st.Enumerations,
-		EnumCacheHits:      st.EnumCacheHits,
-		EnumMaintained:     st.EnumMaintained,
-		EnumRecomputed:     st.EnumRecomputed,
+		SpeculativeStarts: st.SpeculativeStarts,
+		SpeculativeWins:   st.SpeculativeWins,
+		BridgeSeeds:       st.BridgeSeeds,
+		BoundInjections:   st.BoundInjections,
+		SeedInjections:    st.SeedInjections,
+		Enumerations:      st.Enumerations,
+		EnumCacheHits:     st.EnumCacheHits,
+		EnumMaintained:    st.EnumMaintained,
+		EnumRecomputed:    st.EnumRecomputed,
 	}
 }
 
 // Close shuts down the session's lifetime worker pool and waits for
 // its executors to exit. Idempotent; a never-parallel session closes
-// trivially. The session stays queryable afterwards — later queries
-// simply run without the shared pool — so Close releases resources
-// without poisoning the value. Long-lived programs holding many
-// parallel sessions should Close the ones they retire.
+// trivially. The session stays queryable afterwards: each later query
+// splits the Workers budget privately — the root branches of every
+// large component across Workers goroutines of its own, the small
+// components one per goroutine — and never restarts the pool. So
+// Close releases resources without poisoning the value. Long-lived
+// programs holding many parallel sessions should Close the ones they
+// retire.
 func (s *Session) Close() { s.inner.Close() }
 
 func toInt32(s []int) []int32 {

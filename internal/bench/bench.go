@@ -34,10 +34,6 @@ type Config struct {
 	// internal/cli range syntax, e.g. "k=2..4,delta=1..3"); empty means
 	// the canonical 9-cell grid.
 	GridSpec string
-	// SchedSpec selects the speculation mode of the sched experiment's
-	// headline shared-pool measurements: "on" (SpecAuto, the default)
-	// or "off". The on/off ablation points are recorded either way.
-	SchedSpec string
 	// SchedWorkersCurve lists the worker counts of the sched
 	// experiment's scaling curve; nil means 1, 2, 4, 8.
 	SchedWorkersCurve []int

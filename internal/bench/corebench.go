@@ -54,8 +54,8 @@ type CoreBenchResult struct {
 	// session versus NewSession+requery on the mutated graph.
 	Delta *DeltaBenchResult `json:"delta,omitempty"`
 	// Sched, when present, is the session-global scheduler experiment
-	// (`benchmark -exp sched`): the grid answered serially, with the
-	// static Workers split, and on the shared work-stealing pool.
+	// (`benchmark -exp sched`): the grid answered serially and on the
+	// shared work-stealing pool.
 	Sched *SchedBenchResult `json:"sched,omitempty"`
 	// Ingest, when present, is the paper-scale ingest experiment
 	// (`benchmark -exp ingest`): SNAP text → streaming CSR → degeneracy
@@ -73,11 +73,6 @@ type CoreBenchResult struct {
 	// same cell, set-equality verified, plus the diversified top-r
 	// coverage comparison.
 	Enum *EnumBenchResult `json:"enum,omitempty"`
-	// Serve, when present, is the daemon load experiment
-	// (`benchmark -exp serve`): concurrent HTTP clients against the
-	// in-process serve handler — qps, tail latency, cache hit rate and
-	// epoch churn.
-	Serve *ServeBenchResult `json:"serve,omitempty"`
 	// PeakAllocBytes is the sampled heap-allocation high-water mark
 	// across the measured engine runs (runtime.ReadMemStats).
 	PeakAllocBytes uint64 `json:"peak_alloc_bytes"`

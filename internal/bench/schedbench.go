@@ -33,15 +33,11 @@ type SchedCurvePoint struct {
 
 // SchedBenchResult records the session-global scheduler experiment
 // (`benchmark -exp sched`): the same (k, δ) grid answered by one
-// session under three scheduling modes — Workers=1 (serial), Workers=4
-// with the static per-cell split (the pre-scheduler baseline), and
-// Workers=4 on the session-lifetime shared work-stealing pool — with
-// per-cell equality across all three, plus a W ∈ {1, 2, 4, 8} scaling
-// curve and a speculation on/off ablation at W4. Merged into
+// session serially (Workers=1) and on the session-lifetime shared
+// work-stealing pool (Workers=4), with per-cell equality across every
+// run, plus a W ∈ {1, 2, 4, 8} scaling curve. Merged into
 // BENCH_core.json under "sched" by `make bench`; the bench-parallel CI
-// job gates on SpeedupW4OverW1 on a multi-core runner (committed
-// records from 1-CPU containers are ~1.0 by construction, which is
-// exactly why the CI gate exists).
+// job gates on SpeedupW4OverW1 on a multi-core runner.
 type SchedBenchResult struct {
 	Graph      CoreBenchGraph   `json:"graph"`
 	GridSpec   string           `json:"grid_spec"`
@@ -49,43 +45,22 @@ type SchedBenchResult struct {
 	NumCPU     int              `json:"num_cpu"`
 	Workers    int              `json:"workers"`
 	Cells      []SchedBenchCell `json:"cells"`
-	// Grid wall-clock (best of 3, fresh session per repetition) per
-	// scheduling mode.
+	// Grid wall-clock (best of 3, fresh session per repetition).
 	W1Seconds       float64 `json:"w1_seconds"`
-	StaticW4Seconds float64 `json:"static_w4_seconds"`
 	SharedW4Seconds float64 `json:"shared_w4_seconds"`
-	// SpeedupW4OverW1 is shared-pool W4 against the serial grid;
-	// SpeedupSharedOverStatic is shared-pool W4 against the static
-	// split at the same W4 — the scheduler's own contribution.
-	SpeedupW4OverW1         float64 `json:"speedup_w4_over_w1"`
-	SpeedupSharedOverStatic float64 `json:"speedup_shared_over_static"`
-	// AllMatch is true iff every cell agreed in size across all three
-	// modes — the record is only trustworthy when it is.
+	// SpeedupW4OverW1 is shared-pool W4 against the serial grid.
+	SpeedupW4OverW1 float64 `json:"speedup_w4_over_w1"`
+	// AllMatch is true iff every cell agreed in size across every run
+	// — the record is only trustworthy when it is.
 	AllMatch bool `json:"all_match"`
-	// Scheduler counters of the best shared-pool run; LocalSteals and
-	// RemoteSteals split Steals by locality domain.
+	// Scheduler counters of the best shared-pool W4 run.
 	Donations       int64 `json:"donations"`
 	Steals          int64 `json:"steals"`
 	CrossCellSteals int64 `json:"cross_cell_steals"`
-	LocalSteals     int64 `json:"local_steals"`
-	RemoteSteals    int64 `json:"remote_steals"`
 	WorkerReleases  int64 `json:"worker_releases"`
 	// Curve is the shared-pool scaling curve over the -workers-curve
 	// counts (default 1, 2, 4, 8).
 	Curve []SchedCurvePoint `json:"curve"`
-	// SpecMode is the speculation mode ("on" = SpecAuto, "off") of the
-	// headline shared-pool and curve measurements; the ablation below
-	// measures both at W4 regardless.
-	SpecMode       string  `json:"spec_mode"`
-	SpecOnSeconds  float64 `json:"spec_on_seconds"`
-	SpecOffSeconds float64 `json:"spec_off_seconds"`
-	// SpecSpeedup is SpecOffSeconds / SpecOnSeconds: above 1.0 means
-	// speculation helped on this run.
-	SpecSpeedup float64 `json:"spec_speedup"`
-	// Speculation ledger of the best spec-on ablation run.
-	SpecStarts  int64 `json:"spec_starts"`
-	SpecWins    int64 `json:"spec_wins"`
-	SpecCancels int64 `json:"spec_cancels"`
 	// PeakAllocBytes is the sampled heap high-water mark across the
 	// measured runs (runtime.ReadMemStats).
 	PeakAllocBytes uint64 `json:"peak_alloc_bytes"`
@@ -96,7 +71,7 @@ type SchedBenchResult struct {
 const schedWorkers = 4
 
 // SchedBench measures the grid scheduler on the bigcomp-giant
-// instance under the three scheduling modes.
+// instance, serial and on the shared pool.
 func SchedBench(cfg Config) (res SchedBenchResult, err error) {
 	g, desc := coreBenchInstance(cfg.scale())
 	spec, qs, err := gridBenchQueries(cfg.GridSpec)
@@ -168,33 +143,8 @@ func SchedBench(cfg Config) (res SchedBenchResult, err error) {
 		})
 	}
 
-	static := base
-	static.Workers = schedWorkers
-	static.StaticGridSplit = true
-	staticSecs, staticSizes, _, err := measure(static)
-	if err != nil {
-		return res, err
-	}
-	res.StaticW4Seconds = staticSecs
-
-	specMode := cfg.SchedSpec
-	if specMode == "" {
-		specMode = "on"
-	}
-	var headlineSpec session.Speculation
-	switch specMode {
-	case "on":
-		headlineSpec = session.SpecAuto
-	case "off":
-		headlineSpec = session.SpecOff
-	default:
-		return res, fmt.Errorf("sched bench: -spec must be on or off, got %q", specMode)
-	}
-	res.SpecMode = specMode
-
 	shared := base
 	shared.Workers = schedWorkers
-	shared.Speculation = headlineSpec
 	sharedSecs, sharedSizes, sharedStats, err := measure(shared)
 	if err != nil {
 		return res, err
@@ -203,18 +153,14 @@ func SchedBench(cfg Config) (res SchedBenchResult, err error) {
 	res.Donations = sharedStats.Donations
 	res.Steals = sharedStats.Steals
 	res.CrossCellSteals = sharedStats.CrossCellSteals
-	res.LocalSteals = sharedStats.LocalSteals
-	res.RemoteSteals = sharedStats.RemoteSteals
 	res.WorkerReleases = sharedStats.WorkerReleases
-
 	for i := range qs {
-		if staticSizes[i] != w1Sizes[i] || sharedSizes[i] != w1Sizes[i] {
+		if sharedSizes[i] != w1Sizes[i] {
 			res.AllMatch = false
 		}
 	}
 	if res.SharedW4Seconds > 0 {
 		res.SpeedupW4OverW1 = res.W1Seconds / res.SharedW4Seconds
-		res.SpeedupSharedOverStatic = res.StaticW4Seconds / res.SharedW4Seconds
 	}
 
 	// The scaling curve: the same grid on the shared pool at each
@@ -233,7 +179,6 @@ func SchedBench(cfg Config) (res SchedBenchResult, err error) {
 		default:
 			opt := base
 			opt.Workers = wk
-			opt.Speculation = headlineSpec
 			s, sizes, _, err := measure(opt)
 			if err != nil {
 				return res, err
@@ -252,42 +197,6 @@ func SchedBench(cfg Config) (res SchedBenchResult, err error) {
 		res.Curve = append(res.Curve, pt)
 	}
 
-	// Speculation ablation at W4: the identical grid with the
-	// chain-strength speculation enabled and disabled. The headline
-	// measurement already covers one side.
-	measureSpec := func(spec session.Speculation) (float64, session.Stats, error) {
-		if spec == headlineSpec {
-			return res.SharedW4Seconds, sharedStats, nil
-		}
-		opt := base
-		opt.Workers = schedWorkers
-		opt.Speculation = spec
-		secs, sizes, st, err := measure(opt)
-		if err != nil {
-			return 0, st, err
-		}
-		for i := range qs {
-			if sizes[i] != w1Sizes[i] {
-				res.AllMatch = false
-			}
-		}
-		return secs, st, nil
-	}
-	onSecs, onStats, err := measureSpec(session.SpecAuto)
-	if err != nil {
-		return res, err
-	}
-	offSecs, _, err := measureSpec(session.SpecOff)
-	if err != nil {
-		return res, err
-	}
-	res.SpecOnSeconds, res.SpecOffSeconds = onSecs, offSecs
-	if onSecs > 0 {
-		res.SpecSpeedup = offSecs / onSecs
-	}
-	res.SpecStarts = onStats.SpeculativeStarts
-	res.SpecWins = onStats.SpeculativeWins
-	res.SpecCancels = onStats.SpeculativeCancels
 	return res, nil
 }
 
@@ -295,9 +204,7 @@ func SchedBench(cfg Config) (res SchedBenchResult, err error) {
 // it under "sched" in the core record at mergePath when given, and —
 // when minSpeedup > 0 — fails unless the measured shared-pool W4/W1
 // speedup strictly exceeds it. The bench-parallel CI job runs this
-// with -min-speedup 1.0 on a multi-core runner: the repo's first
-// CI-verified parallel number (committed BENCH records are
-// GOMAXPROCS=1 by construction).
+// with -min-speedup 1.5 on its multi-core runner.
 func WriteSchedBench(cfg Config, w io.Writer, mergePath string, minSpeedup float64) error {
 	res, err := SchedBench(cfg)
 	if err != nil {
@@ -309,7 +216,7 @@ func WriteSchedBench(cfg Config, w io.Writer, mergePath string, minSpeedup float
 		return err
 	}
 	if !res.AllMatch {
-		return fmt.Errorf("sched bench: scheduling modes disagree on cell answers; record not trustworthy")
+		return fmt.Errorf("sched bench: runs disagree on cell answers; record not trustworthy")
 	}
 	if mergePath != "" {
 		rec, err := LoadCoreBench(mergePath)

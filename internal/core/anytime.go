@@ -113,12 +113,6 @@ func (s *searcher) fairCap(cnt, avail [2]int32) int32 {
 func (w *worker) priceRootBranches(tasks []int32) {
 	d := w.d
 	s := d.s
-	if s.compAccounted == nil {
-		// Halted without the certificate machinery armed (an external
-		// Injector.Cancel on an exact run): nothing to price — the
-		// caller reports the conservative whole-graph bound instead.
-		return
-	}
 	for _, u := range tasks {
 		if 1+d.comp.Deg(u) <= s.priceFloor() {
 			continue
@@ -166,9 +160,6 @@ func (w *worker) priceRootBranches(tasks []int32) {
 // into the worker's arenas).
 func (w *worker) priceTask(t *subtreeTask) {
 	s := t.d.s
-	if s.compAccounted == nil {
-		return // cancelled exact run: see priceRootBranches
-	}
 	ub := int32(t.depth) + t.avail[0] + t.avail[1]
 	if fc := s.fairCap(t.cnt, t.avail); fc < ub {
 		ub = fc
@@ -192,9 +183,6 @@ func (w *worker) priceTask(t *subtreeTask) {
 // the reduced graph. Runs after every worker and donated task has
 // finished, so no contribution can arrive later.
 func (s *searcher) sweepFrontier() {
-	if s.compAccounted == nil {
-		return
-	}
 	var ev bounds.Evaluator
 	for ci, comp := range s.p.comps {
 		if s.compAccounted[ci].Load() {
@@ -234,7 +222,7 @@ type heurTask struct {
 
 func (t *heurTask) TaskScope() *sched.Scope { return t.scope }
 
-func (t *heurTask) Run(int) {
+func (t *heurTask) Run() {
 	if t.s.halted() {
 		return
 	}
@@ -256,11 +244,10 @@ func (t *heurTask) Run(int) {
 // InjectSeed that is not a fair clique for the search's (k, δ) silently
 // corrupts the result, exactly like a wrong Options.StopAtSize.
 type Injector struct {
-	mu            sync.Mutex
-	s             *searcher
-	pendingUB     int32 // min of pre-attach bounds; 0 = none
-	pendingSeed   []int32
-	pendingCancel bool
+	mu          sync.Mutex
+	s           *searcher
+	pendingUB   int32 // min of pre-attach bounds; 0 = none
+	pendingSeed []int32
 }
 
 // NewInjector returns an empty Injector ready to be set as
@@ -310,39 +297,14 @@ func (in *Injector) InjectSeed(verts []int32) {
 	s.recordOrig(verts)
 }
 
-// Cancel aborts the attached search as soon as its workers notice (node
-// granularity, like a deadline firing): the search returns early with
-// Stats.Aborted set, its best incumbent, and a sound — if loose —
-// UpperBound. The session layer quarantines such results exactly like
-// anytime aborts: never added to the grid table, the clique pool, or
-// broadcast to sibling searches. A Cancel before attach is buffered and
-// applied the moment the search starts, so a speculated cell cancelled
-// during setup never expands a node. Cancel-then-exact is still
-// possible: if an injected bound is met by the incumbent before the
-// abort is observed, the run finishes exact and the cancel is moot.
-func (in *Injector) Cancel() {
-	in.mu.Lock()
-	s := in.s
-	if s == nil {
-		in.pendingCancel = true
-		in.mu.Unlock()
-		return
-	}
-	in.mu.Unlock()
-	s.aborted.Store(true)
-}
-
 // attach binds the Injector to a starting search and applies anything
 // buffered while no search was running.
 func (in *Injector) attach(s *searcher) {
 	in.mu.Lock()
 	in.s = s
-	ub, seed, cancel := in.pendingUB, in.pendingSeed, in.pendingCancel
-	in.pendingUB, in.pendingSeed, in.pendingCancel = 0, nil, false
+	ub, seed := in.pendingUB, in.pendingSeed
+	in.pendingUB, in.pendingSeed = 0, nil
 	in.mu.Unlock()
-	if cancel {
-		s.aborted.Store(true)
-	}
 	if seed != nil {
 		s.recordOrig(seed)
 	}

@@ -88,7 +88,7 @@ func TestNodeBudgetSandwich(t *testing.T) {
 // Pool-backed searches honor the same contract: the driver prices the
 // root branches it skipped and donated subtrees price themselves.
 func TestNodeBudgetSandwichPooled(t *testing.T) {
-	pool := sched.NewPool(2)
+	pool := sched.NewPool()
 	defer pool.Close()
 	for seed := uint64(0); seed < 15; seed++ {
 		g := random(seed, 14, 0.6)

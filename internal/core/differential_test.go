@@ -309,7 +309,7 @@ func searchSingleComponent(t *testing.T, g *graph.Graph, opt Options, workers in
 	if got := s.p.Components(); got != 1 {
 		t.Fatalf("fixture has %d components, want 1", got)
 	}
-	s.searchComponent(0, workers)
+	s.searchComponent(0, workers, nil)
 	return s
 }
 
@@ -392,7 +392,7 @@ func TestDonationFeedsHungryWorker(t *testing.T) {
 		t.Fatalf("fixture has %d components, want 1", got)
 	}
 	d := s.newCompData(s.p.comps[0])
-	pool := sched.NewPool(2)
+	pool := sched.NewPool()
 	scope := pool.NewScope()
 	d.steal = scope
 
@@ -418,7 +418,7 @@ func TestDonationFeedsHungryWorker(t *testing.T) {
 		runtime.Gosched()
 	}
 	scope.Exit()
-	scope.Drain(0)
+	scope.Drain()
 	pool.Close()
 	<-done
 

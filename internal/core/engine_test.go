@@ -111,7 +111,7 @@ func TestBranchSteadyStateZeroAllocs(t *testing.T) {
 				// The Workers > 1 configuration: donation scope armed, no
 				// hungry executor. Every branch pays exactly one atomic
 				// load.
-				w.d.steal = sched.NewPool(2).NewScope()
+				w.d.steal = sched.NewPool().NewScope()
 			}
 			avg := testing.AllocsPerRun(20, func() {
 				w.branchRoot()

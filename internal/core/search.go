@@ -222,13 +222,6 @@ type Options struct {
 	// donations up. The search still returns only after every donated
 	// subtree has finished, wherever it ran.
 	Pool *sched.Pool
-	// PoolDomain is the locality domain of the driving goroutine when
-	// Pool is set (see internal/sched): donated subtrees are queued in
-	// this domain, so same-domain executors steal them LIFO and
-	// cache-hot while remote domains steal FIFO. The session layer
-	// assigns drivers round-robin via Pool.AssignDomain; 0 is always
-	// valid.
-	PoolDomain int
 }
 
 // Stats reports search effort, for the experiment harness.
@@ -537,12 +530,6 @@ func (p *Prepared) Search(opt Options, seed []int32) (*Result, error) {
 	// otherwise to private goroutines joined before the result is read.
 	// Every member returns a valid fair clique, so record() trusts it;
 	// gated on Deadline so budget-free runs stay bit-deterministic.
-	var heurWG sync.WaitGroup
-	raceHeuristics := opt.UseHeuristic && !opt.Deadline.IsZero() && !s.halted()
-
-	// Lines 6-11: branch each connected component under CalColorOD.
-	// Components are searched largest-first so good incumbents surface
-	// early.
 	//
 	// Pool mode (opt.Pool non-nil): the calling goroutine is the only
 	// driver — it branches every component serially with the donation
@@ -551,80 +538,79 @@ func (p *Prepared) Search(opt Options, seed []int32) (*Result, error) {
 	// from any depth. Drain is the cross-search termination barrier:
 	// the search returns only once its ledger proves every donated
 	// subtree finished, whichever search's executor ran it.
+	workers := opt.Workers
+	if workers < 1 {
+		workers = 1
+	}
+	var scope *sched.Scope
 	if opt.Pool != nil {
-		dom := opt.PoolDomain
-		scope := opt.Pool.NewScope()
+		workers = 1
+		scope = opt.Pool.NewScope()
 		scope.Enter()
-		if raceHeuristics {
-			for _, fn := range heuristic.Portfolio() {
-				scope.Submit(&heurTask{scope: scope, s: s, fn: fn}, dom)
+	}
+	var heurWG sync.WaitGroup
+	if opt.UseHeuristic && !opt.Deadline.IsZero() && !s.halted() {
+		for _, fn := range heuristic.Portfolio() {
+			if scope != nil {
+				scope.Submit(&heurTask{scope: scope, s: s, fn: fn})
+				continue
 			}
-		}
-		for ci := range p.comps {
-			if s.halted() {
-				break
-			}
-			s.searchComponentPooled(ci, scope)
-		}
-		scope.Exit()
-		scope.Drain(dom)
-	} else {
-		if raceHeuristics {
-			for _, fn := range heuristic.Portfolio() {
-				heurWG.Add(1)
-				go func(fn func(*graph.Graph, int32, int32) []int32) {
-					defer heurWG.Done()
-					if s.halted() {
-						return
-					}
-					if c := fn(p.work, s.k, s.delta); len(c) > 0 {
-						s.record(c, p.toOrig)
-					}
-				}(fn)
-			}
-		}
-		// Private two-level parallelism: large components get their root
-		// branches split across all Workers (so a single giant component
-		// still scales); the tail of small components — where
-		// per-component setup would dwarf an intra-split — is distributed
-		// across Workers one component per goroutine.
-		workers := opt.Workers
-		if workers < 1 {
-			workers = 1
-		}
-		idx := 0
-		for ; idx < len(p.comps); idx++ {
-			if workers > 1 && len(p.comps[idx]) <= smallComponentLimit {
-				break // the rest (sorted descending) go to the pool below
-			}
-			if s.halted() {
-				break
-			}
-			s.searchComponent(idx, workers)
-		}
-		if workers > 1 && idx < len(p.comps) && !s.halted() {
-			jobs := make(chan int)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for ci := range jobs {
-						s.searchComponent(ci, 1)
-					}
-				}()
-			}
-			for ci := idx; ci < len(p.comps); ci++ {
+			heurWG.Add(1)
+			go func() {
+				defer heurWG.Done()
 				if s.halted() {
-					break
+					return
 				}
-				jobs <- ci
-			}
-			close(jobs)
-			wg.Wait()
+				if c := fn(p.work, s.k, s.delta); len(c) > 0 {
+					s.record(c, p.toOrig)
+				}
+			}()
 		}
 	}
 
+	// Lines 6-11: branch each connected component under CalColorOD.
+	// Components are searched largest-first so good incumbents surface
+	// early. Without a pool, Workers > 1 parallelizes on two levels:
+	// large components get their root branches split across all
+	// Workers (so a single giant component still scales); the tail of
+	// small components — where per-component setup would dwarf an
+	// intra-split — is distributed across Workers one component per
+	// goroutine.
+	idx := 0
+	for ; idx < len(p.comps); idx++ {
+		if workers > 1 && len(p.comps[idx]) <= smallComponentLimit {
+			break // the rest (sorted descending) go to the goroutines below
+		}
+		if s.halted() {
+			break
+		}
+		s.searchComponent(idx, workers, scope)
+	}
+	if workers > 1 && idx < len(p.comps) && !s.halted() {
+		jobs := make(chan int)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for ci := range jobs {
+					s.searchComponent(ci, 1, nil)
+				}
+			}()
+		}
+		for ci := idx; ci < len(p.comps); ci++ {
+			if s.halted() {
+				break
+			}
+			jobs <- ci
+		}
+		close(jobs)
+		wg.Wait()
+	}
+	if scope != nil {
+		scope.Exit()
+		scope.Drain()
+	}
 	heurWG.Wait()
 
 	res.Stats.Nodes = s.nodes.Load()
@@ -653,26 +639,13 @@ func (p *Prepared) Search(opt Options, seed []int32) (*Result, error) {
 		}
 	}
 	s.mu.Unlock()
-	switch {
-	case !aborted:
-		res.UpperBound = int32(len(res.Clique))
-	case s.compAccounted != nil:
+	if aborted {
+		// Only a budget (MaxNodes or Deadline) aborts, and a budget arms
+		// the frontier pricing.
 		s.sweepFrontier()
 		res.UpperBound = s.certifiedUB()
-	default:
-		// Aborted without the pricing machinery armed: an external
-		// Injector.Cancel stopped an exact-mode run. No frontier was
-		// priced, so the only sound certificate is the whole reduced
-		// graph, clamped to any trusted bound and floored at the
-		// incumbent.
-		ub := int32(p.work.N())
-		if st := s.stopAt.Load(); st > 0 && st < ub {
-			ub = st
-		}
-		if bs := int32(len(res.Clique)); bs > ub {
-			ub = bs
-		}
-		res.UpperBound = ub
+	} else {
+		res.UpperBound = int32(len(res.Clique))
 	}
 	res.Stats.FrontierPriced = s.frontPriced.Load()
 	return res, nil
@@ -930,7 +903,6 @@ func (c *compPrep) getWorker(d *compData) *worker {
 	w.collect = nil
 	w.localNodes = 0
 	w.flushEvery = flushEvery(d.s.opt)
-	w.dom = 0
 	return w
 }
 
@@ -1097,12 +1069,6 @@ type worker struct {
 
 	localNodes int64 // batched into searcher.nodes by flushNodes
 	flushEvery int64
-
-	// dom is the locality domain of the executor currently driving this
-	// worker (see internal/sched): donations are queued there so they
-	// are stolen cache-hot by same-domain executors first. Rebound every
-	// time the worker is handed to an executor.
-	dom int
 }
 
 // flushEvery is the node-accounting batch size: small when an abort cap
@@ -1194,10 +1160,9 @@ func (t *subtreeTask) TaskScope() *sched.Scope { return t.scope }
 // cannot carry pre-bound arenas for this component — runs the subtree
 // to completion against the donating search's incumbent, and recycles
 // both the worker and the task buffer.
-func (t *subtreeTask) Run(dom int) {
+func (t *subtreeTask) Run() {
 	d := t.d
 	w := d.getWorker(d)
-	w.dom = dom // re-donations from this subtree stay in the executor's domain
 	w.runStolen(t)
 	if d.s.aborted.Load() {
 		// The donated subtree may have been cut short (or, when it was
@@ -1229,66 +1194,25 @@ func (w *worker) donate(scope *sched.Scope, depth int, cnt, avail [2]int32, cand
 	t.r = append(t.r[:0], w.rbuf[:depth]...)
 	t.cnt, t.avail = cnt, avail
 	cand.CopyInto(t.cand)
-	scope.Submit(t, w.dom)
+	scope.Submit(t)
 	d.s.donations.Add(1)
 	return true
 }
 
-// searchComponentPooled branches component ci serially on the calling
-// goroutine with the shared-pool donation hook armed: whenever another
-// executor of scope's pool is hungry, the next frontier subtree (a root
-// branch or any deeper node) is shipped to it instead of being recursed
-// into locally. Root branches are driven explicitly so an anytime abort
-// knows exactly which of them are unexplored and can price them into
-// the certificate.
-func (s *searcher) searchComponentPooled(ci int, scope *sched.Scope) {
-	comp := s.p.comps[ci]
-	if s.halted() {
-		return // un-accounted: the frontier sweep prices the component
-	}
-	if s.cut(int32(len(comp))) || len(comp) < 2*s.opt.K {
-		s.accountComp(ci) // provably no improvement here
-		return
-	}
-	prep := s.p.comp(ci)
-	d := &compData{compPrep: prep, s: s, steal: scope}
-	w := prep.getWorker(d)
-	w.dom = s.opt.PoolDomain // the driver donates into its own domain
-	tasks := w.rootTasks()
-	if len(tasks) == 0 {
-		// Root prologue pruned the component (account it) — unless a
-		// halt interrupted it, in which case the sweep prices it.
-		if !s.aborted.Load() {
-			s.accountComp(ci)
-		}
-		w.flushNodes()
-		prep.putWorker(w)
-		return
-	}
-	complete := 0 // tasks[:complete] are fully explored (or donated)
-	for _, u := range tasks {
-		if s.halted() {
-			break
-		}
-		w.runRootBranchPooled(u, scope)
-		if s.halted() {
-			break // this branch may have been cut short mid-subtree
-		}
-		complete++
-	}
-	w.flushNodes()
-	if s.aborted.Load() {
-		w.priceRootBranches(tasks[complete:])
-	} else {
-		s.accountComp(ci)
-	}
-	prep.putWorker(w)
-}
-
 // searchComponent branches the connected component at index ci of the
-// prepared graph, splitting the root branches across the given number
-// of workers when workers > 1.
-func (s *searcher) searchComponent(ci int, workers int) {
+// prepared graph. The driver worker runs the root node's prologue
+// (recording, size and attribute feasibility, δ-caps, bounds) with
+// collect set, so the expansion step yields the root branch vertices
+// instead of recursing. With workers > 1 those branches are split
+// across a private pool (splitRoot). Otherwise the driver runs them
+// one by one: a nil scope is a serial search, and a shared-pool scope
+// arms the donation hook, so whenever another executor of the pool is
+// hungry the next frontier subtree (a root branch or any deeper node)
+// is shipped to it instead of being recursed into locally. Root
+// branches are driven explicitly so an anytime abort knows exactly
+// which of them are unexplored and can price them into the
+// certificate.
+func (s *searcher) searchComponent(ci, workers int, scope *sched.Scope) {
 	// Re-checked here (not only at scheduling time) so a component
 	// queued while the incumbent was small is pruned by the incumbent
 	// that has grown since — before the lazy compPrep build, so skipped
@@ -1302,12 +1226,7 @@ func (s *searcher) searchComponent(ci int, workers int) {
 		return
 	}
 	prep := s.p.comp(ci)
-	d := &compData{compPrep: prep, s: s}
-
-	// The driver worker runs the root node's prologue (recording, size
-	// and attribute feasibility, δ-caps, bounds) with collect set: the
-	// expansion step then yields the root branch vertices instead of
-	// recursing.
+	d := &compData{compPrep: prep, s: s, steal: scope}
 	driver := prep.getWorker(d)
 	tasks := driver.rootTasks()
 	if len(tasks) == 0 {
@@ -1318,41 +1237,50 @@ func (s *searcher) searchComponent(ci int, workers int) {
 		prep.putWorker(driver)
 		return
 	}
-
-	if workers <= 1 {
-		// Serial: recurse into each root branch on the driver.
-		complete := 0 // tasks[:complete] are fully explored
-		for _, u := range tasks {
-			if s.halted() {
-				break
-			}
-			driver.runRootBranch(u)
-			if s.halted() {
-				break // this branch may have been cut short mid-subtree
-			}
-			complete++
-		}
-		driver.flushNodes()
-		if s.aborted.Load() {
-			driver.priceRootBranches(tasks[complete:])
-		} else {
-			s.accountComp(ci)
-		}
-		prep.putWorker(driver)
+	if workers > 1 {
+		s.splitRoot(ci, driver, tasks, workers)
 		return
 	}
-	// Parallel: workers pull root branches from a shared cursor; once
-	// the cursor runs dry they are re-fed by subtree donation until the
-	// whole tree is exhausted — the same sched machinery the session
-	// pool uses, here on a pool private to this component. The branch
-	// prologue re-checks the incumbent, so branches queued behind a
-	// growing incumbent are pruned when claimed. Workers beyond the
-	// root-branch count are still useful — they start hungry in Drain
-	// and immediately receive donated subtrees. Every worker Enters
-	// before its goroutine starts, so the scope's ledger can never
-	// momentarily read zero while peers are still spinning up.
-	pool := sched.NewPool(workers)
-	scope := pool.NewScope()
+	complete := 0 // tasks[:complete] are fully explored (or donated)
+	for _, u := range tasks {
+		if s.halted() {
+			break
+		}
+		driver.runRootBranch(u, scope)
+		if s.halted() {
+			break // this branch may have been cut short mid-subtree
+		}
+		complete++
+	}
+	driver.flushNodes()
+	if s.aborted.Load() {
+		driver.priceRootBranches(tasks[complete:])
+	} else {
+		s.accountComp(ci)
+	}
+	prep.putWorker(driver)
+}
+
+// splitRoot is the private root split of component ci: workers pull
+// root branches from a shared cursor; once the cursor runs dry they
+// are re-fed by subtree donation until the whole tree is exhausted —
+// the same sched machinery the session pool uses, here on a pool
+// private to this component. Root branches themselves are never
+// donated: only nodes below the root are. The branch prologue
+// re-checks the incumbent, so branches queued behind a growing
+// incumbent are pruned when claimed. Workers beyond the root-branch
+// count are still useful — they start hungry in Drain and immediately
+// receive donated subtrees. Every worker Enters before its goroutine
+// starts, so the scope's ledger can never momentarily read zero while
+// peers are still spinning up.
+func (s *searcher) splitRoot(ci int, driver *worker, tasks []int32, workers int) {
+	d := driver.d
+	prep := d.compPrep
+	// The driver returns to the freelist before its peers finish, and
+	// another search's rootTasks on it would overwrite the collect
+	// buffer tasks aliases: keep a private copy.
+	tasks = append([]int32(nil), tasks...)
+	scope := sched.NewPool().NewScope()
 	d.steal = scope
 	var next atomic.Int32
 	var wg sync.WaitGroup
@@ -1366,11 +1294,9 @@ func (s *searcher) searchComponent(ci int, workers int) {
 		if i > 0 {
 			wk = prep.getWorker(d)
 		}
-		wk.dom = pool.AssignDomain()
 		scope.Enter()
 		go func(wk *worker) {
 			defer wg.Done()
-			dom := wk.dom
 			for {
 				// The Load guard keeps the cursor bounded (at most one
 				// overshoot per worker): without it, every donation
@@ -1378,7 +1304,7 @@ func (s *searcher) searchComponent(ci int, workers int) {
 				// the counter past the task count into negative indices.
 				if !s.halted() && int(next.Load()) < len(tasks) {
 					if t := next.Add(1) - 1; int(t) < len(tasks) {
-						wk.runRootBranch(tasks[t])
+						wk.runRootBranch(tasks[t], nil)
 						if s.compAccounted != nil && s.halted() {
 							incMu.Lock()
 							incomplete = append(incomplete, tasks[t])
@@ -1396,7 +1322,7 @@ func (s *searcher) searchComponent(ci int, workers int) {
 			// just returned its arenas to) until the component's ledger
 			// is empty.
 			scope.Exit()
-			scope.Drain(dom)
+			scope.Drain()
 		}(wk)
 	}
 	wg.Wait()
@@ -1445,40 +1371,25 @@ func (w *worker) branchRoot() {
 }
 
 // runRootBranch executes the root branch on vertex u: the child node
-// the root's expand step would have recursed into.
-func (w *worker) runRootBranch(u int32) {
+// the root's expand step would have recursed into. With a non-nil
+// scope (the shared-pool driver) and a hungry executor, the whole
+// branch is shipped instead of being recursed into locally; the
+// private split passes nil, so its workers donate only below the root.
+// Slice-oracle components never donate, matching expandSlice.
+func (w *worker) runRootBranch(u int32, scope *sched.Scope) {
 	d := w.d
 	var cnt [2]int32
 	cnt[d.comp.Attr(u)]++
 	w.rbuf[0] = u
-	if d.bitset() {
-		w.ensureBits(1)
-		avail := w.makeChildBits(w.cand[1], d.fullRow, u, false)
-		w.branchBits(1, cnt, avail)
-	} else {
+	if !d.bitset() {
 		w.ensureSlice(1, len(d.allVerts))
 		child, avail := w.makeChildSlice(1, d.allVerts, u, false)
 		w.branchSlice(1, child, cnt, avail)
-	}
-}
-
-// runRootBranchPooled is runRootBranch with the shared-pool donation
-// hook at root-branch granularity: when another executor is hungry, the
-// whole branch is shipped instead of being recursed into locally (the
-// behavior the pooled driver had when the root expansion loop ran
-// inline). Slice-oracle components never donate, matching expandSlice.
-func (w *worker) runRootBranchPooled(u int32, scope *sched.Scope) {
-	d := w.d
-	if !d.bitset() {
-		w.runRootBranch(u)
 		return
 	}
-	var cnt [2]int32
-	cnt[d.comp.Attr(u)]++
-	w.rbuf[0] = u
 	w.ensureBits(1)
 	avail := w.makeChildBits(w.cand[1], d.fullRow, u, false)
-	if avail[0]+avail[1] > 0 && scope.Hungry() && w.donate(scope, 1, cnt, avail, w.cand[1]) {
+	if scope != nil && avail[0]+avail[1] > 0 && scope.Hungry() && w.donate(scope, 1, cnt, avail, w.cand[1]) {
 		return
 	}
 	w.branchBits(1, cnt, avail)

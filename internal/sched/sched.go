@@ -1,5 +1,5 @@
 // Package sched is the session-lifetime work-stealing scheduler: a
-// Pool is one shared donation structure plus a hungry counter spanning
+// Pool is one shared donation queue plus a hungry counter spanning
 // every search that branches against it, so an executor freed by one
 // search (a finished grid cell, a dominance skip answered with zero
 // branching) immediately steals frontier subtrees donated by searches
@@ -10,32 +10,14 @@
 //
 // The package deliberately knows nothing about cliques: work items are
 // opaque Tasks that carry their own execution state (internal/core's
-// donated subtree nodes implement Task). What sched owns is the LIFO
+// donated subtree nodes implement Task). What sched owns is the
 // donation queue, the demand signal busy workers poll before shipping
-// a subtree, the termination ledger that lets a search prove all of
-// its outstanding donated work has finished, and the speculation
-// ledger the session layer uses to admit look-ahead searches only
-// when an executor is genuinely idle.
+// a subtree, and the termination ledger that lets a search prove all
+// of its outstanding donated work has finished.
 //
-// # Locality domains
-//
-// Executors are grouped into locality domains — GOMAXPROCS-partitioned
-// shards of the worker budget, one domain per domainWidth logical
-// CPUs, which makes the partition NUMA-ready by construction (a domain
-// maps onto a core complex / socket slice; nothing in the code assumes
-// more than "these executors share cache"). Every donation is queued
-// in the donor's own domain. Victim selection is hierarchical:
-//
-//   - local domain first, LIFO — the executor takes the most recently
-//     donated subtree of its own domain, the one whose frontier buffers
-//     are still hot in the cache that produced them;
-//   - remote domains next, FIFO — when the local queue is dry the
-//     executor scans the other domains and takes their OLDEST task,
-//     the classic steal-big-from-far-away rule that moves whole
-//     subtrees across the machine instead of cache-sized crumbs.
-//
-// The split is counted (Stats.LocalSteals / RemoteSteals) so the
-// locality payoff is observable end to end.
+// The queue is one slice popped LIFO: an executor takes the most
+// recently donated subtree, the one whose frontier buffers are still
+// hot in the cache that produced them.
 //
 // # The ledger
 //
@@ -74,31 +56,14 @@ import (
 	"sync/atomic"
 )
 
-// domainWidth is the shard width of the locality partition: one domain
-// per this many executors. Four matches the typical core-complex (CCX)
-// granularity the donation buffers should stay inside.
-const domainWidth = 4
-
-// Domains returns the number of locality domains a pool sized for the
-// given worker budget is partitioned into.
-func Domains(workers int) int {
-	d := (workers + domainWidth - 1) / domainWidth
-	if d < 1 {
-		d = 1
-	}
-	return d
-}
-
 // Task is one donated unit of work: a self-contained subtree frontier
 // node that any executor can run. Implementations are recycled by
 // their owners after Run returns, so callers must capture TaskScope
 // before Run and never touch the task afterwards.
 type Task interface {
 	// Run executes the work item on the calling goroutine and recycles
-	// the task's buffers. dom is the executing goroutine's locality
-	// domain: any work the task itself donates should be submitted
-	// there, so frontier buffers stay in the cache that owns them now.
-	Run(dom int)
+	// the task's buffers.
+	Run()
 	// TaskScope is the search the item belongs to, for the ledger.
 	TaskScope() *Scope
 }
@@ -112,10 +77,6 @@ type Stats struct {
 	// executor that was not driving the task's own search — the
 	// released-worker payoff the shared pool exists for.
 	CrossCellSteals int64
-	// LocalSteals counts tasks popped LIFO from the executor's own
-	// locality domain; RemoteSteals counts tasks taken FIFO from
-	// another domain. LocalSteals + RemoteSteals == Steals.
-	LocalSteals, RemoteSteals int64
 	// Releases counts executors that entered Serve. Under a
 	// session-lifetime pool each persistent executor calls Serve
 	// exactly once, so a constant Releases across many queries is the
@@ -123,67 +84,38 @@ type Stats struct {
 	Releases int64
 }
 
-// Pool is one shared scheduler: per-domain LIFO donation queues, the
-// hungry counter donors poll, and the condition variable idle
-// executors park on. A Pool coordinates any number of concurrent
-// Scopes; its zero cost when nobody is hungry is a single atomic load
-// per branch node. A Pool is built once per owner (the session) and
-// survives across searches; Close ends its executors.
+// Pool is one shared scheduler: the LIFO donation queue, the hungry
+// counter donors poll, and the condition variable idle executors park
+// on. A Pool coordinates any number of concurrent Scopes; its zero
+// cost when nobody is hungry is a single atomic load per branch node.
+// A Pool is built once per owner (the session) and survives across
+// searches; Close ends its executors.
 type Pool struct {
 	hungry atomic.Int32 // executors parked waiting for work
-
 	mu     sync.Mutex
 	cond   *sync.Cond
-	doms   [][]Task // per-domain queues: LIFO at the tail, FIFO-stolen at the head
-	queued int      // total tasks across doms
+	queue  []Task // popped LIFO from the tail
 	closed bool
 
-	nextDom atomic.Int32 // round-robin executor-domain assignment
-
-	steals       atomic.Int64
-	crossSteals  atomic.Int64
-	localSteals  atomic.Int64
-	remoteSteals atomic.Int64
-	releases     atomic.Int64
+	steals      atomic.Int64
+	crossSteals atomic.Int64
+	releases    atomic.Int64
 }
 
-// NewPool returns an empty pool partitioned into Domains(workers)
-// locality domains, with no executors attached. Executors are whatever
-// goroutines call Serve or Drain against it.
-func NewPool(workers int) *Pool {
-	return NewPoolDomains(Domains(workers))
-}
-
-// NewPoolDomains returns an empty pool with an explicit domain count
-// (tests force multi-domain pools regardless of the worker budget).
-func NewPoolDomains(domains int) *Pool {
-	if domains < 1 {
-		domains = 1
-	}
-	p := &Pool{doms: make([][]Task, domains)}
+// NewPool returns an empty pool with no executors attached. Executors
+// are whatever goroutines call Serve or Drain against it.
+func NewPool() *Pool {
+	p := &Pool{}
 	p.cond = sync.NewCond(&p.mu)
 	return p
-}
-
-// NumDomains reports the pool's locality-domain count.
-func (p *Pool) NumDomains() int { return len(p.doms) }
-
-// AssignDomain hands out executor domains round-robin. Serve calls it
-// implicitly; drivers that want an explicit placement (the session's
-// speculative cell drivers) call it themselves.
-func (p *Pool) AssignDomain() int {
-	if len(p.doms) == 1 {
-		return 0
-	}
-	return int(p.nextDom.Add(1)-1) % len(p.doms)
 }
 
 // Hungry reports whether any executor is parked waiting for work — the
 // donation check on the branching hot path. One atomic load.
 func (p *Pool) Hungry() bool { return p.hungry.Load() > 0 }
 
-// Idle reports how many executors are currently parked. Admission
-// signal for the speculation ledger and the tests' park barrier.
+// Idle reports how many executors are currently parked (the tests'
+// park barrier).
 func (p *Pool) Idle() int { return int(p.hungry.Load()) }
 
 // Wanted reports whether the queue is shorter than the number of
@@ -194,58 +126,20 @@ func (p *Pool) Idle() int { return int(p.hungry.Load()) }
 // nothing is lost.
 func (p *Pool) Wanted() bool {
 	p.mu.Lock()
-	ok := int32(p.queued) < p.hungry.Load() && !p.closed
+	ok := int32(len(p.queue)) < p.hungry.Load() && !p.closed
 	p.mu.Unlock()
 	return ok
 }
 
-// Submit queues a donated task in the donor's locality domain and
-// wakes an executor. The task counts toward its scope's ledger until
-// the executor that ran it retires it.
-func (p *Pool) Submit(t Task, dom int) {
-	if dom < 0 || dom >= len(p.doms) {
-		dom = 0
-	}
+// Submit queues a donated task and wakes an executor. The task counts
+// toward its scope's ledger until the executor that ran it retires it.
+func (p *Pool) Submit(t Task) {
 	sc := t.TaskScope()
 	p.mu.Lock()
 	sc.active++
-	p.doms[dom] = append(p.doms[dom], t)
-	p.queued++
+	p.queue = append(p.queue, t)
 	p.cond.Signal()
 	p.mu.Unlock()
-}
-
-// popLocked removes one task for an executor of domain dom: the most
-// recently donated local task (LIFO, cache-hot), else the oldest task
-// of the nearest non-empty remote domain (FIFO, big subtrees travel).
-// Reports whether the pop was local; p.mu must be held.
-func (p *Pool) popLocked(dom int) (Task, bool) {
-	if dom < 0 || dom >= len(p.doms) {
-		dom = 0
-	}
-	if q := p.doms[dom]; len(q) > 0 {
-		n := len(q) - 1
-		t := q[n]
-		q[n] = nil
-		p.doms[dom] = q[:n]
-		p.queued--
-		return t, true
-	}
-	nd := len(p.doms)
-	for off := 1; off < nd; off++ {
-		v := (dom + off) % nd
-		q := p.doms[v]
-		if len(q) == 0 {
-			continue
-		}
-		t := q[0]
-		copy(q, q[1:])
-		q[len(q)-1] = nil
-		p.doms[v] = q[:len(q)-1]
-		p.queued--
-		return t, false
-	}
-	return nil, false
 }
 
 // Pending reports how many donated tasks are queued but not yet picked
@@ -253,36 +147,34 @@ func (p *Pool) popLocked(dom int) (Task, bool) {
 // observability hook; the hot paths never call it.
 func (p *Pool) Pending() int {
 	p.mu.Lock()
-	n := p.queued
+	n := len(p.queue)
 	p.mu.Unlock()
 	return n
 }
 
-// runNextLocked pops and executes one task for an executor of domain
-// dom, accounting it against self — the executor's own scope, or nil
-// for a released Serve executor, for which every pop is a cross steal.
-// The task's scope is captured before Run (Run recycles the task), and
-// the lock is released around the task body. Retiring the task may
-// empty its scope's ledger; Broadcast then, because Signal could wake
-// an unrelated waiter while the scope's driver stays parked in Drain.
-// Called with p.mu held; reports false when every queue was empty.
-func (p *Pool) runNextLocked(self *Scope, dom int) bool {
-	t, local := p.popLocked(dom)
-	if t == nil {
+// runNextLocked pops the most recently donated task and executes it,
+// accounting it against self — the executor's own scope, or nil for a
+// released Serve executor, for which every pop is a cross steal. The
+// task's scope is captured before Run (Run recycles the task), and the
+// lock is released around the task body. Retiring the task may empty
+// its scope's ledger; Broadcast then, because Signal could wake an
+// unrelated waiter while the scope's driver stays parked in Drain.
+// Called with p.mu held; reports false when the queue was empty.
+func (p *Pool) runNextLocked(self *Scope) bool {
+	n := len(p.queue) - 1
+	if n < 0 {
 		return false
 	}
+	t := p.queue[n]
+	p.queue[n] = nil
+	p.queue = p.queue[:n]
 	sc := t.TaskScope()
 	p.steals.Add(1)
 	if sc != self {
 		p.crossSteals.Add(1)
 	}
-	if local {
-		p.localSteals.Add(1)
-	} else {
-		p.remoteSteals.Add(1)
-	}
 	p.mu.Unlock()
-	t.Run(dom)
+	t.Run()
 	p.mu.Lock()
 	sc.active--
 	if sc.active == 0 {
@@ -292,9 +184,9 @@ func (p *Pool) runNextLocked(self *Scope, dom int) bool {
 }
 
 // Close wakes every parked executor and makes Serve return once the
-// queues are empty. The pool owner calls it when the session shuts
-// down (Session.Close); at that point every scope's ledger is zero, so
-// no task can still be queued.
+// queue is empty. The pool owner calls it when the session shuts down
+// (Session.Close); at that point every scope's ledger is zero, so no
+// task can still be queued.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	p.closed = true
@@ -303,22 +195,16 @@ func (p *Pool) Close() {
 }
 
 // Serve turns the calling goroutine into a persistent released
-// executor of a round-robin-assigned locality domain: it runs donated
-// tasks from any search — parking between queries — until the pool is
-// closed. This is the cross-cell and cross-query payoff: the worker a
-// dominance-skipped cell never needed executes subtrees of the cells
-// still branching, and the same worker serves next week's requery.
+// executor: it runs donated tasks from any search — parking between
+// queries — until the pool is closed. This is the cross-cell and
+// cross-query payoff: the worker a dominance-skipped cell never needed
+// executes subtrees of the cells still branching, and the same worker
+// serves next week's requery.
 func (p *Pool) Serve() {
-	p.ServeDomain(p.AssignDomain())
-}
-
-// ServeDomain is Serve with an explicit locality domain (tests pin
-// executors to domains to observe the victim-selection order).
-func (p *Pool) ServeDomain(dom int) {
 	p.releases.Add(1)
 	p.mu.Lock()
 	for {
-		if p.runNextLocked(nil, dom) {
+		if p.runNextLocked(nil) {
 			continue
 		}
 		if p.closed {
@@ -336,8 +222,6 @@ func (p *Pool) Stats() Stats {
 	return Stats{
 		Steals:          p.steals.Load(),
 		CrossCellSteals: p.crossSteals.Load(),
-		LocalSteals:     p.localSteals.Load(),
-		RemoteSteals:    p.remoteSteals.Load(),
 		Releases:        p.releases.Load(),
 	}
 }
@@ -352,18 +236,14 @@ type Scope struct {
 // NewScope registers a new search on the pool.
 func (p *Pool) NewScope() *Scope { return &Scope{pool: p} }
 
-// Pool returns the pool the scope donates to.
-func (sc *Scope) Pool() *Pool { return sc.pool }
-
 // Hungry is Pool.Hungry, for call sites that only hold the scope.
 func (sc *Scope) Hungry() bool { return sc.pool.Hungry() }
 
 // Wanted is Pool.Wanted, for call sites that only hold the scope.
 func (sc *Scope) Wanted() bool { return sc.pool.Wanted() }
 
-// Submit donates a task into the scope's pool, queued in the donating
-// executor's locality domain.
-func (sc *Scope) Submit(t Task, dom int) { sc.pool.Submit(t, dom) }
+// Submit donates a task into the scope's pool.
+func (sc *Scope) Submit(t Task) { sc.pool.Submit(t) }
 
 // Enter marks the calling goroutine as branching under this scope; the
 // scope cannot terminate while it is entered. Every Enter must be
@@ -388,19 +268,18 @@ func (sc *Scope) Exit() {
 
 // Drain is an executor's barrier: it executes pool tasks — its own
 // search's or, while helping, other searches' — until this scope's
-// ledger is empty, then returns. dom is the draining executor's
-// locality domain, steering its pops local-first like any other
-// executor. The caller must have Exited first. Both executor shapes
-// end on it: the classic per-component split's workers Drain after the
-// root cursor runs dry (the pool is then private to the component, so
-// every pop is the old busy-count steal loop), and a shared-pool
-// search's driver Drains after its serial pass so it cannot return
-// while another cell's executor is still inside one of its donated
-// subtrees. Drain ignores halts deliberately: a halted search's queued
-// tasks still occupy the queue and are retired by running them (each
-// returns immediately against the halted searcher), so the ledger
-// always converges and the pool never leaks tasks.
-func (sc *Scope) Drain(dom int) {
+// ledger is empty, then returns. The caller must have Exited first.
+// Both executor shapes end on it: the private per-component split's
+// workers Drain after the root cursor runs dry (the pool is then
+// private to the component, so every pop is the old busy-count steal
+// loop), and a shared-pool search's driver Drains after its serial
+// pass so it cannot return while another cell's executor is still
+// inside one of its donated subtrees. Drain ignores halts
+// deliberately: a halted search's queued tasks still occupy the queue
+// and are retired by running them (each returns immediately against
+// the halted searcher), so the ledger always converges and the pool
+// never leaks tasks.
+func (sc *Scope) Drain() {
 	p := sc.pool
 	p.mu.Lock()
 	for {
@@ -408,71 +287,11 @@ func (sc *Scope) Drain(dom int) {
 			p.mu.Unlock()
 			return
 		}
-		if p.runNextLocked(sc, dom) {
+		if p.runNextLocked(sc) {
 			continue
 		}
 		p.hungry.Add(1)
 		p.cond.Wait()
 		p.hungry.Add(-1)
 	}
-}
-
-// SpecLedger is the speculation admission ledger: the session layer
-// asks it before launching the next cell of a weak dominance chain
-// ahead of its predecessor. A launch is admitted only when an executor
-// is actually parked (speculation rides idle capacity, never displaces
-// the chain driver) and no other speculation is outstanding (the
-// chain's look-ahead is exactly one cell). Every admitted launch must
-// be resolved as exactly one of Win (the speculated search finished
-// exact and its result was committed) or Cancel (the predecessor made
-// the cell skippable, or the speculative result came back inexact and
-// was quarantined).
-type SpecLedger struct {
-	pool *Pool
-
-	mu          sync.Mutex
-	outstanding int
-
-	starts  atomic.Int64
-	wins    atomic.Int64
-	cancels atomic.Int64
-}
-
-// NewSpecLedger returns a ledger admitting speculation against p.
-func (p *Pool) NewSpecLedger() *SpecLedger { return &SpecLedger{pool: p} }
-
-// TryStart admits one speculative launch, or reports false when no
-// executor is idle or a speculation is already outstanding.
-func (l *SpecLedger) TryStart() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.outstanding > 0 || !l.pool.Hungry() {
-		return false
-	}
-	l.outstanding++
-	l.starts.Add(1)
-	return true
-}
-
-// Win resolves an outstanding speculation whose exact result was
-// committed as the cell's answer.
-func (l *SpecLedger) Win() { l.resolve(&l.wins) }
-
-// Cancel resolves an outstanding speculation that was cancelled or
-// whose inexact result was quarantined.
-func (l *SpecLedger) Cancel() { l.resolve(&l.cancels) }
-
-func (l *SpecLedger) resolve(ctr *atomic.Int64) {
-	l.mu.Lock()
-	if l.outstanding > 0 {
-		l.outstanding--
-		ctr.Add(1)
-	}
-	l.mu.Unlock()
-}
-
-// Stats reports (starts, wins, cancels). starts == wins + cancels once
-// no speculation is outstanding.
-func (l *SpecLedger) Stats() (starts, wins, cancels int64) {
-	return l.starts.Load(), l.wins.Load(), l.cancels.Load()
 }

@@ -8,34 +8,48 @@ import (
 	"time"
 )
 
-// fakeTask is a minimal Task: a closure plus its scope. The executing
-// domain is recorded for the victim-selection tests.
+// fakeTask is a minimal Task: a closure plus its scope.
 type fakeTask struct {
-	scope  *Scope
-	run    func()
-	ranDom atomic.Int32
+	scope *Scope
+	run   func()
 }
 
-func (t *fakeTask) Run(dom int) {
-	t.ranDom.Store(int32(dom))
+func (t *fakeTask) Run() {
 	if t.run != nil {
 		t.run()
 	}
 }
 func (t *fakeTask) TaskScope() *Scope { return t.scope }
 
+// drainWithin runs sc.Drain and fails the test if it has not returned
+// after the given time: a task that is run but never retired from its
+// scope's ledger would otherwise hang Drain forever.
+func drainWithin(t *testing.T, sc *Scope, d time.Duration) {
+	t.Helper()
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		sc.Drain()
+	}()
+	select {
+	case <-drained:
+	case <-time.After(d):
+		t.Fatal("Drain never returned: a run task was not retired from its scope's ledger")
+	}
+}
+
 // A driver that submitted tasks and Exited must retire all of them in
 // Drain, leaving the queue empty.
 func TestDrainRunsOwnTasks(t *testing.T) {
-	p := NewPool(4)
+	p := NewPool()
 	sc := p.NewScope()
 	sc.Enter()
 	var ran atomic.Int32
 	for i := 0; i < 5; i++ {
-		p.Submit(&fakeTask{scope: sc, run: func() { ran.Add(1) }}, 0)
+		p.Submit(&fakeTask{scope: sc, run: func() { ran.Add(1) }})
 	}
 	sc.Exit()
-	sc.Drain(0)
+	drainWithin(t, sc, 10*time.Second)
 	if ran.Load() != 5 {
 		t.Fatalf("Drain ran %d of 5 tasks", ran.Load())
 	}
@@ -46,15 +60,12 @@ func TestDrainRunsOwnTasks(t *testing.T) {
 	if st.Steals != 5 || st.CrossCellSteals != 0 {
 		t.Fatalf("own-task drain counted steals=%d cross=%d; want 5/0", st.Steals, st.CrossCellSteals)
 	}
-	if st.LocalSteals != 5 || st.RemoteSteals != 0 {
-		t.Fatalf("same-domain drain counted local=%d remote=%d; want 5/0", st.LocalSteals, st.RemoteSteals)
-	}
 }
 
 // Drain must not return while another executor is still inside one of
 // the scope's tasks — the cross-executor termination ledger.
 func TestDrainWaitsForRunningTask(t *testing.T) {
-	p := NewPool(4)
+	p := NewPool()
 	sc := p.NewScope()
 
 	serveDone := make(chan struct{})
@@ -72,14 +83,14 @@ func TestDrainWaitsForRunningTask(t *testing.T) {
 	p.Submit(&fakeTask{scope: sc, run: func() {
 		close(started)
 		<-release
-	}}, 0)
+	}})
 	sc.Exit()
 	<-started // the Serve executor is now inside the task
 
 	drained := make(chan struct{})
 	go func() {
 		defer close(drained)
-		sc.Drain(0)
+		sc.Drain()
 	}()
 	select {
 	case <-drained:
@@ -101,8 +112,7 @@ func TestDrainWaitsForRunningTask(t *testing.T) {
 // hungry, true with a parked executor, false again once the queue
 // covers the demand.
 func TestWantedTracksDemand(t *testing.T) {
-	p := NewPool(4)
-	sc := p.NewScope()
+	p := NewPool()
 	if p.Wanted() {
 		t.Fatal("Wanted with no hungry executor")
 	}
@@ -124,97 +134,39 @@ func TestWantedTracksDemand(t *testing.T) {
 	if p.Wanted() {
 		t.Fatal("Wanted after Close")
 	}
-	if sc.Pool() != p {
-		t.Fatal("scope not bound to its pool")
-	}
 }
 
-// The locality partition: one domain per 4 workers, never fewer than 1.
-func TestDomainPartition(t *testing.T) {
-	for _, tc := range []struct{ workers, domains int }{
-		{0, 1}, {1, 1}, {2, 1}, {4, 1}, {5, 2}, {8, 2}, {9, 3}, {16, 4},
-	} {
-		if got := NewPool(tc.workers).NumDomains(); got != tc.domains {
-			t.Errorf("NewPool(%d).NumDomains() = %d, want %d", tc.workers, got, tc.domains)
-		}
-	}
-}
-
-// Hierarchical victim selection: an executor pops its own domain LIFO
-// (most recent donation first, cache-hot) and only then steals from a
-// remote domain FIFO (oldest donation, the biggest subtree).
+// Victim selection: an executor pops the most recent donation first
+// (LIFO), the subtree whose frontier buffers are still cache-hot.
 func TestVictimSelectionOrder(t *testing.T) {
-	p := NewPoolDomains(2)
+	p := NewPool()
 	sc := p.NewScope()
 	sc.Enter()
 
 	var order []int
-	mk := func(id int) *fakeTask {
-		return &fakeTask{scope: sc, run: func() { order = append(order, id) }}
+	for id := 1; id <= 3; id++ {
+		p.Submit(&fakeTask{scope: sc, run: func() { order = append(order, id) }})
 	}
-	local1, local2 := mk(1), mk(2)
-	remoteOld, remoteNew := mk(3), mk(4)
-	p.Submit(local1, 0)
-	p.Submit(local2, 0)
-	p.Submit(remoteOld, 1)
-	p.Submit(remoteNew, 1)
-
 	sc.Exit()
-	sc.Drain(0) // drain as a domain-0 executor
+	drainWithin(t, sc, 10*time.Second)
 
-	// Local LIFO: 2 then 1. Remote FIFO: 3 then 4.
-	want := []int{2, 1, 3, 4}
+	want := []int{3, 2, 1}
+	if len(order) != len(want) {
+		t.Fatalf("pop order %v, want %v", order, want)
+	}
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("pop order %v, want %v", order, want)
 		}
 	}
-	st := p.Stats()
-	if st.LocalSteals != 2 || st.RemoteSteals != 2 {
-		t.Fatalf("local=%d remote=%d; want 2/2", st.LocalSteals, st.RemoteSteals)
-	}
-	for _, tt := range []*fakeTask{local1, local2} {
-		if tt.ranDom.Load() != 0 {
-			t.Fatalf("local task ran in domain %d, want 0", tt.ranDom.Load())
-		}
-	}
-}
-
-// A domain-pinned Serve executor prefers its own domain's queue even
-// when another domain's tasks were submitted earlier.
-func TestServeDomainPrefersLocal(t *testing.T) {
-	p := NewPoolDomains(2)
-	sc := p.NewScope()
-	sc.Enter()
-
-	var first atomic.Int32
-	remote := &fakeTask{scope: sc, run: func() { first.CompareAndSwap(0, 1) }}
-	local := &fakeTask{scope: sc, run: func() { first.CompareAndSwap(0, 2) }}
-	p.Submit(remote, 0) // earlier, wrong domain
-	p.Submit(local, 1)  // later, the executor's domain
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		p.ServeDomain(1)
-	}()
-	sc.Exit()
-	sc.Drain(1)
-	p.Close()
-	<-done
-
-	if first.Load() != 2 {
-		t.Fatal("domain-1 executor did not run its local task first")
-	}
 }
 
 // Serve executors drain tasks from many scopes and exit on Close; every
-// ledger ends at zero even under churn — here across a multi-domain
-// pool with round-robin submitter domains. Run with -race via make
+// ledger ends at zero even under churn. Run with -race via make
 // test-race: this is the cross-scope counterpart of the engine-level
 // donation race tests.
 func TestManyScopesManyExecutorsRace(t *testing.T) {
-	p := NewPoolDomains(3)
+	p := NewPool()
 	const executors = 4
 	var serveWG sync.WaitGroup
 	for i := 0; i < executors; i++ {
@@ -230,15 +182,14 @@ func TestManyScopesManyExecutorsRace(t *testing.T) {
 	var driverWG sync.WaitGroup
 	for d := 0; d < 6; d++ {
 		driverWG.Add(1)
-		go func(d int) {
+		go func() {
 			defer driverWG.Done()
-			dom := p.AssignDomain()
 			sc := p.NewScope()
 			sc.Enter()
 			for i := 0; i < 50; i++ {
 				if p.Hungry() && p.Wanted() {
 					total.Add(1)
-					p.Submit(&fakeTask{scope: sc, run: func() { ran.Add(1) }}, dom)
+					p.Submit(&fakeTask{scope: sc, run: func() { ran.Add(1) }})
 				} else {
 					// Branch locally: the work happens either way.
 					total.Add(1)
@@ -246,8 +197,8 @@ func TestManyScopesManyExecutorsRace(t *testing.T) {
 				}
 			}
 			sc.Exit()
-			sc.Drain(dom)
-		}(d)
+			sc.Drain()
+		}()
 	}
 	driverWG.Wait()
 	p.Close()
@@ -258,52 +209,4 @@ func TestManyScopesManyExecutorsRace(t *testing.T) {
 	if p.Pending() != 0 {
 		t.Fatalf("%d tasks leaked in the queue", p.Pending())
 	}
-	st := p.Stats()
-	if st.LocalSteals+st.RemoteSteals != st.Steals {
-		t.Fatalf("steal split %d+%d != total %d", st.LocalSteals, st.RemoteSteals, st.Steals)
-	}
-}
-
-// The speculation ledger: admission requires an idle executor and no
-// outstanding speculation; every start resolves as exactly one win or
-// cancel.
-func TestSpecLedgerAdmission(t *testing.T) {
-	p := NewPool(4)
-	l := p.NewSpecLedger()
-
-	if l.TryStart() {
-		t.Fatal("speculation admitted with no idle executor")
-	}
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		p.Serve()
-	}()
-	for !p.Hungry() {
-		runtime.Gosched()
-	}
-
-	if !l.TryStart() {
-		t.Fatal("speculation rejected despite an idle executor")
-	}
-	if l.TryStart() {
-		t.Fatal("second speculation admitted while one is outstanding")
-	}
-	l.Win()
-	if !l.TryStart() {
-		t.Fatal("speculation rejected after the previous one resolved")
-	}
-	l.Cancel()
-	if s, w, c := l.Stats(); s != 2 || w != 1 || c != 1 {
-		t.Fatalf("ledger stats %d/%d/%d; want starts=2 wins=1 cancels=1", s, w, c)
-	}
-	// Resolving with nothing outstanding must not corrupt the ledger.
-	l.Cancel()
-	if s, w, c := l.Stats(); s != 2 || w != 1 || c != 1 {
-		t.Fatalf("spurious resolve changed stats to %d/%d/%d", s, w, c)
-	}
-
-	p.Close()
-	<-done
 }

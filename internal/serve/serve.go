@@ -41,7 +41,7 @@
 //	    /metrics is how an operator spots that.
 //
 // Everything is exported through Server.Handler, so tests and the
-// in-process load generator (internal/bench -exp serve) drive the
+// benchmark's in-process serve-mixed workload (perfbench) drive the
 // exact code path cmd/mfcd listens with.
 package serve
 

@@ -3,7 +3,10 @@ package session
 import (
 	"runtime"
 	"testing"
+	"time"
 
+	"fairclique/internal/bounds"
+	"fairclique/internal/core"
 	"fairclique/internal/graph"
 	"fairclique/internal/rng"
 	"fairclique/internal/sched"
@@ -31,6 +34,15 @@ func starvedSession(seed uint64, n int) *graph.Graph {
 		}
 	}
 	return b.Build()
+}
+
+// waitParked blocks until n executors of the pool are parked hungry,
+// so the next search's first donation check sees idle capacity
+// deterministically.
+func waitParked(pool *sched.Pool, n int) {
+	for pool.Idle() != n {
+		runtime.Gosched()
+	}
 }
 
 // The session-lifetime worker set: the Workers-1 persistent executors
@@ -83,7 +95,7 @@ func TestSharedPoolStealHandshakeFromReleasedWorker(t *testing.T) {
 	want := independent(t, g, q, Options{})
 
 	s := New(g, Options{})
-	pool := sched.NewPool(2)
+	pool := sched.NewPool()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -93,7 +105,7 @@ func TestSharedPoolStealHandshakeFromReleasedWorker(t *testing.T) {
 		runtime.Gosched()
 	}
 
-	res, err := s.find(q, 1, pool, nil, 0)
+	res, err := s.find(q, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,40 +196,239 @@ func TestGridSharedPoolCrossCellSteals(t *testing.T) {
 	}
 }
 
-// The StaticGridSplit escape hatch (the measured baseline of
-// benchmark -exp sched) must answer every cell exactly like the shared
-// pool and like independent queries, and must not touch the pool
-// counters.
-func TestGridStaticSplitMatchesSharedPool(t *testing.T) {
+// The session-lifetime pool survives Apply: the same Workers-1
+// executors serve queries on the pre-delta and post-delta epochs —
+// WorkerReleases stays pinned while PoolSearches and the epoch
+// advance, and the post-delta answer matches a fresh session built on
+// the mutated graph.
+func TestPoolSurvivesApply(t *testing.T) {
+	g := completeGraph(12, 6)
+	s := New(g, Options{Workers: 4})
+	defer s.Close()
+	q := Query{K: 1, Delta: 0}
+
+	res, err := s.Find(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Size() != 12 {
+		t.Fatalf("pre-delta optimum %d, want 12", res.Size())
+	}
+	before := s.Stats()
+	if before.WorkerReleases != 3 || before.PoolSearches != 1 {
+		t.Fatalf("pre-delta releases/searches = %d/%d, want 3/1",
+			before.WorkerReleases, before.PoolSearches)
+	}
+
+	if _, err := s.Apply(&graph.Delta{DelEdges: [][2]int32{{0, 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	res, err = s.Find(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := independent(t, s.Graph(), q, Options{})
+	if res.Size() != want.Size() {
+		t.Fatalf("post-delta session %d, fresh %d", res.Size(), want.Size())
+	}
+	st := s.Stats()
+	if st.WorkerReleases != 3 {
+		t.Fatalf("Apply changed WorkerReleases to %d; the pool must survive the epoch swap", st.WorkerReleases)
+	}
+	if st.PoolSearches != before.PoolSearches+1 {
+		t.Fatalf("post-delta Find did not draw on the shared pool: %d searches", st.PoolSearches)
+	}
+	if st.Epoch == before.Epoch {
+		t.Fatal("Apply did not advance the epoch")
+	}
+}
+
+// Single-cell Find draws on the session pool: released executors steal
+// the lone cell's donated subtrees. The executors are parked before
+// the query starts, so the search's first donation check
+// deterministically sees a hungry peer; every donation must be matched
+// by an executed steal, and repeats of the solved cell are dominance
+// skips costing a tiny constant of allocations.
+func TestFindDrawsOnSessionPool(t *testing.T) {
+	g := starvedSession(3, 72)
+	q := Query{K: 1, Delta: 60}
+	want := independent(t, g, q, Options{})
+
+	s := New(g, Options{Workers: 4})
+	defer s.Close()
+	waitParked(s.sharedPool(), 3)
+
+	res, err := s.Find(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Size() != want.Size() {
+		t.Fatalf("pooled Find %d, independent %d", res.Size(), want.Size())
+	}
+	st := s.Stats()
+	if st.PoolSearches != 1 || st.WorkerReleases != 3 {
+		t.Fatalf("searches/releases = %d/%d, want 1/3", st.PoolSearches, st.WorkerReleases)
+	}
+	if st.Donations == 0 {
+		t.Fatal("Find never donated despite three parked executors")
+	}
+	if st.Steals != st.Donations {
+		t.Fatalf("%d donations but %d steals; the pool lost or invented work", st.Donations, st.Steals)
+	}
+
+	avg := testing.AllocsPerRun(20, func() {
+		if _, err := s.Find(q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 16 {
+		t.Fatalf("pooled dominance-skip repeat allocates %.1f objects; want a tiny constant", avg)
+	}
+}
+
+// The shared-pool grid differential wall: FindGrid at Workers 4 on the
+// session pool must answer every cell exactly like an independent
+// serial run, across all six Table II bound configurations and all
+// three fairness modes (strong δ = 0, relative δ > 0, weak). Runs
+// under -race via make test-race.
+func TestGridSharedPoolDifferential(t *testing.T) {
+	var qs []Query
+	for k := int32(1); k <= 3; k++ {
+		for d := int32(0); d <= 2; d++ {
+			qs = append(qs, Query{K: k, Delta: d})
+		}
+		qs = append(qs, Query{K: k, Weak: true})
+	}
 	for seed := uint64(0); seed < 3; seed++ {
-		g := random(seed, 36, 0.4)
-		var qs []Query
-		for k := int32(1); k <= 3; k++ {
-			for d := int32(0); d <= 2; d++ {
-				qs = append(qs, Query{K: k, Delta: d})
+		g := random(seed, 34, 0.4)
+		for _, extra := range bounds.Extras() {
+			opt := Options{UseBounds: true, Extra: extra, UseHeuristic: true, Workers: 4}
+			s := New(g, opt)
+			rs, err := s.FindGrid(qs)
+			st := s.Stats()
+			s.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.PoolSearches == 0 {
+				t.Fatalf("seed=%d extra=%v: the grid never ran on the shared pool", seed, extra)
+			}
+			for i, q := range qs {
+				iq := q
+				if iq.Weak {
+					iq.Weak, iq.Delta = false, g.N() // weak = unconstrained balance
+				}
+				want := independent(t, g, iq, Options{UseBounds: true, Extra: extra, UseHeuristic: true})
+				if rs[i].Size() != want.Size() {
+					t.Fatalf("seed=%d extra=%v (k=%d, δ=%d, weak=%v): shared pool %d, independent %d",
+						seed, extra, q.K, q.Delta, q.Weak, rs[i].Size(), want.Size())
+				}
+				if rs[i].Size() > 0 && !g.IsFairClique(rs[i].Clique, int(iq.K), int(iq.Delta)) {
+					t.Fatalf("seed=%d extra=%v (k=%d, δ=%d, weak=%v): invalid clique from the shared pool",
+						seed, extra, q.K, q.Delta, q.Weak)
+				}
 			}
 		}
-		static := New(g, Options{Workers: 4, StaticGridSplit: true})
-		shared := New(g, Options{Workers: 4})
-		rsStatic, err := static.FindGrid(qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rsShared, err := shared.FindGrid(qs)
-		shared.Close()
-		static.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, q := range qs {
-			want := independent(t, g, q, Options{})
-			if rsStatic[i].Size() != want.Size() || rsShared[i].Size() != want.Size() {
-				t.Fatalf("seed=%d (k=%d, δ=%d): static %d, shared %d, independent %d",
-					seed, q.K, q.Delta, rsStatic[i].Size(), rsShared[i].Size(), want.Size())
+	}
+}
+
+// ringWithCore is one component of n > smallComponentLimit vertices: a
+// ring with alternating attributes plus a random dense core on its
+// first 30 vertices. Searched without reduction, it takes the private
+// root split when Workers > 1 and no pool is available.
+func ringWithCore(seed uint64, n int) *graph.Graph {
+	r := rng.New(seed)
+	b := graph.NewBuilder(n)
+	for v := 0; v < n; v++ {
+		b.SetAttr(int32(v), graph.Attr(v%2))
+		b.AddEdge(int32(v), int32((v+1)%n))
+	}
+	for u := 0; u < 30; u++ {
+		for v := u + 2; v < 30; v++ {
+			if r.Bool(0.6) {
+				b.AddEdge(int32(u), int32(v))
 			}
 		}
-		if st := static.Stats(); st.Steals != 0 || st.WorkerReleases != 0 {
-			t.Fatalf("seed=%d: static split touched the pool counters: %+v", seed, st)
+	}
+	return b.Build()
+}
+
+// A closed session answers every query on the private split with its
+// full Workers budget: a Workers: 4 session closed before its first
+// query must answer Find, FindGrid and Enumerate exactly like an
+// independent serial run, never touch the shared pool, and leave no
+// goroutine running after any call. The one-shot public Find relies
+// on this contract.
+func TestClosedSessionRunsPrivateSplit(t *testing.T) {
+	g := ringWithCore(4, 1200)
+	opt := Options{UseBounds: true, Extra: bounds.ColorfulDegeneracy, UseHeuristic: true, SkipReduction: true}
+	var qs []Query
+	for k := int32(1); k <= 3; k++ {
+		for d := int32(0); d <= 2; d++ {
+			qs = append(qs, Query{K: k, Delta: d})
 		}
+	}
+
+	base := runtime.NumGoroutine()
+	settled := func(call string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s left %d goroutines running, baseline %d", call, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	check := func(call string, q Query, got *core.Result) {
+		t.Helper()
+		want := independent(t, g, q, opt)
+		if got.Size() != want.Size() {
+			t.Fatalf("%s (k=%d, δ=%d): closed session %d, independent %d", call, q.K, q.Delta, got.Size(), want.Size())
+		}
+		if got.Size() > 0 && !g.IsFairClique(got.Clique, int(q.K), int(q.Delta)) {
+			t.Fatalf("%s (k=%d, δ=%d): invalid clique", call, q.K, q.Delta)
+		}
+	}
+
+	par := opt
+	par.Workers = 4
+	s := New(g, par)
+	s.Close()
+
+	res, err := s.Find(qs[4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Find", qs[4], res)
+	settled("Find")
+
+	rs, err := s.FindGrid(qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range qs {
+		check("FindGrid", q, rs[i])
+	}
+	settled("FindGrid")
+
+	eq := Query{K: 2, Delta: 1, Kind: KindEnumerateAll}
+	set, err := s.Enumerate(eq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := New(g, opt)
+	want, err := serial.Enumerate(eq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Cliques) == 0 || !eqCliqueSets(set.Cliques, want.Cliques) {
+		t.Fatalf("Enumerate: closed session %v, independent serial %v", set.Cliques, want.Cliques)
+	}
+	settled("Enumerate")
+
+	if st := s.Stats(); st.PoolSearches != 0 || st.WorkerReleases != 0 || st.Steals != 0 {
+		t.Fatalf("closed session touched the shared pool: %d searches, %d releases, %d steals",
+			st.PoolSearches, st.WorkerReleases, st.Steals)
 	}
 }

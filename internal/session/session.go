@@ -108,21 +108,16 @@ type Options struct {
 	// MaxNodes caps the branch nodes of each individual query (0 =
 	// unlimited). Aborted queries stay out of the monotonicity table.
 	MaxNodes int64
-	// Workers is the total branching parallelism. A single Find uses
-	// all of it inside the query (root split + donation); FindGrid
-	// turns it into executors of one shared work-stealing pool
-	// (internal/sched): one executor drives the cells in chain order
-	// and the other Workers-1 steal donated subtrees from whichever
-	// cell is branching, across cell boundaries — so a dominance-skipped
-	// cell costs nothing and no worker is ever stranded behind a cheap
-	// cell.
+	// Workers is the total branching parallelism. With Workers > 1 the
+	// session turns it into executors of one shared work-stealing pool
+	// (internal/sched): the querying goroutine drives each search —
+	// FindGrid drives its cells in chain order — and the other
+	// Workers-1 steal donated subtrees from whichever search is
+	// branching, across cell boundaries, so a dominance-skipped cell
+	// costs nothing and no worker is ever stranded behind a cheap cell.
+	// After Close each query splits Workers privately instead (see
+	// Session).
 	Workers int
-	// StaticGridSplit reverts FindGrid to the pre-scheduler behavior:
-	// the Workers budget is sliced statically across min(Workers,
-	// cells) concurrent cells and finished cells' workers idle instead
-	// of stealing. It exists as the measured baseline for the shared
-	// pool (benchmark -exp sched) and as an escape hatch.
-	StaticGridSplit bool
 	// MaxPreparedK bounds the number of distinct k values whose
 	// prepared state (reduction snapshot + component machinery) is kept
 	// warm; the least recently used is evicted beyond the cap and
@@ -131,40 +126,7 @@ type Options struct {
 	// MaxPoolSeeds bounds the warm-start clique pool; the smallest
 	// pooled cliques are dropped first beyond the cap. 0 = unlimited.
 	MaxPoolSeeds int
-	// Speculation selects the chain-strength-aware speculation policy
-	// for grid chains driven on the shared pool (see the Speculation
-	// constants). The zero value is SpecAuto.
-	Speculation Speculation
 }
-
-// Speculation is the FindGrid look-ahead policy. The dominance chain is
-// normally driven strictly sequentially — a stricter cell started
-// before the looser cell that bounds it was measured to branch 2.4× the
-// nodes on a strong chain. Speculation recovers concurrency exactly
-// where that measurement does not apply: when the chain is *weak* (the
-// inherited bound sits far above the best pooled seed, so the
-// predecessor's answer is unlikely to dominance-skip the cell anyway),
-// the next cell is launched on an idle executor while its predecessor
-// is still branching, wired through core.Injector so the predecessor's
-// answer is bound/seed-injected into it the moment it lands — or the
-// speculated search is cancelled outright if that answer proves the
-// cell skippable. Cancelled/inexact speculative results are quarantined
-// exactly like anytime results (never pooled, tabled, or broadcast).
-type Speculation int
-
-const (
-	// SpecAuto speculates only on weak chains with a known bound:
-	// cells whose inherited upper bound is more than twice the best
-	// pooled seed. Cold chains (no bound yet) stay sequential — that is
-	// where the 2.4× blow-up was measured.
-	SpecAuto Speculation = iota
-	// SpecOff never speculates: the chain is strictly sequential.
-	SpecOff
-	// SpecForce speculates on every non-skippable cell with an idle
-	// executor, bound or no bound. Answers remain exact (the fuzz wall
-	// runs with SpecForce); intended for tests and ablations.
-	SpecForce
-)
 
 // Query is one (k, δ) cell. Strong fairness is δ = 0; weak fairness
 // (no balance constraint) is requested with Weak, which resolves δ to
@@ -246,21 +208,17 @@ type Stats struct {
 	// executor is released exactly once, so a WorkerReleases that stays
 	// at Workers-1 across many queries is the worker-reuse receipt.
 	Steals, CrossCellSteals, WorkerReleases int64
-	// LocalSteals/RemoteSteals split Steals by locality domain: tasks
-	// popped LIFO from the executor's own domain (cache-hot) vs taken
-	// FIFO from a remote domain (see internal/sched).
-	LocalSteals, RemoteSteals int64
 	// PoolSearches counts searches that drew on the session-lifetime
 	// shared pool — Find calls, FindGrid cells and post-Apply requeries
 	// alike.
 	PoolSearches int64
-	// SpeculativeStarts/Wins/Cancels count chain-strength-aware
-	// speculation: cells of a weak dominance chain launched on idle
-	// executors ahead of their predecessor (starts), whose exact result
-	// was committed (wins), or which were cancelled / came back inexact
-	// and were quarantined (cancels). starts == wins + cancels when no
-	// speculation is in flight.
-	SpeculativeStarts, SpeculativeWins, SpeculativeCancels int64
+	// SpeculativeStarts and SpeculativeWins are always 0.
+	//
+	// Deprecated: grid speculation was removed because it never paid
+	// for itself. The fields stay because the benchmark harness
+	// (perfbench/layers.go, whose files define the benchmark) reads
+	// both.
+	SpeculativeStarts, SpeculativeWins int64
 	// BridgeSeeds counts warm-start cliques grown around bridge inserts
 	// by Apply: when an inserted edge merges two components, a greedy
 	// clique over the edge's common neighborhood — preferring vertices
@@ -326,7 +284,11 @@ type epoch struct {
 // is safe for concurrent use, including queries racing an Apply.
 // Sessions with Workers > 1 own a lazily created session-lifetime
 // worker pool; call Close when done with such a session to shut its
-// executors down (queries after Close still work, serially).
+// executors down. Queries after Close still work: each runs on the
+// private split with the full Workers budget — the root branches of
+// every large component split across Workers goroutines of its own,
+// the small components fanned out one per goroutine — and never
+// touches the pool.
 type Session struct {
 	opt Options
 
@@ -341,12 +303,10 @@ type Session struct {
 	// lazily at the first parallel query and serving every search until
 	// Close — Find, FindGrid cells, and requeries after Apply all draw
 	// from it (the pool is epoch-independent: tasks carry their own
-	// epoch's state, so Apply never touches it). spec is the
-	// speculation admission ledger riding the same pool.
+	// epoch's state, so Apply never touches it).
 	poolMu sync.Mutex
 	pool   *sched.Pool
 	poolWG sync.WaitGroup
-	spec   *sched.SpecLedger
 	closed bool
 
 	// running registers every search currently branching, keyed by its
@@ -386,10 +346,10 @@ func (s *Session) Graph() *graph.Graph { return s.cur.Load().g }
 
 // sharedPool returns the session-lifetime worker pool, creating it —
 // and launching its Workers-1 persistent executors — on first use. Nil
-// when the session is serial (Workers <= 1), configured for the static
-// split baseline, or closed; callers then run the private code path.
+// when the session is serial (Workers <= 1) or closed; callers then
+// run the private code path.
 func (s *Session) sharedPool() *sched.Pool {
-	if s.opt.Workers <= 1 || s.opt.StaticGridSplit {
+	if s.opt.Workers <= 1 {
 		return nil
 	}
 	s.poolMu.Lock()
@@ -398,8 +358,7 @@ func (s *Session) sharedPool() *sched.Pool {
 		return nil
 	}
 	if s.pool == nil {
-		s.pool = sched.NewPool(s.opt.Workers)
-		s.spec = s.pool.NewSpecLedger()
+		s.pool = sched.NewPool()
 		for c := 1; c < s.opt.Workers; c++ {
 			s.poolWG.Add(1)
 			go func() {
@@ -420,8 +379,8 @@ func (s *Session) sharedPool() *sched.Pool {
 // Close shuts down the session-lifetime worker pool and waits for its
 // executors to exit. Idempotent and safe to call on a session that
 // never went parallel. The session stays usable afterwards — queries
-// simply run without the shared pool — so Close is a resource release,
-// not a poisoning.
+// run on the private split with the full Workers budget (see Session)
+// — so Close is a resource release, not a poisoning.
 func (s *Session) Close() {
 	s.poolMu.Lock()
 	already := s.closed
@@ -460,27 +419,19 @@ func (s *Session) Find(q Query) (*core.Result, error) {
 	if q.Kind != KindFind {
 		return nil, fmt.Errorf("session: Find answers KindFind queries; use Enumerate for Kind %d", q.Kind)
 	}
-	if pool := s.sharedPool(); pool != nil {
-		return s.find(q, 1, pool, nil, 0)
-	}
-	workers := s.opt.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	return s.find(q, workers, nil, nil, 0)
+	return s.find(q, s.sharedPool())
 }
 
 // FindGrid answers a batch of cells and returns results aligned with
 // qs. Cells are scheduled k-ascending then δ-descending so each solved
-// cell bounds and seeds the stricter ones; the schedule is driven in
-// that order by one executor while the remaining Workers-1 executors
-// steal donated subtrees from whichever cell is branching through the
-// shared pool — every cell is searched by the whole budget, the
-// dominance chain stays intact, and a skipped cell strands no workers
-// (Options.StaticGridSplit restores the old static Workers/cells
-// slicing across concurrent cells). Every cell gets its own incumbent;
-// the shared monotonicity table and clique pool are read at cell
-// start.
+// cell bounds and seeds the stricter ones, and driven strictly in that
+// order by the calling goroutine. On a parallel session the remaining
+// Workers-1 executors of the shared pool steal donated subtrees from
+// whichever cell is branching, so every cell is searched by the whole
+// budget, the dominance chain stays intact, and a skipped cell strands
+// no workers; without a pool (a serial or closed session) each cell
+// runs on the private split. Every cell gets its own incumbent; the
+// shared monotonicity table and clique pool are read at cell start.
 func (s *Session) FindGrid(qs []Query) ([]*core.Result, error) {
 	for _, q := range qs {
 		if err := validate(q); err != nil {
@@ -509,100 +460,16 @@ func (s *Session) FindGrid(qs []Query) ([]*core.Result, error) {
 		return da > db
 	})
 
-	workers := s.opt.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	cells := workers
-	if cells > len(qs) {
-		cells = len(qs)
-	}
-
+	// Cells run strictly in chain order: measurements on the
+	// bigcomp-giant grid showed that running cells concurrently costs
+	// 2.4x the branch nodes on a strong chain, because a stricter cell
+	// that starts before the looser cell that would bound and seed it
+	// branches a full tree instead of dominance-skipping.
 	results := make([]*core.Result, len(qs))
 	errs := make([]error, len(qs))
 	pool := s.sharedPool()
-	switch {
-	case pool != nil:
-		// Session-global work stealing on the lifetime pool. Cells are
-		// driven strictly in chain order (k-ascending, δ-descending) —
-		// measurements on the bigcomp-giant grid showed that running
-		// cells concurrently costs 2.4x the branch nodes on a strong
-		// chain, because a stricter cell that starts before the looser
-		// cell that would bound and seed it branches a full tree instead
-		// of dominance-skipping. The persistent Workers-1 executors
-		// steal donated subtrees from whichever cell is branching, so
-		// every cell is searched by the whole budget and a
-		// dominance-skipped cell strands nobody. On *weak* chains — the
-		// inherited bound far above the best seed, so the predecessor's
-		// answer will not skip the cell anyway — the next cell is
-		// additionally speculated onto an idle executor (see
-		// Speculation); its predecessor's resolution bound-injects or
-		// cancels it through the wired Injector.
-		var sp *specRun
-		for pos := 0; pos < len(order); pos++ {
-			i := order[pos]
-			if sp != nil && sp.idx == i {
-				res, err, ok := s.resolveSpec(sp, qs[i])
-				sp = nil
-				if ok {
-					results[i], errs[i] = res, err
-					continue
-				}
-				// Cancelled or inexact: quarantined; drive the cell
-				// normally below (usually a cheap dominance skip now).
-			}
-			if sp == nil && pos+1 < len(order) {
-				j := order[pos+1]
-				if s.specAdmit(qs[j]) {
-					sp = s.launchSpec(qs[j], j, pool)
-				}
-			}
-			results[i], errs[i] = s.find(qs[i], 1, pool, nil, 0)
-		}
-		if sp != nil {
-			// A trailing speculation with no successor iteration (its
-			// predecessor errored out of order): resolve it anyway so the
-			// ledger never leaks an outstanding entry.
-			if res, err, ok := s.resolveSpec(sp, qs[sp.idx]); ok {
-				results[sp.idx], errs[sp.idx] = res, err
-			}
-		}
-	case cells <= 1 || !s.opt.StaticGridSplit:
-		// No shared pool (serial session, or one already closed): each
-		// cell runs with the full private Workers budget, still in
-		// chain order.
-		for _, i := range order {
-			results[i], errs[i] = s.find(qs[i], workers, nil, nil, 0)
-		}
-	case s.opt.StaticGridSplit:
-		// Baseline scheduler: the Workers budget is sliced across the
-		// concurrent cells up front. A cell that finishes early strands
-		// its share until the next cell is dequeued — the stranding the
-		// shared pool below exists to eliminate; kept as the measured
-		// A/B reference and escape hatch.
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for c := 0; c < cells; c++ {
-			// Split the whole budget: the first workers%cells runners
-			// carry one extra worker so none of the requested
-			// parallelism is stranded by integer division.
-			perCell := workers / cells
-			if c < workers%cells {
-				perCell++
-			}
-			wg.Add(1)
-			go func(perCell int) {
-				defer wg.Done()
-				for i := range jobs {
-					results[i], errs[i] = s.find(qs[i], perCell, nil, nil, 0)
-				}
-			}(perCell)
-		}
-		for _, i := range order {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
+	for _, i := range order {
+		results[i], errs[i] = s.find(qs[i], pool)
 	}
 	for _, err := range errs {
 		if err != nil {
@@ -623,20 +490,15 @@ func (s *Session) Stats() Stats {
 	st.Epoch = e.id
 	// The scheduler counters live on the session-lifetime pool (they
 	// are cumulative across every search it ever served, surviving
-	// Apply and Close); the speculation counters on its ledger.
+	// Apply and Close).
 	s.poolMu.Lock()
-	pool, led := s.pool, s.spec
+	pool := s.pool
 	s.poolMu.Unlock()
 	if pool != nil {
 		ps := pool.Stats()
 		st.Steals += ps.Steals
 		st.CrossCellSteals += ps.CrossCellSteals
-		st.LocalSteals += ps.LocalSteals
-		st.RemoteSteals += ps.RemoteSteals
 		st.WorkerReleases += ps.Releases
-	}
-	if led != nil {
-		st.SpeculativeStarts, st.SpeculativeWins, st.SpeculativeCancels = led.Stats()
 	}
 	st.ReductionBuilds += base.Builds
 	st.ReductionChained += base.Chained
@@ -655,11 +517,10 @@ func (s *Session) Stats() Stats {
 // bound lookup, prepared state, result registration — happens against
 // it, so a concurrent Apply never mixes two graphs inside one query.
 // With pool non-nil the search runs in shared-pool mode: the calling
-// goroutine branches serially (in locality domain dom) and donates
-// subtrees to hungry pool executors instead of spawning its own
-// workers. inj, when non-nil, is the caller's pre-wired Injector (the
-// speculation path cancels through it); nil allocates a fresh one.
-func (s *Session) find(q Query, workers int, pool *sched.Pool, inj *core.Injector, dom int) (*core.Result, error) {
+// goroutine branches serially and donates subtrees to hungry pool
+// executors instead of spawning its own workers. With pool nil it runs
+// on the private split with the full Workers budget.
+func (s *Session) find(q Query, pool *sched.Pool) (*core.Result, error) {
 	e := s.cur.Load()
 	if q.Weak {
 		q.Delta = e.g.N() // no balance constraint at this epoch's size
@@ -702,12 +563,11 @@ func (s *Session) find(q Query, workers int, pool *sched.Pool, inj *core.Injecto
 		UseHeuristic: s.opt.UseHeuristic && seed == nil,
 		MaxNodes:     maxNodes,
 		Deadline:     q.Deadline,
-		Workers:      workers,
+		Workers:      s.opt.Workers,
 	}
 	if pool != nil {
 		opt.Workers = 1 // parallelism comes from the pool's executors
 		opt.Pool = pool
-		opt.PoolDomain = dom
 		s.mu.Lock()
 		s.stats.PoolSearches++
 		s.mu.Unlock()
@@ -720,11 +580,8 @@ func (s *Session) find(q Query, workers int, pool *sched.Pool, inj *core.Injecto
 	// search: concurrently finishing cells push proven bounds and valid
 	// incumbents straight into it (broadcast), instead of only seeding
 	// searches that start later.
-	if inj == nil {
-		inj = core.NewInjector()
-	}
-	opt.Injector = inj
-	rs := &runningSearch{q: q, epoch: e.id, inj: inj}
+	opt.Injector = core.NewInjector()
+	rs := &runningSearch{q: q, epoch: e.id, inj: opt.Injector}
 	s.runMu.Lock()
 	if s.running == nil {
 		s.running = make(map[*runningSearch]struct{})
@@ -763,116 +620,6 @@ func (s *Session) find(q Query, workers int, pool *sched.Pool, inj *core.Injecto
 		s.broadcast(e, q, res)
 	}
 	return res, nil
-}
-
-// specRun is one in-flight speculative cell: the next cell of a weak
-// dominance chain launched on an idle executor ahead of its
-// predecessor. inj is wired into the speculated search, so the driver
-// can cancel it; because the search also registers in the running map,
-// the predecessor's broadcast bound/seed-injects it automatically.
-type specRun struct {
-	idx  int // index into the caller's qs
-	inj  *core.Injector
-	done chan struct{}
-	res  *core.Result
-	err  error
-}
-
-// specAdmit decides whether the given cell should be speculated,
-// combining the chain-strength score with the ledger's admission
-// check (an executor must be idle; at most one speculation
-// outstanding). The score is the GridTable/clique-pool spread: the
-// inherited upper bound minus the best pooled seed. A cell whose bound
-// already proves it skippable is never speculated (the sequential skip
-// is free); a cell with no inherited bound is a cold chain and stays
-// sequential under SpecAuto — the 2.4× node blow-up that killed
-// cell-level concurrency was measured exactly there.
-func (s *Session) specAdmit(q Query) bool {
-	if s.opt.Speculation == SpecOff {
-		return false
-	}
-	if q.MaxNodes > 0 || !q.Deadline.IsZero() || s.opt.MaxNodes > 0 {
-		// Anytime cells stay sequential: a budgeted speculative run
-		// would come back inexact, be quarantined, and re-run — paying
-		// the budget twice for nothing.
-		return false
-	}
-	e := s.cur.Load()
-	if q.Weak {
-		q.Delta = e.g.N()
-	}
-	e.mu.Lock()
-	ub, haveUB := e.table.UpperBound(q.K, q.Delta)
-	seed := bestSeedLocked(e, q)
-	e.mu.Unlock()
-	if haveUB && (ub < 2*q.K || int32(len(seed)) == ub) {
-		return false // skippable: sequential answers it with zero branching
-	}
-	weak := false
-	switch {
-	case s.opt.Speculation == SpecForce:
-		weak = true
-	case !haveUB:
-		weak = false // cold chain: strictly sequential
-	default:
-		weak = ub > 2*int32(len(seed)) // bound far above the seed
-	}
-	if !weak {
-		return false
-	}
-	return s.spec.TryStart()
-}
-
-// launchSpec starts the admitted cell on its own driver goroutine,
-// drawing on the same shared pool (in a fresh locality domain, so its
-// donations do not interleave with the predecessor's cache-hot queue).
-// The caller resolves the run via resolveSpec.
-func (s *Session) launchSpec(q Query, idx int, pool *sched.Pool) *specRun {
-	sp := &specRun{idx: idx, inj: core.NewInjector(), done: make(chan struct{})}
-	dom := pool.AssignDomain()
-	go func() {
-		defer close(sp.done)
-		sp.res, sp.err = s.find(q, 1, pool, sp.inj, dom)
-	}()
-	return sp
-}
-
-// resolveSpec settles a speculation when the chain driver reaches its
-// cell: if the predecessor's (now recorded) answer proves the cell
-// skippable, the speculated search is cancelled; otherwise the driver
-// waits for it. An exact speculative result is committed as the cell's
-// answer (win). A cancelled or otherwise inexact result was already
-// quarantined by find's registration guard — exactly like an anytime
-// abort, it entered neither the table nor the pool — and ok = false
-// tells the driver to run the cell normally, which typically
-// dominance-skips on the predecessor's fresh bound.
-func (s *Session) resolveSpec(sp *specRun, q Query) (res *core.Result, err error, ok bool) {
-	e := s.cur.Load()
-	if q.Weak {
-		q.Delta = e.g.N()
-	}
-	e.mu.Lock()
-	ub, haveUB := e.table.UpperBound(q.K, q.Delta)
-	seed := bestSeedLocked(e, q)
-	e.mu.Unlock()
-	if haveUB && (ub < 2*q.K || int32(len(seed)) == ub) {
-		// The predecessor resolved the cell: the running speculation is
-		// wasted work now. (Its search may still finish exact first —
-		// an injected bound can beat the cancel — in which case the
-		// result is committed below anyway.)
-		sp.inj.Cancel()
-	}
-	<-sp.done
-	if sp.err != nil {
-		s.spec.Cancel()
-		return nil, sp.err, true
-	}
-	if sp.res.Stats.Aborted {
-		s.spec.Cancel()
-		return nil, nil, false
-	}
-	s.spec.Win()
-	return sp.res, nil, true
 }
 
 // broadcast pushes a fresh exact answer into every search still running
