@@ -231,6 +231,10 @@ func IngestBench(cfg Config, graphDir string) (res IngestBenchResult, err error)
 	if err := sameIngestGraph(want, g); err != nil {
 		return res, fmt.Errorf("ingested graph differs from generator output (stale cache? delete %s): %w", edgePath, err)
 	}
+	if st.RunsSpilled == 0 {
+		return res, fmt.Errorf("ingest bench: the builder spilled no runs (chunk %d edges, %d edges read), so the record would not measure the spill path",
+			chunk, st.EdgesRead)
+	}
 	res.Vertices, res.Edges = st.Vertices, st.Edges
 	res.Stream = *st
 	res.IngestEdgesPerSec = float64(st.EdgesRead) / res.IngestSeconds

@@ -35,6 +35,9 @@ func TestIngestBenchSmoke(t *testing.T) {
 	if res.BestSize != ingestPlantSize {
 		t.Fatalf("BestSize = %d, want the planted %d", res.BestSize, ingestPlantSize)
 	}
+	if res.Stream.RunsSpilled == 0 {
+		t.Fatalf("the builder did not spill: %+v", res.Stream)
+	}
 	if res.MemRatio <= 0 || res.MemRatio >= 2 {
 		t.Fatalf("streaming mem ratio %.3f outside (0, 2)", res.MemRatio)
 	}

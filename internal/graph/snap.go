@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 )
 
@@ -36,10 +37,13 @@ func parseSnapInt(s []byte, i int) (int64, int, error) {
 	start := i
 	var v int64
 	for i < len(s) && s[i] >= '0' && s[i] <= '9' {
-		v = v*10 + int64(s[i]-'0')
-		if v < 0 {
+		// v*10 + d overflows iff v > (MaxInt64-d)/10, which needs
+		// v >= MaxInt64/10: test that first to skip the division.
+		d := int64(s[i] - '0')
+		if v >= math.MaxInt64/10 && v > (math.MaxInt64-d)/10 {
 			return 0, i, fmt.Errorf("vertex id overflows int64")
 		}
+		v = v*10 + d
 		i++
 	}
 	if i == start {

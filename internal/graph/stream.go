@@ -1,12 +1,13 @@
 package graph
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"os"
-	"sort"
+	"slices"
 )
 
 // StreamConfig tunes the chunk-sorted two-pass CSR builder. The zero
@@ -56,10 +57,14 @@ type StreamStats struct {
 	RunsSpilled  int   `json:"runs_spilled"`
 	SpilledBytes int64 `json:"spilled_bytes"`
 	// PeakTrackedBytes is the high-water mark of builder-owned memory:
-	// edge buffers, vertex remap state, spill-run read buffers, and the
-	// CSR arrays themselves. It is computed analytically from buffer
-	// sizes (not sampled from the runtime) so it is bit-deterministic
-	// and safe to gate on in CI.
+	// edge buffers, the vertex remap, spill-run block buffers, and the
+	// CSR arrays themselves. The remap is charged what it allocates:
+	// 8+1 B per vertex (external id and attribute), 4 B per id-table
+	// slot (old and new table both while the table grows) and 48 B per
+	// id held by the map; the table and the map are released before
+	// Build allocates the CSR. The figure is computed analytically from
+	// buffer sizes (not sampled from the runtime) so it is
+	// bit-deterministic and safe to gate on in CI.
 	PeakTrackedBytes int64 `json:"peak_tracked_bytes"`
 	// CSRBytes is the size of the finished CSR arrays (offsets,
 	// adjacency, edge ids, canonical edge list, attributes). The
@@ -73,16 +78,29 @@ type StreamStats struct {
 // budget is exceeded the chunks are merged into sorted runs on disk.
 // Build then makes two merge passes over the runs: one to count
 // degrees, one to place adjacency — so peak memory is the CSR plus a
-// bounded edge buffer, not CSR plus the whole edge list.
+// bounded edge buffer, not CSR plus the whole edge list. Every merge,
+// the spill's and Build's, is one tournament over the sorted sources,
+// and spilled runs are read back in spillBufBytes blocks.
 //
 // External vertex ids are arbitrary non-negative int64s; they are
 // remapped to dense int32 ids in first-seen order (stable across runs
-// for the same input order). Self-loops are dropped and duplicate /
-// reversed edges are deduplicated. A StreamBuilder is single-use and
-// not safe for concurrent use.
+// for the same input order). An id below the length of the id table
+// looks its dense id up there with one array load. The table doubles
+// to cover a new id only while it stays within remapSlotsPerVertex
+// slots per vertex interned so far plus remapTableSlack, so one huge
+// id never allocates a huge table; ids past that cap go to a map, and
+// a growth moves the map's ids it covers into the table. The remap is
+// charged 8+1 B per vertex, 4 B per table slot and 48 B per map entry
+// in PeakTrackedBytes. Self-loops are dropped and duplicate / reversed
+// edges are deduplicated. A StreamBuilder is single-use and not safe
+// for concurrent use.
 type StreamBuilder struct {
 	cfg StreamConfig
 
+	// The remap: an id x < len(table) is interned iff table[x] != 0,
+	// with dense id table[x]-1; every other interned id is a key of
+	// remap.
+	table []int32
 	remap map[int64]int32
 	ext   []int64
 	attrs []Attr
@@ -97,14 +115,25 @@ type StreamBuilder struct {
 	done    bool
 }
 
-// spillBufBytes is the buffered-IO size used per spill run during the
-// merge passes (counted in PeakTrackedBytes).
+// spillBufBytes is the block size in which a spill run is written and
+// read back during the merge passes (counted in PeakTrackedBytes).
 const spillBufBytes = 32 << 10
 
-// bytesPerRemapEntry is the deterministic accounting charge for one
-// external vertex: map entry (conservative), ext-id slice entry, and
-// attribute byte.
-const bytesPerRemapEntry = 48 + 8 + 1
+// The deterministic accounting charges of the remap: per interned
+// vertex its external id and attribute byte, per table slot one int32,
+// and per id held by the map a conservative map entry.
+const (
+	bytesPerVertex    = 8 + 1
+	bytesPerTableSlot = 4
+	bytesPerMapEntry  = 48
+)
+
+// remapSlotsPerVertex and remapTableSlack cap the id table at
+// remapSlotsPerVertex*interned + remapTableSlack slots. The slack is a
+// var only so tests can reach the map path with small streams.
+const remapSlotsPerVertex = 16
+
+var remapTableSlack int64 = 1 << 16
 
 // NewStreamBuilder returns a builder with the given configuration.
 func NewStreamBuilder(cfg StreamConfig) *StreamBuilder {
@@ -125,19 +154,58 @@ func (sb *StreamBuilder) track(delta int64) {
 	}
 }
 
+// intern returns the dense id of the non-negative external id ext,
+// assigning the next one if ext is new.
 func (sb *StreamBuilder) intern(ext int64) (int32, error) {
-	if id, ok := sb.remap[ext]; ok {
+	inTable := ext < int64(len(sb.table)) || sb.growTable(ext)
+	if inTable {
+		if id := sb.table[ext]; id != 0 {
+			return id - 1, nil
+		}
+	} else if id, ok := sb.remap[ext]; ok {
 		return id, nil
 	}
 	if len(sb.ext) >= 1<<31-1 {
 		return 0, fmt.Errorf("graph: too many vertices for int32 ids")
 	}
 	id := int32(len(sb.ext))
-	sb.remap[ext] = id
 	sb.ext = append(sb.ext, ext)
 	sb.attrs = append(sb.attrs, AttrA)
-	sb.track(bytesPerRemapEntry)
+	sb.track(bytesPerVertex)
+	if inTable {
+		sb.table[ext] = id + 1
+	} else {
+		sb.remap[ext] = id
+		sb.track(bytesPerMapEntry)
+	}
 	return id, nil
+}
+
+// growTable doubles the id table until it covers ext, unless that
+// would pass the cap, and moves every id of the map that the new table
+// covers into it. It reports whether the table now covers ext.
+func (sb *StreamBuilder) growTable(ext int64) bool {
+	limit := remapSlotsPerVertex*int64(len(sb.ext)) + remapTableSlack
+	if ext >= limit {
+		return false
+	}
+	n := int64(1) << bits.Len64(uint64(ext)) // the least power of two > ext
+	if n > limit {
+		return false
+	}
+	table := make([]int32, n)
+	copy(table, sb.table)
+	sb.track(bytesPerTableSlot * n)
+	for x, id := range sb.remap {
+		if x < n {
+			table[x] = id + 1
+			delete(sb.remap, x)
+			sb.track(-bytesPerMapEntry)
+		}
+	}
+	sb.track(-bytesPerTableSlot * int64(len(sb.table)))
+	sb.table = table
+	return true
 }
 
 // SetAttr records the attribute of the external vertex id, interning it
@@ -203,7 +271,7 @@ func (sb *StreamBuilder) seal() error {
 	chunk := make([]uint64, len(sb.cur))
 	copy(chunk, sb.cur)
 	sb.cur = sb.cur[:0]
-	sort.Slice(chunk, func(i, j int) bool { return chunk[i] < chunk[j] })
+	slices.Sort(chunk)
 	sb.mem = append(sb.mem, chunk)
 	sb.memEdges += len(chunk)
 	sb.track(int64(8 * len(chunk)))
@@ -220,20 +288,12 @@ func (sb *StreamBuilder) spill() error {
 	if err != nil {
 		return fmt.Errorf("graph: spill: %w", err)
 	}
-	w := bufio.NewWriterSize(f, spillBufBytes)
 	sb.track(spillBufBytes)
+	m, err := newMerger(sb.mem, nil)
 	var written int64
-	var buf [8]byte
-	err = sb.mergeMem(func(packed uint64) error {
-		binary.LittleEndian.PutUint64(buf[:], packed)
-		if _, werr := w.Write(buf[:]); werr != nil {
-			return werr
-		}
-		written++
-		return nil
-	})
 	if err == nil {
-		err = w.Flush()
+		written, err = writeRun(f, m)
+		sb.stats.Duplicates += m.dups
 	}
 	sb.track(-spillBufBytes)
 	if err != nil {
@@ -251,121 +311,192 @@ func (sb *StreamBuilder) spill() error {
 	return nil
 }
 
-// mergeMem streams the union of the sealed in-memory chunks in sorted
-// order with duplicates removed (and counted).
-func (sb *StreamBuilder) mergeMem(emit func(uint64) error) error {
-	pos := make([]int, len(sb.mem))
-	var last uint64
-	first := true
-	for {
-		best, bestIdx := uint64(0), -1
-		for i, c := range sb.mem {
-			if pos[i] < len(c) && (bestIdx < 0 || c[pos[i]] < best) {
-				best, bestIdx = c[pos[i]], i
+// writeRun writes m's records to f as little-endian uint64s, one
+// spillBufBytes block per write, and returns how many it wrote.
+func writeRun(f *os.File, m *merger) (int64, error) {
+	blk := make([]byte, 0, spillBufBytes)
+	var written int64
+	for v, ok := m.next(); ok; v, ok = m.next() {
+		if len(blk) == cap(blk) {
+			if _, err := f.Write(blk); err != nil {
+				return written, err
 			}
+			blk = blk[:0]
 		}
-		if bestIdx < 0 {
-			return nil
-		}
-		pos[bestIdx]++
-		if !first && best == last {
-			sb.stats.Duplicates++
-			continue
-		}
-		first, last = false, best
-		if err := emit(best); err != nil {
-			return err
-		}
+		blk = binary.LittleEndian.AppendUint64(blk, v)
+		written++
 	}
+	if m.err != nil {
+		return written, m.err
+	}
+	_, err := f.Write(blk)
+	return written, err
 }
 
-// edgeSource is one sorted stream feeding the final k-way merge: either
-// a sealed in-memory chunk or a spilled run.
-type edgeSource struct {
-	chunk []uint64
-	pos   int
+// exhausted is the key of a merge source with no records left. No
+// packed edge reaches it: both halves are non-negative int32 ids, so
+// every record is below 1<<63.
+const exhausted = math.MaxUint64
 
-	f   *os.File
-	r   *bufio.Reader
-	cur uint64
-	ok  bool
+// mergeSource is one sorted stream of packed edges feeding a merger:
+// a sealed in-memory chunk, or a spilled run decoded from a block
+// buffer.
+type mergeSource struct {
+	recs []uint64 // the sealed chunk; nil for a run
+	pos  int
+
+	f      *os.File
+	blk    []byte // the run's block buffer; blk[lo:hi] is not yet decoded
+	lo, hi int
 }
 
-func (s *edgeSource) advance() error {
-	if s.f == nil {
-		if s.pos < len(s.chunk) {
-			s.cur, s.ok = s.chunk[s.pos], true
-			s.pos++
-		} else {
-			s.ok = false
-		}
+// fill moves the undecoded tail of the run's block to its front and
+// reads the next block behind it. At the clean end of the run it
+// leaves the block empty; a run that ends inside a record is an error.
+func (s *mergeSource) fill() error {
+	tail := copy(s.blk, s.blk[s.lo:s.hi])
+	n, err := io.ReadAtLeast(s.f, s.blk[tail:], 8-tail)
+	s.lo, s.hi = 0, tail+n
+	switch {
+	case err == nil || (err == io.EOF && tail == 0):
 		return nil
-	}
-	var buf [8]byte
-	switch _, err := io.ReadFull(s.r, buf[:]); err {
-	case nil:
-		s.cur, s.ok = binary.LittleEndian.Uint64(buf[:]), true
-		return nil
-	case io.EOF:
-		s.ok = false
-		return nil
-	case io.ErrUnexpectedEOF:
-		s.ok = false
+	case err == io.EOF || err == io.ErrUnexpectedEOF:
 		return fmt.Errorf("graph: truncated spill run")
 	default:
-		s.ok = false
-		return err
+		return fmt.Errorf("graph: merge: %w", err)
 	}
 }
 
-// merge runs one deduplicating k-way merge pass over all sealed chunks
-// and spilled runs. countDups must be true on exactly one pass so
-// duplicates are counted once.
-func (sb *StreamBuilder) merge(countDups bool, emit func(uint64) error) error {
-	srcs := make([]*edgeSource, 0, len(sb.mem)+len(sb.runs))
-	for _, c := range sb.mem {
-		srcs = append(srcs, &edgeSource{chunk: c})
+// merger is a deduplicating k-way merge of sorted sources organised as
+// a tournament (loser) tree. Source i is leaf k+i of an implicit binary
+// tree whose node p has children 2p and 2p+1; tree[p], 1 ≤ p < k, holds
+// the loser of the match played at node p, and tree[0] the overall
+// winner, the source with the least head record. Taking a record
+// advances only the winner, which then replays its own path to the
+// root: ⌈log₂ k⌉ comparisons per record instead of a scan of all k.
+type merger struct {
+	srcs []mergeSource
+	keys []uint64 // each source's head record, or exhausted
+	tree []int32
+	last uint64 // the last record returned; exhausted before the first
+	dups int64  // records dropped as equal to the one before
+	err  error
+}
+
+// newMerger merges the sealed chunks and the spilled runs, each read
+// from its start.
+func newMerger(chunks [][]uint64, runs []*os.File) (*merger, error) {
+	m := &merger{last: exhausted}
+	m.srcs = make([]mergeSource, 0, len(chunks)+len(runs)+1)
+	for _, c := range chunks {
+		m.srcs = append(m.srcs, mergeSource{recs: c})
 	}
-	for _, f := range sb.runs {
-		if _, err := f.Seek(0, 0); err != nil {
-			return fmt.Errorf("graph: merge: %w", err)
+	blocks := make([]byte, spillBufBytes*len(runs))
+	for i, f := range runs {
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			return nil, fmt.Errorf("graph: merge: %w", err)
 		}
-		srcs = append(srcs, &edgeSource{f: f, r: bufio.NewReaderSize(f, spillBufBytes)})
-		sb.track(spillBufBytes)
+		m.srcs = append(m.srcs, mergeSource{f: f, blk: blocks[i*spillBufBytes : (i+1)*spillBufBytes]})
 	}
-	defer sb.track(int64(-spillBufBytes * len(sb.runs)))
-	for _, s := range srcs {
-		if err := s.advance(); err != nil {
+	if len(m.srcs) == 0 {
+		m.srcs = append(m.srcs, mergeSource{}) // an empty chunk ends the merge at once
+	}
+	k := len(m.srcs)
+	m.keys = make([]uint64, k)
+	for i := range m.srcs {
+		if err := m.advance(i); err != nil {
+			return nil, err
+		}
+	}
+	m.tree = make([]int32, k)
+	m.tree[0] = m.play(1)
+	return m, nil
+}
+
+// play plays the matches of node p's subtree, storing each node's
+// loser, and returns the subtree's winner.
+func (m *merger) play(p int) int32 {
+	k := len(m.srcs)
+	if p >= k {
+		return int32(p - k)
+	}
+	a, b := m.play(2*p), m.play(2*p+1)
+	if m.keys[b] < m.keys[a] {
+		a, b = b, a
+	}
+	m.tree[p] = b
+	return a
+}
+
+// advance loads source i's next record, or exhausted, into keys[i].
+func (m *merger) advance(i int) error {
+	s := &m.srcs[i]
+	if s.f == nil {
+		if s.pos < len(s.recs) {
+			m.keys[i] = s.recs[s.pos]
+			s.pos++
+		} else {
+			m.keys[i] = exhausted
+		}
+		return nil
+	}
+	if s.hi-s.lo < 8 {
+		if err := s.fill(); err != nil {
 			return err
 		}
-	}
-	var last uint64
-	first := true
-	for {
-		bestIdx := -1
-		for i, s := range srcs {
-			if s.ok && (bestIdx < 0 || s.cur < srcs[bestIdx].cur) {
-				bestIdx = i
-			}
-		}
-		if bestIdx < 0 {
+		if s.hi == 0 {
+			m.keys[i] = exhausted
 			return nil
 		}
-		v := srcs[bestIdx].cur
-		if err := srcs[bestIdx].advance(); err != nil {
-			return err
+	}
+	m.keys[i] = binary.LittleEndian.Uint64(s.blk[s.lo:])
+	s.lo += 8
+	return nil
+}
+
+// next returns the least record not yet returned, skipping (and
+// counting in dups) records equal to the previous one. ok is false at
+// the end of the merge and on a read error, which is left in m.err.
+func (m *merger) next() (rec uint64, ok bool) {
+	k := len(m.srcs)
+	for {
+		w := m.tree[0]
+		v := m.keys[w]
+		if v == exhausted {
+			return 0, false
 		}
-		if !first && v == last {
-			if countDups {
-				sb.stats.Duplicates++
+		if err := m.advance(int(w)); err != nil {
+			m.err = err
+			return 0, false
+		}
+		key := m.keys[w]
+		for p := (int(w) + k) / 2; p > 0; p /= 2 {
+			if o := m.tree[p]; m.keys[o] < key {
+				m.tree[p], w, key = w, o, m.keys[o]
 			}
+		}
+		m.tree[0] = w
+		if v == m.last {
+			m.dups++
 			continue
 		}
-		first, last = false, v
-		if err := emit(v); err != nil {
-			return err
-		}
+		m.last = v
+		return v, true
 	}
+}
+
+// mergePass runs pass over one merge of every sealed chunk and spilled
+// run, charging the runs' block buffers while it runs.
+func (sb *StreamBuilder) mergePass(pass func(*merger)) error {
+	blocks := int64(spillBufBytes * len(sb.runs))
+	sb.track(blocks)
+	defer sb.track(-blocks)
+	m, err := newMerger(sb.mem, sb.runs)
+	if err != nil {
+		return err
+	}
+	pass(m)
+	return m.err
 }
 
 // Build finishes the stream and assembles the CSR graph in two merge
@@ -381,9 +512,12 @@ func (sb *StreamBuilder) Build() (*Graph, *StreamStats, error) {
 	if err := sb.seal(); err != nil {
 		return nil, nil, err
 	}
-	// cur is no longer needed: every edge is sealed.
+	// cur is no longer needed: every edge is sealed. Neither is the
+	// remap: every vertex is interned, and ext keeps the external ids.
 	sb.cur = nil
 	sb.track(int64(-8 * sb.cfg.ChunkEdges))
+	sb.track(-bytesPerTableSlot*int64(len(sb.table)) - bytesPerMapEntry*int64(len(sb.remap)))
+	sb.table, sb.remap = nil, nil
 
 	n := len(sb.ext)
 	if n == 0 {
@@ -393,15 +527,18 @@ func (sb *StreamBuilder) Build() (*Graph, *StreamStats, error) {
 		return g, &st, nil
 	}
 
-	// Pass 1: degrees and final edge count.
+	// Pass 1: degrees and final edge count. Duplicates across runs are
+	// counted here and not in pass 2.
 	deg := make([]int32, n)
 	sb.track(int64(4 * n))
 	var m int64
-	err := sb.merge(true, func(packed uint64) error {
-		deg[packed>>32]++
-		deg[uint32(packed)]++
-		m++
-		return nil
+	err := sb.mergePass(func(mg *merger) {
+		for packed, ok := mg.next(); ok; packed, ok = mg.next() {
+			deg[packed>>32]++
+			deg[uint32(packed)]++
+			m++
+		}
+		sb.stats.Duplicates += mg.dups
 	})
 	if err != nil {
 		return nil, nil, err
@@ -429,16 +566,17 @@ func (sb *StreamBuilder) Build() (*Graph, *StreamStats, error) {
 	// (smaller) low endpoints in increasing order, followed by the
 	// edges with v as the low endpoint in increasing high-endpoint
 	// order — and every low endpoint is < v < every high endpoint.
-	var e int32
-	err = sb.merge(false, func(packed uint64) error {
-		u, v := int32(packed>>32), int32(uint32(packed))
-		edges[e] = [2]int32{u, v}
-		nbrs[fill[u]], eids[fill[u]] = v, e
-		fill[u]++
-		nbrs[fill[v]], eids[fill[v]] = u, e
-		fill[v]++
-		e++
-		return nil
+	err = sb.mergePass(func(mg *merger) {
+		var e int32
+		for packed, ok := mg.next(); ok; packed, ok = mg.next() {
+			u, v := int32(packed>>32), int32(uint32(packed))
+			edges[e] = [2]int32{u, v}
+			nbrs[fill[u]], eids[fill[u]] = v, e
+			fill[u]++
+			nbrs[fill[v]], eids[fill[v]] = u, e
+			fill[v]++
+			e++
+		}
 	})
 	if err != nil {
 		return nil, nil, err

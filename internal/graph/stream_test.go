@@ -2,9 +2,12 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -180,29 +183,37 @@ func TestStreamBuilderRemapAndSelfLoops(t *testing.T) {
 	}
 }
 
-// TestReadSNAPEdgesTable is the loader-robustness table: every noisy
+// snapEdgeCases is the edge-list loader-robustness table: every noisy
 // input is either normalized or rejected with a line-numbered error.
+// FuzzReadSNAP seeds its corpus with these inputs.
+var snapEdgeCases = []struct {
+	name    string
+	in      string
+	wantN   int32
+	wantM   int64
+	wantErr string // substring; "" means success
+}{
+	{"comments and blanks", "# header\n% also a comment\n\n1 2\n  \n2 3\n", 3, 2, ""},
+	{"duplicate edges", "1 2\n1 2\n1\t2\n", 2, 1, ""},
+	{"reversed duplicate", "1 2\n2 1\n", 2, 1, ""},
+	{"self loop dropped", "5 5\n5 6\n", 2, 1, ""},
+	{"non-contiguous ids", "1000000000000 7\n7 42\n", 3, 2, ""},
+	{"tabs and padding", "\t 1 \t 2 \t\n", 2, 1, ""},
+	{"truncated record", "1 2\n3\n", 0, 0, "line 2"},
+	{"negative id", "1 2\n-3 4\n", 0, 0, "line 2"},
+	{"non-numeric", "1 2\nfoo bar\n", 0, 0, "line 2"},
+	{"three fields", "1 2 3\n", 0, 0, "line 1"},
+	{"overflow id", "1 2\n99999999999999999999 3\n", 0, 0, "line 2"},
+	// Overflows that wrap to a positive int64 must be caught too.
+	{"overflow wraps positive", "1 2\n18446744073709551617 2\n", 0, 0, "line 2: vertex id overflows int64"},
+	{"overflow wraps large", "19000000000000000000 1\n", 0, 0, "line 1: vertex id overflows int64"},
+	{"max int64 plus one", "1 2\n9223372036854775808 1\n", 0, 0, "line 2: vertex id overflows int64"},
+	{"max int64 id", "9223372036854775807 1\n", 2, 1, ""},
+}
+
+// TestReadSNAPEdgesTable runs the edge-list loader-robustness table.
 func TestReadSNAPEdgesTable(t *testing.T) {
-	cases := []struct {
-		name    string
-		in      string
-		wantN   int32
-		wantM   int64
-		wantErr string // substring; "" means success
-	}{
-		{"comments and blanks", "# header\n% also a comment\n\n1 2\n  \n2 3\n", 3, 2, ""},
-		{"duplicate edges", "1 2\n1 2\n1\t2\n", 2, 1, ""},
-		{"reversed duplicate", "1 2\n2 1\n", 2, 1, ""},
-		{"self loop dropped", "5 5\n5 6\n", 2, 1, ""},
-		{"non-contiguous ids", "1000000000000 7\n7 42\n", 3, 2, ""},
-		{"tabs and padding", "\t 1 \t 2 \t\n", 2, 1, ""},
-		{"truncated record", "1 2\n3\n", 0, 0, "line 2"},
-		{"negative id", "1 2\n-3 4\n", 0, 0, "line 2"},
-		{"non-numeric", "1 2\nfoo bar\n", 0, 0, "line 2"},
-		{"three fields", "1 2 3\n", 0, 0, "line 1"},
-		{"overflow id", "1 2\n99999999999999999999 3\n", 0, 0, "line 2"},
-	}
-	for _, tc := range cases {
+	for _, tc := range snapEdgeCases {
 		t.Run(tc.name, func(t *testing.T) {
 			sb := NewStreamBuilder(StreamConfig{SpillDir: t.TempDir()})
 			err := ReadSNAPEdges(strings.NewReader(tc.in), sb)
@@ -226,20 +237,24 @@ func TestReadSNAPEdgesTable(t *testing.T) {
 	}
 }
 
+// snapAttrCases is the attribute-file loader-robustness table.
+// FuzzReadSNAP seeds its corpus with these inputs too.
+var snapAttrCases = []struct {
+	name    string
+	in      string
+	wantErr string
+}{
+	{"ok", "# attrs\n0 a\n1 b\n2 0\n3 1\n", ""},
+	{"repeated id last wins", "0 a\n0 b\n", ""},
+	{"bad attr", "0 a\n1 x\n", "line 2"},
+	{"missing attr", "0\n", "line 1"},
+	{"negative id", "-1 a\n", "line 1"},
+	{"trailing garbage", "0 a b\n", "line 1"},
+	{"overflow wraps positive", "0 a\n18446744073709551617 b\n", "line 2: vertex id overflows int64"},
+}
+
 func TestReadSNAPAttrsTable(t *testing.T) {
-	cases := []struct {
-		name    string
-		in      string
-		wantErr string
-	}{
-		{"ok", "# attrs\n0 a\n1 b\n2 0\n3 1\n", ""},
-		{"repeated id last wins", "0 a\n0 b\n", ""},
-		{"bad attr", "0 a\n1 x\n", "line 2"},
-		{"missing attr", "0\n", "line 1"},
-		{"negative id", "-1 a\n", "line 1"},
-		{"trailing garbage", "0 a b\n", "line 1"},
-	}
-	for _, tc := range cases {
+	for _, tc := range snapAttrCases {
 		t.Run(tc.name, func(t *testing.T) {
 			sb := NewStreamBuilder(StreamConfig{SpillDir: t.TempDir()})
 			err := ReadSNAPAttrs(strings.NewReader(tc.in), sb)
@@ -374,5 +389,369 @@ func TestStreamBuilderDeterministic(t *testing.T) {
 	sameGraph(t, g1, g2)
 	if fmt.Sprintf("%+v", st1) != fmt.Sprintf("%+v", st2) {
 		t.Fatalf("stats not deterministic:\n%+v\n%+v", st1, st2)
+	}
+}
+
+// setRemapSlack sets remapTableSlack for the rest of the test.
+func setRemapSlack(tb testing.TB, slack int64) {
+	tb.Helper()
+	old := remapTableSlack
+	remapTableSlack = slack
+	tb.Cleanup(func() { remapTableSlack = old })
+}
+
+// streamOp is one call on a StreamBuilder: AddEdge(u, v), or
+// SetAttr(u, a) when attr is set.
+type streamOp struct {
+	u, v int64
+	attr bool
+	a    Attr
+}
+
+// mapStreamRef is the map-only reference for a StreamBuilder: it
+// interns through a Go map in first-seen order, builds the graph with
+// Builder and derives every StreamStats field but PeakTrackedBytes,
+// replaying the chunk/spill schedule to get the spill counts.
+func mapStreamRef(cfg StreamConfig, ops []streamOp) (*Graph, []int64, StreamStats) {
+	ids := map[int64]int32{}
+	var ext []int64
+	var attrs []Attr
+	intern := func(x int64) int32 {
+		id, ok := ids[x]
+		if !ok {
+			id = int32(len(ext))
+			ids[x] = id
+			ext = append(ext, x)
+			attrs = append(attrs, AttrA)
+		}
+		return id
+	}
+	var st StreamStats
+	var edges [][2]int32
+	for _, op := range ops {
+		switch {
+		case op.attr:
+			attrs[intern(op.u)] = op.a
+		case op.u == op.v:
+			intern(op.u)
+			st.SelfLoops++
+		default:
+			u, v := intern(op.u), intern(op.v)
+			edges = append(edges, [2]int32{min(u, v), max(u, v)})
+		}
+	}
+	// Chunks of ChunkEdges are sealed in order; once more than
+	// MaxMemEdges are sealed they spill as one deduplicated run.
+	window, sealed, inChunk := map[[2]int32]bool{}, 0, 0
+	seal := func() {
+		sealed, inChunk = sealed+inChunk, 0
+		if sealed > cfg.MaxMemEdges {
+			st.RunsSpilled++
+			st.SpilledBytes += 8 * int64(len(window))
+			window, sealed = map[[2]int32]bool{}, 0
+		}
+	}
+	for _, e := range edges {
+		window[e] = true
+		if inChunk++; inChunk == cfg.ChunkEdges {
+			seal()
+		}
+	}
+	if inChunk > 0 {
+		seal()
+	}
+	b := NewBuilder(len(ext))
+	for v, a := range attrs {
+		b.SetAttr(int32(v), a)
+	}
+	for _, e := range edges {
+		b.AddEdge(e[0], e[1])
+	}
+	g := b.Build()
+	st.EdgesRead = int64(len(edges))
+	st.Edges = int64(g.M())
+	st.Duplicates = st.EdgesRead - st.Edges
+	st.Vertices = g.N()
+	st.CSRBytes = int64(4*(g.N()+1)) + 24*int64(g.M()) + int64(g.N())
+	if g.N() == 0 {
+		st.CSRBytes = 4
+	}
+	return g, ext, st
+}
+
+// applyOps applies ops to sb.
+func applyOps(t *testing.T, sb *StreamBuilder, ops []streamOp) {
+	t.Helper()
+	for _, op := range ops {
+		var err error
+		if op.attr {
+			err = sb.SetAttr(op.u, op.a)
+		} else {
+			err = sb.AddEdge(op.u, op.v)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// checkAgainstMapRef asserts a build equals the map-only reference:
+// the graph, ExternalIDs and every stat except PeakTrackedBytes.
+func checkAgainstMapRef(t *testing.T, cfg StreamConfig, ops []streamOp, sb *StreamBuilder, g *Graph, st *StreamStats) {
+	t.Helper()
+	wantG, wantExt, wantSt := mapStreamRef(cfg, ops)
+	sameGraph(t, wantG, g)
+	if !slices.Equal(sb.ExternalIDs(), wantExt) {
+		t.Fatalf("ExternalIDs = %v, want %v", sb.ExternalIDs(), wantExt)
+	}
+	got := *st
+	got.PeakTrackedBytes = 0
+	if got != wantSt {
+		t.Fatalf("stats = %+v, want %+v", got, wantSt)
+	}
+}
+
+// TestStreamRemapMatchesMapReference streams random mixes of small ids,
+// ids just under, at and just over the id table's growth cap, ids up to
+// math.MaxInt64 and attributes set before and between edges, and checks
+// the result against the map-only reference. A small slack makes the
+// cap bite within a few hundred vertices, so ids the map holds are
+// later covered by a table growth and must move into the table.
+func TestStreamRemapMatchesMapReference(t *testing.T) {
+	setRemapSlack(t, 32)
+	cfg := StreamConfig{ChunkEdges: 16, MaxMemEdges: 48, SpillDir: t.TempDir()}
+	adopted := 0 // ids first held by the map that a later growth moved
+	for trial := 0; trial < 60; trial++ {
+		r := rng.New(uint64(7100 + trial))
+		seen := map[int64]bool{}
+		var mapHeld []int64
+		id := func() int64 {
+			limit := remapSlotsPerVertex*int64(len(seen)) + remapTableSlack
+			var x int64
+			switch r.Intn(6) {
+			case 0:
+				x = int64(r.Intn(40))
+			case 1:
+				x = limit - 1 + int64(r.Intn(3)) // just under, at, just over the cap
+			case 2:
+				x = math.MaxInt64 - int64(r.Intn(3))
+			case 3:
+				x = int64(r.Uint64() >> (1 + r.Intn(63)))
+			default:
+				x = int64(r.Intn(4000))
+			}
+			if !seen[x] {
+				seen[x] = true
+				if x >= limit {
+					mapHeld = append(mapHeld, x)
+				}
+			}
+			return x
+		}
+		var ops []streamOp
+		if trial%3 == 0 { // attributes first pin the dense order
+			for i := 0; i < 20; i++ {
+				ops = append(ops, streamOp{u: id(), attr: true, a: Attr(r.Intn(2))})
+			}
+		}
+		for i := 0; i < 50+r.Intn(400); i++ {
+			if r.Bool(0.1) {
+				ops = append(ops, streamOp{u: id(), attr: true, a: Attr(r.Intn(2))})
+				continue
+			}
+			u := id()
+			v := u
+			if !r.Bool(0.05) {
+				v = id()
+			}
+			ops = append(ops, streamOp{u: u, v: v})
+			if r.Bool(0.2) {
+				ops = append(ops, streamOp{u: v, v: u})
+			}
+		}
+		sb := NewStreamBuilder(cfg)
+		applyOps(t, sb, ops)
+		for _, x := range mapHeld {
+			if x < int64(len(sb.table)) {
+				adopted++
+			}
+		}
+		g, st, err := sb.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstMapRef(t, cfg, ops, sb, g, st)
+	}
+	if adopted == 0 {
+		t.Fatal("no id held by the map was ever covered by a table growth")
+	}
+}
+
+// TestMergerTournament merges 1 to 20 sorted sources, in-memory chunks
+// and spilled runs mixed, against sort-and-dedup of their union. The
+// sources include empty ones, all-duplicate ones, duplicates across
+// sources and runs longer than one block.
+func TestMergerTournament(t *testing.T) {
+	dir := t.TempDir()
+	for k := 1; k <= 20; k++ {
+		for trial := 0; trial < 4; trial++ {
+			r := rng.New(uint64(100*k + trial))
+			var chunks [][]uint64
+			var runs []*os.File
+			var all []uint64
+			for i := 0; i < k; i++ {
+				var src []uint64
+				switch r.Intn(5) {
+				case 0: // empty
+				case 1: // one record repeated
+					x := uint64(r.Intn(64))
+					for j := 0; j <= r.Intn(40); j++ {
+						src = append(src, x)
+					}
+				case 2: // longer than one spill block
+					for j := 0; j < spillBufBytes/8+1+r.Intn(5000); j++ {
+						src = append(src, uint64(r.Intn(20000)))
+					}
+				default:
+					for j := 0; j < r.Intn(300); j++ {
+						src = append(src, uint64(r.Intn(500))|uint64(r.Intn(2))<<62)
+					}
+				}
+				slices.Sort(src)
+				all = append(all, src...)
+				if r.Bool(0.5) {
+					chunks = append(chunks, src)
+					continue
+				}
+				f, err := os.CreateTemp(dir, "run-*")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer f.Close()
+				var buf []byte
+				for _, x := range src {
+					buf = binary.LittleEndian.AppendUint64(buf, x)
+				}
+				if _, err := f.Write(buf); err != nil {
+					t.Fatal(err)
+				}
+				runs = append(runs, f)
+			}
+			m, err := newMerger(chunks, runs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []uint64
+			for x, ok := m.next(); ok; x, ok = m.next() {
+				got = append(got, x)
+			}
+			if m.err != nil {
+				t.Fatal(m.err)
+			}
+			slices.Sort(all)
+			want := slices.Compact(slices.Clone(all))
+			if !slices.Equal(got, want) {
+				t.Fatalf("k=%d trial %d: merged %d records, want %d", k, trial, len(got), len(want))
+			}
+			if m.dups != int64(len(all)-len(want)) {
+				t.Fatalf("k=%d trial %d: dups = %d, want %d", k, trial, m.dups, len(all)-len(want))
+			}
+		}
+	}
+}
+
+// TestStreamMergeSources builds through every source count from 1 to
+// 20 at Build time, all in memory or as spilled runs, on noisy, on
+// all-duplicate and on repeated streams (duplicates spanning runs),
+// and checks the graph against Builder's and the map-only reference.
+func TestStreamMergeSources(t *testing.T) {
+	const chunk = 8
+	dir := t.TempDir()
+	for sources := 1; sources <= 20; sources++ {
+		for _, spilled := range []bool{false, true} {
+			cfg := StreamConfig{ChunkEdges: chunk, MaxMemEdges: 1 << 20, SpillDir: dir}
+			edges := sources * chunk
+			if spilled {
+				// Every second sealed chunk spills both as one run, so
+				// an odd chunk count leaves one chunk in memory.
+				cfg.MaxMemEdges = chunk
+				edges = (2*sources - 1 + sources%2) * chunk
+			}
+			r := rng.New(uint64(31*sources) + 7)
+			noisy := make([]streamOp, edges)
+			allDup := make([]streamOp, edges)
+			for i := range noisy {
+				noisy[i] = streamOp{u: int64(r.Intn(30)), v: int64(r.Intn(30))}
+				allDup[i] = streamOp{u: 3, v: 5}
+				if i%2 == 1 {
+					allDup[i] = streamOp{u: 5, v: 3}
+				}
+				if noisy[i].u == noisy[i].v {
+					noisy[i].v = (noisy[i].u + 1) % 30
+				}
+			}
+			half := noisy[:edges/2]
+			repeated := append(slices.Clone(half), half...)
+			for si, ops := range [][]streamOp{noisy, allDup, repeated} {
+				sb := NewStreamBuilder(cfg)
+				applyOps(t, sb, ops)
+				if err := sb.seal(); err != nil {
+					t.Fatal(err)
+				}
+				if got := len(sb.mem) + len(sb.runs); got != sources {
+					t.Fatalf("sources=%d spilled=%v: builder holds %d sources", sources, spilled, got)
+				}
+				g, st, err := sb.Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.EdgesRead != st.Edges+st.Duplicates {
+					t.Fatalf("sources=%d spilled=%v stream %d: read %d != edges %d + dups %d",
+						sources, spilled, si, st.EdgesRead, st.Edges, st.Duplicates)
+				}
+				checkAgainstMapRef(t, cfg, ops, sb, g, st)
+			}
+		}
+	}
+}
+
+// TestBuildRejectsTruncatedRun cuts a spilled run inside a record, in
+// its first block and in a later one, and expects Build to fail with
+// the truncated-run error and still remove the spill files.
+func TestBuildRejectsTruncatedRun(t *testing.T) {
+	for _, cut := range []string{"first record", "last record"} {
+		t.Run(cut, func(t *testing.T) {
+			dir := t.TempDir()
+			sb := NewStreamBuilder(StreamConfig{ChunkEdges: 4096, MaxMemEdges: 4096, SpillDir: dir})
+			for i := 0; i < 3*4096; i++ {
+				if err := sb.AddEdge(int64(i), int64(i+1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(sb.runs) == 0 {
+				t.Fatal("nothing spilled")
+			}
+			run := sb.runs[0]
+			info, err := run.Stat()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Size() <= spillBufBytes {
+				t.Fatalf("run of %d bytes fits one block", info.Size())
+			}
+			size := int64(5)
+			if cut == "last record" {
+				size = info.Size() - 3
+			}
+			if err := run.Truncate(size); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := sb.Build(); err == nil || !strings.Contains(err.Error(), "truncated spill run") {
+				t.Fatalf("Build on a run cut to %d bytes: err = %v, want a truncated spill run", size, err)
+			}
+			if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+				t.Fatalf("spill files left behind: %v", ents)
+			}
+		})
 	}
 }
