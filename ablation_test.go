@@ -70,27 +70,6 @@ func BenchmarkAblation_SearchWithoutReduction(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_BoundDepth sweeps how deep the expensive bounds are
-// evaluated (the paper fixes depth 1).
-func BenchmarkAblation_BoundDepth(b *testing.B) {
-	d, _ := gen.DatasetByName("themarker-sim")
-	g := d.Build(benchScale)
-	for _, depth := range []int{1, 2, 3} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, err := core.MaxRFC(g, core.Options{
-					K: 2, Delta: d.DefaultDelta,
-					UseBounds: true, Extra: bounds.ColorfulPath,
-					BoundDepth: depth,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblation_Workers measures component-parallel search.
 func BenchmarkAblation_Workers(b *testing.B) {
 	d, _ := gen.DatasetByName("flixster-sim")

@@ -344,9 +344,9 @@ type Result struct {
 type SearchStats struct {
 	// Nodes is the number of branch-and-bound nodes visited.
 	Nodes int64
-	// BoundChecks and BoundPrunes count Table II evaluator calls (made
-	// at the first branching level) and the prunes they produced. The
-	// colour bounds checked at every branch node are not counted.
+	// BoundChecks and BoundPrunes count Table II bound checks, one per
+	// component root, and the prunes they produced. The colour bounds
+	// checked at every branch node are not counted.
 	BoundChecks, BoundPrunes int64
 	// ReducedVertices and ReducedEdges are the graph size after the
 	// reduction pipeline.

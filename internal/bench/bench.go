@@ -121,13 +121,16 @@ func Fig5(cfg Config) []ReductionRow {
 }
 
 // UBRow is one (dataset, varied-parameter) row of Table II: the MaxRFC
-// runtime under each of the six upper-bound configurations.
+// runtime, search-tree size and component-root prunes under each of the
+// six upper-bound configurations.
 type UBRow struct {
-	Dataset string
-	Vary    string // "k" or "delta"
-	Value   int
-	Times   []time.Duration // indexed as bounds.Extras()
-	Size    int             // optimum size (identical across configs)
+	Dataset    string
+	Vary       string // "k" or "delta"
+	Value      int
+	Times      []time.Duration // indexed as bounds.Extras()
+	Nodes      []int64         // branch-and-bound nodes, indexed as Times
+	RootPrunes []int64         // components the Table II bound pruned, indexed as Times
+	Size       int             // optimum size (identical across configs)
 }
 
 func runSearch(g *graph.Graph, opt core.Options) (time.Duration, *core.Result, error) {
@@ -140,7 +143,7 @@ func runSearch(g *graph.Graph, opt core.Options) (time.Duration, *core.Result, e
 // varying k (dataset-specific range) and δ (1..5), per dataset.
 func Table2(cfg Config) []UBRow {
 	w := cfg.out()
-	fmt.Fprintf(w, "\n## Table II — MaxRFC runtimes with different upper bounds (ms)\n\n")
+	fmt.Fprintf(w, "\n## Table II — MaxRFC with different upper bounds (ms / nodes / root prunes)\n\n")
 	fmt.Fprintf(w, "| dataset | vary | value |")
 	for _, e := range bounds.Extras() {
 		fmt.Fprintf(w, " %s |", e)
@@ -171,11 +174,13 @@ func table2Row(w io.Writer, cfg Config, g *graph.Graph, name, vary string, value
 			panic(err) // options are internally constructed; cannot fail
 		}
 		row.Times = append(row.Times, t)
+		row.Nodes = append(row.Nodes, res.Stats.Nodes)
+		row.RootPrunes = append(row.RootPrunes, res.Stats.BoundPrunes)
 		row.Size = res.Size()
 	}
 	fmt.Fprintf(w, "| %s | %s | %d |", name, vary, value)
-	for _, t := range row.Times {
-		fmt.Fprintf(w, " %.2f |", ms(t))
+	for i, t := range row.Times {
+		fmt.Fprintf(w, " %.2f / %d / %d |", ms(t), row.Nodes[i], row.RootPrunes[i])
 	}
 	fmt.Fprintf(w, " %d |\n", row.Size)
 	return row

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -84,14 +85,23 @@ func TestTable2(t *testing.T) {
 		t.Fatalf("%d rows; want 60", len(rows))
 	}
 	for _, r := range rows {
-		if len(r.Times) != 6 {
-			t.Fatalf("%s %s=%d: %d configs; want 6", r.Dataset, r.Vary, r.Value, len(r.Times))
+		if len(r.Times) != 6 || len(r.Nodes) != 6 || len(r.RootPrunes) != 6 {
+			t.Fatalf("%s %s=%d: %d/%d/%d configs of times/nodes/root prunes; want 6 each",
+				r.Dataset, r.Vary, r.Value, len(r.Times), len(r.Nodes), len(r.RootPrunes))
 		}
 		for _, d := range r.Times {
 			if d <= 0 {
 				t.Fatalf("non-positive runtime recorded")
 			}
 		}
+		// Each runtime cell reads "ms / nodes / root prunes".
+		cell := fmt.Sprintf(" / %d / %d |", r.Nodes[0], r.RootPrunes[0])
+		if !strings.Contains(buf.String(), cell) {
+			t.Fatalf("%s %s=%d: Markdown lacks the cell %q", r.Dataset, r.Vary, r.Value, cell)
+		}
+	}
+	if !strings.Contains(buf.String(), "(ms / nodes / root prunes)") {
+		t.Fatal("Table II header does not name the nodes and root-prune columns")
 	}
 }
 

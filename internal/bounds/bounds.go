@@ -176,13 +176,13 @@ func attrColorSets(g *graph.Graph, col *color.Coloring) (a, b []bool) {
 // DegeneracyBound returns ub△ (Lemma 10, +1-corrected): any clique of
 // G' has size at most degeneracy(G')+1.
 func DegeneracyBound(g *graph.Graph) int32 {
-	return kcore.Degeneracy(g) + 1
+	return cliqueBound(kcore.Degeneracy(g))
 }
 
 // HIndexBound returns ubh (Lemma 11, +1-corrected): any clique of G'
 // has size at most h(G')+1.
 func HIndexBound(g *graph.Graph) int32 {
-	return kcore.HIndex(g) + 1
+	return cliqueBound(kcore.HIndex(g))
 }
 
 // ColorfulDegeneracyBound returns ubcd (Lemma 12, corrected): a fair
@@ -190,7 +190,7 @@ func HIndexBound(g *graph.Graph) int32 {
 // (m-1)-core, so m <= colorful-degeneracy+1 and the size is at most
 // 2*(colorful-degeneracy+1)+δ.
 func ColorfulDegeneracyBound(g *graph.Graph, col *color.Coloring, delta int32) int32 {
-	return 2*(colorful.Degeneracy(g, col)+1) + delta
+	return fairBound(colorful.Degeneracy(g, col), delta)
 }
 
 // ColorfulHIndexBound returns ubch (Lemma 13, corrected): a fair clique
@@ -198,8 +198,17 @@ func ColorfulDegeneracyBound(g *graph.Graph, col *color.Coloring, delta int32) i
 // Dmin >= m-1, so m <= colorful-h-index+1 and the size is at most
 // 2*(colorful-h-index+1)+δ.
 func ColorfulHIndexBound(g *graph.Graph, col *color.Coloring, delta int32) int32 {
-	return 2*(colorful.HIndex(g, col)+1) + delta
+	return fairBound(colorful.HIndex(g, col), delta)
 }
+
+// cliqueBound is the clique size a degeneracy-like statistic h allows
+// (Lemmas 10-11): a clique of ω vertices has h ≥ ω−1.
+func cliqueBound(h int32) int32 { return h + 1 }
+
+// fairBound is the fair-clique size a colorful statistic h allows
+// (Lemmas 12-13): each side holds at most h+1 vertices, the larger
+// exceeding the smaller by at most δ.
+func fairBound(h, delta int32) int32 { return 2*(h+1) + delta }
 
 // ColorfulPathBound returns ubcp (Lemma 14) by running the dynamic
 // program of Algorithm 4: orient every edge by the total order
@@ -247,49 +256,74 @@ func ColorfulPathBound(g *graph.Graph, col *color.Coloring) int32 {
 	return maxLen
 }
 
-// Evaluate computes the configured upper bound of an instance whose
-// induced subgraph is g: the minimum of the advanced group ubAD and the
-// selected extra bound. The subgraph is greedily recolored, as the
-// paper prescribes for instance-local bounds.
-func Evaluate(g *graph.Graph, delta int32, extra Extra) int32 {
+// Profile holds what the configured bound of an instance G' needs
+// besides δ: the attribute counts, the a-only, b-only and mixed classes
+// of a greedy colouring, and the statistic behind the extra bound.
+// Bound then prices any δ in O(1), so one profile serves every query
+// over the same instance.
+type Profile struct {
+	extra      Extra
+	na, nb     int32 // a- and b-vertices
+	ca, cb, cm int32 // a-only, b-only and mixed colour classes
+	// stat is the extra's statistic: the degeneracy, h-index, colorful
+	// degeneracy or colorful h-index of G', or its colorful path length.
+	stat int32
+}
+
+// NewProfile colours g greedily, as the paper prescribes for
+// instance-local bounds, and records the statistics of the bound that
+// extra configures.
+func NewProfile(g *graph.Graph, extra Extra) Profile {
+	p := Profile{extra: extra}
 	if g.N() == 0 {
-		return 0
+		return p
 	}
 	col := color.Greedy(g)
-	ub := Size(g)
-	if v := Attribute(g, delta); v < ub {
-		ub = v
-	}
-	if v := Color(col); v < ub {
-		ub = v
-	}
-	if v := AttributeColor(g, col, delta); v < ub {
-		ub = v
-	}
-	if v := EnhancedAttributeColor(g, col, delta); v < ub {
-		ub = v
+	p.na, p.nb = g.AttrCount()
+	hasA, hasB := attrColorSets(g, col)
+	for c := range hasA {
+		switch {
+		case hasA[c] && hasB[c]:
+			p.cm++
+		case hasA[c]:
+			p.ca++
+		case hasB[c]:
+			p.cb++
+		}
 	}
 	switch extra {
 	case Degeneracy:
-		if v := DegeneracyBound(g); v < ub {
-			ub = v
-		}
+		p.stat = kcore.Degeneracy(g)
 	case HIndex:
-		if v := HIndexBound(g); v < ub {
-			ub = v
-		}
+		p.stat = kcore.HIndex(g)
 	case ColorfulDegeneracy:
-		if v := ColorfulDegeneracyBound(g, col, delta); v < ub {
-			ub = v
-		}
+		p.stat = colorful.Degeneracy(g, col)
 	case ColorfulHIndex:
-		if v := ColorfulHIndexBound(g, col, delta); v < ub {
-			ub = v
-		}
+		p.stat = colorful.HIndex(g, col)
 	case ColorfulPath:
-		if v := ColorfulPathBound(g, col); v < ub {
-			ub = v
-		}
+		p.stat = ColorfulPathBound(g, col)
+	}
+	return p
+}
+
+// Bound returns the configured upper bound at tolerance delta: the
+// minimum of the advanced group ubAD and the extra bound.
+func (p Profile) Bound(delta int32) int32 {
+	ub := AD(p.na, p.nb, p.ca, p.cb, p.cm, delta)
+	switch p.extra {
+	case Degeneracy, HIndex:
+		ub = min(ub, cliqueBound(p.stat))
+	case ColorfulDegeneracy, ColorfulHIndex:
+		ub = min(ub, fairBound(p.stat, delta))
+	case ColorfulPath:
+		ub = min(ub, p.stat)
 	}
 	return ub
+}
+
+// Evaluate computes the configured upper bound of an instance whose
+// induced subgraph is g: the minimum of the advanced group ubAD and the
+// selected extra bound.
+func Evaluate(g *graph.Graph, delta int32, extra Extra) int32 {
+	return NewProfile(g, extra).Bound(delta)
 }

@@ -103,11 +103,53 @@ func TestCombine(t *testing.T) {
 	}
 }
 
-// AD, the one ubAD formula the evaluator and the branch loop share,
-// must equal the minimum of the five per-lemma functions (Lemmas 5-9)
-// when fed the attribute counts and the class split of the same greedy
-// colouring.
+// perLemmaBound is the configured bound spelled out lemma by lemma:
+// the minimum of the five ubAD functions (Lemmas 5-9) and the extra's
+// own bound function, all over the colouring col of g.
+func perLemmaBound(g *graph.Graph, col *color.Coloring, delta int32, extra Extra) int32 {
+	ub := Size(g)
+	for _, v := range []int32{Attribute(g, delta), Color(col),
+		AttributeColor(g, col, delta), EnhancedAttributeColor(g, col, delta)} {
+		ub = min(ub, v)
+	}
+	switch extra {
+	case Degeneracy:
+		ub = min(ub, DegeneracyBound(g))
+	case HIndex:
+		ub = min(ub, HIndexBound(g))
+	case ColorfulDegeneracy:
+		ub = min(ub, ColorfulDegeneracyBound(g, col, delta))
+	case ColorfulHIndex:
+		ub = min(ub, ColorfulHIndexBound(g, col, delta))
+	case ColorfulPath:
+		ub = min(ub, ColorfulPathBound(g, col))
+	}
+	return ub
+}
+
+// AD, the one ubAD formula Profile and the branch loop share, must
+// equal the minimum of the five per-lemma functions (Lemmas 5-9) when
+// fed the attribute counts and the class split of the same greedy
+// colouring. One Profile per extra must then price every δ in 0..4 as
+// the per-lemma minimum with the extra's own bound function — the empty
+// graph included.
 func TestADMatchesPerLemmaBounds(t *testing.T) {
+	profileMatches := func(g *graph.Graph, col *color.Coloring) bool {
+		for _, extra := range Extras() {
+			p := NewProfile(g, extra)
+			for delta := int32(0); delta <= 4; delta++ {
+				if got, want := p.Bound(delta), perLemmaBound(g, col, delta, extra); got != want {
+					t.Logf("n=%d %v δ=%d: Profile.Bound = %d, per-lemma minimum %d", g.N(), extra, delta, got, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	empty := graph.NewBuilder(0).Build()
+	if !profileMatches(empty, color.Greedy(empty)) {
+		t.Fatal("empty graph")
+	}
 	f := func(seed uint64, n8, p8, d8 uint8) bool {
 		g := random(seed, 1+int(n8%40), 0.1+float64(p8)/255*0.8)
 		delta := int32(d8 % 4)
@@ -124,17 +166,12 @@ func TestADMatchesPerLemmaBounds(t *testing.T) {
 				cb++
 			}
 		}
-		want := Size(g)
-		for _, v := range []int32{Attribute(g, delta), Color(col),
-			AttributeColor(g, col, delta), EnhancedAttributeColor(g, col, delta)} {
-			want = min(want, v)
-		}
 		na, nb := g.AttrCount()
-		if got := AD(na, nb, ca, cb, cm, delta); got != want {
+		if got, want := AD(na, nb, ca, cb, cm, delta), perLemmaBound(g, col, delta, None); got != want {
 			t.Logf("seed=%d n=%d δ=%d: AD = %d, per-lemma minimum %d", seed, g.N(), delta, got, want)
 			return false
 		}
-		return true
+		return profileMatches(g, col)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -4,15 +4,15 @@
 //
 // When a budget (Options.MaxNodes or Options.Deadline) aborts a search,
 // the result must still be useful: the incumbent plus a certified upper
-// bound on the optimum. The certificate is built from the same Table II
-// machinery the exact search prunes with — every region the search did
-// not finish (skipped root branches, donated subtrees cut short, whole
-// components never reached) contributes an upper bound on any fair
-// clique inside it, and the certified bound is the max of those
-// contributions and the incumbent, clamped to any trusted StopAtSize or
-// injected bound. Soundness argument: a clique of the optimum size is
-// either inside a fully explored region (then the incumbent matched or
-// beat it — exploration only prunes what is provably no better than the
+// bound on the optimum. The certificate is built from the same bounds
+// the exact search prunes with — every region the search did not finish
+// (skipped root branches, donated subtrees cut short, whole components
+// never reached) contributes an upper bound on any fair clique inside
+// it, and the certified bound is the max of those contributions and the
+// incumbent, clamped to any trusted StopAtSize or injected bound.
+// Soundness argument: a clique of the optimum size is either inside a
+// fully explored region (then the incumbent matched or beat it —
+// exploration only prunes what is provably no better than the
 // incumbent) or inside a priced region (then its size is at most that
 // region's contribution).
 //
@@ -29,11 +29,11 @@ import (
 	"fairclique/internal/sched"
 )
 
-// frontierEvalBudget caps the expensive Table II evaluator calls spent
-// on pricing after an abort, so certifying the gap cannot cost a
-// meaningful fraction of the budget that just expired. Regions beyond
-// the budget contribute their cheap (size/fairness) bound instead —
-// looser, still sound.
+// frontierEvalBudget caps the bounds.Evaluate calls the frontier sweep
+// spends on components that never started, so certifying the gap cannot
+// cost a meaningful fraction of the budget that just expired.
+// Components beyond the budget contribute their cheap (size/fairness)
+// bound instead — looser, still sound.
 const frontierEvalBudget = 512
 
 // anytime reports whether the run has a budget and therefore needs the
@@ -103,87 +103,63 @@ func (s *searcher) fairCap(cnt, avail [2]int32) int32 {
 	return 2*m + s.delta
 }
 
-// priceRootBranches contributes an upper bound for each unexplored root
-// branch of a component: the branch vertex u with its full candidate
-// row, bounded cheaply (size + fairness caps) and, while the evaluator
-// budget lasts, tightened with the Table II evaluator — the identical
-// computation the exact search prunes with, so the certificate is as
-// tight as the search is smart. A degree pre-filter skips branches that
-// cannot move the certificate before any row work happens.
-func (w *worker) priceRootBranches(tasks []int32) {
-	d := w.d
-	s := d.s
-	for _, u := range tasks {
-		if 1+d.comp.Deg(u) <= s.priceFloor() {
-			continue
-		}
-		var cnt [2]int32
-		cnt[d.comp.Attr(u)]++
-		w.rbuf[0] = u
-		var avail [2]int32
-		var row *graph.LiveRow
-		var cs []int32
-		if d.bitset() {
-			w.ensureBits(1)
-			avail = w.makeChildBits(w.cand[1], d.fullRow, u, false)
-			row = &w.cand[1]
-		} else {
-			w.ensureSlice(1, len(d.allVerts))
-			cs, avail = w.makeChildSlice(1, d.allVerts, u, false)
-		}
-		ub := 1 + avail[0] + avail[1]
-		if fc := s.fairCap(cnt, avail); fc < ub {
-			ub = fc
-		}
-		if ub < 2*s.k || ub <= s.priceFloor() {
-			continue
-		}
-		if s.evalBudget.Add(-1) >= 0 {
-			var ev int32
-			if row != nil {
-				ev = w.ev.EvaluateRow(d.comp, w.rbuf[:1], *row, s.delta, s.opt.Extra)
-			} else {
-				ev = w.ev.Evaluate(d.comp, w.rbuf[:1], cs, s.delta, s.opt.Extra)
-			}
-			if ev < ub {
-				ub = ev
-			}
-		}
-		s.frontPriced.Add(1)
-		s.contributeUB(ub)
-	}
-}
-
-// priceTask contributes an upper bound for a donated subtree that an
-// abort may have cut short: the task buffer still holds the node's R
-// prefix, counts and candidate row untouched (runStolen copies them
-// into the worker's arenas).
-func (w *worker) priceTask(t *subtreeTask) {
-	s := t.d.s
-	ub := int32(t.depth) + t.avail[0] + t.avail[1]
-	if fc := s.fairCap(t.cnt, t.avail); fc < ub {
-		ub = fc
-	}
+// price folds one unexplored region into the certificate, given ub, an
+// upper bound on any fair clique inside it. A region that cannot hold a
+// fair clique, or cannot raise the certificate, is skipped.
+func (s *searcher) price(ub int32) {
 	if ub < 2*s.k || ub <= s.priceFloor() {
 		return
-	}
-	if s.evalBudget.Add(-1) >= 0 {
-		if ev := w.ev.EvaluateRow(t.d.comp, t.r[:t.depth], t.cand, s.delta, s.opt.Extra); ev < ub {
-			ub = ev
-		}
 	}
 	s.frontPriced.Add(1)
 	s.contributeUB(ub)
 }
 
+// priceNode prices the unexplored node (R, C) of the worker's component,
+// R with attribute counts cnt and C with avail: by the size and fairness
+// caps and the component's root bound — a region never prices above
+// the component — and, when those leave it above the floor, by
+// nodeBound on the candidate row (nil on the slice oracle path).
+func (w *worker) priceNode(depth int, cnt, avail [2]int32, cand *graph.LiveRow) {
+	s := w.d.s
+	ub := min(int32(depth)+avail[0]+avail[1], s.fairCap(cnt, avail),
+		w.d.profile(s.opt.Extra).Bound(s.delta))
+	if cand != nil && ub >= 2*s.k && ub > s.priceFloor() {
+		ub = min(ub, w.nodeBound(cnt, avail, *cand))
+	}
+	s.price(ub)
+}
+
+// priceRootBranches prices each unexplored root branch of a component:
+// the branch vertex u with its full candidate row. A degree pre-filter
+// skips branches that cannot move the certificate before any row work
+// happens.
+func (w *worker) priceRootBranches(tasks []int32) {
+	d := w.d
+	for _, u := range tasks {
+		if 1+d.comp.Deg(u) <= d.s.priceFloor() {
+			continue
+		}
+		var cnt [2]int32
+		cnt[d.comp.Attr(u)]++
+		if !d.bitset() {
+			w.ensureSlice(1, len(d.allVerts))
+			_, avail := w.makeChildSlice(1, d.allVerts, u, false)
+			w.priceNode(1, cnt, avail, nil)
+			continue
+		}
+		w.ensureBits(1)
+		avail := w.makeChildBits(w.cand[1], d.fullRow, u, false)
+		w.priceNode(1, cnt, avail, &w.cand[1])
+	}
+}
+
 // sweepFrontier closes the certificate after an abort: every component
-// not accounted as explored or soundly pruned is priced at its root —
-// from the component's attribute histogram (cheap) and, under the
-// evaluator budget, the Table II evaluator over the whole component on
-// the reduced graph. Runs after every worker and donated task has
-// finished, so no contribution can arrive later.
+// not accounted as explored, priced or soundly pruned — in practice one
+// the search never started — is priced whole: from the component's
+// attribute histogram (cheap) and, under frontierEvalBudget, the Table
+// II bound of the induced component. Runs after every worker and
+// donated task has finished, so no contribution can arrive later.
 func (s *searcher) sweepFrontier() {
-	var ev bounds.Evaluator
 	for ci, comp := range s.p.comps {
 		if s.compAccounted[ci].Load() {
 			continue
@@ -192,20 +168,11 @@ func (s *searcher) sweepFrontier() {
 		for _, v := range comp {
 			cnt[s.p.work.Attr(v)]++
 		}
-		ub := s.fairCap(cnt, [2]int32{})
-		if n := int32(len(comp)); n < ub {
-			ub = n
+		ub := min(s.fairCap(cnt, [2]int32{}), int32(len(comp)))
+		if ub >= 2*s.k && ub > s.priceFloor() && s.evalBudget.Add(-1) >= 0 {
+			ub = min(ub, bounds.Evaluate(graph.Induce(s.p.work, comp).G, s.delta, s.opt.Extra))
 		}
-		if ub < 2*s.k || ub <= s.priceFloor() {
-			continue
-		}
-		if s.evalBudget.Add(-1) >= 0 {
-			if e := ev.Evaluate(s.p.work, nil, comp, s.delta, s.opt.Extra); e < ub {
-				ub = e
-			}
-		}
-		s.frontPriced.Add(1)
-		s.contributeUB(ub)
+		s.price(ub)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"fairclique/internal/bounds"
 	"fairclique/internal/enum"
+	"fairclique/internal/graph"
 	"fairclique/internal/sched"
 )
 
@@ -187,4 +188,28 @@ func TestAbortWithTrustedBoundIsExact(t *testing.T) {
 		t.Fatal("incumbent met the trusted bound but the run reports inexact")
 	}
 	sandwich(t, res, 7, "trusted bound")
+}
+
+// An aborted component is priced once: its unexplored root branches
+// (and donated subtrees) carry its frontier, and the component is then
+// accounted, so the frontier sweep does not price it whole again. The
+// certificate of a budgeted serial search of a one-component graph
+// therefore falls below the whole component's Table II bound.
+func TestAbortedComponentPricedOnce(t *testing.T) {
+	g := random(3, 75, 0.35)
+	if got := len(graph.ConnectedComponents(g)); got != 1 {
+		t.Fatalf("fixture has %d components, want 1", got)
+	}
+	truth := len(enum.MaxFairClique(g, 2, 2))
+	for _, opt := range sixBoundConfigs(2, 2) {
+		opt.SkipReduction, opt.MaxNodes = true, 8
+		res := mustMaxRFC(t, g, opt)
+		if !res.Stats.Aborted {
+			t.Fatalf("%v: an 8-node budget did not abort", opt.Extra)
+		}
+		sandwich(t, res, truth, opt.Extra.String())
+		if whole := bounds.Evaluate(g, 2, opt.Extra); res.UpperBound >= whole {
+			t.Fatalf("%v: certificate %d, not below the whole component's bound %d", opt.Extra, res.UpperBound, whole)
+		}
+	}
 }

@@ -303,9 +303,6 @@ func starvedGraph(seed uint64, n int) *graph.Graph {
 func searchSingleComponent(t *testing.T, g *graph.Graph, opt Options, workers int) *searcher {
 	t.Helper()
 	s := &searcher{p: PrepareReduced(g, identity(g.N())), k: int32(opt.K), delta: int32(opt.Delta), opt: opt}
-	if s.opt.BoundDepth <= 0 {
-		s.opt.BoundDepth = 1
-	}
 	if got := s.p.Components(); got != 1 {
 		t.Fatalf("fixture has %d components, want 1", got)
 	}
@@ -349,7 +346,7 @@ func TestWorkStealingStarvedRootSplit(t *testing.T) {
 func TestRootSplitCollectsTasks(t *testing.T) {
 	g := starvedGraph(2, 48)
 	s := &searcher{p: PrepareReduced(g, identity(g.N())), k: 1, delta: 46,
-		opt: Options{K: 1, Delta: 46, BoundDepth: 1}}
+		opt: Options{K: 1, Delta: 46}}
 	if got := s.p.Components(); got != 1 {
 		t.Fatalf("fixture has %d components, want 1", got)
 	}
@@ -386,7 +383,7 @@ func TestRootSplitCollectsTasks(t *testing.T) {
 // between them).
 func TestDonationFeedsHungryWorker(t *testing.T) {
 	g := starvedGraph(1, 60)
-	opt := Options{K: 1, Delta: 56, BoundDepth: 1}
+	opt := Options{K: 1, Delta: 56}
 	s := &searcher{p: PrepareReduced(g, identity(g.N())), k: 1, delta: 56, opt: opt}
 	if got := s.p.Components(); got != 1 {
 		t.Fatalf("fixture has %d components, want 1", got)

@@ -49,9 +49,6 @@ func searchColdNucleus() *graph.Graph {
 // rows named by rows (see rowKind).
 func newWarmEngine(t testing.TB, g *graph.Graph, opt Options, rows string) (*searcher, *worker) {
 	t.Helper()
-	if opt.BoundDepth <= 0 {
-		opt.BoundDepth = 1
-	}
 	s := &searcher{p: PrepareReduced(g, identity(g.N())), k: int32(opt.K), delta: int32(opt.Delta), opt: opt}
 	if got := s.p.Components(); got != 1 {
 		t.Fatalf("test graph has %d components, want 1", got)
@@ -72,8 +69,8 @@ func newWarmEngine(t testing.TB, g *graph.Graph, opt Options, rows string) (*sea
 // Steady-state branching must allocate zero heap objects per node —
 // the acceptance criterion of the allocation-free engine. Checked for
 // the plain baseline and the default bounds configuration (whose
-// evaluator runs scratch-backed), on a single-chunk component with
-// flat rows and forced onto chunked rows, and on a multi-chunk
+// per-node colouring runs on worker scratch rows), on a single-chunk
+// component with flat rows and forced onto chunked rows, and on a multi-chunk
 // >4096-vertex component (dense, sparse and run containers all in
 // play), and with the work-stealing state installed: the donation hook
 // on the hot path is a single atomic load and must not allocate while
@@ -188,8 +185,9 @@ func BenchmarkBranchAllocs(b *testing.B) {
 }
 
 // BenchmarkBranchSearchCold times one full search of the branch loop,
-// with the search-cold workload's bounds (ubAD at every node, the
-// Table II evaluator at depth 1), on the search-cold nucleus with flat
+// with the search-cold workload's per-node bound (ubAD at every node;
+// the component-root check sits outside the loop, in searchComponent),
+// on the search-cold nucleus with flat
 // rows and forced onto chunked rows: the two sides of the flat-row
 // cutoff on one tree (go test -bench BranchSearchCold). Compare ns/op,
 // the time per search: the per-node bound makes each node dearer and

@@ -25,7 +25,7 @@ func boundWorker(t *testing.T, g *graph.Graph, k, delta int32, rows string) *wor
 	if rows == "chunked" {
 		defer forceChunkedRows()()
 	}
-	opt := Options{K: int(k), Delta: int(delta), UseBounds: true, BoundDepth: 1}
+	opt := Options{K: int(k), Delta: int(delta), UseBounds: true}
 	s := &searcher{p: PrepareReduced(g, identity(g.N())), k: k, delta: delta, opt: opt}
 	if got := s.p.Components(); got != 1 {
 		t.Fatalf("fixture has %d components, want 1", got)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -171,39 +172,70 @@ func TestPreparedStopAtSize(t *testing.T) {
 }
 
 // Concurrent searches over one shared Prepared (the session grid's
-// regime) must each stay exact. Run under -race by make test-race.
+// regime), across δ and all six Table II configurations, must each
+// match a serial run: same size, nodes and bound counts. The Table II
+// profiles they build concurrently must then each hold their own
+// Extra's bound; on the sparse fixture the extras' bounds differ. Run
+// under -race by make test-race.
 func TestPreparedConcurrentSearches(t *testing.T) {
-	g := random(9, 48, 0.35)
+	for _, g := range []*graph.Graph{random(9, 48, 0.35), random(4, 48, 0.12)} {
+		concurrentSearches(t, g)
+	}
+}
+
+func concurrentSearches(t *testing.T, g *graph.Graph) {
+	t.Helper()
 	p := prepare(g)
-	deltas := []int{0, 1, 2, 3, 4, 5}
-	want := make([]int, len(deltas))
-	for i, delta := range deltas {
-		res := mustMaxRFC(t, g, Options{K: 2, Delta: delta, SkipReduction: true})
-		want[i] = res.Size()
+	var opts []Options
+	for delta := 0; delta <= 5; delta++ {
+		for _, opt := range sixBoundConfigs(2, delta) {
+			opt.SkipReduction = true
+			opts = append(opts, opt)
+		}
+	}
+	ref := prepare(g)
+	want := make([]*Result, len(opts))
+	for i, opt := range opts {
+		res, err := ref.Search(opt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
 	}
 	var wg sync.WaitGroup
-	errs := make([]string, len(deltas))
+	errs := make([]string, len(opts))
 	for round := 0; round < 4; round++ {
-		for i, delta := range deltas {
+		for i, opt := range opts {
 			wg.Add(1)
-			go func(i, delta int) {
+			go func(i int, opt Options) {
 				defer wg.Done()
-				res, err := p.Search(Options{K: 2, Delta: delta, SkipReduction: true,
-					UseBounds: true, Extra: bounds.ColorfulDegeneracy}, nil)
+				res, err := p.Search(opt, nil)
 				if err != nil {
 					errs[i] = err.Error()
 					return
 				}
-				if res.Size() != want[i] {
-					errs[i] = "wrong size"
+				w := want[i]
+				if res.Size() != w.Size() || res.Stats.Nodes != w.Stats.Nodes ||
+					res.Stats.BoundChecks != w.Stats.BoundChecks || res.Stats.BoundPrunes != w.Stats.BoundPrunes {
+					errs[i] = fmt.Sprintf("size %d, %d nodes, %d/%d bound checks/prunes; serial %d, %d, %d/%d",
+						res.Size(), res.Stats.Nodes, res.Stats.BoundChecks, res.Stats.BoundPrunes,
+						w.Size(), w.Stats.Nodes, w.Stats.BoundChecks, w.Stats.BoundPrunes)
 				}
-			}(i, delta)
+			}(i, opt)
 		}
 	}
 	wg.Wait()
 	for i, e := range errs {
 		if e != "" {
-			t.Fatalf("δ=%d: %s", deltas[i], e)
+			t.Fatalf("δ=%d %v: %s", opts[i].Delta, opts[i].Extra, e)
+		}
+	}
+	for ci := 0; ci < p.Components(); ci++ {
+		c := p.comp(ci)
+		for _, opt := range opts {
+			if got, want := c.profile(opt.Extra).Bound(int32(opt.Delta)), bounds.Evaluate(c.comp, int32(opt.Delta), opt.Extra); got != want {
+				t.Fatalf("component %d δ=%d %v: cached profile bounds %d, bounds.Evaluate %d", ci, opt.Delta, opt.Extra, got, want)
+			}
 		}
 	}
 }

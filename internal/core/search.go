@@ -46,8 +46,18 @@
 //     The attribute bound comes from the counts alone; the colour
 //     bounds from a greedy colouring of C, in which each R vertex is a
 //     class of its own, because R is a clique adjacent to all of C.
-//  6. With UseBounds and |R| ≤ BoundDepth: the Table II evaluator,
-//     ubAD on a fresh colouring of R ∪ C plus the Extra bound.
+//  6. With UseBounds, at the component root only: the Table II bound of
+//     the whole component, ubAD on a fresh greedy colouring plus the
+//     Extra bound (searchComponent). Its δ-independent part is a
+//     bounds.Profile, computed once per component and cached on the
+//     compPrep, so a query prices it in O(1).
+//
+// Step 6 departs from the paper, which evaluates its costly bounds when
+// a vertex first joins R (depth 1, §VI). With ubAD at every node
+// (step 5), a depth-1 evaluation rarely prunes what step 5 kept — 3 of
+// 109 checks per search on the search-cold nucleus at (k, δ) = (2, 2)
+// — yet it cost about a third of the search's CPU. At the root an
+// Extra bound can still discard a whole component before any branch.
 //
 // The colouring needs no adjacency matrix beyond the successor rows.
 // It builds each class from Q = the uncoloured candidates by taking
@@ -88,20 +98,15 @@
 //   - Both forms hold the same bits and walk the same search tree, so
 //     donation, bound checks and anytime pricing treat them alike.
 //   - All per-node state lives in per-worker arenas indexed by search
-//     depth: the clique buffer rbuf, one candidate row (or slice) per
-//     depth, and the bound evaluator's scratch. Steady-state branching
-//     performs zero heap allocations per node (asserted by
-//     TestBranchSteadyStateZeroAllocs).
+//     depth: the clique buffer rbuf and one candidate row (or slice)
+//     per depth. Steady-state branching performs zero heap allocations
+//     per node (asserted by TestBranchSteadyStateZeroAllocs).
 //   - The per-node colouring uses two scratch rows per worker. On flat
 //     rows it and-nots successor rows inline, over the span of
 //     non-zero candidate words; on chunked rows it copies only the
 //     candidate row's live chunks and and-nots container by container
-//     (ChunkedMatrix.AndNot). The Table II evaluator
-//     (internal/bounds) runs on (component, R, C) views through
-//     bounds.Evaluator, which rebuilds the instance CSR into reusable
-//     scratch rather than materializing an induced subgraph per check;
-//     candidate rows are handed over as LiveRow values via
-//     Evaluator.EvaluateRow. Both compute ubAD with bounds.AD.
+//     (ChunkedMatrix.AndNot). It and the root's bounds.Profile compute
+//     ubAD with the one formula bounds.AD.
 //   - Options.Workers > 1 parallelizes *inside* a component: the
 //     branches of the root node are split across workers that share
 //     the atomic incumbent, and once the root branches run dry, idle
@@ -143,18 +148,13 @@ type Options struct {
 	// Delta is the attribute-difference tolerance (delta >= 0).
 	Delta int
 	// UseBounds applies the advanced bound group ubAD (Lemmas 5-9) at
-	// every branch node, and the Table II evaluator (ubAD on a fresh
-	// colouring plus Extra) at |R| ≤ BoundDepth.
+	// every branch node, and the Table II bound (ubAD on a fresh
+	// colouring plus Extra) once per component root.
 	UseBounds bool
 	// Extra selects the additional non-trivial bound (Table II column).
 	Extra bounds.Extra
 	// UseHeuristic seeds the incumbent with HeurRFC before branching.
 	UseHeuristic bool
-	// BoundDepth is the largest |R| at which the Table II evaluator
-	// (ubAD plus Extra) runs; 0 means the paper's default of 1 ("when
-	// selecting vertices to be added to R for the first time"). ubAD
-	// alone runs at every node whatever the depth.
-	BoundDepth int
 	// SkipReduction disables the reduction pipeline (ablation only).
 	SkipReduction bool
 	// MaxNodes aborts the search after this many branch nodes when
@@ -168,8 +168,8 @@ type Options struct {
 	// budget is checked at branch granularity, and on expiry the search
 	// stops with the best incumbent found so far plus a certified upper
 	// bound on the optimum (Result.UpperBound) priced from the
-	// unexplored frontier — the Table II evaluator over unexplored root
-	// branches and components (§IV's bounds double as gap certifiers).
+	// unexplored frontier — §IV's bounds over unexplored root branches,
+	// donated subtrees and components double as gap certifiers.
 	// Stats.Aborted is set when the deadline fired.
 	Deadline time.Time
 	// Injector, when non-nil, lets concurrently running searches (the
@@ -228,10 +228,10 @@ type Options struct {
 type Stats struct {
 	// Nodes is the number of branch-and-bound nodes visited.
 	Nodes int64
-	// BoundChecks counts Table II evaluator calls (|R| ≤ BoundDepth);
-	// BoundPrunes counts how many of them pruned their node. Neither
-	// counts the per-node ubAD bound, and the evaluator runs only on
-	// nodes that bound kept.
+	// BoundChecks counts Table II bound checks (ubAD plus Extra), one
+	// per component root; BoundPrunes counts how many of them pruned
+	// their component. Neither counts the per-node ubAD bound, and the
+	// check runs only on roots that bound kept.
 	BoundChecks, BoundPrunes int64
 	// Donations counts subtree nodes shipped from busy workers to idle
 	// ones (0 for serial runs).
@@ -259,8 +259,8 @@ type Result struct {
 	Clique []int32
 	// UpperBound is a certified upper bound on the maximum fair clique
 	// size: len(Clique) when the search is exact, and otherwise the
-	// frontier certificate — the max of the incumbent and the Table II
-	// evaluator bounds over every unexplored region, clamped to any
+	// frontier certificate — the max of the incumbent and the §IV
+	// bounds over every unexplored region, clamped to any
 	// trusted StopAtSize or injected bound. Always >= len(Clique), so
 	// UpperBound - len(Clique) is a sound optimality gap.
 	UpperBound int32
@@ -354,8 +354,10 @@ func PrepareReduced(work *graph.Graph, toOrig []int32) *Prepared {
 // count is returned for the session layer's invalidation accounting.
 //
 // Adoption is safe while searches are still running on prev: compPreps
-// are immutable apart from their internally locked worker freelist, so
-// old-epoch and new-epoch searches may share one.
+// are immutable apart from their internally locked freelists and
+// profile cache, so old-epoch and new-epoch searches may share one. An
+// adopted compPrep keeps its Table II profiles: its component graph is
+// unchanged.
 func PrepareIncremental(work *graph.Graph, toOrig []int32, prev *Prepared, touched func(orig int32) bool) (*Prepared, int) {
 	p := PrepareReduced(work, toOrig)
 	if prev == nil {
@@ -444,9 +446,6 @@ func (p *Prepared) Search(opt Options, seed []int32) (*Result, error) {
 	}
 	if opt.Delta < 0 {
 		return nil, fmt.Errorf("core: Delta must be >= 0, got %d", opt.Delta)
-	}
-	if opt.BoundDepth <= 0 {
-		opt.BoundDepth = 1
 	}
 	res := &Result{}
 	res.Stats.ReducedVertices, res.Stats.ReducedEdges = p.work.N(), p.work.M()
@@ -696,7 +695,7 @@ type searcher struct {
 	// byte-identical in behavior and allocation profile).
 	frontUB       atomic.Int32  // running max over priced frontier bounds
 	frontPriced   atomic.Int64  // Stats.FrontierPriced
-	evalBudget    atomic.Int64  // expensive-evaluator calls left for pricing
+	evalBudget    atomic.Int64  // bounds.Evaluate calls left for the sweep
 	compAccounted []atomic.Bool // per-component: fully explored or soundly pruned
 }
 
@@ -847,10 +846,11 @@ const smallComponentLimit = 1024
 
 // compPrep is the query-independent prepared machinery of one
 // component: the peel-rank-relabeled induced graph, the flat or
-// chunked successor masks, the attribute masks/histogram and the recycled
-// worker arenas. It is built once per component (per Prepared) and
-// shared — read-only apart from the locked freelist — by every search
-// and every worker that ever branches inside the component. Because it
+// chunked successor masks, the attribute masks/histogram, the Table II
+// profiles and the recycled worker arenas. It is built once per
+// component (per Prepared) and shared — read-only apart from the locked
+// freelists and profile cache — by every search and every worker that
+// ever branches inside the component. Because it
 // references vertices only in its own component ids and in ORIGINAL
 // graph ids (toOrig), a compPrep is also valid across re-reduced
 // Prepared instances whose component is structurally unchanged — the
@@ -877,11 +877,31 @@ type compPrep struct {
 
 	tmu   sync.Mutex
 	tfree []*subtreeTask // recycled donation buffers, rows sized for this component
+
+	pmu      sync.Mutex
+	profiles map[bounds.Extra]bounds.Profile // the whole component's, by Extra
 }
 
 // bitset reports whether the component runs the bitset engine (flat
 // or chunked successor rows) rather than the test-only slice oracle.
 func (c *compPrep) bitset() bool { return c.allVerts == nil }
+
+// profile returns the Table II profile of the whole component under
+// extra, built on first use. The lock is held across the build so
+// concurrent searches build each profile once.
+func (c *compPrep) profile(extra bounds.Extra) bounds.Profile {
+	c.pmu.Lock()
+	defer c.pmu.Unlock()
+	p, ok := c.profiles[extra]
+	if !ok {
+		if c.profiles == nil {
+			c.profiles = make(map[bounds.Extra]bounds.Profile)
+		}
+		p = bounds.NewProfile(c.comp, extra)
+		c.profiles[extra] = p
+	}
+	return p
+}
 
 // getWorker pops a recycled worker (rebinding it to this search's view)
 // or builds a fresh one. Recycling keeps repeated queries over a warm
@@ -1052,7 +1072,6 @@ type worker struct {
 	rbuf []int32         // clique arena; rbuf[:depth] is R
 	cand []graph.LiveRow // candidate rows, one per depth; cand[0] is d.fullRow (never written)
 	cs   [][]int32       // slice candidates, one per depth (oracle path)
-	ev   bounds.Evaluator
 
 	// colU and colQ are the per-node colouring's scratch rows, of the
 	// component's flat width: the uncoloured candidates and the open
@@ -1167,9 +1186,11 @@ func (t *subtreeTask) Run() {
 	if d.s.aborted.Load() {
 		// The donated subtree may have been cut short (or, when it was
 		// queued behind a halt, never explored at all): price its root
-		// into the certificate. Over-pricing a subtree that actually
-		// finished just before the abort only loosens the bound.
-		w.priceTask(t)
+		// into the certificate. The task buffer still holds the node
+		// untouched (runStolen copies it into the worker's arenas).
+		// Over-pricing a subtree that actually finished just before the
+		// abort only loosens the bound.
+		w.priceNode(t.depth, t.cnt, t.avail, &t.cand)
 	}
 	w.flushNodes()
 	d.putWorker(w)
@@ -1201,17 +1222,19 @@ func (w *worker) donate(scope *sched.Scope, depth int, cnt, avail [2]int32, cand
 
 // searchComponent branches the connected component at index ci of the
 // prepared graph. The driver worker runs the root node's prologue
-// (recording, size and attribute feasibility, δ-caps, bounds) with
+// (recording, size and attribute feasibility, δ-caps, ubAD) with
 // collect set, so the expansion step yields the root branch vertices
-// instead of recursing. With workers > 1 those branches are split
-// across a private pool (splitRoot). Otherwise the driver runs them
-// one by one: a nil scope is a serial search, and a shared-pool scope
-// arms the donation hook, so whenever another executor of the pool is
-// hungry the next frontier subtree (a root branch or any deeper node)
-// is shipped to it instead of being recursed into locally. Root
-// branches are driven explicitly so an anytime abort knows exactly
-// which of them are unexplored and can price them into the
-// certificate.
+// instead of recursing; with UseBounds the component's Table II bound
+// then gets its one check (rootCut). With workers > 1 those branches
+// are split across a private pool (splitRoot). Otherwise the driver
+// runs them one by one: a nil scope is a serial search, and a
+// shared-pool scope arms the donation hook, so whenever another
+// executor of the pool is hungry the next frontier subtree (a root
+// branch or any deeper node) is shipped to it instead of being recursed
+// into locally. Root branches are driven explicitly so an anytime abort
+// knows exactly which of them are unexplored and can price them into
+// the certificate; once they are priced the component is accounted, so
+// the frontier sweep does not price it whole again.
 func (s *searcher) searchComponent(ci, workers int, scope *sched.Scope) {
 	// Re-checked here (not only at scheduling time) so a component
 	// queued while the incumbent was small is pruned by the incumbent
@@ -1229,6 +1252,9 @@ func (s *searcher) searchComponent(ci, workers int, scope *sched.Scope) {
 	d := &compData{compPrep: prep, s: s, steal: scope}
 	driver := prep.getWorker(d)
 	tasks := driver.rootTasks()
+	if len(tasks) > 0 && s.opt.UseBounds && s.rootCut(prep) {
+		tasks = nil
+	}
 	if len(tasks) == 0 {
 		if !s.aborted.Load() {
 			s.accountComp(ci) // pruned, not halted: soundly accounted
@@ -1255,10 +1281,21 @@ func (s *searcher) searchComponent(ci, workers int, scope *sched.Scope) {
 	driver.flushNodes()
 	if s.aborted.Load() {
 		driver.priceRootBranches(tasks[complete:])
-	} else {
-		s.accountComp(ci)
 	}
+	s.accountComp(ci)
 	prep.putWorker(driver)
+}
+
+// rootCut is the component-root check: the Table II bound of the whole
+// component against the incumbent. It counts one BoundChecks, and one
+// BoundPrunes when the bound prunes the component.
+func (s *searcher) rootCut(prep *compPrep) bool {
+	s.boundChecks.Add(1)
+	if ub := prep.profile(s.opt.Extra).Bound(s.delta); !s.cut(ub) && ub >= 2*s.k {
+		return false
+	}
+	s.boundPrunes.Add(1)
+	return true
 }
 
 // splitRoot is the private root split of component ci: workers pull
@@ -1339,9 +1376,8 @@ func (s *searcher) splitRoot(ci int, driver *worker, tasks []int32, workers int)
 		pw.priceRootBranches(tasks[rest:])
 		pw.priceRootBranches(incomplete)
 		prep.putWorker(pw)
-	} else {
-		s.accountComp(ci)
 	}
+	s.accountComp(ci)
 }
 
 // rootTasks runs the root node in collect mode and returns the root
@@ -1492,13 +1528,13 @@ func (w *worker) makeChildSlice(depth int, src []int32, u int32, declare bool) (
 }
 
 // prologue runs the shared per-node bookkeeping and pruning (see the
-// package comment's per-node pruning steps): node accounting, fairness
-// recording, the size bound ubs and 2k floor (lines 19-20), attribute
-// feasibility (lines 21-23), δ-caps, ubAD on the bitset paths and the
-// Table II evaluator at shallow depth (§VI). It returns false when the
-// node is pruned; the caller then picks the expansion sides by the
-// count-difference state machine.
-func (w *worker) prologue(depth int, cnt, avail [2]int32, candBits *graph.LiveRow, candSlice []int32) bool {
+// package comment's per-node pruning steps 1-5): node accounting,
+// fairness recording, the size bound ubs and 2k floor (lines 19-20),
+// attribute feasibility (lines 21-23), δ-caps and ubAD on the bitset
+// paths (cand non-nil). It returns false when the node is pruned; the
+// caller then picks the expansion sides by the count-difference state
+// machine.
+func (w *worker) prologue(depth int, cnt, avail [2]int32, cand *graph.LiveRow) bool {
 	s := w.d.s
 	if s.halted() {
 		return false
@@ -1524,24 +1560,8 @@ func (w *worker) prologue(depth int, cnt, avail [2]int32, candBits *graph.LiveRo
 			return false
 		}
 	}
-	if !s.opt.UseBounds {
-		return true
-	}
-	if candBits != nil && perNodeBound {
-		if ub := w.nodeBound(cnt, avail, *candBits); s.cut(ub) || ub < 2*s.k {
-			return false
-		}
-	}
-	if depth <= s.opt.BoundDepth {
-		s.boundChecks.Add(1)
-		var ub int32
-		if candBits != nil {
-			ub = w.ev.EvaluateRow(w.d.comp, w.rbuf[:depth], *candBits, s.delta, s.opt.Extra)
-		} else {
-			ub = w.ev.Evaluate(w.d.comp, w.rbuf[:depth], candSlice, s.delta, s.opt.Extra)
-		}
-		if s.cut(ub) || ub < 2*s.k {
-			s.boundPrunes.Add(1)
+	if s.opt.UseBounds && cand != nil && perNodeBound {
+		if ub := w.nodeBound(cnt, avail, *cand); s.cut(ub) || ub < 2*s.k {
 			return false
 		}
 	}
@@ -1684,7 +1704,7 @@ func tally(ca, cb, cm int32, inA, inB uint64) (int32, int32, int32) {
 // w.rbuf[:depth]. The expansion sides follow the count-difference
 // state machine.
 func (w *worker) branchBits(depth int, cnt, avail [2]int32) {
-	if !w.prologue(depth, cnt, avail, &w.cand[depth], nil) {
+	if !w.prologue(depth, cnt, avail, &w.cand[depth]) {
 		return
 	}
 	s := w.d.s
@@ -1804,7 +1824,7 @@ func (w *worker) forEachLive(src graph.LiveRow, mask []uint64, fn func(u int32) 
 // branchSlice is branchBits on the oracle path (binary-search adjacency
 // tests over candidate slices).
 func (w *worker) branchSlice(depth int, c []int32, cnt, avail [2]int32) {
-	if !w.prologue(depth, cnt, avail, nil, c) {
+	if !w.prologue(depth, cnt, avail, nil) {
 		return
 	}
 	s := w.d.s

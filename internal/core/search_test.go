@@ -331,20 +331,59 @@ func BenchmarkMaxRFCVariants(b *testing.B) {
 	}
 }
 
-// Deeper bound evaluation must stay exact (the paper fixes depth 1; the
-// knob only trades pruning against bound-evaluation cost).
-func TestBoundDepthCorrectness(t *testing.T) {
-	for seed := uint64(0); seed < 6; seed++ {
-		g := random(seed, 30, 0.4)
-		want := len(enum.MaxFairClique(g, 2, 1))
-		for depth := 1; depth <= 3; depth++ {
-			res := mustMaxRFC(t, g, Options{
-				K: 2, Delta: 1,
-				UseBounds: true, Extra: bounds.ColorfulPath, BoundDepth: depth,
-			})
-			if res.Size() != want {
-				t.Fatalf("seed %d depth %d: got %d want %d", seed, depth, res.Size(), want)
-			}
+// The component-root check runs the whole component's Table II bound
+// once, after the root prologue: with the per-node bound off and the
+// incumbent already at that bound, the search branches the root alone
+// and the check prunes it, for every bound configuration.
+func TestRootCheckPrunesComponent(t *testing.T) {
+	defer withoutNodeBound()()
+	g := random(3, 75, 0.35)
+	for _, opt := range sixBoundConfigs(2, 2) {
+		s := &searcher{p: prepare(g), k: 2, delta: 2, opt: opt}
+		if got := s.p.Components(); got != 1 {
+			t.Fatalf("fixture has %d components, want 1", got)
+		}
+		s.bestSize.Store(s.p.comp(0).profile(opt.Extra).Bound(s.delta))
+		s.searchComponent(0, 1, nil)
+		if n, c, p := s.nodes.Load(), s.boundChecks.Load(), s.boundPrunes.Load(); n != 1 || c != 1 || p != 1 {
+			t.Fatalf("%v: %d nodes, %d bound checks, %d bound prunes; want 1, 1, 1", opt.Extra, n, c, p)
+		}
+	}
+}
+
+// Serial search trees are deterministic, so their sizes are pinned: the
+// search-cold nucleus at the perfbench cells under ubAD and ubAD+ubCD,
+// plus one search without bounds. A change that alters a tree updates
+// this table and reports old → new in CHANGES.md.
+func TestSearchColdTreeSizes(t *testing.T) {
+	p := prepare(searchColdNucleus())
+	for _, tc := range []struct {
+		k, delta              int
+		useBounds             bool
+		extra                 bounds.Extra
+		nodes, checks, prunes int64
+	}{
+		{2, 1, true, bounds.None, 80003, 1, 0},
+		{2, 2, true, bounds.None, 82761, 1, 0},
+		{3, 2, true, bounds.None, 81887, 1, 0},
+		{2, 4, true, bounds.None, 81652, 1, 0},
+		{2, 1, true, bounds.ColorfulDegeneracy, 80003, 1, 0},
+		{2, 2, true, bounds.ColorfulDegeneracy, 82761, 1, 0},
+		{3, 2, true, bounds.ColorfulDegeneracy, 81887, 1, 0},
+		{2, 4, true, bounds.ColorfulDegeneracy, 81652, 1, 0},
+		{2, 2, false, bounds.None, 1732356, 0, 0},
+	} {
+		res, err := p.Search(Options{K: tc.k, Delta: tc.delta, UseBounds: tc.useBounds, Extra: tc.extra}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		if st.Nodes != tc.nodes || st.BoundChecks != tc.checks || st.BoundPrunes != tc.prunes {
+			t.Errorf("(k, δ) = (%d, %d) UseBounds=%v %v: %d nodes, %d bound checks, %d bound prunes; "+
+				"pinned %d, %d, %d. A change that alters a search tree updates this table and "+
+				"reports old → new in CHANGES.md",
+				tc.k, tc.delta, tc.useBounds, tc.extra, st.Nodes, st.BoundChecks, st.BoundPrunes,
+				tc.nodes, tc.checks, tc.prunes)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"slices"
 	"testing"
 
 	"fairclique/internal/rng"
@@ -72,59 +71,6 @@ func TestPermuteMatchesInduce(t *testing.T) {
 		}
 		if err := got.Validate(); err != nil {
 			t.Fatal(err)
-		}
-	}
-}
-
-func TestCSRScratchMatchesInduce(t *testing.T) {
-	var sc CSRScratch // shared across seeds: views of every size reuse it
-	for seed := uint64(0); seed < 6; seed++ {
-		g := randomGraphForBits(seed, 50, 0.25)
-		r := rng.New(seed + 100)
-		// Random disjoint split: some vertices in set A, some in B.
-		var a, b []int32
-		for v := int32(0); v < g.N(); v++ {
-			switch r.Intn(3) {
-			case 0:
-				a = append(a, v)
-			case 1:
-				b = append(b, v)
-			}
-		}
-		vs := append(append([]int32(nil), a...), b...)
-		view := make(map[int32]int32, len(vs))
-		for i, v := range vs {
-			view[v] = int32(i)
-		}
-		want := Induce(g, vs)
-		// Twice, to exercise scratch reuse across epochs.
-		for pass := 0; pass < 2; pass++ {
-			sc.InduceView(g, a, b)
-			if sc.N() != want.G.N() {
-				t.Fatalf("view size %d, induced %d", sc.N(), want.G.N())
-			}
-			for i := int32(0); i < sc.N(); i++ {
-				if sc.Verts[i] != want.ToParent[i] {
-					t.Fatalf("vertex map mismatch at %d", i)
-				}
-				// Row i is exactly the view ids of vs[i]'s neighbours in
-				// the view, in parent-id order.
-				var row []int32
-				for _, w := range g.Neighbors(vs[i]) {
-					if j, ok := view[w]; ok {
-						if !want.G.HasEdge(i, j) {
-							t.Fatalf("parent edge (%d,%d) missing from induced graph", i, j)
-						}
-						row = append(row, j)
-					}
-				}
-				if got := sc.Row(i); !slices.Equal(got, row) {
-					t.Fatalf("seed %d pass %d: view row %d = %v, want %v", seed, pass, i, got, row)
-				}
-				if sc.Deg(i) != want.G.Deg(i) {
-					t.Fatalf("degree mismatch at %d: view %d, induced %d", i, sc.Deg(i), want.G.Deg(i))
-				}
-			}
 		}
 	}
 }

@@ -41,6 +41,26 @@ func Induce(g *Graph, vs []int32) *Subgraph {
 	return &Subgraph{G: b.Build(), ToParent: append([]int32(nil), vs...)}
 }
 
+// Permute returns a copy of g relabeled by the given permutation: new
+// vertex i is old vertex order[i]. Unlike Induce(g, order) it needs no
+// hash map — the mapping is a dense bijection.
+func Permute(g *Graph, order []int32) *Graph {
+	n := g.N()
+	inv := make([]int32, n)
+	for i, v := range order {
+		inv[v] = int32(i)
+	}
+	b := NewBuilder(int(n))
+	for i, v := range order {
+		b.SetAttr(int32(i), g.Attr(v))
+	}
+	for e := int32(0); e < g.M(); e++ {
+		u, v := g.Edge(e)
+		b.AddEdge(inv[u], inv[v])
+	}
+	return b.Build()
+}
+
 // InduceAlive returns the subgraph induced by vertices with alive[v]
 // true, keeping only edges with edgeAlive[e] true (pass nil to keep all
 // edges between alive vertices). This is how the peeling reductions
