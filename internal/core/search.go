@@ -999,7 +999,7 @@ func prepareComp(g *graph.Graph, comp []int32, toOrig []int32) *compPrep {
 	for v := int32(0); v < n; v++ {
 		order[rank[v]] = v
 	}
-	d := &compPrep{comp: graph.Permute(sub.G, order), toOrig: make([]int32, n), n: n}
+	d := &compPrep{comp: graph.Induce(sub.G, order).G, toOrig: make([]int32, n), n: n}
 	for i, v := range order {
 		d.toOrig[i] = toOrig[sub.ToParent[v]]
 	}

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates vertices and edges and produces an immutable
@@ -10,7 +10,7 @@ import (
 // generators can add edges without bookkeeping.
 type Builder struct {
 	attrs []Attr
-	edges [][2]int32
+	keys  []uint64 // canonical edges packed as uint64(u)<<32 | v, u < v
 }
 
 // NewBuilder returns a builder pre-sized for n vertices, all AttrA.
@@ -43,65 +43,54 @@ func (b *Builder) AddEdge(u, v int32) {
 	if u > v {
 		u, v = v, u
 	}
-	b.edges = append(b.edges, [2]int32{u, v})
+	b.keys = append(b.keys, uint64(u)<<32|uint64(v))
 }
 
 // Build produces the immutable Graph. The builder can be reused after
 // Build (its state is unchanged).
 func (b *Builder) Build() *Graph {
-	// Canonicalize and dedup the edge list.
-	edges := append([][2]int32(nil), b.edges...)
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
-		}
-		return edges[i][1] < edges[j][1]
-	})
-	dedup := edges[:0]
-	for i, e := range edges {
-		if i > 0 && e == edges[i-1] {
-			continue
-		}
-		dedup = append(dedup, e)
+	// Packed keys order exactly like (u, v) pairs, so one integer sort
+	// and an adjacent-duplicate sweep canonicalize the edge list.
+	keys := slices.Clone(b.keys)
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	edges := make([][2]int32, len(keys))
+	for i, k := range keys {
+		edges[i] = [2]int32{int32(k >> 32), int32(uint32(k))}
 	}
-	return fromSortedEdges(append([]Attr(nil), b.attrs...), dedup)
+	return fromSortedEdges(slices.Clone(b.attrs), edges)
 }
 
 // fromSortedEdges assembles the CSR for an already canonical (u < v),
 // sorted, deduplicated edge list. It takes ownership of both slices.
-// This is the linear tail of Builder.Build, shared with ApplyDelta so
-// graph mutation skips the global edge re-sort.
+// Every CSR in this package is built this way (StreamBuilder.Build
+// places its merged stream by the same rule), so a graph's layout
+// depends only on its edge set.
+//
+// Placing the edges in (u, v) order sorts every adjacency list without
+// a per-row sort: vertex x first receives its smaller neighbours, from
+// the edges (u, x) in increasing u, then its larger neighbours, from
+// the edges (x, v) in increasing v. Every (u, x) precedes every (x, v)
+// because u < x, so the two runs never interleave.
 func fromSortedEdges(attrs []Attr, edges [][2]int32) *Graph {
 	n := len(attrs)
-	deg := make([]int32, n)
-	for _, e := range edges {
-		deg[e[0]]++
-		deg[e[1]]++
-	}
 	offsets := make([]int32, n+1)
+	for _, e := range edges {
+		offsets[e[0]+1]++
+		offsets[e[1]+1]++
+	}
 	for v := 0; v < n; v++ {
-		offsets[v+1] = offsets[v] + deg[v]
+		offsets[v+1] += offsets[v]
 	}
 	nbrs := make([]int32, offsets[n])
 	eids := make([]int32, offsets[n])
-	fill := make([]int32, n)
-	copy(fill, offsets[:n])
+	fill := slices.Clone(offsets[:n])
 	for e, uv := range edges {
 		u, v := uv[0], uv[1]
 		nbrs[fill[u]], eids[fill[u]] = v, int32(e)
 		fill[u]++
 		nbrs[fill[v]], eids[fill[v]] = u, int32(e)
 		fill[v]++
-	}
-	// Adjacency is already sorted: edges are sorted by (u, v), and each
-	// vertex receives neighbours in increasing order of the other
-	// endpoint only for the "u side". The "v side" receives u's in
-	// increasing order too because edges are sorted by u first. A vertex
-	// can receive interleaved u-side and v-side entries, so sort each
-	// list to be safe (cheap: lists are nearly sorted).
-	for v := 0; v < n; v++ {
-		lo, hi := offsets[v], offsets[v+1]
-		sortAdjacency(nbrs[lo:hi], eids[lo:hi])
 	}
 	return &Graph{
 		offsets: offsets,
@@ -110,24 +99,6 @@ func fromSortedEdges(attrs []Attr, edges [][2]int32) *Graph {
 		attrs:   attrs,
 		edges:   edges,
 	}
-}
-
-// sortAdjacency sorts a neighbour slice and its parallel edge-id slice
-// by neighbour id.
-func sortAdjacency(nbrs, eids []int32) {
-	sort.Sort(&adjSorter{nbrs, eids})
-}
-
-type adjSorter struct {
-	nbrs []int32
-	eids []int32
-}
-
-func (s *adjSorter) Len() int           { return len(s.nbrs) }
-func (s *adjSorter) Less(i, j int) bool { return s.nbrs[i] < s.nbrs[j] }
-func (s *adjSorter) Swap(i, j int) {
-	s.nbrs[i], s.nbrs[j] = s.nbrs[j], s.nbrs[i]
-	s.eids[i], s.eids[j] = s.eids[j], s.eids[i]
 }
 
 // FromEdges is a convenience constructor: n vertices with the given

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -140,20 +142,8 @@ func ApplyDelta(g *Graph, d *Delta) (*Graph, *ApplyInfo, error) {
 		}
 		adds = append(adds, ce)
 	}
-	sort.Slice(adds, func(i, j int) bool {
-		if adds[i][0] != adds[j][0] {
-			return adds[i][0] < adds[j][0]
-		}
-		return adds[i][1] < adds[j][1]
-	})
-	dedup := adds[:0]
-	for i, e := range adds {
-		if i > 0 && e == adds[i-1] {
-			continue
-		}
-		dedup = append(dedup, e)
-	}
-	info.Inserted = dedup
+	slices.SortFunc(adds, compareEdges)
+	info.Inserted = slices.Compact(adds)
 
 	// Merge: old edges are already sorted canonically; walk them once,
 	// dropping deletions and splicing the sorted insertions in place.
@@ -170,7 +160,7 @@ func ApplyDelta(g *Graph, d *Delta) (*Graph, *ApplyInfo, error) {
 			info.Deleted = append(info.Deleted, e)
 			continue
 		}
-		for ai < len(info.Inserted) && less(info.Inserted[ai], e) {
+		for ai < len(info.Inserted) && compareEdges(info.Inserted[ai], e) < 0 {
 			edges = append(edges, info.Inserted[ai])
 			ai++
 		}
@@ -201,15 +191,15 @@ func ApplyDelta(g *Graph, d *Delta) (*Graph, *ApplyInfo, error) {
 	for v := range seen {
 		info.Endpoints = append(info.Endpoints, v)
 	}
-	sortInt32s(info.Endpoints)
+	slices.Sort(info.Endpoints)
 
 	return fromSortedEdges(attrs, edges), info, nil
 }
 
-// less orders canonical edges lexicographically.
-func less(a, b [2]int32) bool {
-	if a[0] != b[0] {
-		return a[0] < b[0]
+// compareEdges orders canonical edges lexicographically.
+func compareEdges(a, b [2]int32) int {
+	if c := cmp.Compare(a[0], b[0]); c != 0 {
+		return c
 	}
-	return a[1] < b[1]
+	return cmp.Compare(a[1], b[1])
 }

@@ -104,21 +104,10 @@ func TestWriteFileErrorPath(t *testing.T) {
 	}
 }
 
-// Exercise the sorting helpers on large shuffled inputs (unit tests
-// elsewhere only touch tiny slices).
+// TriangleCount's degree ordering on a graph large enough to leave
+// the sort's insertion-sort cutoff, against a count over the edges.
 func TestSortHelpersLarge(t *testing.T) {
 	r := rng.New(123)
-	s := make([]int32, 5000)
-	for i := range s {
-		s[i] = int32(r.Intn(1000))
-	}
-	sortInt32s(s)
-	for i := 1; i < len(s); i++ {
-		if s[i-1] > s[i] {
-			t.Fatal("sortInt32s not sorted")
-		}
-	}
-	// quickSortBy via TriangleCount on a larger random graph.
 	b := NewBuilder(400)
 	for i := 0; i < 3000; i++ {
 		u, v := int32(r.Intn(400)), int32(r.Intn(400))
@@ -127,8 +116,13 @@ func TestSortHelpersLarge(t *testing.T) {
 		}
 	}
 	g := b.Build()
-	if TriangleCount(g) < 0 {
-		t.Fatal("negative triangles")
+	var want int64
+	for e := int32(0); e < g.M(); e++ {
+		u, v := g.Edge(e)
+		want += int64(g.CountCommonNeighbors(u, v))
+	}
+	if got := TriangleCount(g); 3*got != want {
+		t.Fatalf("TriangleCount = %d; want %d", got, want/3)
 	}
 }
 
@@ -141,8 +135,8 @@ func TestRandomVertexSubset(t *testing.T) {
 }
 
 func TestConnectedComponentsLargeSort(t *testing.T) {
-	// One big component whose member list exercises quickSortInt32's
-	// recursive path (len > 12).
+	// One big component whose member list is sorted from a shuffled
+	// discovery order.
 	n := 500
 	b := NewBuilder(n)
 	r := rng.New(7)

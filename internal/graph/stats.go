@@ -1,6 +1,10 @@
 package graph
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Stats summarizes a graph for experiment logs, mirroring the columns
 // of Table I in the paper (n, m, dmax) plus attribute balance.
@@ -56,12 +60,11 @@ func TriangleCount(g *Graph) int64 {
 	for i := int32(0); i < n; i++ {
 		order[i] = i
 	}
-	quickSortBy(order, func(a, b int32) bool {
-		da, db := g.Deg(a), g.Deg(b)
-		if da != db {
-			return da < db
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(g.Deg(a), g.Deg(b)); c != 0 {
+			return c
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 	for i, v := range order {
 		rank[v] = int32(i)
@@ -92,42 +95,4 @@ func TriangleCount(g *Graph) int64 {
 		}
 	}
 	return count
-}
-
-func quickSortBy(s []int32, less func(a, b int32) bool) {
-	if len(s) < 2 {
-		return
-	}
-	// Simple top-down merge sort: stable enough, no closure-heavy
-	// sort.Slice in hot paths that tests exercise at scale.
-	tmp := make([]int32, len(s))
-	var rec func(lo, hi int)
-	rec = func(lo, hi int) {
-		if hi-lo < 12 {
-			for i := lo + 1; i < hi; i++ {
-				for j := i; j > lo && less(s[j], s[j-1]); j-- {
-					s[j], s[j-1] = s[j-1], s[j]
-				}
-			}
-			return
-		}
-		mid := (lo + hi) / 2
-		rec(lo, mid)
-		rec(mid, hi)
-		i, j, k := lo, mid, lo
-		for i < mid && j < hi {
-			if less(s[j], s[i]) {
-				tmp[k] = s[j]
-				j++
-			} else {
-				tmp[k] = s[i]
-				i++
-			}
-			k++
-		}
-		copy(tmp[k:], s[i:mid])
-		copy(tmp[k+mid-i:hi], s[j:hi])
-		copy(s[lo:hi], tmp[lo:hi])
-	}
-	rec(0, len(s))
 }

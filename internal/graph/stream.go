@@ -561,11 +561,8 @@ func (sb *StreamBuilder) Build() (*Graph, *StreamStats, error) {
 	sb.track(int64(4*(n+1)) + 24*m)
 
 	// Pass 2: placement. The merge yields canonical edges sorted by
-	// (lo, hi), so every adjacency list comes out sorted: for vertex v
-	// the edges with v as the high endpoint arrive grouped by their
-	// (smaller) low endpoints in increasing order, followed by the
-	// edges with v as the low endpoint in increasing high-endpoint
-	// order — and every low endpoint is < v < every high endpoint.
+	// (lo, hi), so placing them in stream order sorts every adjacency
+	// list, exactly as in fromSortedEdges.
 	err = sb.mergePass(func(mg *merger) {
 		var e int32
 		for packed, ok := mg.next(); ok; packed, ok = mg.next() {

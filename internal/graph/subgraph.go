@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // Subgraph is a vertex-induced (and optionally edge-filtered) subgraph
 // together with the mapping back to the parent graph's vertex ids.
 type Subgraph struct {
@@ -18,47 +20,49 @@ func (s *Subgraph) MapToParent(vs []int32) []int32 {
 	return out
 }
 
-// Induce returns the subgraph induced by the given vertex set. Vertices
-// may appear in any order; duplicates are an error in the caller and
-// will panic. Edge ids in the subgraph are renumbered densely.
+// Induce returns the subgraph induced by the given vertex set: vs[i]
+// becomes vertex i. Vertices may appear in any order; duplicates are an
+// error in the caller and will panic. Edge ids in the subgraph are
+// renumbered densely, and the CSR is the one Builder returns for the
+// same edge set.
 func Induce(g *Graph, vs []int32) *Subgraph {
-	toSub := make(map[int32]int32, len(vs))
-	b := NewBuilder(len(vs))
+	// byID sorts (parent id, sub id) pairs packed into one key, so a
+	// neighbour's sub id is a binary search away and a duplicate sits
+	// next to its twin whatever order vs came in.
+	byID := make([]uint64, len(vs))
+	attrs := make([]Attr, len(vs))
 	for i, v := range vs {
-		if _, dup := toSub[v]; dup {
+		byID[i] = uint64(v)<<32 | uint64(i)
+		attrs[i] = g.Attr(v)
+	}
+	slices.Sort(byID)
+	for i := 1; i < len(byID); i++ {
+		if byID[i]>>32 == byID[i-1]>>32 {
 			panic("graph: Induce with duplicate vertex")
 		}
-		toSub[v] = int32(i)
-		b.SetAttr(int32(i), g.Attr(v))
 	}
+	// Row i keeps its neighbours j > i; emitting the rows in order
+	// lists every edge once, sorted by (i, j). A row comes out sorted
+	// already when vs ascends.
+	var edges [][2]int32
+	var row []int32
 	for i, v := range vs {
+		row = row[:0]
 		for _, w := range g.Neighbors(v) {
-			if j, ok := toSub[w]; ok && j > int32(i) {
-				b.AddEdge(int32(i), j)
+			k, _ := slices.BinarySearch(byID, uint64(w)<<32)
+			if k == len(byID) || byID[k]>>32 != uint64(w) {
+				continue
+			}
+			if j := int32(uint32(byID[k])); j > int32(i) {
+				row = append(row, j)
 			}
 		}
+		slices.Sort(row)
+		for _, j := range row {
+			edges = append(edges, [2]int32{int32(i), j})
+		}
 	}
-	return &Subgraph{G: b.Build(), ToParent: append([]int32(nil), vs...)}
-}
-
-// Permute returns a copy of g relabeled by the given permutation: new
-// vertex i is old vertex order[i]. Unlike Induce(g, order) it needs no
-// hash map — the mapping is a dense bijection.
-func Permute(g *Graph, order []int32) *Graph {
-	n := g.N()
-	inv := make([]int32, n)
-	for i, v := range order {
-		inv[v] = int32(i)
-	}
-	b := NewBuilder(int(n))
-	for i, v := range order {
-		b.SetAttr(int32(i), g.Attr(v))
-	}
-	for e := int32(0); e < g.M(); e++ {
-		u, v := g.Edge(e)
-		b.AddEdge(inv[u], inv[v])
-	}
-	return b.Build()
+	return &Subgraph{G: fromSortedEdges(attrs, edges), ToParent: slices.Clone(vs)}
 }
 
 // InduceAlive returns the subgraph induced by vertices with alive[v]
@@ -76,111 +80,93 @@ func InduceAlive(g *Graph, alive []bool, edgeAlive []bool) *Subgraph {
 			toSub[v] = -1
 		}
 	}
-	b := NewBuilder(len(vs))
+	attrs := make([]Attr, len(vs))
 	for i, v := range vs {
-		b.SetAttr(int32(i), g.Attr(v))
+		attrs[i] = g.Attr(v)
 	}
-	for e := int32(0); e < g.M(); e++ {
+	// toSub increases on the alive vertices, so g's sorted edge order
+	// maps to a sorted, canonical edge list.
+	var edges [][2]int32
+	for e, uv := range g.edges {
 		if edgeAlive != nil && !edgeAlive[e] {
 			continue
 		}
-		u, v := g.Edge(e)
-		su, sv := toSub[u], toSub[v]
-		if su >= 0 && sv >= 0 {
-			b.AddEdge(su, sv)
+		if su, sv := toSub[uv[0]], toSub[uv[1]]; su >= 0 && sv >= 0 {
+			edges = append(edges, [2]int32{su, sv})
 		}
 	}
-	return &Subgraph{G: b.Build(), ToParent: vs}
+	return &Subgraph{G: fromSortedEdges(attrs, edges), ToParent: vs}
+}
+
+// AliveComponents returns the connected components of the subgraph
+// induced by the vertices with alive[v] true, ordered by smallest
+// vertex, each induced from g with its vertices in increasing id order
+// and ToParent in g's ids. It equals ConnectedComponents on
+// InduceAlive(g, alive, nil).G followed by Induce of each component,
+// without building that intermediate graph.
+func AliveComponents(g *Graph, alive []bool) []*Subgraph {
+	// local[v] is v's id inside its component. Each alive vertex joins
+	// exactly one component, so one table serves them all.
+	local := make([]int32, g.N())
+	var out []*Subgraph
+	for _, members := range components(g, alive) {
+		attrs := make([]Attr, len(members))
+		for i, v := range members {
+			local[v] = int32(i)
+			attrs[i] = g.Attr(v)
+		}
+		// local increases with the parent id inside a component, so
+		// each member's larger alive neighbours, in row order, list
+		// the component's edges sorted by (i, j).
+		var edges [][2]int32
+		for i, v := range members {
+			for _, w := range g.Neighbors(v) {
+				if w > v && alive[w] {
+					edges = append(edges, [2]int32{int32(i), local[w]})
+				}
+			}
+		}
+		out = append(out, &Subgraph{G: fromSortedEdges(attrs, edges), ToParent: members})
+	}
+	return out
 }
 
 // ConnectedComponents returns the vertex sets of the connected
 // components of g, each sorted by vertex id, ordered by smallest
 // contained vertex. Isolated vertices form singleton components.
 func ConnectedComponents(g *Graph) [][]int32 {
-	n := g.N()
-	comp := make([]int32, n)
-	for i := range comp {
-		comp[i] = -1
-	}
+	return components(g, nil)
+}
+
+// components returns the vertex sets of the connected components of
+// the subgraph induced by alive (all of g when alive is nil), each
+// sorted, ordered by smallest vertex.
+func components(g *Graph, alive []bool) [][]int32 {
+	seen := make([]bool, g.N())
 	var comps [][]int32
 	var stack []int32
-	for s := int32(0); s < n; s++ {
-		if comp[s] >= 0 {
+	for s := int32(0); s < g.N(); s++ {
+		if seen[s] || (alive != nil && !alive[s]) {
 			continue
 		}
-		id := int32(len(comps))
-		comp[s] = id
-		stack = append(stack[:0], s)
+		seen[s] = true
 		members := []int32{s}
+		stack = append(stack[:0], s)
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			for _, w := range g.Neighbors(v) {
-				if comp[w] < 0 {
-					comp[w] = id
+				if !seen[w] && (alive == nil || alive[w]) {
+					seen[w] = true
 					stack = append(stack, w)
 					members = append(members, w)
 				}
 			}
 		}
-		sortInt32s(members)
+		slices.Sort(members)
 		comps = append(comps, members)
 	}
 	return comps
-}
-
-func sortInt32s(s []int32) {
-	// Small shim to avoid pulling in sort.Slice closures in hot paths.
-	if len(s) < 2 {
-		return
-	}
-	quickSortInt32(s)
-}
-
-func quickSortInt32(s []int32) {
-	for len(s) > 12 {
-		p := medianOfThree(s)
-		i, j := 0, len(s)-1
-		for i <= j {
-			for s[i] < p {
-				i++
-			}
-			for s[j] > p {
-				j--
-			}
-			if i <= j {
-				s[i], s[j] = s[j], s[i]
-				i++
-				j--
-			}
-		}
-		if j+1 < len(s)-i {
-			quickSortInt32(s[:j+1])
-			s = s[i:]
-		} else {
-			quickSortInt32(s[i:])
-			s = s[:j+1]
-		}
-	}
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-func medianOfThree(s []int32) int32 {
-	a, b, c := s[0], s[len(s)/2], s[len(s)-1]
-	if a > b {
-		a, b = b, a
-	}
-	if b > c {
-		b = c
-		if a > b {
-			b = a
-		}
-	}
-	return b
 }
 
 // RandomVertexSubset is used by the scalability experiment (Fig. 9): it

@@ -1,7 +1,7 @@
 // Package kcore implements classic (attribute-oblivious) core
 // decomposition and related degeneracy machinery: core numbers via
-// bucket peeling, degeneracy ordering, k-core extraction, and the graph
-// h-index. MaxRFC uses these for the ub△ and ubh upper bounds
+// bucket peeling, degeneracy ordering, threshold k-core peeling, and
+// the graph h-index. MaxRFC uses these for the ub△ and ubh upper bounds
 // (Lemmas 10–11) and HeurRFC uses k-core reduction after a heuristic
 // clique is found (Algorithm 6, lines 3 and 8).
 package kcore
@@ -92,14 +92,46 @@ func Degeneracy(g *graph.Graph) int32 {
 
 // KCore returns the vertex-alive mask of the k-core of g (the maximal
 // subgraph with minimum degree >= k). Vertices outside the core are
-// false. The mask is computed from core numbers.
+// false.
 func KCore(g *graph.Graph, k int32) []bool {
-	d := Decompose(g)
-	alive := make([]bool, g.N())
-	for v := int32(0); v < g.N(); v++ {
-		alive[v] = d.Core[v] >= k
-	}
+	alive, _ := peel(g, k)
 	return alive
+}
+
+// peel computes the k-core by removing only the vertices that fall
+// below k: every vertex of degree < k goes on a stack, and each
+// removal decrements its alive neighbours, stacking any that drop
+// below k. It never orders the vertices that stay, so it touches the
+// adjacency of removed vertices only. deg[v] ends as v's degree inside
+// the core for every alive v.
+func peel(g *graph.Graph, k int32) (alive []bool, deg []int32) {
+	n := g.N()
+	alive = make([]bool, n)
+	deg = make([]int32, n)
+	var stack []int32
+	for v := int32(0); v < n; v++ {
+		deg[v] = g.Deg(v)
+		if deg[v] < k {
+			stack = append(stack, v)
+		} else {
+			alive[v] = true
+		}
+	}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, w := range g.Neighbors(v) {
+			if !alive[w] {
+				continue
+			}
+			deg[w]--
+			if deg[w] < k {
+				alive[w] = false
+				stack = append(stack, w)
+			}
+		}
+	}
+	return alive, deg
 }
 
 // KCoreSubgraph materializes the k-core as a subgraph with its mapping.

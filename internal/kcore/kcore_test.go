@@ -203,6 +203,16 @@ func TestKCoreMinDegreeProperty(t *testing.T) {
 				return false
 			}
 		}
+		// Maximality: at every threshold the mask keeps exactly the
+		// vertices of core number >= k, so no peel may drop more.
+		core := Decompose(g).Core
+		for k := int32(0); k <= g.MaxDegree()+1; k++ {
+			for v, ok := range KCore(g, k) {
+				if ok != (core[v] >= k) {
+					return false
+				}
+			}
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

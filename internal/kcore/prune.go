@@ -26,11 +26,11 @@ type PruneStats struct {
 
 // FairCliquePrune returns the alive mask of the FairnessFloor(k)-core:
 // the vertices that can possibly belong to a fair clique with both
-// attribute counts >= k. It is a cheap attribute-oblivious degeneracy
-// pass (Batagelj–Zaveršnik peeling, O(|V|+|E|), no coloring) meant to
-// run ahead of the colorful-core pipeline so the expensive colorful
-// machinery only ever sees the survivor subgraph — the Pattabiraman
-// et al. massive-sparse-graph recipe.
+// attribute counts >= k. It is a cheap attribute-oblivious pass (the
+// threshold peel of KCore, O(|V|+|E|), no coloring) meant to run ahead
+// of the colorful-core pipeline so the expensive colorful machinery
+// only ever sees the survivor subgraph — the Pattabiraman et al.
+// massive-sparse-graph recipe.
 //
 // Exactness: the colorful (k-1)-core is contained in the classic
 // (2k-1)-core (a vertex of a fair clique has 2k-1 clique neighbors,
@@ -38,18 +38,15 @@ type PruneStats struct {
 // removes a vertex the colorful stages would have kept.
 func FairCliquePrune(g *graph.Graph, k int32) ([]bool, PruneStats) {
 	t := FairnessFloor(k)
-	alive := KCore(g, t)
+	alive, deg := peel(g, t)
 	st := PruneStats{Threshold: t}
-	for _, ok := range alive {
+	var degSum int64
+	for v, ok := range alive {
 		if ok {
 			st.Survivors++
+			degSum += int64(deg[v])
 		}
 	}
-	for e := int32(0); e < g.M(); e++ {
-		u, v := g.Edge(e)
-		if alive[u] && alive[v] {
-			st.SurvivorEdges++
-		}
-	}
+	st.SurvivorEdges = int32(degSum / 2)
 	return alive, st
 }

@@ -3,6 +3,7 @@ package kcore
 import (
 	"testing"
 
+	"fairclique/internal/gen"
 	"fairclique/internal/graph"
 )
 
@@ -52,5 +53,45 @@ func TestFairCliquePrune(t *testing.T) {
 	_, st = FairCliquePrune(g, 4)
 	if st.Survivors != 0 || st.SurvivorEdges != 0 {
 		t.Fatalf("k=4 should clear the graph: %+v", st)
+	}
+
+	// On random graphs the mask is the floor's core and the stats
+	// count its vertices and edges.
+	for seed := uint64(0); seed < 12; seed++ {
+		g := random(seed, 80, 0.02+0.03*float64(seed))
+		core := Decompose(g).Core
+		for k := int32(0); k <= 5; k++ {
+			alive, st := FairCliquePrune(g, k)
+			var wantV, wantE int32
+			for v, ok := range alive {
+				if ok != (core[v] >= FairnessFloor(k)) {
+					t.Fatalf("seed %d k=%d: vertex %d alive=%v, core %d", seed, k, v, ok, core[v])
+				}
+				if ok {
+					wantV++
+				}
+			}
+			for e := int32(0); e < g.M(); e++ {
+				if u, v := g.Edge(e); alive[u] && alive[v] {
+					wantE++
+				}
+			}
+			if st.Survivors != wantV || st.SurvivorEdges != wantE {
+				t.Fatalf("seed %d k=%d: stats %+v, want %d vertices and %d edges", seed, k, st, wantV, wantE)
+			}
+		}
+	}
+}
+
+// BenchmarkFairCliquePrune peels the BenchmarkLoadSNAP instance,
+// gen.IngestGiant(1, 0.09), to the (2k−1)-core of the ingest-answer
+// query's k = 8.
+func BenchmarkFairCliquePrune(b *testing.B) {
+	g := gen.IngestGiant(1, 0.09)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, st := FairCliquePrune(g, 8); st.Survivors == 0 {
+			b.Fatal("the prune cleared the instance")
+		}
 	}
 }

@@ -3,6 +3,7 @@ package reduce
 import (
 	"testing"
 
+	"fairclique/internal/gen"
 	"fairclique/internal/graph"
 	"fairclique/internal/rng"
 )
@@ -121,5 +122,20 @@ func TestPatchedCloneWorkersBitIdentical(t *testing.T) {
 	pp, _ := par.PatchedClone(newG, info)
 	for k := int32(1); k <= 3; k++ {
 		identicalSub(t, "patched", ps.Get(k).Sub, pp.Get(k).Sub)
+	}
+}
+
+// BenchmarkPipelineN reduces the BenchmarkLoadSNAP instance,
+// gen.IngestGiant(1, 0.09), at the ingest-answer query's k = 8 on one
+// worker: the (2k−1)-core peel, the one-pass component split and the
+// colorful stages over every surviving component. Only the planted
+// balanced K20 survives.
+func BenchmarkPipelineN(b *testing.B) {
+	g := gen.IngestGiant(1, 0.09)
+	b.ReportAllocs()
+	for b.Loop() {
+		if sub, _ := PipelineN(g, 8, 1); sub.G.N() != 20 || sub.G.M() != 190 {
+			b.Fatalf("reduced to n=%d m=%d; want the planted K20", sub.G.N(), sub.G.M())
+		}
 	}
 }

@@ -38,11 +38,12 @@ func Pipeline(g *graph.Graph, k int32) (*graph.Subgraph, []StageStats) {
 //	stage 3  EnColorfulSup at k (Lemma 4)
 //
 // The cheap degeneracy pre-prune runs first on the whole graph so the
-// expensive colorful machinery only ever sees its survivors; the
-// colorful stages then run independently per connected component
-// (coloring and peeling are component-local), fanned across a bounded
-// worker set. Every relative fair clique with both attribute counts
-// >= k survives all stages.
+// expensive colorful machinery only ever sees its survivors. The
+// survivors are split straight from g into component graphs
+// (graph.AliveComponents), and the colorful stages run independently
+// per component (coloring and peeling are component-local), fanned
+// across a bounded worker set. Every relative fair clique with both
+// attribute counts >= k survives all stages.
 //
 // Determinism: each component's reduction is a sequential computation
 // on an isolated induced subgraph, and results are merged in component
@@ -61,18 +62,16 @@ func PipelineN(g *graph.Graph, k int32, workers int) (*graph.Subgraph, []StageSt
 
 	alive, pst := kcore.FairCliquePrune(g, k)
 	stats[0].Vertices, stats[0].Edges = pst.Survivors, pst.SurvivorEdges
-	pre := graph.InduceAlive(g, alive, nil)
-	comps := graph.ConnectedComponents(pre.G)
+	comps := graph.AliveComponents(g, alive)
 
 	type compOut struct {
-		sub    *graph.Subgraph // survivors, ToParent into pre.G
+		sub    *graph.Subgraph // survivors, ToParent into g
 		stages [3]StageStats
 	}
 	outs := make([]compOut, len(comps))
 	run := func(ci int) {
-		cs := graph.Induce(pre.G, comps[ci])
-		sub, sst := runStages(cs.G, k)
-		sub.ToParent = chain(cs.ToParent, sub.ToParent)
+		sub, sst := runStages(comps[ci].G, k)
+		sub.ToParent = chain(comps[ci].ToParent, sub.ToParent)
 		outs[ci] = compOut{sub, sst}
 	}
 	if workers <= 1 || len(comps) <= 1 {
@@ -107,14 +106,12 @@ func PipelineN(g *graph.Graph, k int32, workers int) (*graph.Subgraph, []StageSt
 	eAlive := make([]bool, g.M())
 	for ci := range comps {
 		o := outs[ci]
-		for i := int32(0); i < o.sub.G.N(); i++ {
-			vAlive[pre.ToParent[o.sub.ToParent[i]]] = true
+		for _, v := range o.sub.ToParent {
+			vAlive[v] = true
 		}
 		for e := int32(0); e < o.sub.G.M(); e++ {
 			su, sv := o.sub.G.Edge(e)
-			u := pre.ToParent[o.sub.ToParent[su]]
-			v := pre.ToParent[o.sub.ToParent[sv]]
-			if eid, ok := g.EdgeID(u, v); ok {
+			if eid, ok := g.EdgeID(o.sub.ToParent[su], o.sub.ToParent[sv]); ok {
 				eAlive[eid] = true
 			}
 		}
