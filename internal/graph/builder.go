@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"slices"
+	"sync"
 )
 
 // Builder accumulates vertices and edges and produces an immutable
@@ -61,18 +62,27 @@ func (b *Builder) Build() *Graph {
 	return fromSortedEdges(slices.Clone(b.attrs), edges)
 }
 
+// splitPlacementEdges is the edge count from which fromSortedEdges
+// places the two halves of its edge list on two goroutines. Below it a
+// second goroutine costs more than it saves. It is a var only so tests
+// can send small graphs through the split.
+var splitPlacementEdges = 1 << 16
+
 // fromSortedEdges assembles the CSR for an already canonical (u < v),
 // sorted, deduplicated edge list. It takes ownership of both slices.
-// Every CSR in this package is built this way (StreamBuilder.Build
-// places its merged stream by the same rule), so a graph's layout
+// Every CSR in this package is built this way, so a graph's layout
 // depends only on its edge set.
 //
 // Placing the edges in (u, v) order sorts every adjacency list without
 // a per-row sort: vertex x first receives its smaller neighbours, from
 // the edges (u, x) in increasing u, then its larger neighbours, from
 // the edges (x, v) in increasing v. Every (u, x) precedes every (x, v)
-// because u < x, so the two runs never interleave.
+// because u < x, so the two runs never interleave. From
+// splitPlacementEdges edges on, placeHalves places the list instead.
 func fromSortedEdges(attrs []Attr, edges [][2]int32) *Graph {
+	if len(edges) >= splitPlacementEdges {
+		return placeHalves(attrs, edges)
+	}
 	n := len(attrs)
 	offsets := make([]int32, n+1)
 	for _, e := range edges {
@@ -98,6 +108,76 @@ func fromSortedEdges(attrs []Attr, edges [][2]int32) *Graph {
 		eids:    eids,
 		attrs:   attrs,
 		edges:   edges,
+	}
+}
+
+// placeHalves is fromSortedEdges for a large edge list: it places the
+// two halves of the list at once, a goroutine counting and then placing
+// the first half while the caller's goroutine does the second. Row x
+// takes the first half's entries from offsets[x] and the second half's
+// from offsets[x] plus the first half's count for x, so every row
+// still receives its entries in edge order and the CSR is the same
+// byte for byte. Like fromSortedEdges it allocates one cursor per
+// vertex beside the arrays the Graph keeps.
+func placeHalves(attrs []Attr, edges [][2]int32) *Graph {
+	n, h := len(attrs), len(edges)/2
+	offsets := make([]int32, n+1)
+	// first holds the first half's row counts, then the second half's
+	// cursors; the first half's cursors run in offsets.
+	first := make([]int32, n)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		countRows(first, edges[:h])
+	}()
+	countRows(offsets[1:], edges[h:])
+	wg.Wait()
+	for v := 0; v < n; v++ {
+		offsets[v+1] += offsets[v] + first[v]
+		first[v] += offsets[v]
+	}
+	nbrs := make([]int32, offsets[n])
+	eids := make([]int32, offsets[n])
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		placeRows(nbrs, eids, offsets[:n], edges[:h], 0)
+	}()
+	placeRows(nbrs, eids, first, edges[h:], int32(h))
+	wg.Wait()
+	// The first half moved its cursors in offsets; every second-half
+	// cursor stopped where the next row starts, so first restores
+	// them.
+	offsets[0] = 0
+	copy(offsets[1:], first)
+	return &Graph{
+		offsets: offsets,
+		nbrs:    nbrs,
+		eids:    eids,
+		attrs:   attrs,
+		edges:   edges,
+	}
+}
+
+// countRows adds each edge's two half-edges to the counts of its
+// endpoints' rows.
+func countRows(counts []int32, edges [][2]int32) {
+	for _, e := range edges {
+		counts[e[0]]++
+		counts[e[1]]++
+	}
+}
+
+// placeRows places each edge, whose id is base plus its index, into
+// the rows of both endpoints at their cursors, advancing them.
+func placeRows(nbrs, eids, fill []int32, edges [][2]int32, base int32) {
+	for i, uv := range edges {
+		u, v, e := uv[0], uv[1], base+int32(i)
+		nbrs[fill[u]], eids[fill[u]] = v, e
+		fill[u]++
+		nbrs[fill[v]], eids[fill[v]] = u, e
+		fill[v]++
 	}
 }
 

@@ -79,17 +79,32 @@ func requireCSR(t *testing.T, what string, got, want *Graph) {
 }
 
 // constructionCases yields random attributed graphs from empty to 200
-// vertices over a range of densities.
+// vertices over a range of densities, every case twice: at the default
+// placement cutoff, and then with every placement split in two halves
+// (edge counts 0, 1, odd and even).
 func constructionCases(t *testing.T, fn func(name string, r *rng.RNG, g *Graph)) {
 	t.Helper()
-	seed := uint64(0)
-	for _, n := range []int{0, 1, 2, 5, 17, 60, 200} {
-		for _, p := range []float64{0.05, 0.3, 0.8} {
-			seed++
-			r := rng.New(seed)
-			fn(fmt.Sprintf("n=%d p=%.2f", n, p), r, randomGraph(t, seed, n, p))
+	for _, split := range []string{"", " split"} {
+		if split != "" {
+			setSplitPlacement(t, 0)
+		}
+		seed := uint64(0)
+		for _, n := range []int{0, 1, 2, 5, 17, 60, 200} {
+			for _, p := range []float64{0.05, 0.3, 0.8} {
+				seed++
+				r := rng.New(seed)
+				fn(fmt.Sprintf("n=%d p=%.2f%s", n, p, split), r, randomGraph(t, seed, n, p))
+			}
 		}
 	}
+}
+
+// setSplitPlacement sets splitPlacementEdges for the rest of the test.
+func setSplitPlacement(tb testing.TB, edges int) {
+	tb.Helper()
+	old := splitPlacementEdges
+	splitPlacementEdges = edges
+	tb.Cleanup(func() { splitPlacementEdges = old })
 }
 
 // edgesOf lists g's edges between kept vertices, relabeled by toSub

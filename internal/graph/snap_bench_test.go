@@ -12,7 +12,7 @@ import (
 // BenchmarkLoadSNAP streams a ~200k-edge IngestGiant SNAP pair from
 // disk into a CSR with the chunk budget perfbench's ingest-answer uses
 // (ChunkEdges = m/64), so the builder spills about a dozen sorted runs
-// and both Build passes merge them. It reports raw edges per second and
+// and Build merges them. It reports raw edges per second and
 // allocations per load.
 func BenchmarkLoadSNAP(b *testing.B) {
 	want := gen.IngestGiant(1, 0.09)

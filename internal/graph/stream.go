@@ -10,8 +10,8 @@ import (
 	"slices"
 )
 
-// StreamConfig tunes the chunk-sorted two-pass CSR builder. The zero
-// value selects defaults suitable for multi-million-edge inputs.
+// StreamConfig tunes the chunk-sorted CSR builder. The zero value
+// selects defaults suitable for multi-million-edge inputs.
 type StreamConfig struct {
 	// ChunkEdges is the sorted-chunk granularity: edges are buffered,
 	// sorted and sealed in chunks of this many entries. Default 1<<19.
@@ -57,14 +57,14 @@ type StreamStats struct {
 	RunsSpilled  int   `json:"runs_spilled"`
 	SpilledBytes int64 `json:"spilled_bytes"`
 	// PeakTrackedBytes is the high-water mark of builder-owned memory:
-	// edge buffers, the vertex remap, spill-run block buffers, and the
-	// CSR arrays themselves. The remap is charged what it allocates:
-	// 8+1 B per vertex (external id and attribute), 4 B per id-table
-	// slot (old and new table both while the table grows) and 48 B per
-	// id held by the map; the table and the map are released before
-	// Build allocates the CSR. The figure is computed analytically from
-	// buffer sizes (not sampled from the runtime) so it is
-	// bit-deterministic and safe to gate on in CI.
+	// edge buffers, the vertex remap, spill-run block buffers, the CSR
+	// arrays themselves and the row cursors that place them. The remap
+	// is charged what it allocates: 8+1 B per vertex (external id and
+	// attribute), 4 B per id-table slot (old and new table both while
+	// the table grows) and 48 B per id held by the map; the table and
+	// the map are released before Build allocates the CSR. The figure
+	// is computed analytically from buffer sizes (not sampled from the
+	// runtime) so it is bit-deterministic and safe to gate on in CI.
 	PeakTrackedBytes int64 `json:"peak_tracked_bytes"`
 	// CSRBytes is the size of the finished CSR arrays (offsets,
 	// adjacency, edge ids, canonical edge list, attributes). The
@@ -76,11 +76,12 @@ type StreamStats struct {
 // without ever holding the raw edge list and the CSR in memory at the
 // same time. Edges are packed into sorted chunks; once the in-memory
 // budget is exceeded the chunks are merged into sorted runs on disk.
-// Build then makes two merge passes over the runs: one to count
-// degrees, one to place adjacency — so peak memory is the CSR plus a
-// bounded edge buffer, not CSR plus the whole edge list. Every merge,
-// the spill's and Build's, is one tournament over the sorted sources,
-// and spilled runs are read back in spillBufBytes blocks.
+// Build then merges the runs once, straight into the canonical edge
+// list the Graph keeps, and places the adjacency from that list — so
+// peak memory is the CSR plus bounded buffers, not the CSR plus a
+// second copy of the edge list. Every merge, the spill's and Build's,
+// is one tournament over the sorted sources, and spilled runs are read
+// back in spillBufBytes blocks.
 //
 // External vertex ids are arbitrary non-negative int64s; they are
 // remapped to dense int32 ids in first-seen order (stable across runs
@@ -116,7 +117,7 @@ type StreamBuilder struct {
 }
 
 // spillBufBytes is the block size in which a spill run is written and
-// read back during the merge passes (counted in PeakTrackedBytes).
+// read back during Build's merge (counted in PeakTrackedBytes).
 const spillBufBytes = 32 << 10
 
 // The deterministic accounting charges of the remap: per interned
@@ -228,8 +229,8 @@ func (sb *StreamBuilder) SetAttr(ext int64, a Attr) error {
 }
 
 // AddEdge streams one undirected edge. Self-loops are counted and
-// dropped; duplicates (in either orientation) are deduplicated during
-// the merge passes.
+// dropped; duplicates (in either orientation) are deduplicated by the
+// merges.
 func (sb *StreamBuilder) AddEdge(u, v int64) error {
 	if sb.done {
 		return fmt.Errorf("graph: StreamBuilder already built")
@@ -485,24 +486,15 @@ func (m *merger) next() (rec uint64, ok bool) {
 	}
 }
 
-// mergePass runs pass over one merge of every sealed chunk and spilled
-// run, charging the runs' block buffers while it runs.
-func (sb *StreamBuilder) mergePass(pass func(*merger)) error {
-	blocks := int64(spillBufBytes * len(sb.runs))
-	sb.track(blocks)
-	defer sb.track(-blocks)
-	m, err := newMerger(sb.mem, sb.runs)
-	if err != nil {
-		return err
-	}
-	pass(m)
-	return m.err
-}
+// maxEdges is the most edges a Graph holds: its 2m half-edges are
+// indexed by int32.
+const maxEdges = (1<<31 - 1) / 2
 
-// Build finishes the stream and assembles the CSR graph in two merge
-// passes: degree counting, then adjacency placement. The builder's
-// spill files are removed and the builder cannot be reused. Stats are
-// only meaningful after Build returns.
+// Build finishes the stream and assembles the CSR graph: one merge of
+// every sealed chunk and spilled run writes the canonical edge list,
+// and fromSortedEdges places the CSR from it. The builder's spill
+// files are removed and the builder cannot be reused. Stats are only
+// meaningful after Build returns.
 func (sb *StreamBuilder) Build() (*Graph, *StreamStats, error) {
 	if sb.done {
 		return nil, nil, fmt.Errorf("graph: StreamBuilder already built")
@@ -527,59 +519,46 @@ func (sb *StreamBuilder) Build() (*Graph, *StreamStats, error) {
 		return g, &st, nil
 	}
 
-	// Pass 1: degrees and final edge count. Duplicates across runs are
-	// counted here and not in pass 2.
-	deg := make([]int32, n)
-	sb.track(int64(4 * n))
-	var m int64
-	err := sb.mergePass(func(mg *merger) {
-		for packed, ok := mg.next(); ok; packed, ok = mg.next() {
-			deg[packed>>32]++
-			deg[uint32(packed)]++
-			m++
-		}
-		sb.stats.Duplicates += mg.dups
-	})
+	// The merge yields at most the records the spills' own dedup left.
+	// Past maxEdges it only counts, for the error.
+	bound := min(sb.stats.EdgesRead-sb.stats.Duplicates, maxEdges)
+	edges := make([][2]int32, bound)
+	blocks := int64(spillBufBytes * len(sb.runs))
+	sb.track(8*bound + blocks)
+	mg, err := newMerger(sb.mem, sb.runs)
 	if err != nil {
 		return nil, nil, err
 	}
-	if 2*m > 1<<31-1 {
+	var m int64
+	for packed, ok := mg.next(); ok; packed, ok = mg.next() {
+		if m < bound {
+			edges[m] = [2]int32{int32(packed >> 32), int32(uint32(packed))}
+		}
+		m++
+	}
+	sb.track(-blocks)
+	if mg.err != nil {
+		return nil, nil, mg.err
+	}
+	sb.stats.Duplicates += mg.dups
+	if m > maxEdges {
 		return nil, nil, fmt.Errorf("graph: too many edges for int32 ids (%d)", m)
 	}
-
-	offsets := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		offsets[v+1] = offsets[v] + deg[v]
-	}
-	// Reuse deg as the fill cursor (current write offset per vertex).
-	fill := deg
-	copy(fill, offsets[:n])
-
-	nbrs := make([]int32, 2*m)
-	eids := make([]int32, 2*m)
-	edges := make([][2]int32, m)
-	sb.track(int64(4*(n+1)) + 24*m)
-
-	// Pass 2: placement. The merge yields canonical edges sorted by
-	// (lo, hi), so placing them in stream order sorts every adjacency
-	// list, exactly as in fromSortedEdges.
-	err = sb.mergePass(func(mg *merger) {
-		var e int32
-		for packed, ok := mg.next(); ok; packed, ok = mg.next() {
-			u, v := int32(packed>>32), int32(uint32(packed))
-			edges[e] = [2]int32{u, v}
-			nbrs[fill[u]], eids[fill[u]] = v, e
-			fill[u]++
-			nbrs[fill[v]], eids[fill[v]] = u, e
-			fill[v]++
-			e++
-		}
-	})
-	if err != nil {
-		return nil, nil, err
+	if m < bound {
+		// Duplicates across runs left slack; the Graph keeps the list,
+		// so it keeps it at its exact length.
+		sb.track(8 * m)
+		exact := make([][2]int32, m)
+		copy(exact, edges)
+		edges = exact
+		sb.track(-8 * bound)
 	}
 
-	g := &Graph{offsets: offsets, nbrs: nbrs, eids: eids, attrs: sb.attrs, edges: edges}
+	// fromSortedEdges allocates offsets, nbrs and eids, which the Graph
+	// keeps, and one cursor per vertex, which it drops.
+	sb.track(int64(4*(n+1)) + 16*m + int64(4*n))
+	g := fromSortedEdges(sb.attrs, edges)
+	sb.track(int64(-4 * n))
 	sb.stats.Vertices = int32(n)
 	sb.stats.Edges = m
 	sb.stats.CSRBytes = int64(4*(n+1)) + 24*m + int64(n)

@@ -369,6 +369,56 @@ func TestStreamPeakUnderTwiceCSR(t *testing.T) {
 	}
 }
 
+// TestStreamCrossRunDuplicates streams every edge in both
+// orientations, the second only after the first has spilled, so only
+// Build's merge sees the duplicates and the merged list ends at half
+// its bound. The graph must be Builder's, its edge list must hold no
+// slack, and the peak must stay under twice the CSR, with the
+// placement serial and split.
+func TestStreamCrossRunDuplicates(t *testing.T) {
+	want := randomGraph(t, 808, 3000, 0.0045)
+	for _, cutoff := range []int{splitPlacementEdges, 0} {
+		t.Run(fmt.Sprintf("split from %d edges", cutoff), func(t *testing.T) {
+			setSplitPlacement(t, cutoff)
+			cfg := StreamConfig{ChunkEdges: 1 << 10, MaxMemEdges: 1 << 12, SpillDir: t.TempDir()}
+			if window := 5 * cfg.ChunkEdges; int(want.M()) < window {
+				t.Fatalf("m=%d: an edge's two copies can share a %d-record spill", want.M(), window)
+			}
+			sb := NewStreamBuilder(cfg)
+			for v := int32(0); v < want.N(); v++ {
+				if err := sb.SetAttr(int64(v), want.Attr(v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, flip := range []bool{false, true} {
+				for _, e := range want.edges {
+					u, v := int64(e[0]), int64(e[1])
+					if flip {
+						u, v = v, u
+					}
+					if err := sb.AddEdge(u, v); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			g, st, err := sb.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireCSR(t, "streamed", g, want)
+			if cap(g.edges) != len(g.edges) {
+				t.Fatalf("edge list len %d cap %d: the merge bound's slack was kept", len(g.edges), cap(g.edges))
+			}
+			if st.RunsSpilled == 0 || st.Duplicates != int64(want.M()) || st.EdgesRead != st.Edges+st.Duplicates {
+				t.Fatalf("stats %+v: want spilled runs, %d duplicates and read = edges + duplicates", st, want.M())
+			}
+			if st.PeakTrackedBytes >= 2*st.CSRBytes {
+				t.Fatalf("peak %d B >= 2x CSR %d B", st.PeakTrackedBytes, st.CSRBytes)
+			}
+		})
+	}
+}
+
 func TestStreamBuilderDeterministic(t *testing.T) {
 	build := func() (*Graph, *StreamStats) {
 		r := rng.New(555)
