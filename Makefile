@@ -31,8 +31,9 @@ build:
 test:
 	$(GO) test ./...
 
-# The engine's parallel paths — root split, subtree work donation, the
-# chunked-row kernels, the session's concurrent grid, the serve layer
+# The engine's parallel paths — the root split and its subtree work
+# donation, the chunked-row kernels, concurrent grids and queries on
+# one session (every parallel search on the split), the serve layer
 # (registry, write buffer, cache, admission gate) and the public
 # Graph's lazy freeze — under the race detector. The root package runs
 # only its concurrency hammers (the oracle suites are too slow for
@@ -49,8 +50,8 @@ race: test-race
 # the multi-query session experiment (9-cell grid, amortized vs
 # independent) embedded under "grid", the dynamic-session experiment
 # (single-edge Apply+requery vs NewSession+requery) embedded under
-# "delta", and the session-global scheduler experiment (grid serial vs
-# the shared work-stealing pool) embedded under "sched", and the
+# "delta", and the parallel-search experiment (grid serial vs each
+# cell's search split at 4 workers) embedded under "sched", and the
 # paper-scale ingest experiment (streaming CSR build from SNAP text,
 # degeneracy pre-prune, component-parallel reduction on the
 # ~2.2M-edge IngestGiant instance) embedded under "ingest", and the
@@ -86,11 +87,11 @@ bench-check:
 	$(GO) run ./cmd/benchmark -exp delta -scale $(BENCH_SCALE) -out $(BENCH_OUT_DIR)/BENCH_delta.new.json
 	$(GO) run ./cmd/benchmark -exp anytime -scale $(BENCH_SCALE) -out $(BENCH_OUT_DIR)/BENCH_anytime.new.json
 
-# Measure the session-global scheduler: the same grid serial (W1) and
-# on the session-lifetime shared pool (W4), plus the WORKERS_CURVE
+# Measure parallel search: the same grid serial (W1) and with each
+# cell's search on the private root split (W4), plus the WORKERS_CURVE
 # scaling curve. With MIN_SPEEDUP > 0 the run exits 1 unless the
-# shared-pool W4/W1 speedup strictly exceeds it — the CI parallel gate
-# (requires a multi-core machine).
+# W4/W1 speedup strictly exceeds it — the CI parallel gate (requires a
+# multi-core machine).
 bench-parallel:
 	@mkdir -p $(BENCH_OUT_DIR)
 	$(GO) run ./cmd/benchmark -exp sched -scale $(BENCH_SCALE) -workers-curve $(WORKERS_CURVE) -min-speedup $(MIN_SPEEDUP) -out $(BENCH_OUT_DIR)/BENCH_sched.new.json

@@ -18,11 +18,11 @@
 // independent Find calls (-grid overrides the canonical 9 cells) —
 // "delta" measures the dynamic session: a single-edge Apply plus
 // requery on a warm Session versus NewSession plus requery on the
-// mutated graph, "sched" measures the session-global work-stealing
-// scheduler: the same grid serial and on the session-lifetime shared
-// pool, plus a worker scaling curve (-workers-curve, default 1,2,4,8;
-// -min-speedup X exits 1 unless the shared-pool W4/W1 speedup beats X
-// — the bench-parallel CI gate), and "ingest" measures the
+// mutated graph, "sched" measures parallel search: the same grid
+// serial and with each cell's search on the private root split at 4
+// workers, plus a worker scaling curve (-workers-curve, default
+// 1,2,4,8; -min-speedup X exits 1 unless the W4/W1 speedup beats X —
+// the bench-parallel CI gate), and "ingest" measures the
 // paper-scale pipeline: SNAP text through the streaming CSR builder,
 // the degeneracy pre-prune and the component-parallel reduction on the
 // reproducible multi-million-edge instance (-max-mem-ratio gates the
@@ -126,14 +126,14 @@ func main() {
 		return
 	}
 	if *exp == "sched" {
-		// The session-global scheduler experiment: the grid serial vs
-		// the shared work-stealing pool. JSON-only; -merge embeds it
-		// under "sched"; -min-speedup is the CI parallel gate.
+		// The parallel-search experiment: the grid serial vs split at
+		// 4 workers. JSON-only; -merge embeds it under "sched";
+		// -min-speedup is the CI parallel gate.
 		if err := bench.WriteSchedBench(cfg, w, *merge, *minSpeedup); err != nil {
 			fmt.Fprintln(os.Stderr, "benchmark:", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "benchmark: sched scheduler bench finished in %v\n", time.Since(start))
+		fmt.Fprintf(os.Stderr, "benchmark: sched parallel-search bench finished in %v\n", time.Since(start))
 		return
 	}
 	if *exp == "enum" {

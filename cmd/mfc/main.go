@@ -68,7 +68,7 @@ func main() {
 		topR       = flag.Int("top", 0, "with or without -enumerate: print a diversified top-R subset of the maximum fair cliques (0 = all)")
 		maxNodes   = flag.Int64("max-nodes", 0, "abort after this many branch nodes (0 = unlimited)")
 		deadline   = flag.Duration("deadline", 0, "anytime wall-clock budget, e.g. 500ms (0 = none); an aborted run prints its certified upper bound and gap")
-		workers    = flag.Int("workers", 1, "parallel branching workers (a grid shares them through the session's work-stealing pool)")
+		workers    = flag.Int("workers", 1, "parallel branching workers (each query, every grid cell included, splits its search across them)")
 		grid       = flag.String("grid", "", "answer a (k, delta) grid on one warm session, e.g. 'k=2..4,delta=1..3[,mode=weak|strong]'")
 		applySpec  = flag.String("apply", "", "apply a graph delta on a warm session and re-answer, e.g. '+e:0:5 -e:1:2 +v:a -v:7'")
 		repl       = flag.Bool("repl", false, "interactive session REPL on stdin (find/grid/apply/stats; see 'help')")
@@ -163,7 +163,6 @@ func main() {
 
 	case *enumerate || *topR > 0:
 		sess := fairclique.NewSession(g, sessionOpts())
-		defer sess.Close()
 		spec := fairclique.QuerySpec{K: *k, Delta: *delta, Kind: fairclique.KindEnumerateAll, Deadline: *deadline}
 		if *topR > 0 {
 			spec.Kind = fairclique.KindTopR
@@ -294,7 +293,6 @@ func parseDelta(spec string) (fairclique.Delta, error) {
 // per-cell answers plus the session's amortization counters.
 func runGrid(g *fairclique.Graph, specs []fairclique.QuerySpec, opt fairclique.SessionOptions, quiet bool) {
 	s := fairclique.NewSession(g, opt)
-	defer s.Close()
 	start := time.Now()
 	results, err := s.FindGrid(specs)
 	if err != nil {
@@ -338,7 +336,6 @@ func printCells(specs []fairclique.QuerySpec, results []*fairclique.Result, quie
 // component-scoped invalidation retained.
 func runApply(g *fairclique.Graph, specs []fairclique.QuerySpec, d fairclique.Delta, opt fairclique.SessionOptions, quiet bool) {
 	s := fairclique.NewSession(g, opt)
-	defer s.Close()
 	results, err := s.FindGrid(specs)
 	if err != nil {
 		fatal(err)
@@ -381,10 +378,6 @@ func printSessionStats(s *fairclique.Session) {
 	st := s.Stats()
 	fmt.Printf("session: %d queries, %d nodes, %d reduction builds (%d chained), %d reuses, %d warm starts, %d dominance skips\n",
 		st.Queries, st.Nodes, st.ReductionBuilds, st.ReductionChained, st.ReductionReuses, st.WarmStarts, st.DominanceSkips)
-	if st.WorkerReleases > 0 {
-		fmt.Printf("scheduler: %d donations, %d steals (%d cross-cell), %d pool searches on %d lifetime workers\n",
-			st.Donations, st.Steals, st.CrossCellSteals, st.PoolSearches, st.WorkerReleases)
-	}
 	if st.Applies > 0 {
 		fmt.Printf("dynamic: %d applies (epoch %d), %d comp preps reused, %d/%d snapshots verbatim (%d rippled), pool %d kept / %d dropped, %d bridge seeds\n",
 			st.Applies, st.Epoch, st.CompPrepsReused, st.SnapshotsReused,
@@ -397,7 +390,6 @@ func printSessionStats(s *fairclique.Session) {
 // deltas interleave on stdin, mirroring the service regime.
 func runREPL(g *fairclique.Graph, opt fairclique.SessionOptions) {
 	s := fairclique.NewSession(g, opt)
-	defer s.Close()
 	fmt.Printf("session ready: %d vertices, %d edges (try 'help')\n", s.N(), s.M())
 	sc := bufio.NewScanner(os.Stdin)
 	for {

@@ -107,7 +107,6 @@ func main() {
 		shCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		_ = httpSrv.Shutdown(shCtx)
-		srv.Registry().Close() // release every session's lifetime worker pool
 	case err := <-errc:
 		if !errors.Is(err, http.ErrServerClosed) {
 			fatal(err)

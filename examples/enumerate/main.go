@@ -33,7 +33,6 @@ func main() {
 	}
 
 	sess := fairclique.NewSession(g)
-	defer sess.Close()
 
 	// Every maximum (2, 0)-fair clique: at least 2 of each attribute,
 	// perfectly balanced. The set is canonical — each clique ascending,

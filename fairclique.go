@@ -304,12 +304,14 @@ type Options struct {
 	// the optimum (Result.UpperBound / Result.Gap). A search that proves
 	// optimality before the deadline returns exact as usual.
 	Deadline time.Duration
-	// Workers branches concurrently when > 1. Parallelism is
-	// intra-component — the root branches of each connected component
-	// are split across workers — so it helps even when the reduced
-	// graph is a single giant component. The optimum size stays exact;
-	// with several equally-sized optima the returned vertex set may
-	// vary between runs.
+	// Workers branches concurrently when > 1. A connected component
+	// with more than 1,024 vertices, or one of fewer than Workers
+	// components left, has its root branches split across the workers,
+	// so parallelism helps even when the reduced graph is a single
+	// component; the components of a many-component graph are handed
+	// out one per worker. The optimum size stays exact; with several
+	// equally-sized optima the returned vertex set may vary between
+	// runs.
 	Workers int
 }
 
@@ -367,9 +369,7 @@ func (r *Result) Size() int { return len(r.Clique) }
 // Find is a thin wrapper over a throwaway Session answering one
 // QuerySpec — the session's normalization is the ONLY query
 // normalization path, so one-shot and session answers can never
-// diverge. The throwaway session is closed before it is queried, so it
-// never starts the shared worker pool: a closed session splits each
-// query's Workers budget privately (see Session.Close).
+// diverge.
 func Find(g *Graph, opt Options) (*Result, error) {
 	sess := NewSession(g, SessionOptions{
 		Bound:            opt.Bound,
@@ -378,7 +378,6 @@ func Find(g *Graph, opt Options) (*Result, error) {
 		DisableReduction: opt.DisableReduction,
 		Workers:          opt.Workers,
 	})
-	sess.Close()
 	return sess.Find(QuerySpec{
 		K:        opt.K,
 		Delta:    opt.Delta,
@@ -602,14 +601,11 @@ type SessionOptions struct {
 	// unlimited). Capped (inexact) answers are never reused to bound or
 	// seed later queries.
 	MaxNodes int64
-	// Workers is the total branching parallelism. With Workers > 1 the
-	// session owns one lifetime work-stealing pool: Workers-1
-	// persistent executors are started at the first query and serve
-	// every Find, FindGrid, Enumerate and post-Apply requery until
-	// Close — a single Find's donated subtrees are stolen by the same
-	// executors that fan out a grid. Every executor takes the most
-	// recently donated subtree first (one LIFO queue). After Close
-	// each query splits Workers privately instead (see Close).
+	// Workers is the branching parallelism of each query. With
+	// Workers > 1 every Find, FindGrid cell, Enumerate and post-Apply
+	// requery splits its search across Workers goroutines, exactly as
+	// Options.Workers does for Find, and all of them have returned when
+	// the call does.
 	Workers int
 	// MaxPreparedK bounds how many distinct k values keep their
 	// prepared state (reduction snapshot, component machinery) warm in
@@ -663,17 +659,15 @@ type SessionStats struct {
 	// PrepEvictions counts per-k prepared states evicted by the
 	// MaxPreparedK cap.
 	PrepEvictions int64
-	// Steals counts donated subtrees executed through the session's
-	// lifetime work-stealing pool; CrossCellSteals is the subset
-	// executed by an executor that was not driving the donating cell —
-	// proof that a finished or skipped cell's worker fed another cell.
-	// WorkerReleases counts executors released into the pool; with the
-	// session-lifetime pool this happens exactly once per executor, so
-	// a WorkerReleases that stays at Workers-1 across many queries is
-	// the receipt that the worker set is being reused, not rebuilt.
+	// Steals, CrossCellSteals, WorkerReleases and PoolSearches are
+	// always 0.
+	//
+	// Deprecated: the session-lifetime worker pool they counted was
+	// removed because it never paid for itself in measurement; every
+	// parallel query now splits its own search, whose donated subtrees
+	// Donations counts.
 	Steals, CrossCellSteals, WorkerReleases int64
-	// PoolSearches counts queries that drew on the shared pool (both
-	// Find and FindGrid cells once the session has gone parallel).
+	// Deprecated: always 0; see Steals.
 	PoolSearches int64
 	// SpeculativeStarts and SpeculativeWins are always 0.
 	//
@@ -720,12 +714,8 @@ type SessionStats struct {
 // A Session is safe for concurrent use, including queries racing an
 // Apply: in-flight queries finish race-free on the graph generation
 // they started on, queries issued after Apply returns see the new
-// graph. FindGrid additionally parallelizes its cells through one
-// session-global work-stealing pool, each cell with its own incumbent:
-// the cells are driven in the dominance-chain order and every other
-// worker of the budget steals donated search subtrees from whichever
-// cell is branching — so dominance-skipped cells cost nothing and
-// strand no workers.
+// graph. With Workers > 1 each query splits its own search across
+// the workers; a Session keeps no goroutine between queries.
 type Session struct {
 	inner *session.Session
 }
@@ -1023,10 +1013,10 @@ func resultSetFromInternal(rs *session.ResultSet) *ResultSet {
 }
 
 // FindGrid answers a grid of cells, returning results aligned with
-// specs. Cells are scheduled to maximize reuse (k ascending, δ
-// descending) and run concurrently when Workers > 1; every cell's
-// result is exactly what an independent Find of that cell would
-// return.
+// specs. Cells run one after another in the order that maximizes reuse
+// (k ascending, δ descending), and with Workers > 1 each cell's search
+// is split across the workers; every cell's result is exactly what an
+// independent Find of that cell would return.
 func (s *Session) FindGrid(specs []QuerySpec) ([]*Result, error) {
 	qs := make([]session.Query, len(specs))
 	for i, spec := range specs {
@@ -1073,10 +1063,6 @@ func (s *Session) Stats() SessionStats {
 		PoolRetained:     st.PoolRetained,
 		PoolDropped:      st.PoolDropped,
 		PrepEvictions:    st.PrepEvictions,
-		Steals:           st.Steals,
-		CrossCellSteals:  st.CrossCellSteals,
-		WorkerReleases:   st.WorkerReleases,
-		PoolSearches:     st.PoolSearches,
 
 		SpeculativeStarts: st.SpeculativeStarts,
 		SpeculativeWins:   st.SpeculativeWins,
@@ -1090,16 +1076,11 @@ func (s *Session) Stats() SessionStats {
 	}
 }
 
-// Close shuts down the session's lifetime worker pool and waits for
-// its executors to exit. Idempotent; a never-parallel session closes
-// trivially. The session stays queryable afterwards: each later query
-// splits the Workers budget privately — the root branches of every
-// large component across Workers goroutines of its own, the small
-// components one per goroutine — and never restarts the pool. So
-// Close releases resources without poisoning the value. Long-lived
-// programs holding many parallel sessions should Close the ones they
-// retire.
-func (s *Session) Close() { s.inner.Close() }
+// Close does nothing: a Session holds no goroutine or other resource
+// between queries, and stays queryable.
+//
+// Deprecated: there is nothing to release; drop the call.
+func (s *Session) Close() {}
 
 func toInt32(s []int) []int32 {
 	out := make([]int32, len(s))

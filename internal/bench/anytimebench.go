@@ -40,6 +40,10 @@ type AnytimeBenchResult struct {
 // measured exact wall clock.
 var anytimeBudgetFractions = []float64{0.01, 0.05, 0.10, 0.25, 0.50, 1.00}
 
+// anytimeOptions is the anytime experiment's search: the core
+// benchmark's (k, δ) cell with both bound groups and the heuristic.
+var anytimeOptions = core.Options{K: 2, Delta: 4, SkipReduction: true, UseBounds: true, UseHeuristic: true}
+
 // AnytimeBench measures the gap-vs-budget curve on the same instance
 // and (k, δ) cell as the core engine benchmark. It hard-fails when the
 // unbudgeted run reports inexact, when any budgeted run breaks the
@@ -49,7 +53,7 @@ var anytimeBudgetFractions = []float64{0.01, 0.05, 0.10, 0.25, 0.50, 1.00}
 func AnytimeBench(cfg Config) (AnytimeBenchResult, error) {
 	g, desc := coreBenchInstance(cfg.scale())
 	res := AnytimeBenchResult{Graph: desc}
-	opt := core.Options{K: 2, Delta: 4, SkipReduction: true, UseBounds: true, UseHeuristic: true}
+	opt := anytimeOptions
 
 	// Reference: no budget. This run must be exact with a zero gap —
 	// the anytime machinery must stay dormant without a deadline.

@@ -53,9 +53,9 @@ type CoreBenchResult struct {
 	// (`benchmark -exp delta`): single-edge Apply+requery on a warm
 	// session versus NewSession+requery on the mutated graph.
 	Delta *DeltaBenchResult `json:"delta,omitempty"`
-	// Sched, when present, is the session-global scheduler experiment
-	// (`benchmark -exp sched`): the grid answered serially and on the
-	// shared work-stealing pool.
+	// Sched, when present, is the parallel-search experiment
+	// (`benchmark -exp sched`): the grid answered serially and with
+	// each cell's search split across 4 workers.
 	Sched *SchedBenchResult `json:"sched,omitempty"`
 	// Ingest, when present, is the paper-scale ingest experiment
 	// (`benchmark -exp ingest`): SNAP text → streaming CSR → degeneracy

@@ -98,7 +98,6 @@ func EnumBench(cfg Config) (res EnumBenchResult, err error) {
 		start := time.Now()
 		rs, err := s.Enumerate(q)
 		elapsed := time.Since(start).Seconds()
-		s.Close()
 		if err != nil {
 			return res, err
 		}
@@ -141,7 +140,6 @@ func EnumBench(cfg Config) (res EnumBenchResult, err error) {
 	// Top-r coverage on the many-optima cell, against the first-r cut
 	// of the same session's full set.
 	s := session.New(g, sopt)
-	defer s.Close()
 	full, err := s.Enumerate(session.Query{K: enumBenchTopRK, Delta: enumBenchTopRDelta, Kind: session.KindEnumerateAll})
 	if err != nil {
 		return res, err

@@ -77,6 +77,13 @@ func gridBenchQueries(spec string) (string, []session.Query, error) {
 	return spec, qs, nil
 }
 
+// gridSessionOptions is the session configuration of the grid and
+// sched experiments: both bound groups and the heuristic, with
+// maxNodes capping each cell (0 = exact).
+func gridSessionOptions(maxNodes int64) session.Options {
+	return session.Options{UseBounds: true, Extra: bounds.ColorfulDegeneracy, UseHeuristic: true, MaxNodes: maxNodes}
+}
+
 // GridBench measures the grid on the bigcomp-giant instance:
 // independent per-cell MaxRFC calls versus one session FindGrid,
 // asserting cell-for-cell equality.
@@ -93,12 +100,7 @@ func GridBench(cfg Config) (res GridBenchResult, err error) {
 	}
 	sampler := startPeakSampler()
 	defer func() { res.PeakAllocBytes = sampler.Stop() }()
-	sopt := session.Options{
-		UseBounds:    true,
-		Extra:        bounds.ColorfulDegeneracy,
-		UseHeuristic: true,
-		MaxNodes:     cfg.MaxNodes,
-	}
+	sopt := gridSessionOptions(cfg.MaxNodes)
 
 	// Independent path: each cell pays the full pipeline. Best of 3
 	// per cell.

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"time"
 
-	"fairclique/internal/bounds"
 	"fairclique/internal/session"
 )
 
@@ -22,7 +21,7 @@ type SchedBenchCell struct {
 }
 
 // SchedCurvePoint is one worker count of the scaling curve: the same
-// grid on the session-lifetime shared pool at W workers.
+// grid with every cell's search split across W workers.
 type SchedCurvePoint struct {
 	Workers int     `json:"workers"`
 	Seconds float64 `json:"seconds"`
@@ -31,13 +30,13 @@ type SchedCurvePoint struct {
 	SpeedupOverW1 float64 `json:"speedup_over_w1"`
 }
 
-// SchedBenchResult records the session-global scheduler experiment
-// (`benchmark -exp sched`): the same (k, δ) grid answered by one
-// session serially (Workers=1) and on the session-lifetime shared
-// work-stealing pool (Workers=4), with per-cell equality across every
-// run, plus a W ∈ {1, 2, 4, 8} scaling curve. Merged into
-// BENCH_core.json under "sched" by `make bench`; the bench-parallel CI
-// job gates on SpeedupW4OverW1 on a multi-core runner.
+// SchedBenchResult records the parallel-search experiment (`benchmark
+// -exp sched`): the same (k, δ) grid answered by one session serially
+// (Workers=1) and with each cell's search on core's private root split
+// (Workers=4), with per-cell equality across every run, plus a
+// W ∈ {1, 2, 4, 8} scaling curve. Merged into BENCH_core.json under
+// "sched" by `make bench`; the bench-parallel CI job gates on
+// SpeedupW4OverW1 on a multi-core runner.
 type SchedBenchResult struct {
 	Graph      CoreBenchGraph   `json:"graph"`
 	GridSpec   string           `json:"grid_spec"`
@@ -46,20 +45,18 @@ type SchedBenchResult struct {
 	Workers    int              `json:"workers"`
 	Cells      []SchedBenchCell `json:"cells"`
 	// Grid wall-clock (best of 3, fresh session per repetition).
-	W1Seconds       float64 `json:"w1_seconds"`
-	SharedW4Seconds float64 `json:"shared_w4_seconds"`
-	// SpeedupW4OverW1 is shared-pool W4 against the serial grid.
+	W1Seconds      float64 `json:"w1_seconds"`
+	SplitW4Seconds float64 `json:"split_w4_seconds"`
+	// SpeedupW4OverW1 is the split W4 grid against the serial grid.
 	SpeedupW4OverW1 float64 `json:"speedup_w4_over_w1"`
 	// AllMatch is true iff every cell agreed in size across every run
 	// — the record is only trustworthy when it is.
 	AllMatch bool `json:"all_match"`
-	// Scheduler counters of the best shared-pool W4 run.
-	Donations       int64 `json:"donations"`
-	Steals          int64 `json:"steals"`
-	CrossCellSteals int64 `json:"cross_cell_steals"`
-	WorkerReleases  int64 `json:"worker_releases"`
-	// Curve is the shared-pool scaling curve over the -workers-curve
-	// counts (default 1, 2, 4, 8).
+	// Donations counts the subtrees the best W4 run's split workers
+	// handed to idle peers.
+	Donations int64 `json:"donations"`
+	// Curve is the scaling curve over the -workers-curve counts
+	// (default 1, 2, 4, 8).
 	Curve []SchedCurvePoint `json:"curve"`
 	// PeakAllocBytes is the sampled heap high-water mark across the
 	// measured runs (runtime.ReadMemStats).
@@ -70,8 +67,8 @@ type SchedBenchResult struct {
 // same 4-worker point the core engine record uses.
 const schedWorkers = 4
 
-// SchedBench measures the grid scheduler on the bigcomp-giant
-// instance, serial and on the shared pool.
+// SchedBench measures the grid on the bigcomp-giant instance, serial
+// and with each cell's search split across workers.
 func SchedBench(cfg Config) (res SchedBenchResult, err error) {
 	g, desc := coreBenchInstance(cfg.scale())
 	spec, qs, err := gridBenchQueries(cfg.GridSpec)
@@ -88,15 +85,10 @@ func SchedBench(cfg Config) (res SchedBenchResult, err error) {
 	}
 	sampler := startPeakSampler()
 	defer func() { res.PeakAllocBytes = sampler.Stop() }()
-	base := session.Options{
-		UseBounds:    true,
-		Extra:        bounds.ColorfulDegeneracy,
-		UseHeuristic: true,
-		MaxNodes:     cfg.MaxNodes,
-	}
+	base := gridSessionOptions(cfg.MaxNodes)
 
 	// A fresh session per repetition: a warm one would answer the
-	// repeated grid from memory and measure the scheduler of nothing.
+	// repeated grid from memory and measure the split of nothing.
 	measure := func(opt session.Options) (float64, []int, session.Stats, error) {
 		var best float64
 		var sizes []int
@@ -107,14 +99,12 @@ func SchedBench(cfg Config) (res SchedBenchResult, err error) {
 			rs, err := s.FindGrid(qs)
 			elapsed := time.Since(start).Seconds()
 			if err != nil {
-				s.Close()
 				return 0, nil, stats, err
 			}
 			if rep == 0 || elapsed < best {
 				best = elapsed
 				stats = s.Stats()
 			}
-			s.Close()
 			if sizes == nil {
 				sizes = make([]int, len(rs))
 				for i, r := range rs {
@@ -143,28 +133,25 @@ func SchedBench(cfg Config) (res SchedBenchResult, err error) {
 		})
 	}
 
-	shared := base
-	shared.Workers = schedWorkers
-	sharedSecs, sharedSizes, sharedStats, err := measure(shared)
+	split := base
+	split.Workers = schedWorkers
+	splitSecs, splitSizes, splitStats, err := measure(split)
 	if err != nil {
 		return res, err
 	}
-	res.SharedW4Seconds = sharedSecs
-	res.Donations = sharedStats.Donations
-	res.Steals = sharedStats.Steals
-	res.CrossCellSteals = sharedStats.CrossCellSteals
-	res.WorkerReleases = sharedStats.WorkerReleases
+	res.SplitW4Seconds = splitSecs
+	res.Donations = splitStats.Donations
 	for i := range qs {
-		if sharedSizes[i] != w1Sizes[i] {
+		if splitSizes[i] != w1Sizes[i] {
 			res.AllMatch = false
 		}
 	}
-	if res.SharedW4Seconds > 0 {
-		res.SpeedupW4OverW1 = res.W1Seconds / res.SharedW4Seconds
+	if res.SplitW4Seconds > 0 {
+		res.SpeedupW4OverW1 = res.W1Seconds / res.SplitW4Seconds
 	}
 
-	// The scaling curve: the same grid on the shared pool at each
-	// requested worker count (already-measured points are reused).
+	// The scaling curve: the same grid at each requested worker count
+	// (already-measured points are reused).
 	curveWorkers := cfg.SchedWorkersCurve
 	if len(curveWorkers) == 0 {
 		curveWorkers = []int{1, 2, 4, 8}
@@ -175,7 +162,7 @@ func SchedBench(cfg Config) (res SchedBenchResult, err error) {
 		case wk <= 1:
 			secs = res.W1Seconds
 		case wk == schedWorkers:
-			secs = res.SharedW4Seconds
+			secs = res.SplitW4Seconds
 		default:
 			opt := base
 			opt.Workers = wk
@@ -202,8 +189,8 @@ func SchedBench(cfg Config) (res SchedBenchResult, err error) {
 
 // WriteSchedBench runs SchedBench, writes its JSON record to w, embeds
 // it under "sched" in the core record at mergePath when given, and —
-// when minSpeedup > 0 — fails unless the measured shared-pool W4/W1
-// speedup strictly exceeds it. The bench-parallel CI job runs this
+// when minSpeedup > 0 — fails unless the measured W4/W1 speedup
+// strictly exceeds it. The bench-parallel CI job runs this
 // with -min-speedup 1.5 on its multi-core runner.
 func WriteSchedBench(cfg Config, w io.Writer, mergePath string, minSpeedup float64) error {
 	res, err := SchedBench(cfg)
@@ -233,12 +220,12 @@ func WriteSchedBench(cfg Config, w io.Writer, mergePath string, minSpeedup float
 			return fmt.Errorf("sched bench: -min-speedup needs a multi-core run, but GOMAXPROCS=%d", res.GOMAXPROCS)
 		}
 		if res.SpeedupW4OverW1 <= minSpeedup {
-			return fmt.Errorf("sched bench: shared-pool W%d/W1 speedup %.2fx is not above the %.2fx gate (W1 %.3fs, shared W%d %.3fs)",
-				schedWorkers, res.SpeedupW4OverW1, minSpeedup, res.W1Seconds, schedWorkers, res.SharedW4Seconds)
+			return fmt.Errorf("sched bench: split W%d/W1 speedup %.2fx is not above the %.2fx gate (W1 %.3fs, W%d %.3fs)",
+				schedWorkers, res.SpeedupW4OverW1, minSpeedup, res.W1Seconds, schedWorkers, res.SplitW4Seconds)
 		}
 		// Status goes to stderr: w may be the JSON record file, which
 		// must stay machine-parseable for the CI artifact.
-		fmt.Fprintf(os.Stderr, "sched bench: shared-pool W%d/W1 speedup %.2fx clears the %.2fx gate\n",
+		fmt.Fprintf(os.Stderr, "sched bench: split W%d/W1 speedup %.2fx clears the %.2fx gate\n",
 			schedWorkers, res.SpeedupW4OverW1, minSpeedup)
 	}
 	return nil

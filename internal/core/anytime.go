@@ -26,7 +26,6 @@ import (
 
 	"fairclique/internal/bounds"
 	"fairclique/internal/graph"
-	"fairclique/internal/sched"
 )
 
 // frontierEvalBudget caps the bounds.Evaluate calls the frontier sweep
@@ -173,28 +172,6 @@ func (s *searcher) sweepFrontier() {
 			ub = min(ub, bounds.Evaluate(graph.Induce(s.p.work, comp).G, s.delta, s.opt.Extra))
 		}
 		s.price(ub)
-	}
-}
-
-// heurTask races one portfolio heuristic on a spare pool executor: an
-// anytime search submits these next to its real branching work, so idle
-// executors strengthen the incumbent while the search runs. The
-// portfolio member returns a valid fair clique (or nil), so record()
-// trusts it.
-type heurTask struct {
-	scope *sched.Scope
-	s     *searcher
-	fn    func(*graph.Graph, int32, int32) []int32
-}
-
-func (t *heurTask) TaskScope() *sched.Scope { return t.scope }
-
-func (t *heurTask) Run() {
-	if t.s.halted() {
-		return
-	}
-	if c := t.fn(t.s.p.work, t.s.k, t.s.delta); len(c) > 0 {
-		t.s.record(c, t.s.p.toOrig)
 	}
 }
 

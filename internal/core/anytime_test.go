@@ -8,7 +8,6 @@ import (
 	"fairclique/internal/bounds"
 	"fairclique/internal/enum"
 	"fairclique/internal/graph"
-	"fairclique/internal/sched"
 )
 
 // sandwich asserts the anytime contract on a small graph: the incumbent
@@ -83,21 +82,6 @@ func TestNodeBudgetSandwich(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Pool-backed searches honor the same contract: the driver prices the
-// root branches it skipped and donated subtrees price themselves.
-func TestNodeBudgetSandwichPooled(t *testing.T) {
-	pool := sched.NewPool()
-	defer pool.Close()
-	for seed := uint64(0); seed < 15; seed++ {
-		g := random(seed, 14, 0.6)
-		truth := len(enum.BruteForceMaxFair(g, 1, 2))
-		for _, cap := range []int64{1, 5, 25} {
-			res := mustMaxRFC(t, g, Options{K: 1, Delta: 2, MaxNodes: cap, Pool: pool, SkipReduction: true})
-			sandwich(t, res, truth, "pooled budget")
-		}
 	}
 }
 

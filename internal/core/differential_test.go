@@ -296,17 +296,17 @@ func starvedGraph(seed uint64, n int) *graph.Graph {
 	return b.Build()
 }
 
-// searchSingleComponent drives searchComponent directly so small
-// fixtures exercise the root-split + stealing machinery (MaxRFC routes
-// components under smallComponentLimit to the serial pool instead).
-// The returned searcher's best clique is in g's own vertex ids.
+// searchSingleComponent drives searchComponent directly, so a fixture
+// takes the root split + stealing machinery at any workers > 1 without
+// going through Search's component rule. The returned searcher's best
+// clique is in g's own vertex ids.
 func searchSingleComponent(t *testing.T, g *graph.Graph, opt Options, workers int) *searcher {
 	t.Helper()
 	s := &searcher{p: PrepareReduced(g, identity(g.N())), k: int32(opt.K), delta: int32(opt.Delta), opt: opt}
 	if got := s.p.Components(); got != 1 {
 		t.Fatalf("fixture has %d components, want 1", got)
 	}
-	s.searchComponent(0, workers, nil)
+	s.searchComponent(0, workers)
 	return s
 }
 
@@ -372,15 +372,14 @@ func TestRootSplitCollectsTasks(t *testing.T) {
 	}
 }
 
-// Deterministic donation: a released executor is parked in Serve
-// before the driver branches, so the driver's first expansion is
-// guaranteed to see a hungry peer and ship a subtree through the
-// shared pool. This pins the donate / Serve / runStolen handshake
-// independent of scheduler timing — it is the same handoff a
-// dominance-skipped grid cell's freed executor performs against a
-// still-running cell — and doubles as the steal-path race test under
-// -race (two goroutines, shared incumbent, donated buffers crossing
-// between them).
+// Deterministic donation: a thief is parked in Drain — the hungry
+// state of a split worker whose root cursor ran dry — before the
+// driver branches, so the driver's first expansion is guaranteed to see
+// a hungry peer and ship a subtree through the split's pool. This pins
+// the donate / Drain / runStolen handshake independent of scheduler
+// timing and doubles as the steal-path race test under -race (two
+// goroutines, shared incumbent, donated buffers crossing between
+// them).
 func TestDonationFeedsHungryWorker(t *testing.T) {
 	g := starvedGraph(1, 60)
 	opt := Options{K: 1, Delta: 56}
@@ -390,45 +389,37 @@ func TestDonationFeedsHungryWorker(t *testing.T) {
 	}
 	d := s.newCompData(s.p.comps[0])
 	pool := sched.NewPool()
-	scope := pool.NewScope()
-	d.steal = scope
+	d.steal = pool
 
+	// The driver Enters first, so the thief's Drain parks instead of
+	// returning on an empty ledger; the driver's first donation check
+	// then sees it.
+	pool.Enter()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		pool.Serve()
+		pool.Drain()
 	}()
-	// Park the thief in Serve before branching anything: the driver's
-	// first donation check is then guaranteed to see it.
 	for !pool.Hungry() {
 		runtime.Gosched()
 	}
 
-	scope.Enter()
 	driver := newWorker(d)
 	driver.branchRoot()
 	driver.flushNodes()
-	// Let the thief drain every queued task before the driver enters
-	// Drain, so the cross-goroutine handoff is what gets tested
-	// (otherwise the driver could just reclaim its own donations).
+	// The driver has not reached Drain, so only the thief can empty the
+	// queue: once it does, every donated subtree ran on the thief.
 	for pool.Pending() > 0 {
 		runtime.Gosched()
 	}
-	scope.Exit()
-	scope.Drain()
-	pool.Close()
+	pool.Exit()
+	pool.Drain()
 	<-done
 
 	if s.donations.Load() == 0 {
 		t.Fatal("driver never donated despite a parked hungry thief")
 	}
-	st := pool.Stats()
-	if st.CrossCellSteals == 0 {
-		t.Fatal("thief never ran a stolen subtree")
-	}
-	if st.Releases != 1 {
-		t.Fatalf("pool counted %d releases, want 1 (the parked Serve)", st.Releases)
-	}
+
 	serial := searchSingleComponent(t, g, Options{K: 1, Delta: 56}, 1)
 	if len(s.best) != len(serial.best) {
 		t.Fatalf("stolen run found %d, serial %d", len(s.best), len(serial.best))

@@ -105,10 +105,10 @@ func TestBranchSteadyStateZeroAllocs(t *testing.T) {
 				t.Fatalf("multichunk fixture spans %d words; want > %d", w.d.words, graph.ChunkWords)
 			}
 			if tc.steal {
-				// The Workers > 1 configuration: donation scope armed, no
-				// hungry executor. Every branch pays exactly one atomic
+				// The Workers > 1 configuration: donation pool armed, no
+				// hungry worker. Every branch pays exactly one atomic
 				// load.
-				w.d.steal = sched.NewPool().NewScope()
+				w.d.steal = sched.NewPool()
 			}
 			avg := testing.AllocsPerRun(20, func() {
 				w.branchRoot()
@@ -322,9 +322,10 @@ func TestIntraComponentWorkersMatchSerial(t *testing.T) {
 	}
 }
 
-// Many small components with Workers > 1 exercise the cross-component
-// pool (components under smallComponentLimit are distributed one per
-// goroutine rather than root-split).
+// Many small components with Workers > 1 exercise the component
+// fan-out (with at least Workers components left, components of at
+// most smallComponentLimit vertices are distributed one per goroutine
+// rather than root-split).
 func TestSmallComponentPoolMatchesSerial(t *testing.T) {
 	for seed := uint64(0); seed < 8; seed++ {
 		g := multiComponent(seed, 5)

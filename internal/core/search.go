@@ -113,9 +113,11 @@
 //     workers are fed by subtree-level work donation — a busy worker
 //     that notices a waiter ships the frontier node it was about to
 //     branch into (R prefix, counts and candidate row) instead of
-//     recursing, so deep-left trees no longer starve the pool late in
-//     a run. Node counting is batched per worker to keep the shared
-//     counters off the hot path.
+//     recursing, so deep-left trees no longer starve the split late
+//     in a run. A component takes this split when it is large or when
+//     fewer components than workers remain; smaller ones are fanned
+//     out one per goroutine. Node counting is batched per worker to
+//     keep the shared counters off the hot path.
 //
 // The old binary-search slice path survives only as a differential-test
 // oracle behind the test-only useSliceOracle flag.
@@ -177,11 +179,14 @@ type Options struct {
 	// incumbents into this search while it runs. See Injector.
 	Injector *Injector
 	// Workers sets the number of goroutines branching concurrently.
-	// Parallelism is intra-component: the root-level branches of each
-	// component are split across workers sharing the atomic incumbent,
-	// and idle workers are re-fed by subtree work donation, so
-	// Workers > 1 helps even when the reduced graph is a single giant
-	// component with a skewed tree. 0 or 1 searches serially (fully
+	// A component is root-split when it has more than
+	// smallComponentLimit vertices or fewer than Workers components
+	// remain from it on: its root branches are split across workers
+	// sharing the atomic incumbent, and idle workers are re-fed by
+	// subtree work donation, so Workers > 1 helps even when the reduced
+	// graph is a single component with a skewed tree. The remaining
+	// components are fanned out one per goroutine. Every goroutine
+	// returns before Search does. 0 or 1 searches serially (fully
 	// deterministic). With more workers the optimum size is still
 	// exact, but which of several equally-sized cliques is returned
 	// may vary between runs.
@@ -211,17 +216,6 @@ type Options struct {
 	// far with Stats.Aborted set; such sets are incomplete and must be
 	// quarantined like any anytime result.
 	CollectAll bool
-	// Pool, when non-nil, hands the search's parallelism to a shared
-	// work-stealing scheduler instead of the private per-component
-	// split: the search branches every component serially on the
-	// calling goroutine and donates frontier subtrees to the pool
-	// whenever any of its executors is hungry — including executors
-	// released by other searches running on the same pool (the session
-	// layer's concurrent grid cells). Workers is ignored in pool mode;
-	// effective parallelism is however many pool executors pick the
-	// donations up. The search still returns only after every donated
-	// subtree has finished, wherever it ran.
-	Pool *sched.Pool
 }
 
 // Stats reports search effort, for the experiment harness.
@@ -524,36 +518,14 @@ func (p *Prepared) Search(opt Options, seed []int32) (*Result, error) {
 
 	// Anytime mode races the auxiliary heuristic portfolio
 	// (degree-guided growth and Ramsey clique-removal, both
-	// fairness-repaired) against the branch-and-bound: in pool mode the
-	// runs are donated to spare executors of the shared scheduler, and
-	// otherwise to private goroutines joined before the result is read.
-	// Every member returns a valid fair clique, so record() trusts it;
-	// gated on Deadline so budget-free runs stay bit-deterministic.
-	//
-	// Pool mode (opt.Pool non-nil): the calling goroutine is the only
-	// driver — it branches every component serially with the donation
-	// hook armed, so hungry pool executors (idle drivers of other
-	// searches, released grid-cell workers) are fed frontier subtrees
-	// from any depth. Drain is the cross-search termination barrier:
-	// the search returns only once its ledger proves every donated
-	// subtree finished, whichever search's executor ran it.
-	workers := opt.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	var scope *sched.Scope
-	if opt.Pool != nil {
-		workers = 1
-		scope = opt.Pool.NewScope()
-		scope.Enter()
-	}
+	// fairness-repaired) against the branch-and-bound on goroutines
+	// joined before the result is read. Every member returns a valid
+	// fair clique, so record() trusts it; gated on Deadline so
+	// budget-free runs stay bit-deterministic.
+	workers := max(opt.Workers, 1)
 	var heurWG sync.WaitGroup
 	if opt.UseHeuristic && !opt.Deadline.IsZero() && !s.halted() {
 		for _, fn := range heuristic.Portfolio() {
-			if scope != nil {
-				scope.Submit(&heurTask{scope: scope, s: s, fn: fn})
-				continue
-			}
 			heurWG.Add(1)
 			go func() {
 				defer heurWG.Done()
@@ -569,21 +541,22 @@ func (p *Prepared) Search(opt Options, seed []int32) (*Result, error) {
 
 	// Lines 6-11: branch each connected component under CalColorOD.
 	// Components are searched largest-first so good incumbents surface
-	// early. Without a pool, Workers > 1 parallelizes on two levels:
-	// large components get their root branches split across all
-	// Workers (so a single giant component still scales); the tail of
-	// small components — where per-component setup would dwarf an
-	// intra-split — is distributed across Workers one component per
-	// goroutine.
+	// early. Workers > 1 parallelizes on two levels: a component gets
+	// its root branches split across all Workers when it is large (so
+	// a single giant component still scales) or when fewer components
+	// than Workers remain (so no worker idles beside a lone component);
+	// otherwise the tail of small components — where per-component
+	// setup would dwarf an intra-split — is distributed across Workers
+	// one component per goroutine.
 	idx := 0
 	for ; idx < len(p.comps); idx++ {
-		if workers > 1 && len(p.comps[idx]) <= smallComponentLimit {
+		if workers > 1 && len(p.comps[idx]) <= smallComponentLimit && len(p.comps)-idx >= workers {
 			break // the rest (sorted descending) go to the goroutines below
 		}
 		if s.halted() {
 			break
 		}
-		s.searchComponent(idx, workers, scope)
+		s.searchComponent(idx, workers)
 	}
 	if workers > 1 && idx < len(p.comps) && !s.halted() {
 		jobs := make(chan int)
@@ -593,7 +566,7 @@ func (p *Prepared) Search(opt Options, seed []int32) (*Result, error) {
 			go func() {
 				defer wg.Done()
 				for ci := range jobs {
-					s.searchComponent(ci, 1, nil)
+					s.searchComponent(ci, 1)
 				}
 			}()
 		}
@@ -605,10 +578,6 @@ func (p *Prepared) Search(opt Options, seed []int32) (*Result, error) {
 		}
 		close(jobs)
 		wg.Wait()
-	}
-	if scope != nil {
-		scope.Exit()
-		scope.Drain()
 	}
 	heurWG.Wait()
 
@@ -838,9 +807,10 @@ func useFlatRows(n, m int32) bool {
 // trees with and without it.
 var perNodeBound = true
 
-// smallComponentLimit is the size below which a component is searched
-// by a single worker from the cross-component pool instead of being
-// root-split: small components finish faster than the split's
+// smallComponentLimit is the size at or below which a component is
+// searched by a single goroutine of the component fan-out instead of
+// being root-split, as long as at least Workers components remain to
+// share out: small components finish faster than the split's
 // per-component setup and barrier cost.
 const smallComponentLimit = 1024
 
@@ -955,11 +925,10 @@ func (c *compPrep) getTask() *subtreeTask {
 }
 
 // putTask recycles a donation buffer after its subtree ran. The
-// per-search references are dropped so a parked task does not retain a
+// per-search reference is dropped so a parked task does not retain a
 // finished search's state.
 func (c *compPrep) putTask(t *subtreeTask) {
 	t.d = nil
-	t.scope = nil
 	c.tmu.Lock()
 	c.tfree = append(c.tfree, t)
 	c.tmu.Unlock()
@@ -967,11 +936,11 @@ func (c *compPrep) putTask(t *subtreeTask) {
 
 // compData is one search's view of a prepared component: the shared
 // immutable compPrep plus the searcher (incumbent, counters) and the
-// donation scope of this particular query.
+// donation pool of this particular query's root split.
 type compData struct {
 	*compPrep
 	s     *searcher
-	steal *sched.Scope // subtree work donation; nil when searched serially
+	steal *sched.Pool // subtree work donation; nil when searched serially
 }
 
 // newCompData builds a fresh per-search component view over a freshly
@@ -1152,17 +1121,14 @@ func (w *worker) flushNodes() {
 }
 
 // subtreeTask is one donated branch node: the complete state branchBits
-// needs to resume the subtree on any executor — the per-search
-// component view (which names the searcher whose incumbent the subtree
-// feeds), the sched scope for the termination ledger, and the frontier
-// node itself (R prefix, counts, candidate row). It implements
-// sched.Task, so the same buffer flows through a component-private
-// pool (the classic Workers split) and the session-global pool
-// (cross-cell stealing) alike. Buffers are recycled through the
-// compPrep freelist, so steady-state donation does not allocate.
+// needs to resume the subtree on another worker of the split — the
+// per-search component view (which names the searcher whose incumbent
+// the subtree feeds) and the frontier node itself (R prefix, counts,
+// candidate row). It implements sched.Task. Buffers are recycled
+// through the compPrep freelist, so steady-state donation does not
+// allocate.
 type subtreeTask struct {
-	d     *compData
-	scope *sched.Scope
+	d *compData
 
 	depth      int
 	r          []int32 // R of the node (length depth)
@@ -1170,15 +1136,11 @@ type subtreeTask struct {
 	cand       graph.LiveRow
 }
 
-// TaskScope reports the search the subtree belongs to (sched.Task).
-func (t *subtreeTask) TaskScope() *sched.Scope { return t.scope }
-
-// Run resumes the donated subtree on the calling executor (sched.Task):
-// it binds a worker from the component's freelist — the executor may
-// belong to a different search of a different (k, δ, mode), so it
-// cannot carry pre-bound arenas for this component — runs the subtree
-// to completion against the donating search's incumbent, and recycles
-// both the worker and the task buffer.
+// Run resumes the donated subtree on the calling goroutine (sched.Task):
+// it binds a worker from the component's freelist — the thief returned
+// its own arenas there when its root cursor ran dry — runs the subtree
+// to completion against the search's incumbent, and recycles both the
+// worker and the task buffer.
 func (t *subtreeTask) Run() {
 	d := t.d
 	w := d.getWorker(d)
@@ -1198,24 +1160,24 @@ func (t *subtreeTask) Run() {
 }
 
 // donate publishes the child node the caller was about to branch into
-// onto the scope's pool. It reports false when no executor is actually
+// onto the split's pool. It reports false when no worker is actually
 // waiting (the caller then recurses as usual). The demand re-check and
 // the queue push are separate critical sections; racing donors can
-// over-donate by at most executors-1 tasks, which Drain retires.
-func (w *worker) donate(scope *sched.Scope, depth int, cnt, avail [2]int32, cand graph.LiveRow) bool {
-	if !scope.Wanted() {
+// over-donate by at most workers-1 tasks, which Drain retires.
+func (w *worker) donate(pool *sched.Pool, depth int, cnt, avail [2]int32, cand graph.LiveRow) bool {
+	if !pool.Wanted() {
 		return false
 	}
 	d := w.d
-	// The O(row) copies happen outside both locks so concurrent donors
-	// and thieves are not serialized behind a memcpy.
+	// The O(row) copies happen outside the pool's lock so concurrent
+	// donors and thieves are not serialized behind a memcpy.
 	t := d.getTask()
-	t.d, t.scope = d, scope
+	t.d = d
 	t.depth = depth
 	t.r = append(t.r[:0], w.rbuf[:depth]...)
 	t.cnt, t.avail = cnt, avail
 	cand.CopyInto(t.cand)
-	scope.Submit(t)
+	pool.Submit(t)
 	d.s.donations.Add(1)
 	return true
 }
@@ -1226,16 +1188,12 @@ func (w *worker) donate(scope *sched.Scope, depth int, cnt, avail [2]int32, cand
 // collect set, so the expansion step yields the root branch vertices
 // instead of recursing; with UseBounds the component's Table II bound
 // then gets its one check (rootCut). With workers > 1 those branches
-// are split across a private pool (splitRoot). Otherwise the driver
-// runs them one by one: a nil scope is a serial search, and a
-// shared-pool scope arms the donation hook, so whenever another
-// executor of the pool is hungry the next frontier subtree (a root
-// branch or any deeper node) is shipped to it instead of being recursed
-// into locally. Root branches are driven explicitly so an anytime abort
-// knows exactly which of them are unexplored and can price them into
-// the certificate; once they are priced the component is accounted, so
-// the frontier sweep does not price it whole again.
-func (s *searcher) searchComponent(ci, workers int, scope *sched.Scope) {
+// are split across a private pool (splitRoot); otherwise the driver
+// runs them one by one. Root branches are driven explicitly so an
+// anytime abort knows exactly which of them are unexplored and can
+// price them into the certificate; once they are priced the component
+// is accounted, so the frontier sweep does not price it whole again.
+func (s *searcher) searchComponent(ci, workers int) {
 	// Re-checked here (not only at scheduling time) so a component
 	// queued while the incumbent was small is pruned by the incumbent
 	// that has grown since — before the lazy compPrep build, so skipped
@@ -1249,7 +1207,7 @@ func (s *searcher) searchComponent(ci, workers int, scope *sched.Scope) {
 		return
 	}
 	prep := s.p.comp(ci)
-	d := &compData{compPrep: prep, s: s, steal: scope}
+	d := &compData{compPrep: prep, s: s}
 	driver := prep.getWorker(d)
 	tasks := driver.rootTasks()
 	if len(tasks) > 0 && s.opt.UseBounds && s.rootCut(prep) {
@@ -1267,12 +1225,12 @@ func (s *searcher) searchComponent(ci, workers int, scope *sched.Scope) {
 		s.splitRoot(ci, driver, tasks, workers)
 		return
 	}
-	complete := 0 // tasks[:complete] are fully explored (or donated)
+	complete := 0 // tasks[:complete] are fully explored
 	for _, u := range tasks {
 		if s.halted() {
 			break
 		}
-		driver.runRootBranch(u, scope)
+		driver.runRootBranch(u)
 		if s.halted() {
 			break // this branch may have been cut short mid-subtree
 		}
@@ -1298,18 +1256,18 @@ func (s *searcher) rootCut(prep *compPrep) bool {
 	return true
 }
 
-// splitRoot is the private root split of component ci: workers pull
-// root branches from a shared cursor; once the cursor runs dry they
-// are re-fed by subtree donation until the whole tree is exhausted —
-// the same sched machinery the session pool uses, here on a pool
-// private to this component. Root branches themselves are never
-// donated: only nodes below the root are. The branch prologue
-// re-checks the incumbent, so branches queued behind a growing
-// incumbent are pruned when claimed. Workers beyond the root-branch
-// count are still useful — they start hungry in Drain and immediately
-// receive donated subtrees. Every worker Enters before its goroutine
-// starts, so the scope's ledger can never momentarily read zero while
-// peers are still spinning up.
+// splitRoot is the private root split of component ci (the shape of
+// PMC, Rossi et al.): workers pull root branches from a shared cursor;
+// once the cursor runs dry they park in the split's sched.Pool and are
+// re-fed by subtree donation until the whole tree is exhausted. Root
+// branches themselves are never donated: only nodes below the root
+// are. The branch prologue re-checks the incumbent, so branches queued
+// behind a growing incumbent are pruned when claimed. Workers beyond
+// the root-branch count are still useful — they start hungry in Drain
+// and immediately receive donated subtrees. Every worker Enters before
+// its goroutine starts, so the ledger can never momentarily read zero
+// while peers are still spinning up, and every goroutine has returned
+// when splitRoot does.
 func (s *searcher) splitRoot(ci int, driver *worker, tasks []int32, workers int) {
 	d := driver.d
 	prep := d.compPrep
@@ -1317,8 +1275,8 @@ func (s *searcher) splitRoot(ci int, driver *worker, tasks []int32, workers int)
 	// another search's rootTasks on it would overwrite the collect
 	// buffer tasks aliases: keep a private copy.
 	tasks = append([]int32(nil), tasks...)
-	scope := sched.NewPool().NewScope()
-	d.steal = scope
+	pool := sched.NewPool()
+	d.steal = pool
 	var next atomic.Int32
 	var wg sync.WaitGroup
 	// Claimed root branches whose subtree a halt may have cut short;
@@ -1331,7 +1289,7 @@ func (s *searcher) splitRoot(ci int, driver *worker, tasks []int32, workers int)
 		if i > 0 {
 			wk = prep.getWorker(d)
 		}
-		scope.Enter()
+		pool.Enter()
 		go func(wk *worker) {
 			defer wg.Done()
 			for {
@@ -1341,7 +1299,7 @@ func (s *searcher) splitRoot(ci int, driver *worker, tasks []int32, workers int)
 				// the counter past the task count into negative indices.
 				if !s.halted() && int(next.Load()) < len(tasks) {
 					if t := next.Add(1) - 1; int(t) < len(tasks) {
-						wk.runRootBranch(tasks[t], nil)
+						wk.runRootBranch(tasks[t])
 						if s.compAccounted != nil && s.halted() {
 							incMu.Lock()
 							incomplete = append(incomplete, tasks[t])
@@ -1358,8 +1316,8 @@ func (s *searcher) splitRoot(ci int, driver *worker, tasks []int32, workers int)
 			// donated subtrees (running them through the same freelist it
 			// just returned its arenas to) until the component's ledger
 			// is empty.
-			scope.Exit()
-			scope.Drain()
+			pool.Exit()
+			pool.Drain()
 		}(wk)
 	}
 	wg.Wait()
@@ -1407,12 +1365,9 @@ func (w *worker) branchRoot() {
 }
 
 // runRootBranch executes the root branch on vertex u: the child node
-// the root's expand step would have recursed into. With a non-nil
-// scope (the shared-pool driver) and a hungry executor, the whole
-// branch is shipped instead of being recursed into locally; the
-// private split passes nil, so its workers donate only below the root.
-// Slice-oracle components never donate, matching expandSlice.
-func (w *worker) runRootBranch(u int32, scope *sched.Scope) {
+// the root's expand step would have recursed into. The branch itself is
+// never donated; a split worker donates only below it.
+func (w *worker) runRootBranch(u int32) {
 	d := w.d
 	var cnt [2]int32
 	cnt[d.comp.Attr(u)]++
@@ -1425,9 +1380,6 @@ func (w *worker) runRootBranch(u int32, scope *sched.Scope) {
 	}
 	w.ensureBits(1)
 	avail := w.makeChildBits(w.cand[1], d.fullRow, u, false)
-	if scope != nil && avail[0]+avail[1] > 0 && scope.Hungry() && w.donate(scope, 1, cnt, avail, w.cand[1]) {
-		return
-	}
 	w.branchBits(1, cnt, avail)
 }
 

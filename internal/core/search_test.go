@@ -344,7 +344,7 @@ func TestRootCheckPrunesComponent(t *testing.T) {
 			t.Fatalf("fixture has %d components, want 1", got)
 		}
 		s.bestSize.Store(s.p.comp(0).profile(opt.Extra).Bound(s.delta))
-		s.searchComponent(0, 1, nil)
+		s.searchComponent(0, 1)
 		if n, c, p := s.nodes.Load(), s.boundChecks.Load(), s.boundPrunes.Load(); n != 1 || c != 1 || p != 1 {
 			t.Fatalf("%v: %d nodes, %d bound checks, %d bound prunes; want 1, 1, 1", opt.Extra, n, c, p)
 		}

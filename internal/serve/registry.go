@@ -63,36 +63,20 @@ func (r *Registry) Get(name string) (*GraphEntry, bool) {
 	return e, ok
 }
 
-// Delete drops the named entry and closes its session's lifetime
-// worker pool. Queries already running against it finish normally (a
-// closed session stays queryable, just without the shared executors);
-// the entry becomes unreachable.
+// Delete drops the named entry. Queries already running against it
+// finish normally; the entry becomes unreachable.
 func (r *Registry) Delete(name string) bool {
 	r.mu.Lock()
-	e, ok := r.graphs[name]
-	if ok {
-		delete(r.graphs, name)
-	}
-	r.mu.Unlock()
-	if !ok {
-		return false
-	}
-	e.sess.Close()
-	return true
+	defer r.mu.Unlock()
+	_, ok := r.graphs[name]
+	delete(r.graphs, name)
+	return ok
 }
 
-// Close shuts down every entry's session pool (server shutdown).
-func (r *Registry) Close() {
-	r.mu.Lock()
-	entries := make([]*GraphEntry, 0, len(r.graphs))
-	for _, e := range r.graphs {
-		entries = append(entries, e)
-	}
-	r.mu.Unlock()
-	for _, e := range entries {
-		e.sess.Close()
-	}
-}
+// Close does nothing: sessions hold no goroutine or other resource
+// between queries. It stays because callers, the benchmark harness
+// among them, still call it at shutdown.
+func (r *Registry) Close() {}
 
 // Names returns the registered graph names, sorted.
 func (r *Registry) Names() []string {

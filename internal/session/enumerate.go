@@ -191,16 +191,6 @@ func (s *Session) enumerateOn(e *epoch, q Query) (*ResultSet, error) {
 		CollectAll:   true,
 		Workers:      s.opt.Workers,
 	}
-	if copt.Workers < 1 {
-		copt.Workers = 1
-	}
-	if pool := s.sharedPool(); pool != nil {
-		copt.Workers = 1 // parallelism comes from the pool's executors
-		copt.Pool = pool
-		s.mu.Lock()
-		s.stats.PoolSearches++
-		s.mu.Unlock()
-	}
 	if haveExact {
 		// The table holds this cell's true optimum (it was solved on
 		// this very epoch, no Relax since): a trusted incumbent floor.

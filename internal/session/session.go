@@ -59,17 +59,14 @@
 //
 // Grid queries (FindGrid) are scheduled k-ascending, δ-descending —
 // the order that maximizes both chains: weak cells solve first and
-// bound/seed the strict ones — and parallelized through one
-// session-global work-stealing pool (internal/sched): one executor
-// drives the cells in chain order (cell-level concurrency is a
-// measured net loss — a stricter cell started before the looser cell
-// that bounds it branches a full tree instead of dominance-skipping),
-// while every other worker of the budget serves the pool and steals
-// donated frontier subtrees from whichever cell is currently
-// branching, persisting across cell boundaries and across
-// heterogeneous (k, δ, mode) searches. A dominance-skipped cell costs
-// nothing and strands nobody. Each cell keeps its own incumbent; only
-// work moves between cells, never answers.
+// bound/seed the strict ones — and driven strictly in that order by
+// the calling goroutine (cell-level concurrency is a measured net loss
+// — a stricter cell started before the looser cell that bounds it
+// branches a full tree instead of dominance-skipping). Parallelism
+// lives inside each search: with Workers > 1 every Find, grid cell,
+// Enumerate and post-Apply requery runs core's private root split
+// (core.Options.Workers), whose goroutines all return before the
+// query does. A dominance-skipped cell starts none.
 //
 // Long-lived sessions bound their footprint with Options.MaxPreparedK
 // (LRU eviction of per-k prepared state + reduction snapshot) and
@@ -78,7 +75,6 @@ package session
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -88,7 +84,6 @@ import (
 	"fairclique/internal/core"
 	"fairclique/internal/graph"
 	"fairclique/internal/reduce"
-	"fairclique/internal/sched"
 )
 
 // Options is the per-session configuration shared by every query. The
@@ -108,15 +103,11 @@ type Options struct {
 	// MaxNodes caps the branch nodes of each individual query (0 =
 	// unlimited). Aborted queries stay out of the monotonicity table.
 	MaxNodes int64
-	// Workers is the total branching parallelism. With Workers > 1 the
-	// session turns it into executors of one shared work-stealing pool
-	// (internal/sched): the querying goroutine drives each search —
-	// FindGrid drives its cells in chain order — and the other
-	// Workers-1 steal donated subtrees from whichever search is
-	// branching, across cell boundaries, so a dominance-skipped cell
-	// costs nothing and no worker is ever stranded behind a cheap cell.
-	// After Close each query splits Workers privately instead (see
-	// Session).
+	// Workers is the branching parallelism of each query: every
+	// search splits it privately (core.Options.Workers), and FindGrid
+	// drives its cells one after another in chain order, each cell on
+	// the whole budget. The reduction fans components across the same
+	// bound.
 	Workers int
 	// MaxPreparedK bounds the number of distinct k values whose
 	// prepared state (reduction snapshot + component machinery) is kept
@@ -200,18 +191,14 @@ type Stats struct {
 	// PrepEvictions counts per-k prepared states evicted by the
 	// MaxPreparedK LRU cap.
 	PrepEvictions int64
-	// Steals counts donated subtrees executed through the session's
-	// shared work-stealing pool; CrossCellSteals is the subset executed
-	// by an executor that was not driving the donating search — the
-	// cross-search payoff. WorkerReleases counts executors released to
-	// the pool; under the session-lifetime pool each persistent
-	// executor is released exactly once, so a WorkerReleases that stays
-	// at Workers-1 across many queries is the worker-reuse receipt.
-	Steals, CrossCellSteals, WorkerReleases int64
-	// PoolSearches counts searches that drew on the session-lifetime
-	// shared pool — Find calls, FindGrid cells and post-Apply requeries
-	// alike.
-	PoolSearches int64
+	// Steals, WorkerReleases and PoolSearches are always 0.
+	//
+	// Deprecated: the session-lifetime worker pool they counted was
+	// removed; every parallel search runs core's private root split,
+	// whose donations Donations counts. The fields stay because the
+	// benchmark harness (perfbench/layers.go, whose files define the
+	// benchmark) reads them.
+	Steals, WorkerReleases, PoolSearches int64
 	// SpeculativeStarts and SpeculativeWins are always 0.
 	//
 	// Deprecated: grid speculation was removed because it never paid
@@ -281,14 +268,9 @@ type epoch struct {
 }
 
 // Session is a prepared multi-query engine over one mutable graph. It
-// is safe for concurrent use, including queries racing an Apply.
-// Sessions with Workers > 1 own a lazily created session-lifetime
-// worker pool; call Close when done with such a session to shut its
-// executors down. Queries after Close still work: each runs on the
-// private split with the full Workers budget — the root branches of
-// every large component split across Workers goroutines of its own,
-// the small components fanned out one per goroutine — and never
-// touches the pool.
+// is safe for concurrent use, including queries racing an Apply. A
+// Session owns no goroutine: every goroutine a query starts has
+// returned when the query does.
 type Session struct {
 	opt Options
 
@@ -298,16 +280,6 @@ type Session struct {
 	mu       sync.Mutex // guards stats and redsBase
 	stats    Stats
 	redsBase reduce.CacheStats // folded-in counters of retired epochs' caches
-
-	// The session-lifetime scheduler: one persistent worker set created
-	// lazily at the first parallel query and serving every search until
-	// Close — Find, FindGrid cells, and requeries after Apply all draw
-	// from it (the pool is epoch-independent: tasks carry their own
-	// epoch's state, so Apply never touches it).
-	poolMu sync.Mutex
-	pool   *sched.Pool
-	poolWG sync.WaitGroup
-	closed bool
 
 	// running registers every search currently branching, keyed by its
 	// live-injection handle, so a finishing cell can broadcast its
@@ -344,54 +316,10 @@ func New(g *graph.Graph, opt Options) *Session {
 // (the latest epoch's).
 func (s *Session) Graph() *graph.Graph { return s.cur.Load().g }
 
-// sharedPool returns the session-lifetime worker pool, creating it —
-// and launching its Workers-1 persistent executors — on first use. Nil
-// when the session is serial (Workers <= 1) or closed; callers then
-// run the private code path.
-func (s *Session) sharedPool() *sched.Pool {
-	if s.opt.Workers <= 1 {
-		return nil
-	}
-	s.poolMu.Lock()
-	defer s.poolMu.Unlock()
-	if s.closed {
-		return nil
-	}
-	if s.pool == nil {
-		s.pool = sched.NewPool()
-		for c := 1; c < s.opt.Workers; c++ {
-			s.poolWG.Add(1)
-			go func() {
-				defer s.poolWG.Done()
-				s.pool.Serve()
-			}()
-		}
-		// Wait until every executor has entered Serve so WorkerReleases
-		// is deterministic from the first query on: it reads Workers-1
-		// for the whole session lifetime, never a partial launch.
-		for s.pool.Stats().Releases < int64(s.opt.Workers-1) {
-			runtime.Gosched()
-		}
-	}
-	return s.pool
-}
-
-// Close shuts down the session-lifetime worker pool and waits for its
-// executors to exit. Idempotent and safe to call on a session that
-// never went parallel. The session stays usable afterwards — queries
-// run on the private split with the full Workers budget (see Session)
-// — so Close is a resource release, not a poisoning.
-func (s *Session) Close() {
-	s.poolMu.Lock()
-	already := s.closed
-	s.closed = true
-	p := s.pool // kept for Stats: the counters outlive the executors
-	s.poolMu.Unlock()
-	if p != nil && !already {
-		p.Close()
-		s.poolWG.Wait()
-	}
-}
+// Close does nothing: a Session holds no goroutine or other resource
+// between queries. It stays because callers, the benchmark harness
+// among them, still call it.
+func (s *Session) Close() {}
 
 // validate rejects malformed queries before any state is touched.
 func validate(q Query) error {
@@ -408,10 +336,7 @@ func validate(q Query) error {
 }
 
 // Find answers a single query, reusing everything previous queries
-// built. Parallel sessions route it through the session-lifetime pool:
-// the calling goroutine drives the search and donates frontier subtrees
-// to the persistent executors — the same worker set FindGrid and
-// post-Apply requeries draw from, so a single Find steals too.
+// built.
 func (s *Session) Find(q Query) (*core.Result, error) {
 	if err := validate(q); err != nil {
 		return nil, err
@@ -419,19 +344,16 @@ func (s *Session) Find(q Query) (*core.Result, error) {
 	if q.Kind != KindFind {
 		return nil, fmt.Errorf("session: Find answers KindFind queries; use Enumerate for Kind %d", q.Kind)
 	}
-	return s.find(q, s.sharedPool())
+	return s.find(q)
 }
 
 // FindGrid answers a batch of cells and returns results aligned with
 // qs. Cells are scheduled k-ascending then δ-descending so each solved
 // cell bounds and seeds the stricter ones, and driven strictly in that
-// order by the calling goroutine. On a parallel session the remaining
-// Workers-1 executors of the shared pool steal donated subtrees from
-// whichever cell is branching, so every cell is searched by the whole
-// budget, the dominance chain stays intact, and a skipped cell strands
-// no workers; without a pool (a serial or closed session) each cell
-// runs on the private split. Every cell gets its own incumbent; the
-// shared monotonicity table and clique pool are read at cell start.
+// order by the calling goroutine; each cell's search splits the whole
+// Workers budget, so the dominance chain stays intact. Every cell gets
+// its own incumbent; the shared monotonicity table and clique pool are
+// read at cell start.
 func (s *Session) FindGrid(qs []Query) ([]*core.Result, error) {
 	for _, q := range qs {
 		if err := validate(q); err != nil {
@@ -467,9 +389,8 @@ func (s *Session) FindGrid(qs []Query) ([]*core.Result, error) {
 	// branches a full tree instead of dominance-skipping.
 	results := make([]*core.Result, len(qs))
 	errs := make([]error, len(qs))
-	pool := s.sharedPool()
 	for _, i := range order {
-		results[i], errs[i] = s.find(qs[i], pool)
+		results[i], errs[i] = s.find(qs[i])
 	}
 	for _, err := range errs {
 		if err != nil {
@@ -488,18 +409,6 @@ func (s *Session) Stats() Stats {
 	base := s.redsBase
 	s.mu.Unlock()
 	st.Epoch = e.id
-	// The scheduler counters live on the session-lifetime pool (they
-	// are cumulative across every search it ever served, surviving
-	// Apply and Close).
-	s.poolMu.Lock()
-	pool := s.pool
-	s.poolMu.Unlock()
-	if pool != nil {
-		ps := pool.Stats()
-		st.Steals += ps.Steals
-		st.CrossCellSteals += ps.CrossCellSteals
-		st.WorkerReleases += ps.Releases
-	}
 	st.ReductionBuilds += base.Builds
 	st.ReductionChained += base.Chained
 	st.ReductionReuses += base.Hits
@@ -516,11 +425,7 @@ func (s *Session) Stats() Stats {
 // result registration. The epoch is loaded exactly once; everything —
 // bound lookup, prepared state, result registration — happens against
 // it, so a concurrent Apply never mixes two graphs inside one query.
-// With pool non-nil the search runs in shared-pool mode: the calling
-// goroutine branches serially and donates subtrees to hungry pool
-// executors instead of spawning its own workers. With pool nil it runs
-// on the private split with the full Workers budget.
-func (s *Session) find(q Query, pool *sched.Pool) (*core.Result, error) {
+func (s *Session) find(q Query) (*core.Result, error) {
 	e := s.cur.Load()
 	if q.Weak {
 		q.Delta = e.g.N() // no balance constraint at this epoch's size
@@ -564,13 +469,6 @@ func (s *Session) find(q Query, pool *sched.Pool) (*core.Result, error) {
 		MaxNodes:     maxNodes,
 		Deadline:     q.Deadline,
 		Workers:      s.opt.Workers,
-	}
-	if pool != nil {
-		opt.Workers = 1 // parallelism comes from the pool's executors
-		opt.Pool = pool
-		s.mu.Lock()
-		s.stats.PoolSearches++
-		s.mu.Unlock()
 	}
 	if haveUB {
 		opt.StopAtSize = int(ub)

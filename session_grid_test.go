@@ -33,10 +33,10 @@ func independentFind(t *testing.T, g *Graph, spec QuerySpec, bound UpperBound) *
 // size, and a valid fair clique for the cell's own constraint — across
 // all six Table II bound configurations and both weak and strong modes
 // alongside the relative cells. Every configuration runs twice: a
-// serial session and a Workers=4 session, the latter exercising the
-// session-global work-stealing pool (drivers donating subtrees,
-// released executors stealing them across cells) on exactly the same
-// grid — the differential guard of the shared-pool scheduler.
+// serial session and a Workers=4 session, the latter splitting every
+// cell's search across workers (root branches from a shared cursor,
+// idle workers fed donated subtrees) on exactly the same grid — the
+// differential guard of the parallel search.
 func TestSessionGridMatchesIndependentFindAllBounds(t *testing.T) {
 	var reuses int64
 	for seed := uint64(0); seed < 6; seed++ {
@@ -59,12 +59,12 @@ func TestSessionGridMatchesIndependentFindAllBounds(t *testing.T) {
 		}
 		for _, bound := range configs {
 			s := NewSession(g, SessionOptions{Bound: bound})
-			pooled := NewSession(g, SessionOptions{Bound: bound, Workers: 4})
+			split := NewSession(g, SessionOptions{Bound: bound, Workers: 4})
 			rs, err := s.FindGrid(specs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rsPooled, err := pooled.FindGrid(specs)
+			rsSplit, err := split.FindGrid(specs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,9 +77,9 @@ func TestSessionGridMatchesIndependentFindAllBounds(t *testing.T) {
 					t.Fatalf("seed=%d bound=%v spec=%+v: grid %d, independent %d",
 						seed, bound, spec, rs[i].Size(), want.Size())
 				}
-				if rsPooled[i].Size() != want.Size() {
-					t.Fatalf("seed=%d bound=%v spec=%+v: shared-pool grid %d, independent %d",
-						seed, bound, spec, rsPooled[i].Size(), want.Size())
+				if rsSplit[i].Size() != want.Size() {
+					t.Fatalf("seed=%d bound=%v spec=%+v: split grid %d, independent %d",
+						seed, bound, spec, rsSplit[i].Size(), want.Size())
 				}
 				if rs[i].Size() > 0 {
 					delta := spec.Delta
@@ -92,10 +92,10 @@ func TestSessionGridMatchesIndependentFindAllBounds(t *testing.T) {
 					if !g.IsFairClique(rs[i].Clique, spec.K, delta) {
 						t.Fatalf("seed=%d bound=%v spec=%+v: grid clique invalid", seed, bound, spec)
 					}
-					if !g.IsFairClique(rsPooled[i].Clique, spec.K, delta) {
-						t.Fatalf("seed=%d bound=%v spec=%+v: shared-pool grid clique invalid", seed, bound, spec)
+					if !g.IsFairClique(rsSplit[i].Clique, spec.K, delta) {
+						t.Fatalf("seed=%d bound=%v spec=%+v: split grid clique invalid", seed, bound, spec)
 					}
-					if !rs[i].Exact || !rsPooled[i].Exact {
+					if !rs[i].Exact || !rsSplit[i].Exact {
 						t.Fatalf("seed=%d bound=%v spec=%+v: grid cell inexact without MaxNodes", seed, bound, spec)
 					}
 				}
