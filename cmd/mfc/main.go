@@ -41,6 +41,8 @@ import (
 
 	"fairclique"
 	"fairclique/internal/cli"
+	"fairclique/internal/enum"
+	"fairclique/internal/graph"
 )
 
 var boundNames = map[string]fairclique.UpperBound{
@@ -153,10 +155,17 @@ func main() {
 		return
 
 	case *exhaustive:
+		if *k < 1 {
+			fatal(fmt.Errorf("fairclique: k must be >= 1, got %d", *k))
+		}
+		if *delta < 0 {
+			fatal(fmt.Errorf("fairclique: delta must be >= 0, got %d", *delta))
+		}
+		ig := internalGraph(g)
 		start := time.Now()
-		clique, err := fairclique.FindExhaustive(g, *k, *delta)
-		if err != nil {
-			fatal(err)
+		var clique []int
+		for _, v := range enum.MaxFairClique(ig, *k, *delta) {
+			clique = append(clique, int(v))
 		}
 		report(g, clique, *quiet, time.Since(start))
 		return
@@ -210,6 +219,22 @@ func main() {
 				res.Size(), res.UpperBound, res.Gap)
 		}
 	}
+}
+
+// internalGraph copies g into the internal graph type the Bron–Kerbosch
+// baseline (internal/enum) runs on: same vertex ids, attributes and
+// edges. It copies the graph already parsed, so -graph may name a pipe.
+func internalGraph(g *fairclique.Graph) *graph.Graph {
+	b := graph.NewBuilder(g.N())
+	for u := 0; u < g.N(); u++ {
+		b.SetAttr(int32(u), g.Attr(u))
+		for _, w := range g.Neighbors(u) {
+			if w > u {
+				b.AddEdge(int32(u), int32(w))
+			}
+		}
+	}
+	return b.Build()
 }
 
 func report(g *fairclique.Graph, clique []int, quiet bool, elapsed time.Duration) {
@@ -379,10 +404,10 @@ func printSessionStats(s *fairclique.Session) {
 	fmt.Printf("session: %d queries, %d nodes, %d reduction builds (%d chained), %d reuses, %d warm starts, %d dominance skips\n",
 		st.Queries, st.Nodes, st.ReductionBuilds, st.ReductionChained, st.ReductionReuses, st.WarmStarts, st.DominanceSkips)
 	if st.Applies > 0 {
-		fmt.Printf("dynamic: %d applies (epoch %d), %d comp preps reused, %d/%d snapshots verbatim (%d rippled), pool %d kept / %d dropped, %d bridge seeds\n",
+		fmt.Printf("dynamic: %d applies (epoch %d), %d comp preps reused, %d/%d snapshots verbatim (%d rippled), pool %d kept / %d dropped\n",
 			st.Applies, st.Epoch, st.CompPrepsReused, st.SnapshotsReused,
 			st.SnapshotsReused+st.SnapshotsPatched+st.SnapshotsRippled,
-			st.SnapshotsRippled, st.PoolRetained, st.PoolDropped, st.BridgeSeeds)
+			st.SnapshotsRippled, st.PoolRetained, st.PoolDropped)
 	}
 }
 

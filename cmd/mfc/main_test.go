@@ -78,7 +78,16 @@ func writeFixture(t *testing.T) string {
 // of flag parsing, IO and output.
 func runCLI(t *testing.T, args ...string) (string, error) {
 	t.Helper()
+	return runCLIInput(t, nil, args...)
+}
+
+// runCLIInput is runCLI with stdin, when non-nil, fed through a pipe.
+func runCLIInput(t *testing.T, stdin []byte, args ...string) (string, error) {
+	t.Helper()
 	cmd := exec.Command("go", append([]string{"run", "."}, args...)...)
+	if stdin != nil {
+		cmd.Stdin = bytes.NewReader(stdin)
+	}
 	var out bytes.Buffer
 	cmd.Stdout = &out
 	cmd.Stderr = &out
@@ -196,6 +205,40 @@ func TestCLIModes(t *testing.T) {
 	}
 	if _, err := runCLI(t, "-graph", path+".missing"); err == nil {
 		t.Fatal("missing file should fail")
+	}
+	// The Bron–Kerbosch baseline validates its cell like the engine.
+	for _, c := range []struct{ k, delta, want string }{
+		{"0", "1", "k must be >= 1"},
+		{"2", "-1", "delta must be >= 0"},
+	} {
+		out, err := runCLI(t, "-graph", path, "-k", c.k, "-delta", c.delta, "-enum")
+		if err == nil || !strings.Contains(out, c.want) {
+			t.Fatalf("-enum -k %s -delta %s: err %v, output %q; want a %q failure", c.k, c.delta, err, out, c.want)
+		}
+	}
+	// ... and finds the fixture's balanced K6, as the engine does.
+	enumOut, err := runCLI(t, "-graph", path, "-k", "3", "-delta", "0", "-enum", "-q")
+	if err != nil {
+		t.Fatalf("mfc -enum -q failed: %v\n%s", err, enumOut)
+	}
+	if lines := strings.Fields(enumOut); len(lines) == 0 || lines[len(lines)-1] != "6" {
+		t.Fatalf("mfc -enum -q printed %q; want 6", enumOut)
+	}
+	// A -graph that can be read only once (a pipe) answers the same:
+	// the baseline runs on the graph already parsed.
+	text, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range [][]string{{"-enum"}, {}} {
+		args := append([]string{"-graph", "/dev/stdin", "-k", "3", "-delta", "0", "-q"}, mode...)
+		out, err := runCLIInput(t, text, args...)
+		if err != nil {
+			t.Fatalf("mfc %v on a pipe failed: %v\n%s", args, err, out)
+		}
+		if lines := strings.Fields(out); len(lines) == 0 || lines[len(lines)-1] != "6" {
+			t.Fatalf("mfc %v on a pipe printed %q; want 6", args, out)
+		}
 	}
 }
 

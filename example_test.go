@@ -97,8 +97,8 @@ func ExampleReduce() {
 	// Output: [0 1 2 3]
 }
 
-// FindStrong demands exactly equal attribute counts.
-func ExampleFindStrong() {
+// ModeStrong demands exactly equal attribute counts.
+func ExampleFind_strong() {
 	g := fairclique.NewGraph(5)
 	g.SetAttr(0, fairclique.AttrA)
 	g.SetAttr(1, fairclique.AttrA)
@@ -110,7 +110,7 @@ func ExampleFindStrong() {
 			g.AddEdge(u, v)
 		}
 	}
-	res, err := fairclique.FindStrong(g, 2)
+	res, err := fairclique.Find(g, fairclique.Options{K: 2, Mode: fairclique.ModeStrong})
 	if err != nil {
 		panic(err)
 	}

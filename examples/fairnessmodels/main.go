@@ -28,7 +28,9 @@ func main() {
 	const k = 5
 	fmt.Printf("maximum fair cliques at k=%d under the three models:\n", k)
 
-	weak, err := fairclique.FindWeak(g, k)
+	weakOpt := fairclique.DefaultOptions(k, 0)
+	weakOpt.Mode = fairclique.ModeWeak
+	weak, err := fairclique.Find(g, weakOpt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +46,9 @@ func main() {
 			delta, rel.Size(), rel.CountA, rel.CountB)
 	}
 
-	strong, err := fairclique.FindStrong(g, k)
+	strongOpt := fairclique.DefaultOptions(k, 0)
+	strongOpt.Mode = fairclique.ModeStrong
+	strong, err := fairclique.Find(g, strongOpt)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,9 +20,7 @@
 //     the same branch-and-bound engine in collect-at-optimum mode and
 //     maintained incrementally across Session.Apply deltas,
 //   - Heuristic: the linear-time HeurRFC approximation,
-//   - Reduce: the colorful-support reduction pipeline on its own,
-//   - FindExhaustive: the Bron–Kerbosch baseline (deprecated; kept as
-//     the validation oracle).
+//   - Reduce: the colorful-support reduction pipeline on its own.
 //
 // # Quick start
 //
@@ -52,7 +50,6 @@ import (
 
 	"fairclique/internal/bounds"
 	"fairclique/internal/core"
-	"fairclique/internal/enum"
 	"fairclique/internal/graph"
 	"fairclique/internal/heuristic"
 	"fairclique/internal/reduce"
@@ -276,9 +273,8 @@ type Options struct {
 	// Delta is the maximum attribute-count difference (>= 0). Read only
 	// when Mode is ModeRelative; the other modes fix their own δ.
 	//
-	// Deprecated: passing δ = |V| or δ = 0 here to emulate the weak or
-	// strong model duplicates what Mode states directly — set Mode
-	// instead. Delta itself remains current for ModeRelative.
+	// For the weak or strong model, set Mode rather than passing δ = |V|
+	// or δ = 0 here.
 	Delta int
 	// Mode selects the fairness model (default ModeRelative, which
 	// reads Delta). ModeWeak and ModeStrong resolve their δ internally,
@@ -287,7 +283,9 @@ type Options struct {
 	// DisableBounds turns off the upper-bound pruning group (the
 	// paper's plain "MaxRFC" baseline).
 	DisableBounds bool
-	// Bound selects the extra upper bound (default UBColorfulDegeneracy).
+	// Bound selects the extra upper bound. The zero value is
+	// UBAdvanced (the advanced group alone); DefaultOptions selects
+	// UBColorfulDegeneracy.
 	Bound UpperBound
 	// DisableHeuristic turns off HeurRFC incumbent seeding.
 	DisableHeuristic bool
@@ -411,30 +409,6 @@ func resultFromCore(ig *graph.Graph, res *core.Result) *Result {
 	return out
 }
 
-// FindWeak computes a maximum *weak* fair clique (Pan et al. [23]): at
-// least k vertices of each attribute with no balance constraint.
-//
-// Deprecated: use Find with Options{K: k, Mode: ModeWeak} (or a
-// Session with QuerySpec{K: k, Mode: ModeWeak}); the mode expresses
-// the model directly instead of encoding it in δ.
-func FindWeak(g *Graph, k int) (*Result, error) {
-	opt := DefaultOptions(k, 0)
-	opt.Mode = ModeWeak
-	return Find(g, opt)
-}
-
-// FindStrong computes a maximum *strong* fair clique (Pan et al.
-// [23]): at least k vertices of each attribute with exactly equal
-// counts.
-//
-// Deprecated: use Find with Options{K: k, Mode: ModeStrong} (or a
-// Session with QuerySpec{K: k, Mode: ModeStrong}).
-func FindStrong(g *Graph, k int) (*Result, error) {
-	opt := DefaultOptions(k, 0)
-	opt.Mode = ModeStrong
-	return Find(g, opt)
-}
-
 // Heuristic runs the linear-time HeurRFC framework (Algorithm 6) and
 // returns the fair clique it finds (nil if none) together with a valid
 // upper bound on the maximum fair clique size.
@@ -477,30 +451,8 @@ func Reduce(g *Graph, k int) (kept []int, stages []ReduceStats, err error) {
 // collect-at-optimum mode (one search visits all optima). For repeated
 // or dynamic workloads prefer Session.Enumerate, which caches the set
 // per cell and maintains it incrementally across Apply deltas.
-//
-// Historical note: before the query-API redesign this function
-// returned a single clique from the Bron–Kerbosch baseline despite its
-// name; that behavior lives on as FindExhaustive.
 func Enumerate(g *Graph, k, delta int) (*ResultSet, error) {
 	return NewSession(g).Enumerate(QuerySpec{K: k, Delta: delta, Kind: KindEnumerateAll})
-}
-
-// FindExhaustive computes a maximum fair clique via the Bron–Kerbosch
-// enumeration baseline — exponential in the worst case, exact always.
-// This is the pre-redesign behavior of Enumerate, kept one release
-// under its honest name.
-//
-// Deprecated: use Find (the branch-and-bound engine is strictly
-// faster) or Enumerate (for the full optimum set). The baseline
-// survives only as the differential-testing oracle.
-func FindExhaustive(g *Graph, k, delta int) ([]int, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("fairclique: k must be >= 1, got %d", k)
-	}
-	if delta < 0 {
-		return nil, fmt.Errorf("fairclique: delta must be >= 0, got %d", delta)
-	}
-	return toInt(enum.MaxFairClique(g.freeze(), k, delta)), nil
 }
 
 // Mode selects the fairness model of a session query, following Pan et
@@ -585,12 +537,13 @@ type ResultSet struct {
 	Stats SearchStats
 }
 
-// SessionOptions configures a Session; the zero value is the
-// recommended default (all reductions, the colorful-degeneracy bound,
-// heuristic seeding, serial search). The per-query parameters live in
-// QuerySpec.
+// SessionOptions configures a Session. The zero value runs all
+// reductions, heuristic seeding, a serial search and the advanced bound
+// group alone (UBAdvanced); unlike DefaultOptions it does not add
+// UBColorfulDegeneracy. The per-query parameters live in QuerySpec.
 type SessionOptions struct {
-	// Bound selects the extra upper bound (default UBColorfulDegeneracy).
+	// Bound selects the extra upper bound. The zero value is
+	// UBAdvanced; set UBColorfulDegeneracy to match DefaultOptions.
 	Bound UpperBound
 	// DisableBounds, DisableHeuristic and DisableReduction mirror the
 	// same Options knobs, applied to every query of the session.
@@ -607,14 +560,6 @@ type SessionOptions struct {
 	// Options.Workers does for Find, and all of them have returned when
 	// the call does.
 	Workers int
-	// MaxPreparedK bounds how many distinct k values keep their
-	// prepared state (reduction snapshot, component machinery) warm in
-	// a long-lived session; beyond the cap the least recently used k is
-	// evicted and transparently rebuilt on demand. 0 = unlimited.
-	MaxPreparedK int
-	// MaxPoolSeeds bounds the warm-start clique pool, dropping the
-	// smallest pooled cliques first. 0 = unlimited.
-	MaxPoolSeeds int
 }
 
 // SessionStats aggregates the work of all queries a Session has
@@ -656,19 +601,15 @@ type SessionStats struct {
 	// PoolRetained and PoolDropped count warm-start cliques that
 	// survived an Apply versus ones destroyed by its deletions.
 	PoolRetained, PoolDropped int64
-	// PrepEvictions counts per-k prepared states evicted by the
-	// MaxPreparedK cap.
-	PrepEvictions int64
-	// Steals, CrossCellSteals, WorkerReleases and PoolSearches are
-	// always 0.
+	// Steals, WorkerReleases and PoolSearches are always 0.
 	//
 	// Deprecated: the session-lifetime worker pool they counted was
 	// removed because it never paid for itself in measurement; every
 	// parallel query now splits its own search, whose donated subtrees
-	// Donations counts.
-	Steals, CrossCellSteals, WorkerReleases int64
-	// Deprecated: always 0; see Steals.
-	PoolSearches int64
+	// Donations counts. The fields stay because the benchmark harness
+	// (perfbench/layers.go, whose files define the benchmark) reads
+	// them.
+	Steals, WorkerReleases, PoolSearches int64
 	// SpeculativeStarts and SpeculativeWins are always 0.
 	//
 	// Deprecated: FindGrid no longer speculates cells ahead of their
@@ -677,9 +618,6 @@ type SessionStats struct {
 	// the benchmark harness (perfbench/layers.go, whose files define
 	// the benchmark) reads both.
 	SpeculativeStarts, SpeculativeWins int64
-	// BridgeSeeds counts warm-start cliques grown around inserted
-	// edges that merged two components during Apply.
-	BridgeSeeds int64
 	// BoundInjections and SeedInjections count live broadcasts of a
 	// solved cell's proven bound / incumbent clique into searches still
 	// running on the same graph generation.
@@ -744,8 +682,6 @@ func NewSession(g *Graph, opts ...SessionOptions) *Session {
 			SkipReduction: o.DisableReduction,
 			MaxNodes:      o.MaxNodes,
 			Workers:       o.Workers,
-			MaxPreparedK:  o.MaxPreparedK,
-			MaxPoolSeeds:  o.MaxPoolSeeds,
 		}),
 	}
 }
@@ -824,11 +760,6 @@ type ApplyStats struct {
 	// PoolRetained and PoolDropped count surviving vs destroyed
 	// warm-start cliques.
 	PoolRetained, PoolDropped int64
-	// BridgeSeeds counts warm-start cliques grown around inserted
-	// edges whose endpoints lay in different components — the merged
-	// component's seed material, drawn from both halves' pooled
-	// cliques.
-	BridgeSeeds int64
 	// EnumDiffs reports, per enumeration cell cached by a previous
 	// Session.Enumerate, which cliques this delta destroyed and which
 	// it created — the epoch diff of the incrementally maintained
@@ -887,7 +818,6 @@ func (s *Session) Apply(d Delta) (ApplyStats, error) {
 		CompPrepsReused:  ast.CompPrepsReused,
 		PoolRetained:     ast.PoolRetained,
 		PoolDropped:      ast.PoolDropped,
-		BridgeSeeds:      ast.BridgeSeeds,
 		EnumDiffs:        enumDiffsFromInternal(ast.EnumDiffs),
 	}, nil
 }
@@ -943,9 +873,9 @@ func toEdge32(es [][2]int) [][2]int32 {
 }
 
 // Find answers one query on the warm session. The result is identical
-// (in size and validity) to an independent Find/FindWeak/FindStrong
-// call on the same graph, but reuses the session's prepared state and
-// prior answers.
+// (in size and validity) to an independent Find call with the same K,
+// Delta and Mode on the same graph, but reuses the session's prepared
+// state and prior answers.
 func (s *Session) Find(spec QuerySpec) (*Result, error) {
 	q, err := s.normalize(spec)
 	if err != nil {
@@ -1062,11 +992,9 @@ func (s *Session) Stats() SessionStats {
 		CompPrepsReused:  st.CompPrepsReused,
 		PoolRetained:     st.PoolRetained,
 		PoolDropped:      st.PoolDropped,
-		PrepEvictions:    st.PrepEvictions,
 
 		SpeculativeStarts: st.SpeculativeStarts,
 		SpeculativeWins:   st.SpeculativeWins,
-		BridgeSeeds:       st.BridgeSeeds,
 		BoundInjections:   st.BoundInjections,
 		SeedInjections:    st.SeedInjections,
 		Enumerations:      st.Enumerations,
@@ -1075,12 +1003,6 @@ func (s *Session) Stats() SessionStats {
 		EnumRecomputed:    st.EnumRecomputed,
 	}
 }
-
-// Close does nothing: a Session holds no goroutine or other resource
-// between queries, and stays queryable.
-//
-// Deprecated: there is nothing to release; drop the call.
-func (s *Session) Close() {}
 
 func toInt32(s []int) []int32 {
 	out := make([]int32, len(s))

@@ -116,10 +116,7 @@ func TestFindMatchesEnumerate(t *testing.T) {
 		k := int(k8%3) + 1
 		delta := int(d8 % 4)
 		g := buildRandom(seed, n, 0.45)
-		want, err := FindExhaustive(g, k, delta)
-		if err != nil {
-			return false
-		}
+		want := exhaustive(g, k, delta)
 		for _, opt := range []Options{
 			{K: k, Delta: delta},
 			{K: k, Delta: delta, Bound: UBColorfulPath},

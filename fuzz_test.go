@@ -47,10 +47,7 @@ func FuzzFind(f *testing.F) {
 				bit++
 			}
 		}
-		want, err := FindExhaustive(g, k, delta)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := exhaustive(g, k, delta)
 		res, err := Find(g, DefaultOptions(k, delta))
 		if err != nil {
 			t.Fatal(err)

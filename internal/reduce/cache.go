@@ -118,13 +118,3 @@ func (c *Cache) Cached(k int32) (*Snapshot, bool) {
 	s, ok := c.snaps[k]
 	return s, ok
 }
-
-// Evict drops the cached snapshot for k, if any. Safe at any time: a
-// later Get rebuilds the snapshot (chained off the largest remaining
-// smaller k), and snapshots already handed out stay valid. This is how
-// the session bounds the per-k state of long-lived dynamic sessions.
-func (c *Cache) Evict(k int32) {
-	c.mu.Lock()
-	delete(c.snaps, k)
-	c.mu.Unlock()
-}

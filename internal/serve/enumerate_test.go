@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 )
 
@@ -139,51 +138,23 @@ func TestServeErrorEnvelope(t *testing.T) {
 	e.mu.Unlock()
 }
 
-// The unversioned paths survive one release as 301s to their /v1 twin,
-// query string included.
-func TestLegacyPathsRedirect(t *testing.T) {
+// The unversioned pre-/v1 paths are gone: each old route answers 404
+// (no redirect, no handler), and the /v1 surface still serves.
+func TestLegacyPathsGone(t *testing.T) {
 	_, ts := startServer(t, Config{})
 	createGraph(t, ts, "g", testGraphText)
 
-	noFollow := &http.Client{
-		CheckRedirect: func(*http.Request, []*http.Request) error {
-			return http.ErrUseLastResponse
-		},
-	}
-	for path, want := range map[string]string{
-		"/healthz":         "/v1/healthz",
-		"/metrics":         "/v1/metrics",
-		"/graphs?name=x":   "/v1/graphs?name=x",
-		"/graphs/g":        "/v1/graphs/g",
-		"/graphs/g/query":  "/v1/graphs/g/query",
-		"/graphs/g/grid":   "/v1/graphs/g/grid",
-		"/graphs/g/mutate": "/v1/graphs/g/mutate",
-		"/graphs/g/flush":  "/v1/graphs/g/flush",
+	for _, c := range []struct{ method, path string }{
+		{"GET", "/healthz"}, {"GET", "/metrics"},
+		{"GET", "/graphs"}, {"POST", "/graphs?name=x"},
+		{"GET", "/graphs/g"}, {"DELETE", "/graphs/g"},
+		{"POST", "/graphs/g/query"}, {"POST", "/graphs/g/grid"},
+		{"POST", "/graphs/g/mutate"}, {"POST", "/graphs/g/flush"},
 	} {
-		req, _ := http.NewRequest("GET", ts.URL+path, nil)
-		resp, err := noFollow.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusMovedPermanently {
-			t.Fatalf("GET %s: status %d, want 301", path, resp.StatusCode)
-		}
-		if loc := resp.Header.Get("Location"); loc != want {
-			t.Fatalf("GET %s: Location %q, want %q", path, loc, want)
-		}
+		request(t, ts, c.method, c.path, "application/json", `{"k":2,"delta":0}`, http.StatusNotFound)
 	}
-
-	// A redirect-following GET lands on the live endpoint.
-	resp, err := ts.Client().Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("followed /healthz: status %d", resp.StatusCode)
-	}
-	if !strings.HasSuffix(resp.Request.URL.Path, "/v1/healthz") {
-		t.Fatalf("followed /healthz ended at %s", resp.Request.URL.Path)
+	request(t, ts, "GET", "/v1/healthz", "", "", http.StatusOK)
+	if r := queryGraph(t, ts, "g", QueryRequest{K: 2, Delta: 0}, http.StatusOK); r.Size != 4 {
+		t.Fatalf("/v1 query after the legacy calls: size %d, want 4", r.Size)
 	}
 }

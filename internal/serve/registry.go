@@ -463,10 +463,17 @@ func (e *GraphEntry) storeCached(key cacheKey, r *fairclique.Result) {
 		return
 	}
 	e.cacheMu.Lock()
-	if len(e.cache) < e.cfg.MaxCacheEntries {
+	if e.cacheRoomLocked() {
 		e.cache[key] = r
 	}
 	e.cacheMu.Unlock()
+}
+
+// cacheRoomLocked reports whether the graph's two caches, Find answers
+// and enumeration sets, together hold fewer than MaxCacheEntries.
+// e.cacheMu must be held.
+func (e *GraphEntry) cacheRoomLocked() bool {
+	return len(e.cache)+len(e.ecache) < e.cfg.MaxCacheEntries
 }
 
 // Enumerate answers one enumeration cell through the same serving path
@@ -499,7 +506,7 @@ func (e *GraphEntry) Enumerate(spec fairclique.QuerySpec) (rs *fairclique.Result
 	}
 	if rs.Exact && e.epoch.Load() == key.epoch {
 		e.cacheMu.Lock()
-		if len(e.cache)+len(e.ecache) < e.cfg.MaxCacheEntries {
+		if e.cacheRoomLocked() {
 			e.ecache[key] = rs
 		}
 		e.cacheMu.Unlock()

@@ -291,3 +291,34 @@ func TestMutateValidation(t *testing.T) {
 		t.Fatalf("N=%d M=%d after vertex batch; want 6, 8", e.Session().N(), e.Session().M())
 	}
 }
+
+// MaxCacheEntries bounds a graph's Find answers and enumeration sets
+// together: once enumerations fill the cap, Find answers are served
+// but not cached.
+func TestCacheBoundCountsBothCaches(t *testing.T) {
+	e := testEntry(t, Config{MaxCacheEntries: 2})
+	for _, d := range []int{0, 1} {
+		spec := fairclique.QuerySpec{K: 1, Delta: d, Kind: fairclique.KindEnumerateAll}
+		if _, _, _, err := e.Enumerate(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, d := range []int{0, 1} {
+		if _, _, _, err := e.Query(fairclique.QuerySpec{K: 2, Delta: d}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.cacheMu.Lock()
+	answers, sets := len(e.cache), len(e.ecache)
+	e.cacheMu.Unlock()
+	if answers+sets > 2 {
+		t.Fatalf("caches hold %d answers + %d sets; MaxCacheEntries is 2", answers, sets)
+	}
+	res, cached, _, err := e.Query(fairclique.QuerySpec{K: 2, Delta: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached || res.Size() != 4 {
+		t.Fatalf("repeat query past the cap: cached=%v size %d; want an uncached 4", cached, res.Size())
+	}
+}

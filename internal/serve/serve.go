@@ -87,7 +87,8 @@ type Config struct {
 	// many coalesced operations even if no query arrives. 0 means
 	// DefaultMaxBufferedOps.
 	MaxBufferedOps int
-	// MaxCacheEntries bounds each graph's result cache. 0 means
+	// MaxCacheEntries bounds each graph's result cache: its Find
+	// answers and enumeration sets together. 0 means
 	// DefaultMaxCacheEntries.
 	MaxCacheEntries int
 }
@@ -167,9 +168,8 @@ func (s *Server) Registry() *Registry { return s.reg }
 //	POST   /v1/graphs/{name}/mutate    buffer mutations (JSON delta or text/plain op stream)
 //	POST   /v1/graphs/{name}/flush     force-apply the write buffer
 //
-// The pre-versioning unversioned paths answer 301 to their /v1 twin
-// for one release; clients must move (non-GET requests do not survive
-// a 301 in most HTTP clients).
+// Any other path, the pre-versioning unversioned ones included, is a
+// plain 404.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", s.wrap("healthz", s.handleHealthz))
@@ -183,23 +183,5 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/graphs/{name}/enumerate", s.wrap("enumerate", s.handleEnumerate))
 	mux.HandleFunc("POST /v1/graphs/{name}/mutate", s.wrap("mutate", s.handleMutate))
 	mux.HandleFunc("POST /v1/graphs/{name}/flush", s.wrap("flush", s.handleFlush))
-	// Deprecated: the unversioned surface, one release of 301s.
-	for _, p := range []string{
-		"/healthz", "/metrics", "/graphs", "/graphs/{name}",
-		"/graphs/{name}/query", "/graphs/{name}/grid",
-		"/graphs/{name}/mutate", "/graphs/{name}/flush",
-	} {
-		mux.HandleFunc(p, redirectV1)
-	}
 	return mux
-}
-
-// redirectV1 301s an unversioned path to its /v1 twin, preserving the
-// query string.
-func redirectV1(w http.ResponseWriter, r *http.Request) {
-	target := "/v1" + r.URL.Path
-	if r.URL.RawQuery != "" {
-		target += "?" + r.URL.RawQuery
-	}
-	http.Redirect(w, r, target, http.StatusMovedPermanently)
 }

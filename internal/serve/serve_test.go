@@ -505,16 +505,14 @@ func TestServeCachedEqualsFresh(t *testing.T) {
 				t.Fatalf("step %d %+v: cached answer (%d,%d/%d) != first (%d,%d/%d)",
 					step, q, got2.Size, got2.CountA, got2.CountB, got.Size, got.CountA, got.CountB)
 			}
-			var want *fairclique.Result
-			var err error
+			opt := fairclique.DefaultOptions(q.K, q.Delta)
 			switch q.Mode {
 			case "weak":
-				want, err = fairclique.FindWeak(m, q.K)
+				opt.Mode = fairclique.ModeWeak
 			case "strong":
-				want, err = fairclique.FindStrong(m, q.K)
-			default:
-				want, err = fairclique.Find(m, fairclique.DefaultOptions(q.K, q.Delta))
+				opt.Mode = fairclique.ModeStrong
 			}
+			want, err := fairclique.Find(m, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

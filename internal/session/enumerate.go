@@ -223,7 +223,7 @@ func (s *Session) enumerateOn(e *epoch, q Query) (*ResultSet, error) {
 		e.mu.Lock()
 		e.table.Add(q.K, q.Delta, size)
 		for _, c := range res.Cliques {
-			s.addPoolLocked(e, c)
+			addPoolLocked(e, c)
 		}
 		s.storeEnumLocked(e, key, set)
 		e.mu.Unlock()

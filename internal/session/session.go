@@ -67,14 +67,11 @@
 // Enumerate and post-Apply requery runs core's private root split
 // (core.Options.Workers), whose goroutines all return before the
 // query does. A dominance-skipped cell starts none.
-//
-// Long-lived sessions bound their footprint with Options.MaxPreparedK
-// (LRU eviction of per-k prepared state + reduction snapshot) and
-// Options.MaxPoolSeeds (smallest pooled cliques dropped first).
 package session
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -109,14 +106,6 @@ type Options struct {
 	// the whole budget. The reduction fans components across the same
 	// bound.
 	Workers int
-	// MaxPreparedK bounds the number of distinct k values whose
-	// prepared state (reduction snapshot + component machinery) is kept
-	// warm; the least recently used is evicted beyond the cap and
-	// rebuilt on demand. 0 = unlimited.
-	MaxPreparedK int
-	// MaxPoolSeeds bounds the warm-start clique pool; the smallest
-	// pooled cliques are dropped first beyond the cap. 0 = unlimited.
-	MaxPoolSeeds int
 }
 
 // Query is one (k, δ) cell. Strong fairness is δ = 0; weak fairness
@@ -188,9 +177,6 @@ type Stats struct {
 	// PoolRetained and PoolDropped count warm-start cliques that
 	// survived an Apply versus ones its deletions destroyed.
 	PoolRetained, PoolDropped int64
-	// PrepEvictions counts per-k prepared states evicted by the
-	// MaxPreparedK LRU cap.
-	PrepEvictions int64
 	// Steals, WorkerReleases and PoolSearches are always 0.
 	//
 	// Deprecated: the session-lifetime worker pool they counted was
@@ -206,12 +192,6 @@ type Stats struct {
 	// (perfbench/layers.go, whose files define the benchmark) reads
 	// both.
 	SpeculativeStarts, SpeculativeWins int64
-	// BridgeSeeds counts warm-start cliques grown around bridge inserts
-	// by Apply: when an inserted edge merges two components, a greedy
-	// clique over the edge's common neighborhood — preferring vertices
-	// from the halves' pooled cliques — is pooled so the merged
-	// component's first query starts warm instead of cold.
-	BridgeSeeds int64
 	// Enumerations counts Enumerate calls that ran the collect search;
 	// EnumCacheHits counts ones answered from the epoch's enumeration
 	// cache; EnumMaintained/EnumRecomputed count cached sets an Apply
@@ -242,9 +222,8 @@ type poolClique struct {
 // is atomic so Apply can observe whether the build finished without
 // racing one that is in flight.
 type prepEntry struct {
-	once    sync.Once
-	p       atomic.Pointer[core.Prepared]
-	lastUse int64 // LRU tick, guarded by epoch.mu
+	once sync.Once
+	p    atomic.Pointer[core.Prepared]
 }
 
 // epoch is one immutable-graph generation of the session: the graph,
@@ -258,7 +237,6 @@ type epoch struct {
 
 	mu    sync.Mutex
 	preps map[int32]*prepEntry
-	tick  int64 // LRU clock for preps
 	table bounds.GridTable
 	pool  []poolClique
 	// enums caches exact enumeration answers per cell; Apply maintains
@@ -512,7 +490,7 @@ func (s *Session) find(q Query) (*core.Result, error) {
 		e.mu.Lock()
 		e.table.Add(q.K, q.Delta, int32(res.Size()))
 		if res.Clique != nil {
-			s.addPoolLocked(e, res.Clique)
+			addPoolLocked(e, res.Clique)
 		}
 		e.mu.Unlock()
 		s.broadcast(e, q, res)
@@ -571,9 +549,8 @@ func (s *Session) recordSkip(e *epoch, q Query, size int32) {
 }
 
 // prepared returns the frozen search machinery for size constraint k
-// on the given epoch, building it at most once and bumping the LRU
-// clock. With SkipReduction all k values share one view of the raw
-// graph (keyed 0).
+// on the given epoch, building it at most once. With SkipReduction all
+// k values share one view of the raw graph (keyed 0).
 func (s *Session) prepared(e *epoch, k int32) *core.Prepared {
 	key := k
 	if s.opt.SkipReduction {
@@ -584,14 +561,11 @@ func (s *Session) prepared(e *epoch, k int32) *core.Prepared {
 	if !ok {
 		ent = &prepEntry{}
 		e.preps[key] = ent
-		s.evictLocked(e, key)
 	} else {
 		s.mu.Lock()
 		s.stats.ReductionReuses++
 		s.mu.Unlock()
 	}
-	e.tick++
-	ent.lastUse = e.tick
 	e.mu.Unlock()
 	ent.once.Do(func() {
 		if s.opt.SkipReduction {
@@ -602,38 +576,6 @@ func (s *Session) prepared(e *epoch, k int32) *core.Prepared {
 		}
 	})
 	return ent.p.Load()
-}
-
-// evictLocked enforces the MaxPreparedK LRU cap after a new key was
-// inserted; e.mu must be held. The newest key is never the victim. An
-// evicted build that is still in flight simply finishes unobserved —
-// its entry is unreachable and garbage once its users return.
-func (s *Session) evictLocked(e *epoch, newest int32) {
-	if s.opt.MaxPreparedK <= 0 {
-		return
-	}
-	for len(e.preps) > s.opt.MaxPreparedK {
-		victim, oldest := int32(0), int64(1)<<62
-		found := false
-		for k, ent := range e.preps {
-			if k == newest {
-				continue
-			}
-			if ent.lastUse < oldest {
-				victim, oldest, found = k, ent.lastUse, true
-			}
-		}
-		if !found {
-			return
-		}
-		delete(e.preps, victim)
-		if e.reds != nil {
-			e.reds.Evict(victim)
-		}
-		s.mu.Lock()
-		s.stats.PrepEvictions++
-		s.mu.Unlock()
-	}
 }
 
 // ApplyStats reports what one Apply invalidated and what it retained.
@@ -656,9 +598,6 @@ type ApplyStats struct {
 	// PoolRetained/PoolDropped count surviving vs destroyed warm-start
 	// cliques.
 	PoolRetained, PoolDropped int64
-	// BridgeSeeds counts warm-start cliques grown around inserted edges
-	// that merged two components (see Stats.BridgeSeeds).
-	BridgeSeeds int64
 	// EnumDiffs reports, per cached enumeration cell, which cliques the
 	// delta destroyed and which it created: the epoch diff of the
 	// maintained result sets (see EnumDiff).
@@ -718,25 +657,9 @@ func (s *Session) Apply(d *graph.Delta) (ApplyStats, error) {
 	ne.table = old.table.Relax(floor)
 	// Enumeration sets are immutable once stored: a shallow copy of the
 	// map is a consistent snapshot to maintain against.
-	oldEnums := make(map[enumKey]*enumSet, len(old.enums))
-	for k, set := range old.enums {
-		oldEnums[k] = set
-	}
+	oldEnums := maps.Clone(old.enums)
 	oldPool := append([]poolClique(nil), old.pool...)
-	oldPreps := make(map[int32]*prepEntry, len(old.preps))
-	// lastUse is guarded by epoch.mu and in-flight queries on the
-	// retiring epoch keep bumping it, so copy the ticks inside this
-	// critical section rather than reading entries later.
-	oldTicks := make(map[int32]int64, len(old.preps))
-	for k, ent := range old.preps {
-		oldPreps[k] = ent
-		oldTicks[k] = ent.lastUse
-	}
-	// The new epoch inherits the LRU clock along with the carried
-	// lastUse ticks; restarting it at zero would make every carried
-	// entry look hotter than all future accesses and invert the
-	// MaxPreparedK eviction order.
-	ne.tick = old.tick
+	oldPreps := maps.Clone(old.preps)
 	old.mu.Unlock()
 
 	// Pool: a clique survives iff it is still a clique (attributes are
@@ -749,15 +672,6 @@ func (s *Session) Apply(d *graph.Delta) (ApplyStats, error) {
 			ast.PoolDropped++
 		}
 	}
-
-	// Bridge seeding: when an inserted edge merges two previously
-	// separate components, neither half's pooled cliques can contain
-	// the other half's vertices, so the merged component's first query
-	// would otherwise start cold exactly where the delta created new
-	// structure. Grow a greedy clique around each such bridge — drawing
-	// candidates from the union of both halves' pooled cliques first —
-	// and pool it on the not-yet-published epoch.
-	ast.BridgeSeeds = s.seedBridges(ne, old.g, oldPool, info.Inserted)
 
 	// Prepared state: re-prepare each built k against the patched
 	// snapshot, adopting every structurally untouched component.
@@ -773,12 +687,12 @@ func (s *Session) Apply(d *graph.Delta) (ApplyStats, error) {
 		} else {
 			snap, ok := ne.reds.Cached(key)
 			if !ok {
-				continue // snapshot evicted meanwhile; rebuild lazily
+				continue // built after the cache was cloned: rebuild lazily
 			}
 			p, adopted = core.PrepareIncremental(snap.Sub.G, snap.Sub.ToParent, prev, info.Touches)
 		}
 		ast.CompPrepsReused += int64(adopted)
-		nent := &prepEntry{lastUse: oldTicks[key]}
+		nent := &prepEntry{}
 		nent.p.Store(p)
 		nent.once.Do(func() {}) // mark built
 		ne.preps[key] = nent
@@ -805,7 +719,6 @@ func (s *Session) Apply(d *graph.Delta) (ApplyStats, error) {
 	s.stats.CompPrepsReused += ast.CompPrepsReused
 	s.stats.PoolRetained += ast.PoolRetained
 	s.stats.PoolDropped += ast.PoolDropped
-	s.stats.BridgeSeeds += ast.BridgeSeeds
 	s.stats.EnumMaintained += maintained
 	s.stats.EnumRecomputed += recomputed
 	if old.reds != nil {
@@ -817,122 +730,6 @@ func (s *Session) Apply(d *graph.Delta) (ApplyStats, error) {
 	s.mu.Unlock()
 	s.cur.Store(ne)
 	return ast, nil
-}
-
-// bridgeCandidateCap bounds the greedy growth around one bridge, so a
-// pathological insert into a dense hub cannot turn Apply quadratic.
-// Seeds are best-effort warm-start material; truncation is safe.
-const bridgeCandidateCap = 2048
-
-// seedBridges implements the merged-component warm start: for every
-// inserted edge (u, v) whose endpoints lay in different components of
-// the OLD graph, grow a greedy clique C ⊇ {u, v} inside the edge's
-// common neighborhood in the new graph, trying vertices that appear in
-// the halves' pooled cliques first (the union of both halves' pooled
-// cliques is the seed material — those vertices are proven dense in
-// their half) and the rest in ascending id order for determinism. The
-// grown clique is pooled on the not-yet-published epoch ne; combined
-// with the insertion-floor table relax, a post-merge query whose seed
-// meets the relaxed bound is answered with zero branching. Returns the
-// number of cliques pooled.
-func (s *Session) seedBridges(ne *epoch, oldG *graph.Graph, oldPool []poolClique, inserted [][2]int32) int64 {
-	if len(inserted) == 0 {
-		return 0
-	}
-	// Old-graph component labels, built lazily: vertices new to this
-	// epoch get synthetic singleton labels (a brand-new vertex is its
-	// own old "component").
-	var label []int32
-	var nextLabel int32
-	lab := func(v int32) int32 {
-		if v < int32(len(label)) {
-			return label[v]
-		}
-		nextLabel++
-		return -nextLabel
-	}
-	var pooled map[int32]bool
-	var seeds int64
-	for _, e := range inserted {
-		if label == nil {
-			comps := graph.ConnectedComponents(oldG)
-			label = make([]int32, oldG.N())
-			for ci, comp := range comps {
-				for _, v := range comp {
-					label[v] = int32(ci)
-				}
-			}
-		}
-		u, v := e[0], e[1]
-		if lab(u) == lab(v) {
-			continue // intra-component insert: both halves already warm
-		}
-		if pooled == nil {
-			pooled = make(map[int32]bool)
-			for _, c := range oldPool {
-				for _, w := range c.verts {
-					pooled[w] = true
-				}
-			}
-		}
-		if c := growBridgeClique(ne.g, u, v, pooled); len(c) >= 2 {
-			s.addPoolLocked(ne, c) // ne is unpublished: no lock contention
-			seeds++
-		}
-	}
-	return seeds
-}
-
-// growBridgeClique greedily extends {u, v} with common neighbors of the
-// bridge, preferring vertices from the pooled-clique union. Candidates
-// are checked for full adjacency against the clique so far, so the
-// result is always a clique of g.
-func growBridgeClique(g *graph.Graph, u, v int32, pooled map[int32]bool) []int32 {
-	// Common neighborhood by sorted-adjacency merge.
-	nu, nv := g.Neighbors(u), g.Neighbors(v)
-	var common []int32
-	for i, j := 0, 0; i < len(nu) && j < len(nv); {
-		switch {
-		case nu[i] < nv[j]:
-			i++
-		case nu[i] > nv[j]:
-			j++
-		default:
-			common = append(common, nu[i])
-			i++
-			j++
-		}
-	}
-	if len(common) > bridgeCandidateCap {
-		common = common[:bridgeCandidateCap]
-	}
-	// Pooled vertices first; ascending id within each class (the merge
-	// yields ascending order, and the partition below is stable).
-	order := make([]int32, 0, len(common))
-	for _, w := range common {
-		if pooled[w] {
-			order = append(order, w)
-		}
-	}
-	for _, w := range common {
-		if !pooled[w] {
-			order = append(order, w)
-		}
-	}
-	clique := []int32{u, v}
-	for _, w := range order {
-		ok := true
-		for _, x := range clique[2:] { // w ∈ N(u) ∩ N(v) by construction
-			if !g.HasEdge(w, x) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			clique = append(clique, w)
-		}
-	}
-	return clique
 }
 
 // bestSeedLocked returns the largest pooled clique that is itself
@@ -951,9 +748,8 @@ func bestSeedLocked(e *epoch, q Query) []int32 {
 // addPoolLocked pools a discovered fair clique for future warm-starts,
 // keeping only the Pareto frontier: clique A supersedes B when A is
 // valid wherever B is (min count >= , diff <=) and at least as large.
-// Beyond Options.MaxPoolSeeds the smallest cliques are dropped first.
 // e.mu must be held.
-func (s *Session) addPoolLocked(e *epoch, clique []int32) {
+func addPoolLocked(e *epoch, clique []int32) {
 	na, nb := e.g.CountAttrs(clique)
 	c := poolClique{
 		verts: append([]int32(nil), clique...),
@@ -981,15 +777,6 @@ func (s *Session) addPoolLocked(e *epoch, clique []int32) {
 		kept = append(kept, x)
 	}
 	e.pool = append(kept, c)
-	for s.opt.MaxPoolSeeds > 0 && len(e.pool) > s.opt.MaxPoolSeeds {
-		smallest := 0
-		for i := 1; i < len(e.pool); i++ {
-			if len(e.pool[i].verts) < len(e.pool[smallest].verts) {
-				smallest = i
-			}
-		}
-		e.pool = append(e.pool[:smallest], e.pool[smallest+1:]...)
-	}
 }
 
 func identity(n int32) []int32 {

@@ -3,11 +3,11 @@
 # surface with curl — create (upload + rejected garbage), query (fresh
 # and cached), grid, enumerate (full set, cached, top-r), mutate
 # (buffered, then flushed by the next query), explicit flush, metrics,
-# admission blacklist, delete. Both path generations are walked: the
-# /v1 API for real, the legacy unversioned paths for their 301s. Two
-# hard-fail conditions: any unexpected HTTP status, and a differential
-# mismatch — the graph mutated through buffered deltas must answer
-# exactly like the same final graph uploaded fresh.
+# admission blacklist, delete. The removed unversioned paths are walked
+# too, for their 404s. Two hard-fail conditions: any unexpected HTTP
+# status, and a differential mismatch — the graph mutated through
+# buffered deltas must answer exactly like the same final graph
+# uploaded fresh.
 #
 # OUT_DIR (default /tmp/serve-smoke) receives smoke.log, the full
 # request/response transcript CI uploads as an artifact.
@@ -67,16 +67,11 @@ jqget() { jq -r "$1" <"$BODY"; }
 
 req GET /v1/healthz 200
 
-# --- legacy paths: one release of 301s to the /v1 twin --------------
+# --- legacy paths: removed, so 404 (no redirect to /v1) -------------
 for p in /healthz /metrics /graphs; do
-    req GET "$p" 301
-    LOC=$(curl -sS -o /dev/null -w '%{redirect_url}' "$BASE$p") || fail "curl $p"
-    case "$LOC" in
-    */v1"$p") : ;;
-    *) fail "legacy $p redirects to $LOC, want /v1$p" ;;
-    esac
+    req GET "$p" 404
 done
-say "legacy paths 301 to /v1"
+say "legacy paths 404"
 
 # --- create: upload the balanced-K4-plus-pendant test graph ---------
 cat >"$WORK/g.txt" <<'EOF'

@@ -162,8 +162,8 @@ func TestSessionStatsAggregation(t *testing.T) {
 	}
 }
 
-// Sessions answer weak/strong cells identically to the dedicated
-// FindWeak/FindStrong entry points.
+// Sessions answer weak/strong cells identically to the one-shot Find
+// with the same Mode.
 func TestSessionModesMatchDedicatedEntryPoints(t *testing.T) {
 	for seed := uint64(0); seed < 4; seed++ {
 		g := buildRandom(seed+50, 30, 0.4)
@@ -173,24 +173,24 @@ func TestSessionModesMatchDedicatedEntryPoints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantWeak, err := FindWeak(g, k)
+			wantWeak, err := findMode(g, k, ModeWeak)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if weak.Size() != wantWeak.Size() {
-				t.Fatalf("seed=%d k=%d: session weak %d, FindWeak %d",
+				t.Fatalf("seed=%d k=%d: session weak %d, one-shot %d",
 					seed, k, weak.Size(), wantWeak.Size())
 			}
 			strong, err := s.Find(QuerySpec{K: k, Mode: ModeStrong})
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantStrong, err := FindStrong(g, k)
+			wantStrong, err := findMode(g, k, ModeStrong)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if strong.Size() != wantStrong.Size() {
-				t.Fatalf("seed=%d k=%d: session strong %d, FindStrong %d",
+				t.Fatalf("seed=%d k=%d: session strong %d, one-shot %d",
 					seed, k, strong.Size(), wantStrong.Size())
 			}
 		}

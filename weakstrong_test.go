@@ -11,7 +11,7 @@ func TestFindWeak(t *testing.T) {
 	// K8 with 6 a's and 2 b's: weak fairness (k=2) allows all 8
 	// vertices; the relative model with small δ would not.
 	g := buildComplete(8, 6)
-	res, err := FindWeak(g, 2)
+	res, err := findMode(g, 2, ModeWeak)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestFindWeak(t *testing.T) {
 func TestFindStrong(t *testing.T) {
 	// K7 with 4 a's and 3 b's: strong fairness forces 3+3.
 	g := buildComplete(7, 4)
-	res, err := FindStrong(g, 3)
+	res, err := findMode(g, 3, ModeStrong)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,9 +57,9 @@ func TestWeakStrongSandwich(t *testing.T) {
 				}
 			}
 		}
-		strong, err1 := FindStrong(g, k)
+		strong, err1 := findMode(g, k, ModeStrong)
 		rel, err2 := Find(g, DefaultOptions(k, delta))
-		weak, err3 := FindWeak(g, k)
+		weak, err3 := findMode(g, k, ModeWeak)
 		if err1 != nil || err2 != nil || err3 != nil {
 			return false
 		}
