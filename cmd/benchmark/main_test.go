@@ -85,7 +85,7 @@ func TestCLIGridSpecRanges(t *testing.T) {
 	}
 }
 
-// -exp delta emits the dynamic-session record with both scenarios.
+// -exp delta emits the dynamic-session record with every scenario.
 func TestCLIDeltaExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI integration in -short mode")
@@ -94,7 +94,7 @@ func TestCLIDeltaExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatalf("benchmark -exp delta failed: %v\n%s", err, out)
 	}
-	for _, want := range []string{`"insert-shell-chord"`, `"delete-shell-edge"`, `"sizes_match": true`} {
+	for _, want := range []string{`"insert-shell-chord"`, `"delete-shell-edge"`, `"delete-nucleus-edge"`, `"sizes_match": true`} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("delta record missing %s:\n%s", want, out)
 		}

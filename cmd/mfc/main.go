@@ -386,10 +386,9 @@ func runApply(g *fairclique.Graph, specs []fairclique.QuerySpec, d fairclique.De
 		fmt.Printf("delta: +%d edges, -%d edges, +%d vertices -> epoch %d (%.2f ms)\n",
 			ast.InsertedEdges, ast.DeletedEdges, ast.NewVertices, ast.Epoch,
 			float64(applyElapsed.Microseconds())/1000)
-		fmt.Printf("retained: %d component preps, %d/%d snapshots verbatim (%d rippled), %d/%d pool seeds\n",
-			ast.CompPrepsReused, ast.SnapshotsReused,
-			ast.SnapshotsReused+ast.SnapshotsPatched+ast.SnapshotsRippled,
-			ast.SnapshotsRippled, ast.PoolRetained, ast.PoolRetained+ast.PoolDropped)
+		fmt.Printf("retained: %d component preps, %s, %d/%d pool seeds\n",
+			ast.CompPrepsReused, snapshots(ast.SnapshotsReused, ast.SnapshotsPatched, ast.SnapshotsRippled),
+			ast.PoolRetained, ast.PoolRetained+ast.PoolDropped)
 		fmt.Printf("after delta (%.2f ms):\n", float64(requeryElapsed.Microseconds())/1000)
 	}
 	printCells(specs, results, quiet)
@@ -404,11 +403,18 @@ func printSessionStats(s *fairclique.Session) {
 	fmt.Printf("session: %d queries, %d nodes, %d reduction builds (%d chained), %d reuses, %d warm starts, %d dominance skips\n",
 		st.Queries, st.Nodes, st.ReductionBuilds, st.ReductionChained, st.ReductionReuses, st.WarmStarts, st.DominanceSkips)
 	if st.Applies > 0 {
-		fmt.Printf("dynamic: %d applies (epoch %d), %d comp preps reused, %d/%d snapshots verbatim (%d rippled), pool %d kept / %d dropped\n",
-			st.Applies, st.Epoch, st.CompPrepsReused, st.SnapshotsReused,
-			st.SnapshotsReused+st.SnapshotsPatched+st.SnapshotsRippled,
-			st.SnapshotsRippled, st.PoolRetained, st.PoolDropped)
+		fmt.Printf("dynamic: %d applies (epoch %d), %d comp preps reused, %s, pool %d kept / %d dropped\n",
+			st.Applies, st.Epoch, st.CompPrepsReused,
+			snapshots(st.SnapshotsReused, st.SnapshotsPatched, st.SnapshotsRippled),
+			st.PoolRetained, st.PoolDropped)
 	}
+}
+
+// snapshots summarizes what Apply did to the per-k reductions: kept as
+// they were, re-reduced on the dirty region, or re-peeled after a
+// delete-only delta.
+func snapshots(reused, patched, repeeled int64) string {
+	return fmt.Sprintf("%d/%d snapshots kept (%d re-peeled)", reused, reused+patched+repeeled, repeeled)
 }
 
 // runREPL drives one long-lived session interactively: queries and
@@ -504,11 +510,9 @@ func runREPL(g *fairclique.Graph, opt fairclique.SessionOptions) {
 				fmt.Println("error:", err)
 				continue
 			}
-			fmt.Printf("epoch %d: +%d edges, -%d edges, +%d vertices; retained %d comp preps, %d/%d snapshots (%d rippled), %d/%d seeds (%.2f ms)\n",
+			fmt.Printf("epoch %d: +%d edges, -%d edges, +%d vertices; retained %d comp preps, %s, %d/%d seeds (%.2f ms)\n",
 				ast.Epoch, ast.InsertedEdges, ast.DeletedEdges, ast.NewVertices,
-				ast.CompPrepsReused, ast.SnapshotsReused,
-				ast.SnapshotsReused+ast.SnapshotsPatched+ast.SnapshotsRippled,
-				ast.SnapshotsRippled,
+				ast.CompPrepsReused, snapshots(ast.SnapshotsReused, ast.SnapshotsPatched, ast.SnapshotsRippled),
 				ast.PoolRetained, ast.PoolRetained+ast.PoolDropped,
 				float64(time.Since(start).Microseconds())/1000)
 		default:

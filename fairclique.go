@@ -583,16 +583,13 @@ type SessionStats struct {
 	// Applies counts graph deltas applied to the session; Epoch is the
 	// current graph generation (0 before the first Apply).
 	Applies, Epoch int64
-	// SnapshotsPatched and SnapshotsReused count per-k reduction
-	// snapshots that an Apply re-reduced on the delta's dirty region
-	// only, versus carried over verbatim. SnapshotsRippled counts
-	// delete-only applies served by incremental peeling from the
-	// deleted edges' endpoints, which examined RippleVisited of the
-	// RippleDirty dirty-component vertices a re-reduction would have
-	// re-processed.
+	// SnapshotsPatched and SnapshotsReused count per-k reduced
+	// subgraphs that an Apply re-reduced on the delta's dirty region
+	// only, versus kept as they were. SnapshotsRippled counts ones a
+	// delete-only delta re-peeled at the fairness floor without
+	// re-running the reduction.
 	SnapshotsPatched, SnapshotsReused int64
 	SnapshotsRippled                  int64
-	RippleVisited, RippleDirty        int64
 	// CompPrepsReused counts per-component search machinery (peel-rank
 	// relabeling, successor masks, worker arenas) adopted across an
 	// Apply instead of rebuilt — the receipt that invalidation is
@@ -747,14 +744,11 @@ type ApplyStats struct {
 	// InsertedEdges, DeletedEdges and NewVertices are the delta's
 	// effective size after deduplication against the previous graph.
 	InsertedEdges, DeletedEdges, NewVertices int
-	// SnapshotsPatched and SnapshotsReused count per-k reduction
-	// snapshots re-reduced on the dirty region vs carried verbatim;
-	// SnapshotsRippled counts snapshots updated by the delete-only
-	// incremental peel, which examined RippleVisited of RippleDirty
-	// dirty-component vertices.
+	// SnapshotsPatched and SnapshotsReused count per-k reduced
+	// subgraphs re-reduced on the dirty region vs kept as they were;
+	// SnapshotsRippled counts ones a delete-only delta re-peeled.
 	SnapshotsPatched, SnapshotsReused int64
 	SnapshotsRippled                  int64
-	RippleVisited, RippleDirty        int64
 	// CompPrepsReused counts adopted per-component search machinery.
 	CompPrepsReused int64
 	// PoolRetained and PoolDropped count surviving vs destroyed
@@ -813,8 +807,6 @@ func (s *Session) Apply(d Delta) (ApplyStats, error) {
 		SnapshotsPatched: ast.SnapshotsPatched,
 		SnapshotsReused:  ast.SnapshotsReused,
 		SnapshotsRippled: ast.SnapshotsRippled,
-		RippleVisited:    ast.RippleVisited,
-		RippleDirty:      ast.RippleDirty,
 		CompPrepsReused:  ast.CompPrepsReused,
 		PoolRetained:     ast.PoolRetained,
 		PoolDropped:      ast.PoolDropped,
@@ -987,8 +979,6 @@ func (s *Session) Stats() SessionStats {
 		SnapshotsPatched: st.SnapshotsPatched,
 		SnapshotsReused:  st.SnapshotsReused,
 		SnapshotsRippled: st.SnapshotsRippled,
-		RippleVisited:    st.RippleVisited,
-		RippleDirty:      st.RippleDirty,
 		CompPrepsReused:  st.CompPrepsReused,
 		PoolRetained:     st.PoolRetained,
 		PoolDropped:      st.PoolDropped,

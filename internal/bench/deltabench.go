@@ -8,6 +8,7 @@ import (
 
 	"fairclique/internal/bounds"
 	"fairclique/internal/graph"
+	"fairclique/internal/reduce"
 	"fairclique/internal/session"
 )
 
@@ -34,6 +35,7 @@ type DeltaBenchScenario struct {
 	CompPrepsReused  int64 `json:"comp_preps_reused"`
 	SnapshotsReused  int64 `json:"snapshots_reused"`
 	SnapshotsPatched int64 `json:"snapshots_patched"`
+	SnapshotsRippled int64 `json:"snapshots_rippled"`
 }
 
 // DeltaBenchResult is the dynamic-session record merged into
@@ -83,11 +85,36 @@ func deltaBenchEdges(g *graph.Graph) (chord [2]int32, cycleEdge [2]int32, err er
 	return chord, cycleEdge, fmt.Errorf("delta bench: no shell cycle edge found")
 }
 
+// nucleusEdge picks an edge of the k = q.K reduction with an endpoint
+// outside the query's witness clique: deleting it touches the reduced
+// nucleus, so Apply re-peels it, while the witness survives in the
+// pool and the requery stays a dominance skip.
+func nucleusEdge(g *graph.Graph, q session.Query, sopt session.Options) ([2]int32, error) {
+	r, err := session.New(g, sopt).Find(q)
+	if err != nil {
+		return [2]int32{}, err
+	}
+	witness := make(map[int32]bool, len(r.Clique))
+	for _, v := range r.Clique {
+		witness[v] = true
+	}
+	sub, _ := reduce.PipelineN(g, q.K, 1)
+	for e := int32(0); e < sub.G.M(); e++ {
+		u, v := sub.G.Edge(e)
+		if u, v = sub.ToParent[u], sub.ToParent[v]; !witness[u] || !witness[v] {
+			return [2]int32{u, v}, nil
+		}
+	}
+	return [2]int32{}, fmt.Errorf("delta bench: every reduced edge lies in the witness")
+}
+
 // DeltaBench measures single-edge dynamic updates on the bigcomp-giant
 // instance: the acceptance claim is that Apply+requery on a warm
 // session beats NewSession+requery because the delta lands in the
 // cheap shell while the reduction nucleus, the prepared component
-// machinery and the solved-cell bounds all carry over.
+// machinery and the solved-cell bounds all carry over. A third
+// scenario deletes a nucleus edge off the witness: the requery stays
+// a dominance skip, so its time is the Apply's re-peel of the nucleus.
 func DeltaBench(cfg Config) (res DeltaBenchResult, err error) {
 	g, desc := coreBenchInstance(cfg.scale())
 	q := session.Query{K: 2, Delta: 2}
@@ -104,6 +131,10 @@ func DeltaBench(cfg Config) (res DeltaBenchResult, err error) {
 	if err != nil {
 		return res, err
 	}
+	nucleus, err := nucleusEdge(g, q, sopt)
+	if err != nil {
+		return res, err
+	}
 	scenarios := []struct {
 		name string
 		op   string
@@ -113,6 +144,8 @@ func DeltaBench(cfg Config) (res DeltaBenchResult, err error) {
 			&graph.Delta{AddEdges: [][2]int32{chord}}},
 		{"delete-shell-edge", fmt.Sprintf("-e %d-%d", cycleEdge[0], cycleEdge[1]),
 			&graph.Delta{DelEdges: [][2]int32{cycleEdge}}},
+		{"delete-nucleus-edge", fmt.Sprintf("-e %d-%d", nucleus[0], nucleus[1]),
+			&graph.Delta{DelEdges: [][2]int32{nucleus}}},
 	}
 
 	for _, sc := range scenarios {
@@ -167,6 +200,7 @@ func DeltaBench(cfg Config) (res DeltaBenchResult, err error) {
 				run.CompPrepsReused = ast.CompPrepsReused
 				run.SnapshotsReused = ast.SnapshotsReused
 				run.SnapshotsPatched = ast.SnapshotsPatched
+				run.SnapshotsRippled = ast.SnapshotsRippled
 			}
 		}
 		if run.ApplySeconds > 0 {

@@ -8,9 +8,11 @@ import (
 	"testing"
 )
 
-// The delta experiment must agree with the cold rebuild, answer the
-// post-delta requery without branching (the retained seed meets the
-// relaxed bound), and reuse the untouched nucleus machinery.
+// The delta experiment must agree with the cold rebuild and answer
+// every post-delta requery without branching (the retained seed meets
+// the relaxed bound). The shell deltas keep the reduction and adopt the
+// nucleus machinery; the nucleus deletion re-peels the reduction, so
+// the touched nucleus adopts nothing.
 func TestDeltaBenchSmoke(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteDeltaBench(Config{Scale: 0.2}, &buf, ""); err != nil {
@@ -20,10 +22,23 @@ func TestDeltaBenchSmoke(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &res); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Runs) != 2 {
-		t.Fatalf("got %d scenarios, want 2", len(res.Runs))
+	want := []struct {
+		name                     string
+		reused, patched, rippled int64
+		adopts                   bool // at least one compPrep, or none
+	}{
+		{"insert-shell-chord", 1, 0, 0, true},
+		{"delete-shell-edge", 1, 0, 0, true},
+		{"delete-nucleus-edge", 0, 0, 1, false},
 	}
-	for _, run := range res.Runs {
+	if len(res.Runs) != len(want) {
+		t.Fatalf("got %d scenarios, want %d", len(res.Runs), len(want))
+	}
+	for i, run := range res.Runs {
+		w := want[i]
+		if run.Name != w.name {
+			t.Fatalf("scenario %d is %s, want %s", i, run.Name, w.name)
+		}
 		if !run.SizesMatch {
 			t.Fatalf("%s: warm session diverged from cold rebuild", run.Name)
 		}
@@ -33,16 +48,16 @@ func TestDeltaBenchSmoke(t *testing.T) {
 		if run.RequeryNodes != 0 {
 			t.Fatalf("%s: post-Apply requery branched %d nodes; the retained bound+seed should answer it", run.Name, run.RequeryNodes)
 		}
-		if run.CompPrepsReused < 1 {
-			t.Fatalf("%s: nucleus machinery was rebuilt, not adopted: %+v", run.Name, run)
+		if run.SnapshotsReused != w.reused || run.SnapshotsPatched != w.patched || run.SnapshotsRippled != w.rippled {
+			t.Fatalf("%s: reused/patched/rippled = %d/%d/%d, want %d/%d/%d", run.Name,
+				run.SnapshotsReused, run.SnapshotsPatched, run.SnapshotsRippled, w.reused, w.patched, w.rippled)
+		}
+		if (run.CompPrepsReused > 0) != w.adopts {
+			t.Fatalf("%s: adopted %d compPreps, want adoption %v", run.Name, run.CompPrepsReused, w.adopts)
 		}
 		if run.ApplySeconds <= 0 || run.RebuildSeconds <= 0 {
 			t.Fatalf("%s: unmeasured run: %+v", run.Name, run)
 		}
-	}
-	// The shell delete never touches the snapshot: verbatim reuse.
-	if res.Runs[1].SnapshotsReused != 1 {
-		t.Fatalf("delete scenario patched the snapshot: %+v", res.Runs[1])
 	}
 }
 
@@ -62,7 +77,7 @@ func TestDeltaBenchMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if merged.Delta == nil || len(merged.Delta.Runs) != 2 {
+	if merged.Delta == nil || len(merged.Delta.Runs) != 3 {
 		t.Fatalf("delta record not merged: %+v", merged.Delta)
 	}
 }

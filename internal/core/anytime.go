@@ -238,7 +238,7 @@ func (in *Injector) InjectSeed(verts []int32) {
 		return
 	}
 	in.mu.Unlock()
-	s.recordOrig(verts)
+	s.record(verts, nil)
 }
 
 // attach binds the Injector to a starting search and applies anything
@@ -250,7 +250,7 @@ func (in *Injector) attach(s *searcher) {
 	in.pendingUB, in.pendingSeed = 0, nil
 	in.mu.Unlock()
 	if seed != nil {
-		s.recordOrig(seed)
+		s.record(seed, nil)
 	}
 	if ub > 0 {
 		s.injectBound(ub)

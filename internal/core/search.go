@@ -673,10 +673,11 @@ type searcher struct {
 func (s *searcher) halted() bool { return s.aborted.Load() || s.done.Load() }
 
 // record publishes a fair clique (in component ids, mapped to original
-// ids through toOrig) if it improves the incumbent — or, in collect
-// mode, ties it. The comparison runs against bestSize, not len(best),
-// because a warm-start seed raises the former without materializing the
-// latter.
+// ids through toOrig; a nil toOrig means r is already in original ids,
+// as on the Injector's seed path, and is copied) if it improves the
+// incumbent — or, in collect mode, ties it. The comparison runs against
+// bestSize, not len(best), because a warm-start seed raises the former
+// without materializing the latter.
 func (s *searcher) record(r []int32, toOrig []int32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -694,31 +695,6 @@ func (s *searcher) record(r []int32, toOrig []int32) {
 		mapped := mapVerts(r, toOrig)
 		if s.best == nil {
 			s.best = mapped // a StopAtSize floor was met without a seed
-		}
-		s.all = append(s.all, canonClique(mapped))
-	}
-}
-
-// recordOrig is record for cliques already in ORIGINAL graph ids (the
-// Injector's seed path). The caller guarantees validity for this
-// search's (k, δ); the slice is copied.
-func (s *searcher) recordOrig(r []int32) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sz := int32(len(r))
-	switch cur := s.bestSize.Load(); {
-	case sz > cur:
-		s.best = append([]int32(nil), r...)
-		s.bestSize.Store(sz)
-		if s.collectAll {
-			s.all = append(s.all[:0], canonClique(s.best))
-		} else if st := s.stopAt.Load(); st > 0 && sz >= st {
-			s.done.Store(true)
-		}
-	case s.collectAll && sz == cur && cur > 0:
-		mapped := append([]int32(nil), r...)
-		if s.best == nil {
-			s.best = mapped
 		}
 		s.all = append(s.all, canonClique(mapped))
 	}
@@ -1833,7 +1809,11 @@ func identity(n int32) []int32 {
 	return out
 }
 
+// mapVerts returns vs mapped through to, or a copy of vs when to is nil.
 func mapVerts(vs, to []int32) []int32 {
+	if to == nil {
+		return append([]int32(nil), vs...)
+	}
 	out := make([]int32, len(vs))
 	for i, v := range vs {
 		out[i] = to[v]

@@ -1,6 +1,7 @@
 package reduce
 
 import (
+	"slices"
 	"testing"
 
 	"fairclique/internal/gen"
@@ -87,29 +88,10 @@ func TestPipelineNBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCacheWorkersBitIdentical checks the cache path (chained builds
-// included) is unaffected by the worker bound.
-func TestCacheWorkersBitIdentical(t *testing.T) {
-	g := multiComponent(7, 10, 12, 0.5)
-	serial := NewCache(g)
-	par := NewCache(g)
-	par.SetWorkers(4)
-	for _, k := range []int32{1, 3, 2, 4} { // out of order: exercises chaining
-		identicalSub(t, "cache", serial.Get(k).Sub, par.Get(k).Sub)
-	}
-}
-
-// TestPatchedCloneWorkersBitIdentical checks the dirty-region re-pipe
-// inside PatchedClone is workers-invariant too.
-func TestPatchedCloneWorkersBitIdentical(t *testing.T) {
+// TestPatchWorkersBitIdentical checks the region re-reduction inside
+// Patch is workers-invariant too.
+func TestPatchWorkersBitIdentical(t *testing.T) {
 	g := multiComponent(11, 6, 14, 0.55)
-	serial := NewCache(g)
-	par := NewCache(g)
-	par.SetWorkers(4)
-	for k := int32(1); k <= 3; k++ {
-		serial.Get(k)
-		par.Get(k)
-	}
 	d := &graph.Delta{
 		AddEdges: [][2]int32{{0, 15}, {1, 29}},
 		DelEdges: [][2]int32{{2, 3}},
@@ -118,10 +100,16 @@ func TestPatchedCloneWorkersBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, _ := serial.PatchedClone(newG, info)
-	pp, _ := par.PatchedClone(newG, info)
+	var region []int32
+	for _, e := range info.Inserted {
+		region = append(region, e[0], e[1])
+		newG.CommonNeighbors(e[0], e[1], func(w int32) { region = append(region, w) })
+	}
+	slices.Sort(region)
+	region = slices.Compact(region)
 	for k := int32(1); k <= 3; k++ {
-		identicalSub(t, "patched", ps.Get(k).Sub, pp.Get(k).Sub)
+		sub, _ := Pipeline(g, k)
+		identicalSub(t, "patched", Patch(sub, newG, info, region, k, 1), Patch(sub, newG, info, region, k, 4))
 	}
 }
 

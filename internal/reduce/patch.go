@@ -1,297 +1,164 @@
 package reduce
 
 import (
-	"sort"
+	"slices"
 
 	"fairclique/internal/graph"
 	"fairclique/internal/kcore"
 )
 
-// This file implements the dynamic half of the cache: when the session
-// graph mutates, the per-k reduction snapshots are patched with
-// component-scoped work instead of being flushed. The invariant every
-// snapshot must keep is only *validity* — it contains every fair clique
-// with both attribute counts >= k of the cache's graph — not minimality,
-// which is what makes a cheap local patch sound:
+// This file implements the dynamic half of the reduction: when a
+// session's graph mutates, each per-k reduced subgraph is patched with
+// component-scoped work instead of being rebuilt. The invariant a
+// patched subgraph must keep is only *validity* — it contains every
+// fair clique with both attribute counts >= k of the new graph,
+// edge-complete — not minimality, which is what makes a cheap local
+// patch sound:
 //
 //   - The reduction pipeline is component-local: peeling decisions in
-//     one connected component of the snapshot never read state from
-//     another. A snapshot component none of whose vertices is a delta
-//     endpoint is therefore still exactly what a fresh pipeline would
-//     keep of it, and is retained verbatim.
+//     one connected component never read state from another. A
+//     component none of whose vertices is a delta endpoint is still
+//     exactly what a fresh pipeline would keep of it.
 //   - A fair clique of the new graph either uses no inserted edge —
 //     then it was a fair clique of the old graph and lives inside one
-//     old snapshot component — or it uses an inserted edge (u, v) and
-//     is contained in {u, v} ∪ (N(u) ∩ N(v)) of the new graph.
+//     old component — or it uses an inserted edge (u, v) and is
+//     contained in {u, v} ∪ (N(u) ∩ N(v)) of the new graph.
+//   - Deletions only destroy cliques, never create them.
+
+// Patch derives the reduction at k of newG from sub, the reduction at k
+// of the graph the delta described by info was applied to. sub.ToParent
+// must ascend (every reduction the pipeline, a chained build or Patch
+// returns does). insRegion is the sorted union of the inserted edges'
+// endpoints and common neighbours in newG — k-independent, so callers
+// compute it once per delta. sub is not modified; in-flight searches
+// may keep reading it. Patch has three outcomes:
 //
-// So the only region that needs fresh pipeline work is the union of the
-// dirty components' survivors and the inserted edges' common
-// neighborhoods; the patch runs the pipeline on that induced subgraph
-// alone and splices the result next to the untouched components. On a
-// graph whose expensive nucleus is far from the delta this is orders of
-// magnitude cheaper than the full O(α·|E|) pipeline.
-
-// PatchStats reports what a PatchedClone did, for the session layer's
-// invalidation accounting.
-type PatchStats struct {
-	// SnapshotsReused counts cached k values whose snapshot survived the
-	// delta verbatim (no endpoint touched them, no insertions demanded a
-	// local re-run).
-	SnapshotsReused int64
-	// SnapshotsPatched counts cached k values re-piped on their dirty
-	// region only.
-	SnapshotsPatched int64
-	// SnapshotsRippled counts cached k values updated by the delete-only
-	// incremental peel (no pipeline run at all).
-	SnapshotsRippled int64
-	// RippleVisited is the total number of distinct snapshot vertices the
-	// ripple peels examined; RippleDirty is the total size of the dirty
-	// components a full re-pipe would have re-processed instead. Visited
-	// being a strict subset of dirty is the point of the ripple.
-	RippleVisited int64
-	RippleDirty   int64
-}
-
-// PatchedClone derives the reduction cache of the post-delta graph newG
-// from this cache's snapshots. The receiver is not mutated and remains
-// valid for the old graph (in-flight queries keep using it); the
-// returned cache is independently locked and owns patched snapshots.
-// info must describe the delta that produced newG from c's graph.
-func (c *Cache) PatchedClone(newG *graph.Graph, info *graph.ApplyInfo) (*Cache, PatchStats) {
-	c.mu.Lock()
-	snaps := make(map[int32]*Snapshot, len(c.snaps))
-	for k, s := range c.snaps {
-		snaps[k] = s
-	}
-	c.mu.Unlock()
-
-	// The inserted-edge neighborhoods are k-independent; compute once.
-	var insRegion []int32
-	if len(info.Inserted) > 0 {
-		seen := make(map[int32]bool)
-		for _, e := range info.Inserted {
-			seen[e[0]], seen[e[1]] = true, true
-			newG.CommonNeighbors(e[0], e[1], func(w int32) { seen[w] = true })
-		}
-		insRegion = make([]int32, 0, len(seen))
-		for v := range seen {
-			insRegion = append(insRegion, v)
-		}
-	}
-
-	out := NewCache(newG)
-	out.workers = c.workers
-	var st PatchStats
-	for k, snap := range snaps {
-		out.snaps[k] = patchSnapshot(newG, snap, info, insRegion, k, c.workers, &st)
-	}
-	return out, st
-}
-
-// patchSnapshot rebuilds one per-k snapshot for newG, keeping the
-// survivors of untouched components verbatim and re-running the
-// pipeline only on the dirty region (or, for delete-only deltas,
-// ripple-peeling inside the dirty components without any pipeline
-// work). Folds what it did into st.
-func patchSnapshot(newG *graph.Graph, snap *Snapshot, info *graph.ApplyInfo, insRegion []int32, k int32, workers int, st *PatchStats) *Snapshot {
-	sub := snap.Sub
-	comps := graph.ConnectedComponents(sub.G)
-	cleanSub := make([]bool, sub.G.N())
-	var clean, dirty []int32 // original ids
-	for _, comp := range comps {
-		isDirty := false
-		for _, v := range comp {
-			if info.Touches(sub.ToParent[v]) {
-				isDirty = true
-				break
-			}
-		}
-		for _, v := range comp {
-			if isDirty {
-				dirty = append(dirty, sub.ToParent[v])
-			} else {
-				cleanSub[v] = true
-				clean = append(clean, sub.ToParent[v])
-			}
-		}
-	}
-	if len(dirty) == 0 && len(insRegion) == 0 {
-		// No endpoint touches the snapshot and nothing was inserted: the
-		// old snapshot graph is bit-identical to what a rebuild would
-		// induce (deletions outside the survivor set cannot reach it).
-		st.SnapshotsReused++
-		return snap
+//   - It returns sub itself when no vertex of sub is a delta endpoint
+//     and the pipeline keeps nothing of insRegion, or when a
+//     delete-only delta removes no edge of sub.
+//   - For any other delete-only delta it drops the deleted edges and
+//     re-peels the touched components at the fairness floor 2k−1 (a
+//     vertex of a fair clique with both counts >= k keeps 2k−1 clique
+//     neighbours), with no pipeline run.
+//   - Otherwise it re-runs the pipeline on the touched components'
+//     survivors plus insRegion, induced from newG, and merges the
+//     result with the clean components' vertices and edges. Edges, not
+//     just vertices, carry over: the pipeline peels edges too, so
+//     re-inducing clean components from newG would restore peeled ones.
+func Patch(sub *graph.Subgraph, newG *graph.Graph, info *graph.ApplyInfo, insRegion []int32, k int32, workers int) *graph.Subgraph {
+	dirty, dirtyIDs := touchedComponents(sub, info)
+	if dirty == nil && len(insRegion) == 0 {
+		return sub
 	}
 	if len(info.Inserted) == 0 {
-		// Delete-only delta: no pipeline run is needed at all. The old
-		// snapshot minus the deleted edges is still VALID (deletions only
-		// destroy fair cliques, never create them), so a k-core-style
-		// ripple from the deleted edges' endpoints at the fairness floor
-		// 2k-1 re-peels exactly the vertices the deletion can have
-		// weakened — a strict subset of the dirty components — instead of
-		// re-piping them wholesale. New vertices (if any) are isolated and
-		// never belong in a snapshot.
-		return rippleSnapshot(snap, info, k, dirty, st)
+		return repeel(sub, info, dirty, k)
 	}
 
-	// Dirty region: touched components' survivors plus the inserted
-	// edges' closed common neighborhoods, deduplicated.
-	region := make(map[int32]bool, len(dirty)+len(insRegion))
-	for _, v := range dirty {
-		region[v] = true
+	region := slices.Clone(insRegion)
+	for _, v := range dirtyIDs {
+		region = append(region, sub.ToParent[v])
 	}
-	for _, v := range insRegion {
-		region[v] = true
+	slices.Sort(region)
+	region = slices.Compact(region)
+	fresh, _ := PipelineN(graph.Induce(newG, region).G, k, workers)
+	if dirty == nil && fresh.G.N() == 0 {
+		return sub // the insertions made no clique the reduction keeps
 	}
-	regionIDs := make([]int32, 0, len(region))
-	for v := range region {
-		regionIDs = append(regionIDs, v)
-	}
-	sort.Slice(regionIDs, func(i, j int) bool { return regionIDs[i] < regionIDs[j] })
+	fresh.ToParent = chain(region, fresh.ToParent)
+	vAlive := make([]bool, newG.N())
+	eAlive := make([]bool, newG.M())
+	markSurvivors(newG, vAlive, eAlive, sub, dirty)
+	markSurvivors(newG, vAlive, eAlive, fresh, nil)
+	return graph.InduceAlive(newG, vAlive, eAlive)
+}
 
-	st.SnapshotsPatched++
-	fresh, stages := PipelineN(graph.Induce(newG, regionIDs).G, k, workers)
-	// fresh ids index regionIDs (Induce preserves order), so chain back
-	// to original ids and union with the clean survivors.
-	survivors := make([]int32, 0, len(clean)+int(fresh.G.N()))
-	survivors = append(survivors, clean...)
-	for _, v := range fresh.ToParent {
-		survivors = append(survivors, regionIDs[v])
-	}
-	sort.Slice(survivors, func(i, j int) bool { return survivors[i] < survivors[j] })
-	uniq := survivors[:0]
-	for i, v := range survivors {
-		if i > 0 && v == survivors[i-1] {
+// touchedComponents marks the connected components of sub.G that hold a
+// delta endpoint by flooding from the endpoints, so untouched
+// components are never visited. It returns the mask (nil when no
+// endpoint lies in sub) and the marked sub ids.
+func touchedComponents(sub *graph.Subgraph, info *graph.ApplyInfo) ([]bool, []int32) {
+	var dirty []bool
+	var stack []int32
+	for _, v := range info.Endpoints {
+		i, ok := slices.BinarySearch(sub.ToParent, v)
+		if !ok {
 			continue
 		}
-		uniq = append(uniq, v)
+		if dirty == nil {
+			dirty = make([]bool, sub.G.N())
+		}
+		if !dirty[i] {
+			dirty[i] = true
+			stack = append(stack, int32(i))
+		}
 	}
+	for head := 0; head < len(stack); head++ {
+		for _, w := range sub.G.Neighbors(stack[head]) {
+			if !dirty[w] {
+				dirty[w] = true
+				stack = append(stack, w)
+			}
+		}
+	}
+	return dirty, stack
+}
 
-	// Splice the EDGES, not just the vertices: the pipeline peels edges
-	// too (ColorfulSup), so a plain vertex-induced subgraph of newG
-	// would silently restore peeled edges inside clean components —
-	// bloating searches and, worse, potentially reconnecting clean
-	// components through a restored inter-survivor edge, which would
-	// defeat the prepared-state adoption downstream. The safe edge set
-	// is exactly (old snapshot edges among clean vertices) ∪ (the fresh
-	// run's surviving edges): a fair clique in a clean component was
-	// preserved edge-complete by the old run, and every other fair
-	// clique lives inside the dirty region, where the fresh run
-	// preserved it edge-complete. Duplicates (a clean vertex that also
-	// sat in the region as a common neighbor) are deduplicated by the
-	// builder.
-	toNew := make(map[int32]int32, len(uniq))
-	b := graph.NewBuilder(len(uniq))
-	for i, orig := range uniq {
-		toNew[orig] = int32(i)
-		b.SetAttr(int32(i), newG.Attr(orig))
+// repeel applies a delete-only delta to sub: drop the deleted edges,
+// then peel the touched components at the fairness floor with
+// kcore.KCore. Clean components carry over untouched.
+func repeel(sub *graph.Subgraph, info *graph.ApplyInfo, dirty []bool, k int32) *graph.Subgraph {
+	eAlive := make([]bool, sub.G.M())
+	for e := range eAlive {
+		eAlive[e] = true
+	}
+	removed := false
+	for _, d := range info.Deleted {
+		u, okU := slices.BinarySearch(sub.ToParent, d[0])
+		v, okV := slices.BinarySearch(sub.ToParent, d[1])
+		if !okU || !okV {
+			continue
+		}
+		if e, ok := sub.G.EdgeID(int32(u), int32(v)); ok {
+			eAlive[e] = false
+			removed = true
+		}
+	}
+	if !removed {
+		return sub // the deleted edges were already peeled out of sub
+	}
+	touched := graph.InduceAlive(sub.G, dirty, eAlive)
+	vAlive := make([]bool, sub.G.N())
+	for v, d := range dirty {
+		vAlive[v] = !d
+	}
+	for i, ok := range kcore.KCore(touched.G, kcore.FairnessFloor(k)) {
+		if ok {
+			vAlive[touched.ToParent[i]] = true
+		}
+	}
+	out := graph.InduceAlive(sub.G, vAlive, eAlive)
+	out.ToParent = chain(sub.ToParent, out.ToParent)
+	return out
+}
+
+// markSurvivors records sub's vertices and edges (sub.ToParent in g's
+// ids) on g's survivor masks, leaving out the vertices skip marks and
+// their edges (skip may be nil). PipelineN merges its component results
+// this way and Patch its clean components with the re-reduced region;
+// each then induces the union once with graph.InduceAlive.
+func markSurvivors(g *graph.Graph, vAlive, eAlive []bool, sub *graph.Subgraph, skip []bool) {
+	for i, v := range sub.ToParent {
+		if skip == nil || !skip[i] {
+			vAlive[v] = true
+		}
 	}
 	for e := int32(0); e < sub.G.M(); e++ {
 		u, v := sub.G.Edge(e)
-		if cleanSub[u] && cleanSub[v] {
-			b.AddEdge(toNew[sub.ToParent[u]], toNew[sub.ToParent[v]])
-		}
-	}
-	for e := int32(0); e < fresh.G.M(); e++ {
-		u, v := fresh.G.Edge(e)
-		b.AddEdge(toNew[regionIDs[fresh.ToParent[u]]], toNew[regionIDs[fresh.ToParent[v]]])
-	}
-	spliced := &graph.Subgraph{G: b.Build(), ToParent: uniq}
-	return &Snapshot{Sub: spliced, Stages: stages}
-}
-
-// rippleSnapshot applies a delete-only delta to one snapshot by
-// incremental peeling: subtract the deleted edges that are present in
-// the snapshot, then peel from their endpoints with the classic
-// fairness-floor threshold (a vertex of a fair clique with both counts
-// >= k keeps degree >= 2k-1), cascading only through vertices that
-// actually drop below the floor. The result stays valid for every
-// bound config — less minimal than a fresh pipeline, which the
-// snapshot contract explicitly allows. The carried Stages sizes become
-// (slightly stale) upper bounds.
-func rippleSnapshot(snap *Snapshot, info *graph.ApplyInfo, k int32, dirty []int32, st *PatchStats) *Snapshot {
-	sub := snap.Sub
-	n := sub.G.N()
-	toSub := make(map[int32]int32, n)
-	for i, orig := range sub.ToParent {
-		toSub[orig] = int32(i)
-	}
-
-	vAlive := make([]bool, n)
-	for i := range vAlive {
-		vAlive[i] = true
-	}
-	eAlive := make([]bool, sub.G.M())
-	for i := range eAlive {
-		eAlive[i] = true
-	}
-	deg := make([]int32, n)
-	for v := int32(0); v < n; v++ {
-		deg[v] = sub.G.Deg(v)
-	}
-
-	var queue []int32
-	inQ := make([]bool, n)  // dedup while queued
-	seen := make([]bool, n) // distinct-vertex accounting
-	push := func(v int32) {
-		if !seen[v] {
-			seen[v] = true
-			st.RippleVisited++
-		}
-		if !inQ[v] {
-			inQ[v] = true
-			queue = append(queue, v)
-		}
-	}
-	removed := false
-	for _, de := range info.Deleted {
-		su, ok1 := toSub[de[0]]
-		sv, ok2 := toSub[de[1]]
-		if !ok1 || !ok2 {
+		if skip != nil && (skip[u] || skip[v]) {
 			continue
 		}
-		eid, ok := sub.G.EdgeID(su, sv)
-		if !ok || !eAlive[eid] {
-			continue
-		}
-		eAlive[eid] = false
-		deg[su]--
-		deg[sv]--
-		removed = true
-		push(su)
-		push(sv)
-	}
-	st.SnapshotsRippled++
-	st.RippleDirty += int64(len(dirty))
-	if !removed {
-		// Every deleted edge had already been peeled out of this
-		// snapshot (the endpoints merely touch it), so it is unchanged.
-		return snap
-	}
-
-	floor := kcore.FairnessFloor(k)
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		inQ[v] = false // allow re-examination after later decrements
-		if !vAlive[v] || deg[v] >= floor {
-			continue
-		}
-		vAlive[v] = false
-		nbrs := sub.G.Neighbors(v)
-		for i, eid := range sub.G.IncidentEdges(v) {
-			if !eAlive[eid] {
-				continue
-			}
-			eAlive[eid] = false
-			w := nbrs[i]
-			deg[w]--
-			if vAlive[w] {
-				push(w)
-			}
+		if eid, ok := g.EdgeID(sub.ToParent[u], sub.ToParent[v]); ok {
+			eAlive[eid] = true
 		}
 	}
-
-	out := graph.InduceAlive(sub.G, vAlive, eAlive)
-	out.ToParent = chain(sub.ToParent, out.ToParent)
-	return &Snapshot{Sub: out, Stages: snap.Stages}
 }

@@ -4,6 +4,7 @@ package reduce_test
 // used without an import cycle.
 
 import (
+	"slices"
 	"testing"
 
 	"fairclique/internal/enum"
@@ -28,16 +29,23 @@ func randomAttributed(seed uint64, n int, p float64) *graph.Graph {
 	return b.Build()
 }
 
-func randomDelta(r *rng.RNG, g *graph.Graph) *graph.Delta {
+// randomDelta draws up to three insertions and up to two deletions;
+// with deleteOnly it draws only deletions (at least one when g has an
+// edge).
+func randomDelta(r *rng.RNG, g *graph.Graph, deleteOnly bool) *graph.Delta {
 	d := &graph.Delta{}
 	n := int(g.N())
-	for i := 0; i < 1+r.Intn(3); i++ {
+	for i := 0; !deleteOnly && i < 1+r.Intn(3); i++ {
 		u, v := int32(r.Intn(n)), int32(r.Intn(n))
 		if u != v {
 			d.AddEdges = append(d.AddEdges, [2]int32{u, v})
 		}
 	}
-	for i := 0; i < r.Intn(3) && g.M() > 0; i++ {
+	dels := r.Intn(3)
+	if deleteOnly {
+		dels++
+	}
+	for i := 0; i < dels && g.M() > 0; i++ {
 		u, v := g.Edge(int32(r.Intn(int(g.M()))))
 		ok := true
 		for _, e := range d.AddEdges {
@@ -52,96 +60,103 @@ func randomDelta(r *rng.RNG, g *graph.Graph) *graph.Delta {
 	return d
 }
 
-// Every patched snapshot must stay a *valid* reduction of the mutated
-// graph: the maximum (k', δ)-fair clique of the snapshot subgraph
-// equals the true maximum for every k' >= k, checked against the
-// independent Bron–Kerbosch baseline.
-func TestPatchedClonePreservesOptima(t *testing.T) {
+// Every patched subgraph must stay a *valid* reduction of the mutated
+// graph: its maximum (k, δ)-fair clique equals the true maximum,
+// checked against the independent Bron–Kerbosch baseline, over two
+// chained deltas per trial. Every third trial is delete-only, the
+// re-peel path. Clean components must carry over edge-exactly, and the
+// input subgraph must stay a valid reduction of the old graph (in-flight
+// searches keep reading it).
+func TestPatchPreservesOptima(t *testing.T) {
 	r := rng.New(515)
-	for trial := 0; trial < 25; trial++ {
+	for trial := 0; trial < 30; trial++ {
 		g := randomAttributed(uint64(trial)+100, 16+trial%5, 0.35)
-		c := reduce.NewCache(g)
+		var subs [4]*graph.Subgraph
 		for k := int32(1); k <= 3; k++ {
-			c.Get(k)
+			subs[k], _ = reduce.Pipeline(g, k)
 		}
-		d := randomDelta(r, g)
-		newG, info, err := graph.ApplyDelta(g, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		patched, st := c.PatchedClone(newG, info)
-		if st.SnapshotsPatched+st.SnapshotsReused+st.SnapshotsRippled != 3 {
-			t.Fatalf("trial %d: %d+%d+%d snapshots accounted, want 3",
-				trial, st.SnapshotsPatched, st.SnapshotsReused, st.SnapshotsRippled)
-		}
-		// Clean components must carry over edge-exactly: the patch may
-		// not restore edges the original pipeline peeled, nor lose any.
-		for k := int32(1); k <= 3; k++ {
-			old := c.Get(k)
-			cur := patched.Get(k)
-			curID := make(map[int32]int32, cur.Sub.G.N())
-			for v := int32(0); v < cur.Sub.G.N(); v++ {
-				curID[cur.Sub.ToParent[v]] = v
+		for round := 0; round < 2; round++ {
+			d := randomDelta(r, g, trial%3 == 2)
+			newG, info, err := graph.ApplyDelta(g, d)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, comp := range graph.ConnectedComponents(old.Sub.G) {
-				cleanComp := true
-				for _, v := range comp {
-					if info.Touches(old.Sub.ToParent[v]) {
-						cleanComp = false
-						break
+			region := insertionRegion(newG, info)
+			for k := int32(1); k <= 3; k++ {
+				old := subs[k]
+				cur := reduce.Patch(old, newG, info, region, k, 1)
+				if !slices.IsSorted(cur.ToParent) {
+					t.Fatalf("trial %d round %d k=%d: patched ToParent not ascending", trial, round, k)
+				}
+				checkCleanCarried(t, old, cur, info)
+				for delta := 0; delta <= 2; delta++ {
+					want := len(enum.MaxFairClique(newG, int(k), delta))
+					if got := len(enum.MaxFairClique(cur.G, int(k), delta)); got != want {
+						t.Fatalf("trial %d round %d k=%d δ=%d: patched optimum %d, true optimum %d (delta %+v)",
+							trial, round, k, delta, got, want, d)
 					}
 				}
-				if !cleanComp {
-					continue
+				want := len(enum.MaxFairClique(g, int(k), 1))
+				if got := len(enum.MaxFairClique(old.G, int(k), 1)); got != want {
+					t.Fatalf("trial %d round %d k=%d: input subgraph corrupted by Patch: %d vs %d", trial, round, k, got, want)
 				}
-				for i := 0; i < len(comp); i++ {
-					for j := i + 1; j < len(comp); j++ {
-						ou, ov := old.Sub.ToParent[comp[i]], old.Sub.ToParent[comp[j]]
-						nu, okU := curID[ou]
-						nv, okV := curID[ov]
-						if !okU || !okV {
-							t.Fatalf("trial %d k=%d: clean survivors %d/%d missing after patch", trial, k, ou, ov)
-						}
-						if old.Sub.G.HasEdge(comp[i], comp[j]) != cur.Sub.G.HasEdge(nu, nv) {
-							t.Fatalf("trial %d k=%d: clean-component edge (%d,%d) changed across the patch (peeled edge restored or lost)",
-								trial, k, ou, ov)
-						}
-					}
-				}
+				subs[k] = cur
 			}
+			g = newG
 		}
-		for k := int32(1); k <= 3; k++ {
-			snap := patched.Get(k)
-			for delta := 0; delta <= 2; delta++ {
-				want := len(enum.MaxFairClique(newG, int(k), delta))
-				got := len(enum.MaxFairClique(snap.Sub.G, int(k), delta))
-				if got != want {
-					t.Fatalf("trial %d k=%d δ=%d: snapshot optimum %d, true optimum %d (delta %+v)",
-						trial, k, delta, got, want, d)
+	}
+}
+
+// insertionRegion is the region a session hands Patch: the inserted
+// edges' endpoints and common neighbours, sorted and deduplicated.
+func insertionRegion(g *graph.Graph, info *graph.ApplyInfo) []int32 {
+	var region []int32
+	for _, e := range info.Inserted {
+		region = append(region, e[0], e[1])
+		g.CommonNeighbors(e[0], e[1], func(w int32) { region = append(region, w) })
+	}
+	slices.Sort(region)
+	return slices.Compact(region)
+}
+
+// checkCleanCarried fails unless every component of old free of delta
+// endpoints reappears in cur with exactly its edges: the patch may not
+// restore edges the pipeline peeled, nor lose any.
+func checkCleanCarried(t *testing.T, old, cur *graph.Subgraph, info *graph.ApplyInfo) {
+	t.Helper()
+	curID := make(map[int32]int32, cur.G.N())
+	for v := int32(0); v < cur.G.N(); v++ {
+		curID[cur.ToParent[v]] = v
+	}
+	for _, comp := range graph.ConnectedComponents(old.G) {
+		if slices.ContainsFunc(comp, func(v int32) bool { return info.Touches(old.ToParent[v]) }) {
+			continue
+		}
+		for i := 0; i < len(comp); i++ {
+			for j := i + 1; j < len(comp); j++ {
+				ou, ov := old.ToParent[comp[i]], old.ToParent[comp[j]]
+				nu, okU := curID[ou]
+				nv, okV := curID[ov]
+				if !okU || !okV {
+					t.Fatalf("clean survivors %d/%d missing after patch", ou, ov)
 				}
-			}
-		}
-		// The old cache still answers for the old graph (in-flight
-		// queries during an Apply keep reading it).
-		for k := int32(1); k <= 3; k++ {
-			snap := c.Get(k)
-			want := len(enum.MaxFairClique(g, int(k), 1))
-			if got := len(enum.MaxFairClique(snap.Sub.G, int(k), 1)); got != want {
-				t.Fatalf("trial %d k=%d: old cache corrupted by patch: %d vs %d", trial, k, got, want)
+				if old.G.HasEdge(comp[i], comp[j]) != cur.G.HasEdge(nu, nv) {
+					t.Fatalf("clean-component edge (%d,%d) changed across the patch", ou, ov)
+				}
 			}
 		}
 	}
 }
 
-// A delta that never touches a snapshot's survivors — and inserts
-// nothing — must reuse the snapshot verbatim (pointer equality), the
-// cheap path the dynamic benchmark leans on.
-func TestPatchedCloneReusesUntouchedSnapshots(t *testing.T) {
-	// A balanced K6 nucleus (vertices 0-5) plus a pendant path 6-7-8:
-	// the path is peeled by the k=2 reduction, so its edges are outside
-	// the snapshot.
-	b := graph.NewBuilder(9)
-	for v := int32(0); v < 9; v++ {
+// Patch returns its input subgraph itself — the pointer the session
+// keys its carried-over search machinery on — for a delta far from it,
+// whether the delta deletes or inserts, and a new subgraph once an
+// insertion makes a clique the reduction keeps.
+func TestPatchReusesUntouchedSubgraph(t *testing.T) {
+	// A balanced K6 nucleus (vertices 0-5) plus a pendant path 6-7-8-9:
+	// the path is peeled by the k=2 reduction.
+	b := graph.NewBuilder(10)
+	for v := int32(0); v < 10; v++ {
 		b.SetAttr(v, graph.Attr(v%2))
 	}
 	for u := int32(0); u < 6; u++ {
@@ -152,33 +167,44 @@ func TestPatchedCloneReusesUntouchedSnapshots(t *testing.T) {
 	b.AddEdge(5, 6)
 	b.AddEdge(6, 7)
 	b.AddEdge(7, 8)
+	b.AddEdge(8, 9)
 	g := b.Build()
 
-	c := reduce.NewCache(g)
-	snap := c.Get(2)
-	if snap.Sub.G.N() != 6 {
-		t.Fatalf("k=2 snapshot kept %d vertices, want the K6 nucleus", snap.Sub.G.N())
+	sub, _ := reduce.Pipeline(g, 2)
+	if sub.G.N() != 6 {
+		t.Fatalf("k=2 reduction kept %d vertices, want the K6 nucleus", sub.G.N())
 	}
-	newG, info, err := graph.ApplyDelta(g, &graph.Delta{DelEdges: [][2]int32{{7, 8}}})
-	if err != nil {
-		t.Fatal(err)
+	patch := func(d *graph.Delta) *graph.Subgraph {
+		t.Helper()
+		newG, info, err := graph.ApplyDelta(g, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reduce.Patch(sub, newG, info, insertionRegion(newG, info), 2, 1)
 	}
-	patched, st := c.PatchedClone(newG, info)
-	if st.SnapshotsReused != 1 || st.SnapshotsPatched != 0 {
-		t.Fatalf("reused/patched = %d/%d, want 1/0", st.SnapshotsReused, st.SnapshotsPatched)
+	if patch(&graph.Delta{DelEdges: [][2]int32{{7, 8}}}) != sub {
+		t.Fatal("far deletion rebuilt the subgraph")
 	}
-	if patched.Get(2) != snap {
-		t.Fatal("untouched snapshot was rebuilt instead of reused")
+	// A chord 6-8 closes the triangle 6-7-8: a new clique, but too
+	// small to be (2, δ)-fair, so the region re-reduction keeps nothing.
+	if patch(&graph.Delta{AddEdges: [][2]int32{{6, 8}}}) != sub {
+		t.Fatal("far insertion rebuilt the subgraph")
 	}
-
-	// Inserting an edge forces a patch (the new edge could create
-	// cliques), even far from the snapshot.
-	newG2, info2, err := graph.ApplyDelta(g, &graph.Delta{AddEdges: [][2]int32{{6, 8}}})
-	if err != nil {
-		t.Fatal(err)
+	// Closing the path 6-7-8-9 into a K4 with balanced attributes makes
+	// a (2, 0)-fair clique far from the nucleus: it must be added.
+	got := patch(&graph.Delta{AddEdges: [][2]int32{{6, 8}, {6, 9}, {7, 9}}})
+	if got == sub || got.G.N() != 10 || got.G.M() != 21 {
+		t.Fatalf("K4 insertion gave n=%d m=%d (reused %v), want the K6 and the K4", got.G.N(), got.G.M(), got == sub)
 	}
-	_, st2 := c.PatchedClone(newG2, info2)
-	if st2.SnapshotsPatched != 1 {
-		t.Fatalf("insertion did not patch the snapshot: %+v", st2)
+	// Deleting a nucleus edge re-peels the nucleus: at k=2 (floor 3)
+	// the K6 minus one edge keeps every vertex.
+	got = patch(&graph.Delta{DelEdges: [][2]int32{{0, 1}}})
+	if got == sub || got.G.N() != 6 || got.G.M() != 14 {
+		t.Fatalf("nucleus deletion gave n=%d m=%d (reused %v), want the K6 minus one edge", got.G.N(), got.G.M(), got == sub)
+	}
+	// Deleting an edge between a nucleus vertex and the path leaves the
+	// subgraph's edges intact: reused, though an endpoint lies in it.
+	if patch(&graph.Delta{DelEdges: [][2]int32{{5, 6}}}) != sub {
+		t.Fatal("deleting an edge outside the subgraph rebuilt it")
 	}
 }

@@ -106,15 +106,7 @@ func PipelineN(g *graph.Graph, k int32, workers int) (*graph.Subgraph, []StageSt
 	eAlive := make([]bool, g.M())
 	for ci := range comps {
 		o := outs[ci]
-		for _, v := range o.sub.ToParent {
-			vAlive[v] = true
-		}
-		for e := int32(0); e < o.sub.G.M(); e++ {
-			su, sv := o.sub.G.Edge(e)
-			if eid, ok := g.EdgeID(o.sub.ToParent[su], o.sub.ToParent[sv]); ok {
-				eAlive[eid] = true
-			}
-		}
+		markSurvivors(g, vAlive, eAlive, o.sub, nil)
 		for s := 0; s < 3; s++ {
 			stats[s+1].Vertices += o.stages[s].Vertices
 			stats[s+1].Edges += o.stages[s].Edges

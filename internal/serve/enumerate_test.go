@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -94,6 +95,27 @@ func TestServeErrorEnvelope(t *testing.T) {
 		t.Fatalf("code %q; want not_found", env.Error.Code)
 	}
 
+	// No route → not_found; a known path with the wrong method →
+	// method_not_allowed, keeping the Allow header.
+	for _, path := range []string{"/nope", "/healthz"} {
+		if env := decode(request(t, ts, "GET", path, "", "", http.StatusNotFound)); env.Error.Code != "not_found" {
+			t.Fatalf("GET %s: code %q; want not_found", path, env.Error.Code)
+		}
+	}
+	req, _ := http.NewRequest("GET", ts.URL+"/v1/graphs/g/query", nil)
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "POST" {
+		t.Fatalf("GET on the query route: status %d, Allow %q; want 405 with Allow POST", resp.StatusCode, resp.Header.Get("Allow"))
+	}
+	if env := decode(data); env.Error.Code != "method_not_allowed" {
+		t.Fatalf("GET on the query route: code %q; want method_not_allowed", env.Error.Code)
+	}
+
 	// Duplicate create → conflict.
 	body, _ := json.Marshal(CreateRequest{Name: "g", Text: testGraphText})
 	env = decode(request(t, ts, "POST", "/v1/graphs", "application/json", string(body), http.StatusConflict))
@@ -108,9 +130,9 @@ func TestServeErrorEnvelope(t *testing.T) {
 	}
 
 	// Blacklisted client → forbidden.
-	req, _ := http.NewRequest("GET", ts.URL+"/v1/graphs", nil)
+	req, _ = http.NewRequest("GET", ts.URL+"/v1/graphs", nil)
 	req.Header.Set("X-Client", "mallory")
-	resp, err := ts.Client().Do(req)
+	resp, err = ts.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}

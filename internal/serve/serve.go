@@ -46,7 +46,9 @@
 package serve
 
 import (
+	"fmt"
 	"net/http"
+	"strings"
 	"time"
 )
 
@@ -169,7 +171,8 @@ func (s *Server) Registry() *Registry { return s.reg }
 //	POST   /v1/graphs/{name}/flush     force-apply the write buffer
 //
 // Any other path, the pre-versioning unversioned ones included, is a
-// plain 404.
+// 404 with code not_found; a known path with the wrong method is a 405
+// with code method_not_allowed and the Allow header.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", s.wrap("healthz", s.handleHealthz))
@@ -183,5 +186,31 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/graphs/{name}/enumerate", s.wrap("enumerate", s.handleEnumerate))
 	mux.HandleFunc("POST /v1/graphs/{name}/mutate", s.wrap("mutate", s.handleMutate))
 	mux.HandleFunc("POST /v1/graphs/{name}/flush", s.wrap("flush", s.handleFlush))
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h, pattern := mux.Handler(r)
+		if pattern != "" {
+			mux.ServeHTTP(w, r)
+			return
+		}
+		// No route: the mux's fallback decides between 404 and 405 and
+		// names the allowed methods; keep its status and Allow header,
+		// not its plain-text body.
+		fb := &fallback{header: http.Header{}, status: http.StatusNotFound}
+		h.ServeHTTP(fb, r)
+		if allow := fb.header.Get("Allow"); allow != "" {
+			w.Header().Set("Allow", allow)
+		}
+		writeErr(w, fb.status, fmt.Errorf("%s %s: %s", r.Method, r.URL.Path, strings.ToLower(http.StatusText(fb.status))))
+	})
 }
+
+// fallback records the status and headers a ServeMux fallback handler
+// writes and drops its body.
+type fallback struct {
+	header http.Header
+	status int
+}
+
+func (f *fallback) Header() http.Header         { return f.header }
+func (f *fallback) Write(b []byte) (int, error) { return len(b), nil }
+func (f *fallback) WriteHeader(status int)      { f.status = status }

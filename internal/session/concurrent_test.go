@@ -8,7 +8,7 @@ import (
 	"fairclique/internal/bounds"
 )
 
-// Concurrent grid cells share the reduction cache, the prepared
+// Concurrent grid cells share the per-k reductions, the prepared
 // successor masks, the monotonicity table and the clique pool; every
 // cell must still be exact. This is the session-layer race test, run
 // under -race by make test-race.

@@ -175,47 +175,21 @@ func (s *Session) enumerateOn(e *epoch, q Query) (*ResultSet, error) {
 	// Note: no seed-meets-bound skip here. One pooled optimum clique
 	// answers a Find, but enumeration needs ALL of them.
 
-	maxNodes := s.opt.MaxNodes
-	if q.MaxNodes > 0 && (maxNodes == 0 || q.MaxNodes < maxNodes) {
-		maxNodes = q.MaxNodes
-	}
-	p := s.prepared(e, q.K)
-	copt := core.Options{
-		K:            int(q.K),
-		Delta:        int(q.Delta),
-		UseBounds:    s.opt.UseBounds,
-		Extra:        s.opt.Extra,
-		UseHeuristic: s.opt.UseHeuristic && seed == nil,
-		MaxNodes:     maxNodes,
-		Deadline:     q.Deadline,
-		CollectAll:   true,
-		Workers:      s.opt.Workers,
-	}
+	shape := core.Options{CollectAll: true}
 	if haveExact {
 		// The table holds this cell's true optimum (it was solved on
 		// this very epoch, no Relax since): a trusted incumbent floor.
 		// An inexact upper bound must never flow here — flooring above
 		// the optimum would silently drop every true optimum clique.
-		copt.StopAtSize = int(exact)
+		shape.StopAtSize = int(exact)
 	}
 	// Collect searches take no Injector and skip the running-search
 	// registry: a broadcast bound from a dominating cell is an upper
 	// bound, not this cell's optimum, and must not floor the collector.
-
-	res, err := p.Search(copt, seed)
+	res, err := s.search(e, q, seed, shape)
 	if err != nil {
 		return nil, err
 	}
-
-	s.mu.Lock()
-	s.stats.Nodes += res.Stats.Nodes
-	s.stats.Donations += res.Stats.Donations
-	s.stats.BoundChecks += res.Stats.BoundChecks
-	s.stats.BoundPrunes += res.Stats.BoundPrunes
-	if seed != nil {
-		s.stats.WarmStarts++
-	}
-	s.mu.Unlock()
 
 	size := int32(res.Size())
 	if !res.Stats.Aborted {

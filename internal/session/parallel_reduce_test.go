@@ -41,8 +41,8 @@ func multiBlob(seed uint64) *graph.Graph {
 }
 
 // TestFindParallelReductionMatchesSerial fuzzes Find and FindGrid with
-// the component-parallel reducer (Workers > 1 wires the worker bound
-// into the reduction cache) against serial sessions, across all six
+// the component-parallel reducer (Workers > 1 fans the per-k
+// reductions across the worker bound) against serial sessions, across all six
 // Table II bound configurations and both fairness modes.
 func TestFindParallelReductionMatchesSerial(t *testing.T) {
 	queries := []Query{

@@ -8,14 +8,13 @@
 //
 // What is shared, and at which level:
 //
-//   - Reduction snapshots (internal/reduce.Cache): one pipeline run per
-//     distinct k, chained so the run for k reduces the snapshot of the
-//     largest smaller k instead of the original graph.
-//   - Prepared components (internal/core.Prepared): per k, the
-//     connected components, their peel-rank relabeling, the chunked
-//     successor masks, attribute histograms and recycled worker arenas
-//     are built once and shared by every query — including concurrent
-//     ones — at that k.
+//   - Reductions: one entry per distinct k holds the reduced subgraph
+//     and the core.Prepared built over it — the connected components,
+//     their peel-rank relabeling, the chunked successor masks, attribute
+//     histograms and recycled worker arenas — built once and shared by
+//     every query, including concurrent ones, at that k. The pipeline
+//     run for k reduces the subgraph of the largest smaller k already
+//     built instead of the original graph.
 //   - Incumbent warm-starts: every exact answer (and its clique) is
 //     pooled. A new query (k, δ) is seeded with the largest pooled
 //     clique that is itself (k, δ)-fair, and bounded above through the
@@ -39,12 +38,13 @@
 //
 // Apply invalidates only what the delta touches:
 //
-//   - Per-k reduction snapshots are patched component-locally
-//     (reduce.Cache.PatchedClone): snapshot components free of delta
-//     endpoints are retained verbatim, the rest plus the inserted
-//     edges' common neighborhoods are re-piped on their own induced
-//     subgraph.
-//   - Per-k prepared components are re-prepared incrementally
+//   - Per-k reduced subgraphs are patched component-locally
+//     (reduce.Patch): a subgraph the delta cannot change is kept by
+//     pointer together with its Prepared; otherwise components free of
+//     delta endpoints are retained, and the rest are re-peeled
+//     (delete-only deltas) or re-reduced together with the inserted
+//     edges' common neighborhoods.
+//   - A patched subgraph is re-prepared incrementally
 //     (core.PrepareIncremental): structurally unchanged components
 //     adopt the previous epoch's relabeling, successor masks and
 //     arenas; merged, split or touched components rebuild lazily.
@@ -72,6 +72,7 @@ package session
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -159,16 +160,12 @@ type Stats struct {
 	// Applies counts graph deltas applied; Epoch is the current epoch
 	// id (0 before the first Apply).
 	Applies, Epoch int64
-	// SnapshotsPatched and SnapshotsReused count per-k reduction
-	// snapshots that an Apply re-piped on their dirty region versus
-	// carried over verbatim; SnapshotsRippled counts delete-only
-	// applies served by the incremental peel (no pipeline run).
+	// SnapshotsPatched and SnapshotsReused count per-k reduced
+	// subgraphs that an Apply re-reduced on their dirty region versus
+	// kept by pointer; SnapshotsRippled counts ones a delete-only delta
+	// re-peeled at the fairness floor (no pipeline run).
 	SnapshotsPatched, SnapshotsReused int64
 	SnapshotsRippled                  int64
-	// RippleVisited/RippleDirty: distinct vertices the incremental
-	// peels examined vs the dirty-component vertices a full re-pipe
-	// would have re-processed (visited is a subset of dirty).
-	RippleVisited, RippleDirty int64
 	// CompPrepsReused counts per-component prepared machinery
 	// (relabeling, successor masks, arenas) adopted across an Apply
 	// instead of being rebuilt — the component-scoped invalidation
@@ -217,26 +214,30 @@ type poolClique struct {
 	diff   int32 // |na - nb|
 }
 
-// prepEntry builds a per-k core.Prepared exactly once, without holding
-// the epoch lock across the (potentially expensive) build. The pointer
-// is atomic so Apply can observe whether the build finished without
-// racing one that is in flight.
-type prepEntry struct {
+// kEntry is one k's reduction on an epoch: the reduced subgraph (sub,
+// ToParent in the graph's ids) and the core.Prepared over it, built
+// exactly once without holding the epoch lock across the build. done
+// is set after both fields are, so Apply and chained builds can see
+// whether the build finished without racing one in flight.
+type kEntry struct {
 	once sync.Once
-	p    atomic.Pointer[core.Prepared]
+	sub  *graph.Subgraph
+	p    *core.Prepared
+	done atomic.Bool
 }
 
 // epoch is one immutable-graph generation of the session: the graph,
-// its reduction cache and per-k prepared state, and the cross-query
-// warm-start material. Queries operate on exactly one epoch; Apply
-// replaces the session's current epoch wholesale.
+// its per-k reductions, and the cross-query warm-start material.
+// Queries operate on exactly one epoch; Apply replaces the session's
+// current epoch wholesale.
 type epoch struct {
-	id   int64
-	g    *graph.Graph
-	reds *reduce.Cache // nil when SkipReduction
+	id int64
+	g  *graph.Graph
 
-	mu    sync.Mutex
-	preps map[int32]*prepEntry
+	mu sync.Mutex
+	// ks holds the per-k reductions; with SkipReduction every k shares
+	// the entry keyed 0, a view of the whole graph.
+	ks    map[int32]*kEntry
 	table bounds.GridTable
 	pool  []poolClique
 	// enums caches exact enumeration answers per cell; Apply maintains
@@ -255,9 +256,8 @@ type Session struct {
 	cur     atomic.Pointer[epoch]
 	applyMu sync.Mutex // serializes Apply
 
-	mu       sync.Mutex // guards stats and redsBase
-	stats    Stats
-	redsBase reduce.CacheStats // folded-in counters of retired epochs' caches
+	mu    sync.Mutex // guards stats
+	stats Stats
 
 	// running registers every search currently branching, keyed by its
 	// live-injection handle, so a finishing cell can broadcast its
@@ -279,14 +279,7 @@ type runningSearch struct {
 // except through Apply.
 func New(g *graph.Graph, opt Options) *Session {
 	s := &Session{opt: opt}
-	e := &epoch{g: g, preps: make(map[int32]*prepEntry)}
-	if !opt.SkipReduction {
-		e.reds = reduce.NewCache(g)
-		// Fan reduction components across the session's worker bound;
-		// the parallel pipeline is bit-identical to the serial one.
-		e.reds.SetWorkers(opt.Workers)
-	}
-	s.cur.Store(e)
+	s.cur.Store(&epoch{g: g, ks: make(map[int32]*kEntry)})
 	return s
 }
 
@@ -384,18 +377,8 @@ func (s *Session) Stats() Stats {
 	e := s.cur.Load()
 	s.mu.Lock()
 	st := s.stats
-	base := s.redsBase
 	s.mu.Unlock()
 	st.Epoch = e.id
-	st.ReductionBuilds += base.Builds
-	st.ReductionChained += base.Chained
-	st.ReductionReuses += base.Hits
-	if e.reds != nil {
-		rs := e.reds.Stats()
-		st.ReductionBuilds += rs.Builds
-		st.ReductionChained += rs.Chained
-		st.ReductionReuses += rs.Hits
-	}
 	return st
 }
 
@@ -432,55 +415,28 @@ func (s *Session) find(q Query) (*core.Result, error) {
 		}
 	}
 
-	// The tighter of the session-wide and per-query node caps applies.
-	maxNodes := s.opt.MaxNodes
-	if q.MaxNodes > 0 && (maxNodes == 0 || q.MaxNodes < maxNodes) {
-		maxNodes = q.MaxNodes
-	}
-	p := s.prepared(e, q.K)
-	opt := core.Options{
-		K:            int(q.K),
-		Delta:        int(q.Delta),
-		UseBounds:    s.opt.UseBounds,
-		Extra:        s.opt.Extra,
-		UseHeuristic: s.opt.UseHeuristic && seed == nil,
-		MaxNodes:     maxNodes,
-		Deadline:     q.Deadline,
-		Workers:      s.opt.Workers,
-	}
-	if haveUB {
-		opt.StopAtSize = int(ub)
-	}
-
 	// Register in the live-injection registry for the lifetime of the
 	// search: concurrently finishing cells push proven bounds and valid
 	// incumbents straight into it (broadcast), instead of only seeding
 	// searches that start later.
-	opt.Injector = core.NewInjector()
-	rs := &runningSearch{q: q, epoch: e.id, inj: opt.Injector}
+	shape := core.Options{Injector: core.NewInjector()}
+	if haveUB {
+		shape.StopAtSize = int(ub)
+	}
+	rs := &runningSearch{q: q, epoch: e.id, inj: shape.Injector}
 	s.runMu.Lock()
 	if s.running == nil {
 		s.running = make(map[*runningSearch]struct{})
 	}
 	s.running[rs] = struct{}{}
 	s.runMu.Unlock()
-	res, err := p.Search(opt, seed)
+	res, err := s.search(e, q, seed, shape)
 	s.runMu.Lock()
 	delete(s.running, rs)
 	s.runMu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-
-	s.mu.Lock()
-	s.stats.Nodes += res.Stats.Nodes
-	s.stats.Donations += res.Stats.Donations
-	s.stats.BoundChecks += res.Stats.BoundChecks
-	s.stats.BoundPrunes += res.Stats.BoundPrunes
-	if seed != nil {
-		s.stats.WarmStarts++
-	}
-	s.mu.Unlock()
 	// Aborted (MaxNodes-capped) answers are inexact: they must enter
 	// neither the monotonicity table nor the warm-start pool (the
 	// documented contract — a capped answer is never reused). Note the
@@ -495,6 +451,39 @@ func (s *Session) find(q Query) (*core.Result, error) {
 		e.mu.Unlock()
 		s.broadcast(e, q, res)
 	}
+	return res, nil
+}
+
+// search runs q's branch-and-bound on epoch e over the prepared
+// machinery for q.K. shape carries the query-shape options (StopAtSize,
+// CollectAll, Injector); search fills in the rest from the session and
+// the query — the bound and worker settings, the heuristic for cold
+// (unseeded) queries only, the deadline and the tighter of the
+// session-wide and per-query node caps — and folds the search's effort
+// into the session counters.
+func (s *Session) search(e *epoch, q Query, seed []int32, shape core.Options) (*core.Result, error) {
+	opt := shape
+	opt.K, opt.Delta = int(q.K), int(q.Delta)
+	opt.UseBounds, opt.Extra, opt.Workers = s.opt.UseBounds, s.opt.Extra, s.opt.Workers
+	opt.UseHeuristic = s.opt.UseHeuristic && seed == nil
+	opt.Deadline = q.Deadline
+	opt.MaxNodes = s.opt.MaxNodes
+	if q.MaxNodes > 0 && (opt.MaxNodes == 0 || q.MaxNodes < opt.MaxNodes) {
+		opt.MaxNodes = q.MaxNodes
+	}
+	res, err := s.prepared(e, q.K).Search(opt, seed)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	s.stats.Nodes += res.Stats.Nodes
+	s.stats.Donations += res.Stats.Donations
+	s.stats.BoundChecks += res.Stats.BoundChecks
+	s.stats.BoundPrunes += res.Stats.BoundPrunes
+	if seed != nil {
+		s.stats.WarmStarts++
+	}
+	s.mu.Unlock()
 	return res, nil
 }
 
@@ -549,33 +538,71 @@ func (s *Session) recordSkip(e *epoch, q Query, size int32) {
 }
 
 // prepared returns the frozen search machinery for size constraint k
-// on the given epoch, building it at most once. With SkipReduction all
-// k values share one view of the raw graph (keyed 0).
+// on the given epoch, building it at most once. First queries at
+// different k build concurrently; each k's entry builds exactly once.
 func (s *Session) prepared(e *epoch, k int32) *core.Prepared {
 	key := k
 	if s.opt.SkipReduction {
 		key = 0
 	}
 	e.mu.Lock()
-	ent, ok := e.preps[key]
+	ent, ok := e.ks[key]
 	if !ok {
-		ent = &prepEntry{}
-		e.preps[key] = ent
-	} else {
+		ent = &kEntry{}
+		e.ks[key] = ent
+	}
+	e.mu.Unlock()
+	if ok {
 		s.mu.Lock()
 		s.stats.ReductionReuses++
 		s.mu.Unlock()
 	}
-	e.mu.Unlock()
 	ent.once.Do(func() {
 		if s.opt.SkipReduction {
-			ent.p.Store(core.PrepareReduced(e.g, identity(e.g.N())))
+			ent.sub = whole(e.g)
 		} else {
-			snap := e.reds.Get(k)
-			ent.p.Store(core.PrepareReduced(snap.Sub.G, snap.Sub.ToParent))
+			ent.sub = s.reduceAt(e, k)
 		}
+		ent.p = core.PrepareReduced(ent.sub.G, ent.sub.ToParent)
+		ent.done.Store(true)
 	})
-	return ent.p.Load()
+	return ent.p
+}
+
+// reduceAt runs the reduction pipeline for k on epoch e. A fair clique
+// with both attribute counts >= k also has counts >= j for every j < k,
+// so the reduction at j keeps it, edges included, and the pipeline for
+// k may run on the (smaller) subgraph of any j < k instead of the whole
+// graph. reduceAt chains off the largest such j already built on the
+// epoch, which makes an ascending-k grid pay the full O(α·|E|) triangle
+// work once. The reduction components fan out across the session's
+// worker bound; the parallel pipeline is bit-identical to the serial
+// one.
+func (s *Session) reduceAt(e *epoch, k int32) *graph.Subgraph {
+	var base *graph.Subgraph
+	var baseK int32
+	e.mu.Lock()
+	for j, ent := range e.ks {
+		if j < k && j > baseK && ent.done.Load() {
+			base, baseK = ent.sub, j
+		}
+	}
+	e.mu.Unlock()
+	s.mu.Lock()
+	s.stats.ReductionBuilds++
+	if base != nil {
+		s.stats.ReductionChained++
+	}
+	s.mu.Unlock()
+	if base == nil {
+		sub, _ := reduce.PipelineN(e.g, k, s.opt.Workers)
+		return sub
+	}
+	sub, _ := reduce.PipelineN(base.G, k, s.opt.Workers)
+	for i, v := range sub.ToParent {
+		sub.ToParent[i] = base.ToParent[v] // into the graph's ids
+	}
+	return sub
 }
 
 // ApplyStats reports what one Apply invalidated and what it retained.
@@ -585,14 +612,11 @@ type ApplyStats struct {
 	// InsertedEdges/DeletedEdges/NewVertices are the delta's effective
 	// size (deduplicated against the pre-delta graph).
 	InsertedEdges, DeletedEdges, NewVertices int
-	// SnapshotsPatched/SnapshotsReused count per-k reduction snapshots
-	// re-piped on their dirty region vs carried over verbatim;
-	// SnapshotsRippled counts snapshots updated by the delete-only
-	// incremental peel, which examined RippleVisited of RippleDirty
-	// dirty-component vertices.
+	// SnapshotsPatched/SnapshotsReused count per-k reduced subgraphs
+	// re-reduced on their dirty region vs kept by pointer;
+	// SnapshotsRippled counts ones a delete-only delta re-peeled.
 	SnapshotsPatched, SnapshotsReused int64
 	SnapshotsRippled                  int64
-	RippleVisited, RippleDirty        int64
 	// CompPrepsReused counts adopted per-component machinery.
 	CompPrepsReused int64
 	// PoolRetained/PoolDropped count surviving vs destroyed warm-start
@@ -626,7 +650,7 @@ func (s *Session) Apply(d *graph.Delta) (ApplyStats, error) {
 	if err != nil {
 		return ApplyStats{}, err
 	}
-	ne := &epoch{id: old.id + 1, g: newG, preps: make(map[int32]*prepEntry)}
+	ne := &epoch{id: old.id + 1, g: newG, ks: make(map[int32]*kEntry)}
 	ast := ApplyStats{
 		Epoch:         ne.id,
 		InsertedEdges: len(info.Inserted),
@@ -634,24 +658,20 @@ func (s *Session) Apply(d *graph.Delta) (ApplyStats, error) {
 		NewVertices:   int(info.NewVertexCount),
 	}
 
-	// Reduction snapshots: component-scoped patch, old cache untouched.
-	var pst reduce.PatchStats
-	if old.reds != nil {
-		ne.reds, pst = old.reds.PatchedClone(newG, info)
-		ast.SnapshotsPatched, ast.SnapshotsReused = pst.SnapshotsPatched, pst.SnapshotsReused
-		ast.SnapshotsRippled = pst.SnapshotsRippled
-		ast.RippleVisited, ast.RippleDirty = pst.RippleVisited, pst.RippleDirty
-	}
-
-	// The insertion floor for the monotonicity table: any clique the
-	// delta makes possible contains an inserted edge and fits in its
-	// closed common neighborhood.
+	// Any clique the delta makes possible contains an inserted edge and
+	// fits in its closed common neighborhood. The largest one is the
+	// insertion floor for the monotonicity table; their union is the
+	// region reduce.Patch re-reduces.
 	var floor int32
+	var region []int32
 	for _, e := range info.Inserted {
-		if ub := int32(2 + newG.CountCommonNeighbors(e[0], e[1])); ub > floor {
-			floor = ub
-		}
+		region = append(region, e[0], e[1])
+		n := len(region)
+		newG.CommonNeighbors(e[0], e[1], func(w int32) { region = append(region, w) })
+		floor = max(floor, int32(2+len(region)-n))
 	}
+	slices.Sort(region)
+	region = slices.Compact(region)
 
 	old.mu.Lock()
 	ne.table = old.table.Relax(floor)
@@ -659,7 +679,7 @@ func (s *Session) Apply(d *graph.Delta) (ApplyStats, error) {
 	// map is a consistent snapshot to maintain against.
 	oldEnums := maps.Clone(old.enums)
 	oldPool := append([]poolClique(nil), old.pool...)
-	oldPreps := maps.Clone(old.preps)
+	oldKs := maps.Clone(old.ks)
 	old.mu.Unlock()
 
 	// Pool: a clique survives iff it is still a clique (attributes are
@@ -673,29 +693,39 @@ func (s *Session) Apply(d *graph.Delta) (ApplyStats, error) {
 		}
 	}
 
-	// Prepared state: re-prepare each built k against the patched
-	// snapshot, adopting every structurally untouched component.
-	for key, ent := range oldPreps {
-		prev := ent.p.Load()
-		if prev == nil {
-			continue // never built: the new epoch rebuilds lazily on demand
+	// Reductions: patch each built k's subgraph. One the delta cannot
+	// change keeps its Prepared by pointer; a patched one is re-prepared,
+	// adopting every structurally untouched component. Entries never
+	// built, or still building, are rebuilt lazily on the new epoch.
+	for key, ent := range oldKs {
+		if !ent.done.Load() {
+			continue
 		}
-		var p *core.Prepared
-		var adopted int
+		nent := &kEntry{}
 		if s.opt.SkipReduction {
-			p, adopted = core.PrepareIncremental(newG, identity(newG.N()), prev, info.Touches)
+			nent.sub = whole(newG)
 		} else {
-			snap, ok := ne.reds.Cached(key)
-			if !ok {
-				continue // built after the cache was cloned: rebuild lazily
+			nent.sub = reduce.Patch(ent.sub, newG, info, region, key, s.opt.Workers)
+			switch {
+			case nent.sub == ent.sub:
+				ast.SnapshotsReused++
+			case len(info.Inserted) == 0:
+				ast.SnapshotsRippled++
+			default:
+				ast.SnapshotsPatched++
 			}
-			p, adopted = core.PrepareIncremental(snap.Sub.G, snap.Sub.ToParent, prev, info.Touches)
 		}
-		ast.CompPrepsReused += int64(adopted)
-		nent := &prepEntry{}
-		nent.p.Store(p)
-		nent.once.Do(func() {}) // mark built
-		ne.preps[key] = nent
+		if nent.sub == ent.sub {
+			nent.p = ent.p
+			ast.CompPrepsReused += int64(ent.p.PreparedComponents())
+		} else {
+			var adopted int
+			nent.p, adopted = core.PrepareIncremental(nent.sub.G, nent.sub.ToParent, ent.p, info.Touches)
+			ast.CompPrepsReused += int64(adopted)
+		}
+		nent.once.Do(func() {}) // built
+		nent.done.Store(true)
+		ne.ks[key] = nent
 	}
 
 	// Enumeration sets: maintain each cached cell across the delta —
@@ -706,27 +736,17 @@ func (s *Session) Apply(d *graph.Delta) (ApplyStats, error) {
 	var maintained, recomputed int64
 	ast.EnumDiffs, maintained, recomputed = s.maintainEnums(ne, oldEnums, floor)
 
-	// Publish. Retired epochs keep serving their in-flight queries;
-	// their reduction counters are folded into the session's base so
-	// Stats stays cumulative.
+	// Publish. Retired epochs keep serving their in-flight queries.
 	s.mu.Lock()
 	s.stats.Applies++
-	s.stats.SnapshotsPatched += pst.SnapshotsPatched
-	s.stats.SnapshotsReused += pst.SnapshotsReused
-	s.stats.SnapshotsRippled += pst.SnapshotsRippled
-	s.stats.RippleVisited += pst.RippleVisited
-	s.stats.RippleDirty += pst.RippleDirty
+	s.stats.SnapshotsPatched += ast.SnapshotsPatched
+	s.stats.SnapshotsReused += ast.SnapshotsReused
+	s.stats.SnapshotsRippled += ast.SnapshotsRippled
 	s.stats.CompPrepsReused += ast.CompPrepsReused
 	s.stats.PoolRetained += ast.PoolRetained
 	s.stats.PoolDropped += ast.PoolDropped
 	s.stats.EnumMaintained += maintained
 	s.stats.EnumRecomputed += recomputed
-	if old.reds != nil {
-		rs := old.reds.Stats()
-		s.redsBase.Builds += rs.Builds
-		s.redsBase.Chained += rs.Chained
-		s.redsBase.Hits += rs.Hits
-	}
 	s.mu.Unlock()
 	s.cur.Store(ne)
 	return ast, nil
@@ -779,10 +799,11 @@ func addPoolLocked(e *epoch, clique []int32) {
 	e.pool = append(kept, c)
 }
 
-func identity(n int32) []int32 {
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(i)
+// whole is g viewed as its own reduction, for SkipReduction sessions.
+func whole(g *graph.Graph) *graph.Subgraph {
+	toParent := make([]int32, g.N())
+	for i := range toParent {
+		toParent[i] = int32(i)
 	}
-	return out
+	return &graph.Subgraph{G: g, ToParent: toParent}
 }

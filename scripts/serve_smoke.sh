@@ -4,10 +4,11 @@
 # and cached), grid, enumerate (full set, cached, top-r), mutate
 # (buffered, then flushed by the next query), explicit flush, metrics,
 # admission blacklist, delete. The removed unversioned paths are walked
-# too, for their 404s. Two hard-fail conditions: any unexpected HTTP
-# status, and a differential mismatch — the graph mutated through
-# buffered deltas must answer exactly like the same final graph
-# uploaded fresh.
+# too, for their 404s, and a wrong-method call for its 405; both must
+# answer with the error envelope. Two hard-fail conditions: any
+# unexpected HTTP status or error code, and a differential mismatch —
+# the graph mutated through buffered deltas must answer exactly like the
+# same final graph uploaded fresh.
 #
 # OUT_DIR (default /tmp/serve-smoke) receives smoke.log, the full
 # request/response transcript CI uploads as an artifact.
@@ -70,6 +71,7 @@ req GET /v1/healthz 200
 # --- legacy paths: removed, so 404 (no redirect to /v1) -------------
 for p in /healthz /metrics /graphs; do
     req GET "$p" 404
+    [ "$(jqget .error.code)" = "not_found" ] || fail "GET $p code $(jqget .error.code), want not_found"
 done
 say "legacy paths 404"
 
@@ -90,6 +92,10 @@ e 0 4
 EOF
 req POST "/v1/graphs?name=demo" 201 -H 'Content-Type: text/plain' --data-binary @"$WORK/g.txt"
 [ "$(jqget .vertices)" = 5 ] || fail "uploaded graph has $(jqget .vertices) vertices, want 5"
+
+# A known path with the wrong method is a 405 in the envelope.
+req GET /v1/graphs/demo/query 405
+[ "$(jqget .error.code)" = "method_not_allowed" ] || fail "wrong-method code $(jqget .error.code), want method_not_allowed"
 
 # Garbage uploads die with the error envelope — bad_request plus the
 # offending line — and register nothing.
