@@ -97,17 +97,8 @@ func Color(col *color.Coloring) int32 { return col.Num }
 // where a color counts toward attribute a if any a-vertex wears it
 // (colors may count toward both sides).
 func AttributeColor(g *graph.Graph, col *color.Coloring, delta int32) int32 {
-	colorsA, colorsB := attrColorSets(g, col)
-	var ka, kb int32
-	for c := int32(0); c < col.Num; c++ {
-		if colorsA[c] {
-			ka++
-		}
-		if colorsB[c] {
-			kb++
-		}
-	}
-	return Combine(ka, kb, delta)
+	ca, cb, cm := colorful.ClassCounts(g, col)
+	return Combine(ca+cm, cb+cm, delta)
 }
 
 // EnhancedAttributeColor returns ubeac (Lemma 9, corrected): colors are
@@ -117,18 +108,7 @@ func AttributeColor(g *graph.Graph, col *color.Coloring, delta int32) int32 {
 // t = min(ca,cb)+cm when that still does not exceed max(ca,cb), and
 // ⌊(ca+cb+cm)/2⌋ otherwise; the bound is min(ca+cb+cm, 2t+δ).
 func EnhancedAttributeColor(g *graph.Graph, col *color.Coloring, delta int32) int32 {
-	colorsA, colorsB := attrColorSets(g, col)
-	var ca, cb, cm int32
-	for c := int32(0); c < col.Num; c++ {
-		switch {
-		case colorsA[c] && colorsB[c]:
-			cm++
-		case colorsA[c]:
-			ca++
-		case colorsB[c]:
-			cb++
-		}
-	}
+	ca, cb, cm := colorful.ClassCounts(g, col)
 	return enhanced(ca, cb, cm, delta)
 }
 
@@ -158,19 +138,6 @@ func AD(na, nb, ca, cb, cm, delta int32) int32 {
 		ub = v
 	}
 	return ub
-}
-
-func attrColorSets(g *graph.Graph, col *color.Coloring) (a, b []bool) {
-	a = make([]bool, col.Num)
-	b = make([]bool, col.Num)
-	for v := int32(0); v < g.N(); v++ {
-		if g.Attr(v) == graph.AttrA {
-			a[col.Of(v)] = true
-		} else {
-			b[col.Of(v)] = true
-		}
-	}
-	return a, b
 }
 
 // DegeneracyBound returns ub△ (Lemma 10, +1-corrected): any clique of
@@ -280,17 +247,7 @@ func NewProfile(g *graph.Graph, extra Extra) Profile {
 	}
 	col := color.Greedy(g)
 	p.na, p.nb = g.AttrCount()
-	hasA, hasB := attrColorSets(g, col)
-	for c := range hasA {
-		switch {
-		case hasA[c] && hasB[c]:
-			p.cm++
-		case hasA[c]:
-			p.ca++
-		case hasB[c]:
-			p.cb++
-		}
-	}
+	p.ca, p.cb, p.cm = colorful.ClassCounts(g, col)
 	switch extra {
 	case Degeneracy:
 		p.stat = kcore.Degeneracy(g)

@@ -154,7 +154,15 @@ func TestADMatchesPerLemmaBounds(t *testing.T) {
 		g := random(seed, 1+int(n8%40), 0.1+float64(p8)/255*0.8)
 		delta := int32(d8 % 4)
 		col := color.Greedy(g)
-		hasA, hasB := attrColorSets(g, col)
+		// The class split, counted independently of colorful.ClassCounts.
+		hasA, hasB := map[int32]bool{}, map[int32]bool{}
+		for v := int32(0); v < g.N(); v++ {
+			if g.Attr(v) == graph.AttrA {
+				hasA[col.Of(v)] = true
+			} else {
+				hasB[col.Of(v)] = true
+			}
+		}
 		var ca, cb, cm int32
 		for c := int32(0); c < col.Num; c++ {
 			switch {

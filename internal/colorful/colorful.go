@@ -34,21 +34,19 @@ func (d *Degrees) Dmin(u int32) int32 {
 // ComputeDegrees computes the colorful degrees of every vertex of g
 // under the coloring col.
 func ComputeDegrees(g *graph.Graph, col *color.Coloring) *Degrees {
-	n := g.N()
-	d := &Degrees{Da: make([]int32, n), Db: make([]int32, n)}
-	cnt := newAttrColorCounter(n, col.Num)
-	for u := int32(0); u < n; u++ {
+	t := vertexTally(g, col, false)
+	return &Degrees{Da: t.deg[graph.AttrA], Db: t.deg[graph.AttrB]}
+}
+
+// vertexTally tallies every vertex's neighbours of g under col.
+func vertexTally(g *graph.Graph, col *color.Coloring, enhanced bool) *Tally {
+	t := NewTally(g.N(), col.Num, enhanced)
+	for u := int32(0); u < g.N(); u++ {
 		for _, w := range g.Neighbors(u) {
-			if cnt.inc(u, g.Attr(w), col.Of(w)) {
-				if g.Attr(w) == graph.AttrA {
-					d.Da[u]++
-				} else {
-					d.Db[u]++
-				}
-			}
+			t.Add(u, g.Attr(w), col.Of(w))
 		}
 	}
-	return d
+	return t
 }
 
 // KCore peels g down to its colorful k-core: the maximal subgraph in
@@ -56,72 +54,14 @@ func ComputeDegrees(g *graph.Graph, col *color.Coloring) *Degrees {
 // mask over g's vertices. Implements the reduction of Lemma 1 when
 // called with k-1.
 func KCore(g *graph.Graph, col *color.Coloring, k int32) []bool {
-	n := g.N()
-	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = true
-	}
-	if n == 0 {
-		return alive
-	}
-	cnt := newAttrColorCounter(n, col.Num)
-	da := make([]int32, n)
-	db := make([]int32, n)
-	for u := int32(0); u < n; u++ {
-		for _, w := range g.Neighbors(u) {
-			if cnt.inc(u, g.Attr(w), col.Of(w)) {
-				if g.Attr(w) == graph.AttrA {
-					da[u]++
-				} else {
-					db[u]++
-				}
-			}
-		}
-	}
-	queued := make([]bool, n)
-	var queue []int32
-	push := func(v int32) {
-		if !queued[v] {
-			queued[v] = true
-			queue = append(queue, v)
-		}
-	}
-	for v := int32(0); v < n; v++ {
-		if da[v] < k || db[v] < k {
-			push(v)
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		alive[v] = false
-		av, cv := g.Attr(v), col.Of(v)
-		for _, w := range g.Neighbors(v) {
-			if !alive[w] {
-				continue
-			}
-			if cnt.dec(w, av, cv) {
-				if av == graph.AttrA {
-					da[w]--
-					if da[w] < k {
-						push(w)
-					}
-				} else {
-					db[w]--
-					if db[w] < k {
-						push(w)
-					}
-				}
-			}
-		}
-	}
-	return alive
+	return peel(g, col, k, false)
 }
 
 // EDValue returns the enhanced colorful degree value for a vertex whose
 // neighbour colors split into ca exclusive-a colors, cb exclusive-b
 // colors, and cm mixed colors (Definition 4): the best achievable
 // min(side a, side b) over assignments of each mixed color to one side.
+// With cm = 0 it is min(ca, cb), the plain colorful degree.
 func EDValue(ca, cb, cm int32) int32 {
 	lo, hi := ca, cb
 	if lo > hi {
@@ -138,6 +78,15 @@ func EDValue(ca, cb, cm int32) int32 {
 // color is assigned exclusively to one attribute (Definition 5).
 // Implements the reduction of Lemma 2 when called with k-1.
 func EnhancedKCore(g *graph.Graph, col *color.Coloring, k int32) []bool {
+	return peel(g, col, k, true)
+}
+
+// peel is KCore (enhanced false) and EnhancedKCore (enhanced true): it
+// removes vertices whose Tally.Degree is below k until none is left,
+// and returns the alive mask. A vertex is re-tested only when one of
+// its colours vanishes for an attribute, the only event that lowers
+// its degree.
+func peel(g *graph.Graph, col *color.Coloring, k int32, enhanced bool) []bool {
 	n := g.N()
 	alive := make([]bool, n)
 	for i := range alive {
@@ -146,34 +95,7 @@ func EnhancedKCore(g *graph.Graph, col *color.Coloring, k int32) []bool {
 	if n == 0 {
 		return alive
 	}
-	cnt := newAttrColorCounter(n, col.Num)
-	// Per-vertex color-group tallies: exclusive-a, exclusive-b, mixed.
-	ca := make([]int32, n)
-	cb := make([]int32, n)
-	cm := make([]int32, n)
-	for u := int32(0); u < n; u++ {
-		for _, w := range g.Neighbors(u) {
-			aw, cw := g.Attr(w), col.Of(w)
-			fresh := cnt.inc(u, aw, cw)
-			if !fresh {
-				continue
-			}
-			other := cnt.get(u, aw.Other(), cw)
-			if other > 0 {
-				// Color moves from exclusive-other to mixed.
-				cm[u]++
-				if aw == graph.AttrA {
-					cb[u]--
-				} else {
-					ca[u]--
-				}
-			} else if aw == graph.AttrA {
-				ca[u]++
-			} else {
-				cb[u]++
-			}
-		}
-	}
+	t := vertexTally(g, col, enhanced)
 	queued := make([]bool, n)
 	var queue []int32
 	push := func(v int32) {
@@ -183,7 +105,7 @@ func EnhancedKCore(g *graph.Graph, col *color.Coloring, k int32) []bool {
 		}
 	}
 	for v := int32(0); v < n; v++ {
-		if EDValue(ca[v], cb[v], cm[v]) < k {
+		if t.Degree(v) < k {
 			push(v)
 		}
 	}
@@ -193,28 +115,7 @@ func EnhancedKCore(g *graph.Graph, col *color.Coloring, k int32) []bool {
 		alive[v] = false
 		av, cv := g.Attr(v), col.Of(v)
 		for _, w := range g.Neighbors(v) {
-			if !alive[w] {
-				continue
-			}
-			if !cnt.dec(w, av, cv) {
-				continue
-			}
-			// Color cv lost its attribute-av presence at w.
-			other := cnt.get(w, av.Other(), cv)
-			if other > 0 {
-				// Mixed -> exclusive other attribute.
-				cm[w]--
-				if av == graph.AttrA {
-					cb[w]++
-				} else {
-					ca[w]++
-				}
-			} else if av == graph.AttrA {
-				ca[w]--
-			} else {
-				cb[w]--
-			}
-			if EDValue(ca[w], cb[w], cm[w]) < k {
+			if alive[w] && t.Remove(w, av, cv) && t.Degree(w) < k {
 				push(w)
 			}
 		}
@@ -245,27 +146,12 @@ func Decompose(g *graph.Graph, col *color.Coloring) *Decomposition {
 	if n == 0 {
 		return d
 	}
-	cnt := newAttrColorCounter(n, col.Num)
-	da := make([]int32, n)
-	db := make([]int32, n)
-	for u := int32(0); u < n; u++ {
-		for _, w := range g.Neighbors(u) {
-			if cnt.inc(u, g.Attr(w), col.Of(w)) {
-				if g.Attr(w) == graph.AttrA {
-					da[u]++
-				} else {
-					db[u]++
-				}
-			}
-		}
-	}
+	t := vertexTally(g, col, false)
 	key := make([]int32, n)
 	maxKey := int32(0)
 	for v := int32(0); v < n; v++ {
-		key[v] = min32(da[v], db[v])
-		if key[v] > maxKey {
-			maxKey = key[v]
-		}
+		key[v] = t.Degree(v)
+		maxKey = max(maxKey, key[v])
 	}
 	// Lazy bucket queue: buckets[d] holds candidates whose key may be d;
 	// stale entries (key changed or already removed) are skipped on pop.
@@ -298,20 +184,13 @@ func Decompose(g *graph.Graph, col *color.Coloring) *Decomposition {
 			if removed[w] {
 				continue
 			}
-			if cnt.dec(w, av, cv) {
-				if av == graph.AttrA {
-					da[w]--
-				} else {
-					db[w]--
-				}
-				nk := min32(da[w], db[w])
-				if nk < key[w] {
-					key[w] = nk
-					buckets[nk] = append(buckets[nk], w)
-					if nk < ptr {
-						ptr = nk
-					}
-				}
+			if !t.Remove(w, av, cv) {
+				continue
+			}
+			if nk := t.Degree(w); nk < key[w] {
+				key[w] = nk
+				buckets[nk] = append(buckets[nk], w)
+				ptr = min(ptr, nk)
 			}
 		}
 	}
@@ -344,11 +223,4 @@ func PeelRank(g *graph.Graph, col *color.Coloring) []int32 {
 		rank[v] = int32(i)
 	}
 	return rank
-}
-
-func min32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
 }

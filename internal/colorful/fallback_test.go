@@ -52,16 +52,3 @@ func TestMapFallbackEquivalence(t *testing.T) {
 		}
 	})
 }
-
-func TestCounterZeroColors(t *testing.T) {
-	c := newAttrColorCounter(3, 0)
-	if !c.inc(0, 0, 0) {
-		t.Fatal("first inc should report fresh")
-	}
-	if c.get(0, 0, 0) != 1 {
-		t.Fatal("get after inc")
-	}
-	if !c.dec(0, 0, 0) {
-		t.Fatal("dec to zero should report emptied")
-	}
-}

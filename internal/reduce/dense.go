@@ -162,16 +162,7 @@ func supDense(g *graph.Graph, col *color.Coloring, k int32, enhanced bool) *Resu
 			sup[0][e], sup[1][e] = ca+cm, cb+cm
 		}
 	}
-	// With mixed[e] = 0 the greedy allocation grants nothing, so this is
-	// also the plain reduction's test.
-	violates := func(e int32) bool {
-		u, v := g.Edge(e)
-		au, av := g.Attr(u), g.Attr(v)
-		ta, tb := thresholds(au, av, k)
-		aFirst := !(au == graph.AttrB && av == graph.AttrB)
-		ga, gb := gsupValues(sup[0][e], sup[1][e], mixed[e], ta, tb, aFirst)
-		return ga < ta || gb < tb
-	}
+	fails := func(e int32) bool { return violates(g, e, k, sup[0][e], sup[1][e], mixed[e]) }
 	queued := make([]bool, m)
 	var queue []int32
 	push := func(e int32) {
@@ -181,7 +172,7 @@ func supDense(g *graph.Graph, col *color.Coloring, k int32, enhanced bool) *Resu
 		}
 	}
 	for e := int32(0); e < m; e++ {
-		if violates(e) {
+		if fails(e) {
 			push(e)
 		}
 	}
@@ -199,7 +190,7 @@ func supDense(g *graph.Graph, col *color.Coloring, k int32, enhanced bool) *Resu
 		} else {
 			sup[al][t]--
 		}
-		if violates(t) {
+		if fails(t) {
 			push(t)
 		}
 	}

@@ -4,8 +4,10 @@ import (
 	"slices"
 	"testing"
 
+	"fairclique/internal/color"
 	"fairclique/internal/gen"
 	"fairclique/internal/graph"
+	"fairclique/internal/kcore"
 	"fairclique/internal/rng"
 )
 
@@ -124,6 +126,32 @@ func BenchmarkPipelineN(b *testing.B) {
 	for b.Loop() {
 		if sub, _ := PipelineN(g, 8, 1); sub.G.N() != 20 || sub.G.M() != 190 {
 			b.Fatalf("reduced to n=%d m=%d; want the planted K20", sub.G.N(), sub.G.M())
+		}
+	}
+}
+
+// BenchmarkEnColorfulCore runs the first colorful stage of the
+// ingest-answer query, EnColorfulCore at k − 1 = 7, over each of the
+// 601 components of gen.IngestGiant(1, 1.0)'s (2k−1)-core at k = 8,
+// each coloured greedily outside the timing. Only the planted K20
+// survives it.
+func BenchmarkEnColorfulCore(b *testing.B) {
+	const k = 8
+	g := gen.IngestGiant(1, 1.0)
+	alive, _ := kcore.FairCliquePrune(g, k)
+	comps := graph.AliveComponents(g, alive)
+	cols := make([]*color.Coloring, len(comps))
+	for i, c := range comps {
+		cols[i] = color.Greedy(c.G)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		var kept int32
+		for i, c := range comps {
+			kept += EnColorfulCore(c.G, cols[i], k-1).VerticesLeft
+		}
+		if kept != 20 {
+			b.Fatalf("EnColorfulCore kept %d vertices over %d components; want the planted K20", kept, len(comps))
 		}
 	}
 }

@@ -5,15 +5,9 @@ import (
 	"sync/atomic"
 
 	"fairclique/internal/color"
-	"fairclique/internal/colorful"
 	"fairclique/internal/graph"
 	"fairclique/internal/kcore"
 )
-
-// enhancedCore delegates to the vertex-peeling implementation.
-func enhancedCore(g *graph.Graph, col *color.Coloring, k int32) []bool {
-	return colorful.EnhancedKCore(g, col, k)
-}
 
 // StageStats records the size of the graph after one reduction stage,
 // feeding the Fig. 4 / Fig. 5 experiment.
