@@ -37,23 +37,19 @@ import (
 //     and the pipeline keeps nothing of insRegion, or when a
 //     delete-only delta removes no edge of sub.
 //   - For any other delete-only delta it drops the deleted edges and
-//     re-peels the touched components at the fairness floor 2k−1 (a
-//     vertex of a fair clique with both counts >= k keeps 2k−1 clique
-//     neighbours), with no pipeline run.
+//     re-peels their endpoints at the fairness floor 2k−1 (a vertex of
+//     a fair clique with both counts >= k keeps 2k−1 clique
+//     neighbours), with no pipeline run; see repeel.
 //   - Otherwise it re-runs the pipeline on the touched components'
 //     survivors plus insRegion, induced from newG, and merges the
 //     result with the clean components' vertices and edges. Edges, not
 //     just vertices, carry over: the pipeline peels edges too, so
 //     re-inducing clean components from newG would restore peeled ones.
 func Patch(sub *graph.Subgraph, newG *graph.Graph, info *graph.ApplyInfo, insRegion []int32, k int32, workers int) *graph.Subgraph {
-	dirty, dirtyIDs := touchedComponents(sub, info)
-	if dirty == nil && len(insRegion) == 0 {
-		return sub
-	}
 	if len(info.Inserted) == 0 {
-		return repeel(sub, info, dirty, k)
+		return repeel(sub, info, k)
 	}
-
+	dirty, dirtyIDs := touchedComponents(sub, info)
 	region := slices.Clone(insRegion)
 	for _, v := range dirtyIDs {
 		region = append(region, sub.ToParent[v])
@@ -103,40 +99,63 @@ func touchedComponents(sub *graph.Subgraph, info *graph.ApplyInfo) ([]bool, []in
 	return dirty, stack
 }
 
-// repeel applies a delete-only delta to sub: drop the deleted edges,
-// then peel the touched components at the fairness floor with
-// kcore.KCore. Clean components carry over untouched.
-func repeel(sub *graph.Subgraph, info *graph.ApplyInfo, dirty []bool, k int32) *graph.Subgraph {
-	eAlive := make([]bool, sub.G.M())
+// repeel applies a delete-only delta to sub. Every reduction that
+// PipelineN, a chained build or Patch returns gives each vertex at least
+// 2k−1 neighbours, the fairness floor (kcore.FairnessFloor): a kept edge
+// (u, v) passes Lemma 3 or 4 on triangles whose edges are all kept, so
+// u and v share 2k−2 kept common neighbours, and a re-peel keeps the
+// floor itself. Deleting edges lowers only their endpoints' degrees, so
+// only those can fall below the floor. The peel therefore starts from
+// them and runs in place on sub.G under the edge mask, and the result
+// is induced once: the (2k−1)-core of sub.G without the deleted edges.
+// Components the delta does not touch stay whole without being walked.
+func repeel(sub *graph.Subgraph, info *graph.ApplyInfo, k int32) *graph.Subgraph {
+	g := sub.G
+	eAlive := make([]bool, g.M())
 	for e := range eAlive {
 		eAlive[e] = true
 	}
-	removed := false
+	deg := make([]int32, g.N())
+	var stack []int32
 	for _, d := range info.Deleted {
 		u, okU := slices.BinarySearch(sub.ToParent, d[0])
 		v, okV := slices.BinarySearch(sub.ToParent, d[1])
 		if !okU || !okV {
 			continue
 		}
-		if e, ok := sub.G.EdgeID(int32(u), int32(v)); ok {
+		if e, ok := g.EdgeID(int32(u), int32(v)); ok && eAlive[e] {
 			eAlive[e] = false
-			removed = true
+			deg[u]--
+			deg[v]--
+			stack = append(stack, int32(u), int32(v))
 		}
 	}
-	if !removed {
+	if len(stack) == 0 {
 		return sub // the deleted edges were already peeled out of sub
 	}
-	touched := graph.InduceAlive(sub.G, dirty, eAlive)
-	vAlive := make([]bool, sub.G.N())
-	for v, d := range dirty {
-		vAlive[v] = !d
+	vAlive := make([]bool, g.N())
+	for v := range vAlive {
+		vAlive[v] = true
+		deg[v] += g.Deg(int32(v))
 	}
-	for i, ok := range kcore.KCore(touched.G, kcore.FairnessFloor(k)) {
-		if ok {
-			vAlive[touched.ToParent[i]] = true
+	floor := kcore.FairnessFloor(k)
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if !vAlive[v] || deg[v] >= floor {
+			continue
+		}
+		vAlive[v] = false
+		eids := g.IncidentEdges(v)
+		for i, w := range g.Neighbors(v) {
+			if vAlive[w] && eAlive[eids[i]] {
+				if deg[w]--; deg[w] < floor {
+					stack = append(stack, w)
+				}
+			}
 		}
 	}
-	out := graph.InduceAlive(sub.G, vAlive, eAlive)
+	out := graph.InduceAlive(g, vAlive, eAlive)
 	out.ToParent = chain(sub.ToParent, out.ToParent)
 	return out
 }

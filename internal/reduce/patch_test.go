@@ -9,6 +9,7 @@ import (
 
 	"fairclique/internal/enum"
 	"fairclique/internal/graph"
+	"fairclique/internal/kcore"
 	"fairclique/internal/reduce"
 	"fairclique/internal/rng"
 )
@@ -64,9 +65,10 @@ func randomDelta(r *rng.RNG, g *graph.Graph, deleteOnly bool) *graph.Delta {
 // graph: its maximum (k, δ)-fair clique equals the true maximum,
 // checked against the independent Bron–Kerbosch baseline, over two
 // chained deltas per trial. Every third trial is delete-only, the
-// re-peel path. Clean components must carry over edge-exactly, and the
-// input subgraph must stay a valid reduction of the old graph (in-flight
-// searches keep reading it).
+// re-peel path. Clean components must carry over edge-exactly, every
+// reduction built must keep the fairness floor, and the input subgraph
+// must stay a valid reduction of the old graph (in-flight searches keep
+// reading it).
 func TestPatchPreservesOptima(t *testing.T) {
 	r := rng.New(515)
 	for trial := 0; trial < 30; trial++ {
@@ -74,6 +76,7 @@ func TestPatchPreservesOptima(t *testing.T) {
 		var subs [4]*graph.Subgraph
 		for k := int32(1); k <= 3; k++ {
 			subs[k], _ = reduce.Pipeline(g, k)
+			checkFloor(t, subs[k], k)
 		}
 		for round := 0; round < 2; round++ {
 			d := randomDelta(r, g, trial%3 == 2)
@@ -85,6 +88,7 @@ func TestPatchPreservesOptima(t *testing.T) {
 			for k := int32(1); k <= 3; k++ {
 				old := subs[k]
 				cur := reduce.Patch(old, newG, info, region, k, 1)
+				checkFloor(t, cur, k)
 				if !slices.IsSorted(cur.ToParent) {
 					t.Fatalf("trial %d round %d k=%d: patched ToParent not ascending", trial, round, k)
 				}
@@ -103,6 +107,18 @@ func TestPatchPreservesOptima(t *testing.T) {
 				subs[k] = cur
 			}
 			g = newG
+		}
+	}
+}
+
+// checkFloor fails unless every vertex of the reduction sub at k keeps
+// the fairness floor 2k−1 of neighbours: repeel relies on it to peel
+// only from the deleted edges' endpoints.
+func checkFloor(t *testing.T, sub *graph.Subgraph, k int32) {
+	t.Helper()
+	for v := int32(0); v < sub.G.N(); v++ {
+		if d := sub.G.Deg(v); d < kcore.FairnessFloor(k) {
+			t.Fatalf("k=%d: vertex %d has %d neighbours in the reduction, below the floor %d", k, sub.ToParent[v], d, kcore.FairnessFloor(k))
 		}
 	}
 }
