@@ -563,42 +563,58 @@ type SessionOptions struct {
 }
 
 // SessionStats aggregates the work of all queries a Session has
-// answered, exposing what the amortization actually saved.
+// answered, exposing what the amortization actually saved. Its JSON
+// keys, as GET /v1/graphs/{name} sends them in session_stats, are the
+// snake_case field names; the five always-0 deprecated counters are
+// left out.
 type SessionStats struct {
-	// Queries is the number of cells answered (Find calls plus FindGrid
-	// cells).
-	Queries int64
+	// Queries is the number of cells answered: Find calls and FindGrid
+	// cells, plus every enumeration that ran a collect search (an
+	// Enumerate call, or a cached set an Apply re-enumerated).
+	// Enumerate calls answered from the enumeration cache are not
+	// counted.
+	Queries int64 `json:"queries"`
 	// Nodes, Donations, BoundChecks and BoundPrunes sum the per-query
 	// search stats.
-	Nodes, Donations, BoundChecks, BoundPrunes int64
+	Nodes       int64 `json:"nodes"`
+	Donations   int64 `json:"donations"`
+	BoundChecks int64 `json:"bound_checks"`
+	BoundPrunes int64 `json:"bound_prunes"`
 	// ReductionBuilds counts reduction-pipeline runs; ReductionChained
 	// is how many of them ran on a smaller-k snapshot instead of the
 	// original graph; ReductionReuses counts queries served by an
 	// already-built reduction and successor-mask set.
-	ReductionBuilds, ReductionChained, ReductionReuses int64
+	ReductionBuilds  int64 `json:"reduction_builds"`
+	ReductionChained int64 `json:"reduction_chained"`
+	ReductionReuses  int64 `json:"reduction_reuses"`
 	// WarmStarts counts queries seeded from a previously found clique;
 	// DominanceSkips counts queries answered with zero branching
 	// because a previous answer already proved the optimum.
-	WarmStarts, DominanceSkips int64
+	WarmStarts     int64 `json:"warm_starts"`
+	DominanceSkips int64 `json:"dominance_skips"`
 	// Applies counts graph deltas applied to the session; Epoch is the
 	// current graph generation (0 before the first Apply).
-	Applies, Epoch int64
+	Applies int64 `json:"applies"`
+	Epoch   int64 `json:"epoch"`
 	// SnapshotsPatched and SnapshotsReused count per-k reduced
 	// subgraphs that an Apply re-reduced on the delta's dirty region
 	// only, versus kept as they were. SnapshotsRippled counts ones a
 	// delete-only delta re-peeled at the fairness floor without
 	// re-running the reduction.
-	SnapshotsPatched, SnapshotsReused int64
-	SnapshotsRippled                  int64
+	SnapshotsPatched int64 `json:"snapshots_patched"`
+	SnapshotsReused  int64 `json:"snapshots_reused"`
+	SnapshotsRippled int64 `json:"snapshots_rippled"`
 	// CompPrepsReused counts per-component search machinery (peel-rank
 	// relabeling, successor masks, worker arenas) adopted across an
 	// Apply instead of rebuilt — the receipt that invalidation is
 	// component-scoped.
-	CompPrepsReused int64
+	CompPrepsReused int64 `json:"comp_preps_reused"`
 	// PoolRetained and PoolDropped count warm-start cliques that
 	// survived an Apply versus ones destroyed by its deletions.
-	PoolRetained, PoolDropped int64
-	// Steals, WorkerReleases and PoolSearches are always 0.
+	PoolRetained int64 `json:"pool_retained"`
+	PoolDropped  int64 `json:"pool_dropped"`
+	// Steals, WorkerReleases and PoolSearches are always 0, and are not
+	// sent over HTTP.
 	//
 	// Deprecated: the session-lifetime worker pool they counted was
 	// removed because it never paid for itself in measurement; every
@@ -606,26 +622,34 @@ type SessionStats struct {
 	// Donations counts. The fields stay because the benchmark harness
 	// (perfbench/layers.go, whose files define the benchmark) reads
 	// them.
-	Steals, WorkerReleases, PoolSearches int64
-	// SpeculativeStarts and SpeculativeWins are always 0.
+	Steals         int64 `json:"-"`
+	WorkerReleases int64 `json:"-"`
+	PoolSearches   int64 `json:"-"`
+	// SpeculativeStarts and SpeculativeWins are always 0, and are not
+	// sent over HTTP.
 	//
 	// Deprecated: FindGrid no longer speculates cells ahead of their
 	// dominance predecessor — the look-ahead never paid for itself in
 	// measurement — so nothing is counted here. The fields stay because
 	// the benchmark harness (perfbench/layers.go, whose files define
 	// the benchmark) reads both.
-	SpeculativeStarts, SpeculativeWins int64
+	SpeculativeStarts int64 `json:"-"`
+	SpeculativeWins   int64 `json:"-"`
 	// BoundInjections and SeedInjections count live broadcasts of a
 	// solved cell's proven bound / incumbent clique into searches still
 	// running on the same graph generation.
-	BoundInjections, SeedInjections int64
-	// Enumerations counts Session.Enumerate calls that ran the collect
-	// search; EnumCacheHits counts ones answered from the per-epoch
-	// enumeration cache. EnumMaintained and EnumRecomputed count cached
+	BoundInjections int64 `json:"bound_injections"`
+	SeedInjections  int64 `json:"seed_injections"`
+	// Enumerations counts collect searches: Session.Enumerate calls the
+	// per-epoch enumeration cache did not answer, and cached sets an
+	// Apply re-enumerated; EnumCacheHits counts Enumerate calls the
+	// cache answered. EnumMaintained and EnumRecomputed count cached
 	// sets an Apply carried forward by survivor filtering versus
 	// re-enumerated from scratch.
-	Enumerations, EnumCacheHits    int64
-	EnumMaintained, EnumRecomputed int64
+	Enumerations   int64 `json:"enumerations"`
+	EnumCacheHits  int64 `json:"enum_cache_hits"`
+	EnumMaintained int64 `json:"enum_maintained"`
+	EnumRecomputed int64 `json:"enum_recomputed"`
 }
 
 // Session prepares a graph — CSR, reduction snapshots per k, peel-rank

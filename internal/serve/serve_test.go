@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -149,6 +151,37 @@ func TestServeEndToEnd(t *testing.T) {
 	request(t, ts, "DELETE", "/v1/graphs/g", "", "", http.StatusOK)
 	request(t, ts, "DELETE", "/v1/graphs/g", "", "", http.StatusNotFound)
 	queryGraph(t, ts, "g", q, http.StatusNotFound)
+}
+
+// GET /v1/graphs/{name} sends session_stats under exactly these
+// snake_case keys: no Go field names, and none of the five deprecated
+// counters that are always 0.
+func TestGraphInfoSessionStatsKeys(t *testing.T) {
+	_, ts := startServer(t, Config{})
+	createGraph(t, ts, "g", testGraphText)
+	queryGraph(t, ts, "g", QueryRequest{K: 2, Delta: 0}, http.StatusOK)
+	var info struct {
+		SessionStats map[string]int64 `json:"session_stats"`
+	}
+	if err := json.Unmarshal(request(t, ts, "GET", "/v1/graphs/g", "", "", http.StatusOK), &info); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"applies", "bound_checks", "bound_injections", "bound_prunes",
+		"comp_preps_reused", "dominance_skips", "donations", "enum_cache_hits",
+		"enum_maintained", "enum_recomputed", "enumerations", "epoch", "nodes",
+		"pool_dropped", "pool_retained", "queries", "reduction_builds",
+		"reduction_chained", "reduction_reuses", "seed_injections",
+		"snapshots_patched", "snapshots_reused", "snapshots_rippled",
+		"warm_starts",
+	}
+	got := slices.Sorted(maps.Keys(info.SessionStats))
+	if !slices.Equal(got, want) {
+		t.Fatalf("session_stats keys %v, want %v", got, want)
+	}
+	if info.SessionStats["queries"] != 1 || info.SessionStats["reduction_builds"] != 1 {
+		t.Fatalf("session_stats %v: want 1 query and 1 reduction build", info.SessionStats)
+	}
 }
 
 func TestServeRawUploadAndLimits(t *testing.T) {

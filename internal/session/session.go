@@ -140,7 +140,11 @@ type Query struct {
 
 // Stats aggregates the work of every query answered so far.
 type Stats struct {
-	// Queries is the number of Find/FindGrid cells answered.
+	// Queries is the number of cells answered: Find calls and FindGrid
+	// cells, plus every enumeration that ran a collect search (an
+	// Enumerate call, or a cached set an Apply re-enumerated).
+	// Enumerate calls answered from the enumeration cache are not
+	// counted.
 	Queries int64
 	// Nodes, Donations, BoundChecks and BoundPrunes sum the
 	// corresponding per-query search stats.
@@ -189,9 +193,10 @@ type Stats struct {
 	// (perfbench/layers.go, whose files define the benchmark) reads
 	// both.
 	SpeculativeStarts, SpeculativeWins int64
-	// Enumerations counts Enumerate calls that ran the collect search;
-	// EnumCacheHits counts ones answered from the epoch's enumeration
-	// cache; EnumMaintained/EnumRecomputed count cached sets an Apply
+	// Enumerations counts collect searches: Enumerate calls the epoch's
+	// enumeration cache did not answer, and cached sets an Apply
+	// re-enumerated; EnumCacheHits counts Enumerate calls the cache
+	// answered; EnumMaintained/EnumRecomputed count cached sets an Apply
 	// carried forward by survivor filtering vs re-enumerated from
 	// scratch.
 	Enumerations, EnumCacheHits    int64
