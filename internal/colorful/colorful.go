@@ -8,6 +8,11 @@
 //   - colorful core numbers / colorful degeneracy (Definitions 8–9) and
 //     the colorful-core peeling order used by CalColorOD,
 //   - the colorful h-index (Definition 10).
+//
+// All of them count on one Tally: per row, how many neighbours wear
+// each (attribute, colour) pair, with Da and Db kept per row and the
+// mixed count only on enhanced tallies (EnhancedKCore, ClassCounts, and
+// internal/reduce's EnColorfulSup, whose rows are edges).
 package colorful
 
 import (
@@ -82,7 +87,7 @@ func EnhancedKCore(g *graph.Graph, col *color.Coloring, k int32) []bool {
 }
 
 // peel is KCore (enhanced false) and EnhancedKCore (enhanced true): it
-// removes vertices whose Tally.Degree is below k until none is left,
+// removes vertices whose Tally.degree is below k until none is left,
 // and returns the alive mask. A vertex is re-tested only when one of
 // its colours vanishes for an attribute, the only event that lowers
 // its degree.
@@ -105,7 +110,7 @@ func peel(g *graph.Graph, col *color.Coloring, k int32, enhanced bool) []bool {
 		}
 	}
 	for v := int32(0); v < n; v++ {
-		if t.Degree(v) < k {
+		if t.degree(v) < k {
 			push(v)
 		}
 	}
@@ -115,7 +120,7 @@ func peel(g *graph.Graph, col *color.Coloring, k int32, enhanced bool) []bool {
 		alive[v] = false
 		av, cv := g.Attr(v), col.Of(v)
 		for _, w := range g.Neighbors(v) {
-			if alive[w] && t.Remove(w, av, cv) && t.Degree(w) < k {
+			if alive[w] && t.Remove(w, av, cv) && t.degree(w) < k {
 				push(w)
 			}
 		}
@@ -150,7 +155,7 @@ func Decompose(g *graph.Graph, col *color.Coloring) *Decomposition {
 	key := make([]int32, n)
 	maxKey := int32(0)
 	for v := int32(0); v < n; v++ {
-		key[v] = t.Degree(v)
+		key[v] = t.degree(v)
 		maxKey = max(maxKey, key[v])
 	}
 	// Lazy bucket queue: buckets[d] holds candidates whose key may be d;
@@ -187,7 +192,7 @@ func Decompose(g *graph.Graph, col *color.Coloring) *Decomposition {
 			if !t.Remove(w, av, cv) {
 				continue
 			}
-			if nk := t.Degree(w); nk < key[w] {
+			if nk := t.degree(w); nk < key[w] {
 				key[w] = nk
 				buckets[nk] = append(buckets[nk], w)
 				ptr = min(ptr, nk)

@@ -53,7 +53,7 @@ func NewTally(rows, colours int32, enhanced bool) *Tally {
 // whether colour c thereby appeared for attribute a there.
 func (t *Tally) Add(row int32, a graph.Attr, c int32) bool {
 	s := 32 * uint(a&1)
-	x := t.set(row, c, t.get(row, c)+1<<s)
+	x := t.bump(row, c, 1<<s)
 	if uint32(x>>s) != 1 {
 		return false
 	}
@@ -69,7 +69,8 @@ func (t *Tally) Add(row int32, a graph.Attr, c int32) bool {
 // a there.
 func (t *Tally) Remove(row int32, a graph.Attr, c int32) bool {
 	s := 32 * uint(a&1)
-	x := t.set(row, c, t.get(row, c)-1<<s)
+	one := uint64(1) << s
+	x := t.bump(row, c, -one)
 	if uint32(x>>s) != 0 {
 		return false
 	}
@@ -80,34 +81,37 @@ func (t *Tally) Remove(row int32, a graph.Attr, c int32) bool {
 	return true
 }
 
-// get returns row's counter word of colour c.
-func (t *Tally) get(row, c int32) uint64 {
+// bump adds d, modulo 2⁶⁴, to row's counter word of colour c and
+// returns the new word.
+func (t *Tally) bump(row, c int32, d uint64) uint64 {
 	if t.flat != nil {
-		return t.flat[int(row)*t.colors+int(c)]
+		p := &t.flat[int(row)*t.colors+int(c)]
+		*p += d
+		return *p
 	}
-	return t.maps[row][c]
-}
-
-// set stores x as row's counter word of colour c and returns it.
-func (t *Tally) set(row, c int32, x uint64) uint64 {
-	if t.flat != nil {
-		t.flat[int(row)*t.colors+int(c)] = x
-		return x
+	m := t.maps[row]
+	if m == nil {
+		m = make(map[int32]uint64, 4)
+		t.maps[row] = m
 	}
-	if t.maps[row] == nil {
-		t.maps[row] = make(map[int32]uint64, 4)
-	}
+	x := m[c] + d
 	if x == 0 {
-		delete(t.maps[row], c)
+		delete(m, c)
 	} else {
-		t.maps[row][c] = x
+		m[c] = x
 	}
 	return x
 }
 
-// Count returns how many of row's neighbours wear (a, c).
-func (t *Tally) Count(row int32, a graph.Attr, c int32) int32 {
-	return int32(uint32(t.get(row, c) >> (32 * uint(a&1))))
+// count returns how many of row's neighbours wear (a, c).
+func (t *Tally) count(row int32, a graph.Attr, c int32) int32 {
+	var x uint64
+	if t.flat != nil {
+		x = t.flat[int(row)*t.colors+int(c)]
+	} else {
+		x = t.maps[row][c]
+	}
+	return int32(uint32(x >> (32 * uint(a&1))))
 }
 
 // Classes returns row's a-only, b-only and mixed colour counts. On a
@@ -119,10 +123,10 @@ func (t *Tally) Classes(row int32) (ca, cb, cm int32) {
 	return t.deg[graph.AttrA][row] - cm, t.deg[graph.AttrB][row] - cm, cm
 }
 
-// Degree is the value the colorful cores peel by: min(Da, Db) on a
+// degree is the value the colorful cores peel by: min(Da, Db) on a
 // plain tally (Lemma 1) and the enhanced colorful degree ED on an
 // enhanced one (Lemma 2).
-func (t *Tally) Degree(row int32) int32 {
+func (t *Tally) degree(row int32) int32 {
 	return EDValue(t.Classes(row))
 }
 

@@ -26,11 +26,12 @@ func mapTally(rows, colours int32, enhanced bool) *Tally {
 // row, the attribute, Add or Remove, and the colour. A Remove of a
 // counter at zero is skipped, as callers never make one.
 func FuzzTally(f *testing.F) {
-	f.Add([]byte{1, 1, 0, 0, 0, 1, 0})
-	f.Add([]byte{2, 3, 1, 0, 0, 2, 0, 4, 0, 6, 0, 3, 0})
-	f.Add([]byte{4, 70, 1, 0x10, 66, 0x12, 66, 0x13, 66, 0x11, 66, 0x20, 3, 0x22, 3})
-	f.Add([]byte{8, 130, 0, 0x70, 129, 0x72, 129, 0x71, 129, 0x73, 129, 0x00, 0})
-	f.Add([]byte{3, 0, 1, 0x00, 0, 0x02, 0, 0x01, 0, 0x03, 0})
+	// Op bytes: row<<4 | remove<<1 | attribute.
+	f.Add([]byte{1, 1, 0, 0x00, 0, 0x02, 0})                                                   // plain add and remove
+	f.Add([]byte{2, 3, 1, 0x00, 2, 0x01, 2, 0x03, 2, 0x02, 2})                                 // a colour turns mixed, b leaves first
+	f.Add([]byte{2, 3, 1, 0x10, 1, 0x11, 1, 0x12, 1, 0x13, 1})                                 // the same on row 1, a leaves first
+	f.Add([]byte{8, 130, 0, 0x70, 129, 0x71, 129, 0x70, 129, 0x71, 129, 0x73, 129, 0x72, 129}) // 130 colours, counters at 2
+	f.Add([]byte{3, 0, 1, 0x00, 0, 0x01, 0, 0x03, 0, 0x02, 0})                                 // zero colours
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) < 3 {
 			return
@@ -48,7 +49,7 @@ func FuzzTally(f *testing.F) {
 			a := graph.Attr(in[i] & 1)
 			add := in[i]&2 == 0
 			c := int32(in[i+1]) % nc
-			if !add && flat.Count(row, a, c) == 0 {
+			if !add && flat.count(row, a, c) == 0 {
 				continue
 			}
 			var fr, mr bool
@@ -65,16 +66,16 @@ func FuzzTally(f *testing.F) {
 			if add {
 				edge = 1
 			}
-			if fr != (flat.Count(row, a, c) == edge) {
-				t.Fatalf("step %d: returned %v with the counter at %d", i, fr, flat.Count(row, a, c))
+			if fr != (flat.count(row, a, c) == edge) {
+				t.Fatalf("step %d: returned %v with the counter at %d", i, fr, flat.count(row, a, c))
 			}
 			for r := int32(0); r < rows; r++ {
 				var da, db, dm int32
 				for c := int32(0); c < nc; c++ {
-					ca, cb := flat.Count(r, graph.AttrA, c), flat.Count(r, graph.AttrB, c)
-					if ca != maps.Count(r, graph.AttrA, c) || cb != maps.Count(r, graph.AttrB, c) {
+					ca, cb := flat.count(r, graph.AttrA, c), flat.count(r, graph.AttrB, c)
+					if ca != maps.count(r, graph.AttrA, c) || cb != maps.count(r, graph.AttrB, c) {
 						t.Fatalf("step %d: row %d colour %d: flat counts (%d, %d), map (%d, %d)",
-							i, r, c, ca, cb, maps.Count(r, graph.AttrA, c), maps.Count(r, graph.AttrB, c))
+							i, r, c, ca, cb, maps.count(r, graph.AttrA, c), maps.count(r, graph.AttrB, c))
 					}
 					if ca > 0 {
 						da++
@@ -95,7 +96,7 @@ func FuzzTally(f *testing.F) {
 					if got := [3]int32{ca, cb, cm}; got != want {
 						t.Fatalf("step %d: row %d classes %v, recount %v (map path %v)", i, r, got, want, tl.maps != nil)
 					}
-					if got := tl.Degree(r); got != EDValue(want[0], want[1], want[2]) {
+					if got := tl.degree(r); got != EDValue(want[0], want[1], want[2]) {
 						t.Fatalf("step %d: row %d degree %d, want %d", i, r, got, EDValue(want[0], want[1], want[2]))
 					}
 				}

@@ -4,7 +4,10 @@
 // EnColorfulSup (Definition 7, Lemma 4). Both are truss-decomposition
 // style algorithms: they iteratively delete edges whose (enhanced)
 // colorful support cannot occur inside a relative fair clique of the
-// requested size, propagating support decrements over triangles.
+// requested size, propagating support decrements over triangles. Both
+// run one body per path: supDense on bitset rows for small graphs, and
+// supMerge on sorted lists with a colorful.Tally of one row per edge,
+// which keeps the mixed count only for EnColorfulSup.
 package reduce
 
 import (
