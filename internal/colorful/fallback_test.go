@@ -4,15 +4,16 @@ import (
 	"testing"
 
 	"fairclique/internal/color"
+	"fairclique/internal/graph"
 )
 
 // withMapFallback runs fn with the flat-array budget forced to zero so
 // every counter uses the per-vertex map path.
 func withMapFallback(t *testing.T, fn func()) {
 	t.Helper()
-	old := flatBudget
-	flatBudget = 0
-	defer func() { flatBudget = old }()
+	old := FlatBudget
+	FlatBudget = 0
+	defer func() { FlatBudget = old }()
 	fn()
 }
 
@@ -51,4 +52,19 @@ func TestMapFallbackEquivalence(t *testing.T) {
 			}
 		}
 	})
+}
+
+// A tally of zero colours still counts colour 0, on both paths.
+func TestCounterZeroColors(t *testing.T) {
+	for _, tl := range []*Tally{NewTally(3, 0, false), mapTally(3, 0, true)} {
+		if !tl.Add(0, graph.AttrA, 0) {
+			t.Fatal("first Add should report the colour appearing")
+		}
+		if tl.count(0, graph.AttrA, 0) != 1 {
+			t.Fatal("count after Add")
+		}
+		if !tl.Remove(0, graph.AttrA, 0) {
+			t.Fatal("Remove to zero should report the colour vanishing")
+		}
+	}
 }

@@ -19,7 +19,7 @@ import (
 // A row's two counters of one colour share a word: the a-count in the
 // low half, the b-count in the high half, so the mixed test reads
 // nothing more. Storage is a flat [rows × colours] array of these words
-// while rows × 2 × colours fits flatBudget, and a lazily made map per
+// while rows × 2 × colours fits FlatBudget, and a lazily made map per
 // row past it.
 type Tally struct {
 	colors int
@@ -29,9 +29,10 @@ type Tally struct {
 	mixed  []int32    // colours both attributes wear; nil on a plain tally
 }
 
-// flatBudget caps the flat array at 32M counters (128 MB). It is a
-// variable so tests can force the map path.
-var flatBudget int64 = 1 << 25
+// FlatBudget caps the flat array at 32M counters (128 MB). It is a
+// variable so tests, here and in internal/reduce, can force the map
+// path; nothing else sets it.
+var FlatBudget int64 = 1 << 25
 
 // NewTally returns an empty tally of rows rows over colours colours;
 // enhanced selects whether it keeps the mixed count.
@@ -41,7 +42,7 @@ func NewTally(rows, colours int32, enhanced bool) *Tally {
 	if enhanced {
 		t.mixed = make([]int32, rows)
 	}
-	if int64(rows)*2*int64(t.colors) <= flatBudget {
+	if int64(rows)*2*int64(t.colors) <= FlatBudget {
 		t.flat = make([]uint64, int(rows)*t.colors)
 	} else {
 		t.maps = make([]map[int32]uint64, rows)

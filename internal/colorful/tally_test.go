@@ -8,9 +8,9 @@ import (
 
 // mapTally returns a tally forced onto the per-row map path.
 func mapTally(rows, colours int32, enhanced bool) *Tally {
-	old := flatBudget
-	flatBudget = 0
-	defer func() { flatBudget = old }()
+	old := FlatBudget
+	FlatBudget = 0
+	defer func() { FlatBudget = old }()
 	return NewTally(rows, colours, enhanced)
 }
 

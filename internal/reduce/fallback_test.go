@@ -4,29 +4,40 @@ import (
 	"testing"
 
 	"fairclique/internal/color"
+	"fairclique/internal/colorful"
 )
 
-// The per-edge map fallback must agree exactly with the flat-array path
-// for both support reductions.
+// The merge path's per-edge tally, forced onto its map path, must agree
+// exactly with the flat path for both support reductions. At k = 1 and
+// 2 they peel part of the graph, at k = 3 all of it.
 func TestEdgeCounterMapFallbackEquivalence(t *testing.T) {
-	setDenseCutoff(t, 0) // the counters live on the merge path
+	setDenseCutoff(t, 0) // the tally lives on the merge path
 	g := random(99, 50, 0.3)
 	col := color.Greedy(g)
-	flatPlain := ColorfulSup(g, col, 3)
-	flatEn := EnColorfulSup(g, col, 3)
+	for k := int32(1); k <= 3; k++ {
+		flatPlain := ColorfulSup(g, col, k)
+		flatEn := EnColorfulSup(g, col, k)
 
-	old := flatBudget
-	flatBudget = 0
-	defer func() { flatBudget = old }()
+		old := colorful.FlatBudget
+		colorful.FlatBudget = 0
+		plain := ColorfulSup(g, col, k)
+		en := EnColorfulSup(g, col, k)
+		colorful.FlatBudget = old
 
-	plain := ColorfulSup(g, col, 3)
-	en := EnColorfulSup(g, col, 3)
-	for e := range plain.EdgeAlive {
-		if plain.EdgeAlive[e] != flatPlain.EdgeAlive[e] {
-			t.Fatalf("ColorfulSup diverges at edge %d", e)
+		kept := 0
+		for e := range plain.EdgeAlive {
+			if plain.EdgeAlive[e] != flatPlain.EdgeAlive[e] {
+				t.Fatalf("k=%d: ColorfulSup diverges at edge %d", k, e)
+			}
+			if en.EdgeAlive[e] != flatEn.EdgeAlive[e] {
+				t.Fatalf("k=%d: EnColorfulSup diverges at edge %d", k, e)
+			}
+			if en.EdgeAlive[e] {
+				kept++
+			}
 		}
-		if en.EdgeAlive[e] != flatEn.EdgeAlive[e] {
-			t.Fatalf("EnColorfulSup diverges at edge %d", e)
+		if k == 2 && (kept == 0 || kept == len(en.EdgeAlive)) {
+			t.Fatalf("k=2: EnColorfulSup keeps %d of %d edges; want a partial peel", kept, len(en.EdgeAlive))
 		}
 	}
 }
