@@ -31,15 +31,15 @@ build:
 test:
 	$(GO) test ./...
 
-# The engine's parallel paths — the root split and its subtree work
-# donation, the chunked-row kernels, concurrent grids and queries on
+# The engine's parallel paths — the root split, the chunked-row
+# kernels, concurrent grids and queries on
 # one session (every parallel search on the split), the serve layer
 # (registry, write buffer, cache, admission gate) and the public
 # Graph's lazy freeze — under the race detector. The root package runs
 # only its concurrency hammers (the oracle suites are too slow for
 # -race and have no shared state to race on).
 test-race:
-	$(GO) test -race ./internal/core ./internal/bounds ./internal/graph ./internal/session ./internal/reduce ./internal/sched ./internal/serve ./internal/enum
+	$(GO) test -race ./internal/core ./internal/bounds ./internal/graph ./internal/session ./internal/reduce ./internal/serve ./internal/enum
 	$(GO) test -race -run 'Concurrent|SnapshotVsApply' .
 
 race: test-race

@@ -574,10 +574,9 @@ type SessionStats struct {
 	// Enumerate calls answered from the enumeration cache are not
 	// counted.
 	Queries int64 `json:"queries"`
-	// Nodes, Donations, BoundChecks and BoundPrunes sum the per-query
-	// search stats.
+	// Nodes, BoundChecks and BoundPrunes sum the per-query search
+	// stats.
 	Nodes       int64 `json:"nodes"`
-	Donations   int64 `json:"donations"`
 	BoundChecks int64 `json:"bound_checks"`
 	BoundPrunes int64 `json:"bound_prunes"`
 	// ReductionBuilds counts reduction-pipeline runs; ReductionChained
@@ -618,10 +617,9 @@ type SessionStats struct {
 	//
 	// Deprecated: the session-lifetime worker pool they counted was
 	// removed because it never paid for itself in measurement; every
-	// parallel query now splits its own search, whose donated subtrees
-	// Donations counts. The fields stay because the benchmark harness
-	// (perfbench/layers.go, whose files define the benchmark) reads
-	// them.
+	// parallel query now splits its own search. The fields stay because
+	// the benchmark harness (perfbench/layers.go, whose files define the
+	// benchmark) reads them.
 	Steals         int64 `json:"-"`
 	WorkerReleases int64 `json:"-"`
 	PoolSearches   int64 `json:"-"`
@@ -990,7 +988,6 @@ func (s *Session) Stats() SessionStats {
 	return SessionStats{
 		Queries:          st.Queries,
 		Nodes:            st.Nodes,
-		Donations:        st.Donations,
 		BoundChecks:      st.BoundChecks,
 		BoundPrunes:      st.BoundPrunes,
 		ReductionBuilds:  st.ReductionBuilds,

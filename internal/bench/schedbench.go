@@ -52,9 +52,6 @@ type SchedBenchResult struct {
 	// AllMatch is true iff every cell agreed in size across every run
 	// — the record is only trustworthy when it is.
 	AllMatch bool `json:"all_match"`
-	// Donations counts the subtrees the best W4 run's split workers
-	// handed to idle peers.
-	Donations int64 `json:"donations"`
 	// Curve is the scaling curve over the -workers-curve counts
 	// (default 1, 2, 4, 8).
 	Curve []SchedCurvePoint `json:"curve"`
@@ -89,21 +86,19 @@ func SchedBench(cfg Config) (res SchedBenchResult, err error) {
 
 	// A fresh session per repetition: a warm one would answer the
 	// repeated grid from memory and measure the split of nothing.
-	measure := func(opt session.Options) (float64, []int, session.Stats, error) {
+	measure := func(opt session.Options) (float64, []int, error) {
 		var best float64
 		var sizes []int
-		var stats session.Stats
 		for rep := 0; rep < 3; rep++ {
 			s := session.New(g, opt)
 			start := time.Now()
 			rs, err := s.FindGrid(qs)
 			elapsed := time.Since(start).Seconds()
 			if err != nil {
-				return 0, nil, stats, err
+				return 0, nil, err
 			}
 			if rep == 0 || elapsed < best {
 				best = elapsed
-				stats = s.Stats()
 			}
 			if sizes == nil {
 				sizes = make([]int, len(rs))
@@ -113,18 +108,18 @@ func SchedBench(cfg Config) (res SchedBenchResult, err error) {
 			} else {
 				for i, r := range rs {
 					if r.Size() != sizes[i] {
-						return 0, nil, stats, fmt.Errorf("sched bench: cell %d unstable across repetitions (%d vs %d)", i, r.Size(), sizes[i])
+						return 0, nil, fmt.Errorf("sched bench: cell %d unstable across repetitions (%d vs %d)", i, r.Size(), sizes[i])
 					}
 				}
 			}
 		}
-		return best, sizes, stats, nil
+		return best, sizes, nil
 	}
 
 	w1 := base
 	w1.Workers = 1
 	var w1Sizes []int
-	if res.W1Seconds, w1Sizes, _, err = measure(w1); err != nil {
+	if res.W1Seconds, w1Sizes, err = measure(w1); err != nil {
 		return res, err
 	}
 	for i, q := range qs {
@@ -135,12 +130,11 @@ func SchedBench(cfg Config) (res SchedBenchResult, err error) {
 
 	split := base
 	split.Workers = schedWorkers
-	splitSecs, splitSizes, splitStats, err := measure(split)
+	splitSecs, splitSizes, err := measure(split)
 	if err != nil {
 		return res, err
 	}
 	res.SplitW4Seconds = splitSecs
-	res.Donations = splitStats.Donations
 	for i := range qs {
 		if splitSizes[i] != w1Sizes[i] {
 			res.AllMatch = false
@@ -166,7 +160,7 @@ func SchedBench(cfg Config) (res SchedBenchResult, err error) {
 		default:
 			opt := base
 			opt.Workers = wk
-			s, sizes, _, err := measure(opt)
+			s, sizes, err := measure(opt)
 			if err != nil {
 				return res, err
 			}

@@ -6,10 +6,13 @@
 // the result must still be useful: the incumbent plus a certified upper
 // bound on the optimum. The certificate is built from the same bounds
 // the exact search prunes with — every region the search did not finish
-// (skipped root branches, donated subtrees cut short, whole components
-// never reached) contributes an upper bound on any fair clique inside
-// it, and the certified bound is the max of those contributions and the
-// incumbent, clamped to any trusted StopAtSize or injected bound.
+// (root branches skipped or cut short, whole components never reached)
+// contributes an upper bound on any fair clique inside it, and the
+// certified bound is the max of those contributions and the incumbent,
+// clamped to any trusted StopAtSize or injected bound. The accounting
+// has two layers: splitRoot prices a started component's unclaimed and
+// interrupted root branches, each whole, and sweepFrontier prices every
+// component that was not accounted.
 // Soundness argument: a clique of the optimum size is either inside a
 // fully explored region (then the incumbent matched or beat it —
 // exploration only prunes what is provably no better than the
@@ -156,8 +159,8 @@ func (w *worker) priceRootBranches(tasks []int32) {
 // not accounted as explored, priced or soundly pruned — in practice one
 // the search never started — is priced whole: from the component's
 // attribute histogram (cheap) and, under frontierEvalBudget, the Table
-// II bound of the induced component. Runs after every worker and
-// donated task has finished, so no contribution can arrive later.
+// II bound of the induced component. Runs after every worker has
+// returned, so no contribution can arrive later.
 func (s *searcher) sweepFrontier() {
 	for ci, comp := range s.p.comps {
 		if s.compAccounted[ci].Load() {

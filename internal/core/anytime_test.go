@@ -175,7 +175,7 @@ func TestAbortWithTrustedBoundIsExact(t *testing.T) {
 }
 
 // An aborted component is priced once: its unexplored root branches
-// (and donated subtrees) carry its frontier, and the component is then
+// carry its frontier, and the component is then
 // accounted, so the frontier sweep does not price it whole again. The
 // certificate of a budgeted serial search of a one-component graph
 // therefore falls below the whole component's Table II bound.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"slices"
 	"testing"
 
@@ -10,7 +9,6 @@ import (
 	"fairclique/internal/graph"
 	"fairclique/internal/reduce"
 	"fairclique/internal/rng"
-	"fairclique/internal/sched"
 )
 
 // runWithSliceOracle runs MaxRFC with the legacy binary-search slice
@@ -272,10 +270,9 @@ func TestRowRepresentationSelection(t *testing.T) {
 }
 
 // starvedGraph has exactly three attribute-a vertices, so a root split
-// yields only three tasks: with eight workers, five start hungry and
-// can only be fed by subtree donation. The b-side subtrees are deep,
-// which is precisely the deep-left starvation case the donation path
-// exists for.
+// yields only three tasks: with eight workers, the split starts three
+// and the other five never run. The b-side subtrees are deep, so each
+// root branch is a large tree of its own.
 func starvedGraph(seed uint64, n int) *graph.Graph {
 	r := rng.New(seed)
 	b := graph.NewBuilder(n)
@@ -297,8 +294,8 @@ func starvedGraph(seed uint64, n int) *graph.Graph {
 }
 
 // searchSingleComponent drives searchComponent directly, so a fixture
-// takes the root split + stealing machinery at any workers > 1 without
-// going through Search's component rule. The returned searcher's best
+// takes the root split at any workers > 1 without going through
+// Search's component rule. The returned searcher's best
 // clique is in g's own vertex ids.
 func searchSingleComponent(t *testing.T, g *graph.Graph, opt Options, workers int) *searcher {
 	t.Helper()
@@ -311,12 +308,8 @@ func searchSingleComponent(t *testing.T, g *graph.Graph, opt Options, workers in
 }
 
 // A root split with more workers than root branches (three attribute-a
-// vertices, eight workers) must stay exact: the surplus workers start
-// hungry and live entirely off donated subtrees. Donation volume
-// depends on goroutine scheduling (on a single CPU a worker can finish
-// before anyone goes hungry), so occurrence is asserted separately by
-// TestDonationFeedsHungryWorker; here we check exactness and that
-// serial runs never donate. Run with -race via make test-race.
+// vertices, eight workers) must stay exact. Run with -race via make
+// test-race.
 func TestWorkStealingStarvedRootSplit(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		g := starvedGraph(seed, 48)
@@ -324,16 +317,10 @@ func TestWorkStealingStarvedRootSplit(t *testing.T) {
 		serial := searchSingleComponent(t, g, opt, 1)
 		par := searchSingleComponent(t, g, opt, 8)
 		if len(serial.best) != len(par.best) {
-			t.Fatalf("seed=%d: serial %d, stealing %d", seed, len(serial.best), len(par.best))
+			t.Fatalf("seed=%d: serial %d, split %d", seed, len(serial.best), len(par.best))
 		}
 		if len(par.best) > 0 && !g.IsFairClique(par.best, 1, 46) {
-			t.Fatalf("seed=%d: stolen-subtree result invalid", seed)
-		}
-		if par.donations.Load() > 0 {
-			t.Logf("seed=%d: %d subtrees donated", seed, par.donations.Load())
-		}
-		if serial.donations.Load() != 0 {
-			t.Fatalf("seed=%d: serial run reported %d donations", seed, serial.donations.Load())
+			t.Fatalf("seed=%d: split result invalid", seed)
 		}
 	}
 }
@@ -372,63 +359,6 @@ func TestRootSplitCollectsTasks(t *testing.T) {
 	}
 }
 
-// Deterministic donation: a thief is parked in Drain — the hungry
-// state of a split worker whose root cursor ran dry — before the
-// driver branches, so the driver's first expansion is guaranteed to see
-// a hungry peer and ship a subtree through the split's pool. This pins
-// the donate / Drain / runStolen handshake independent of scheduler
-// timing and doubles as the steal-path race test under -race (two
-// goroutines, shared incumbent, donated buffers crossing between
-// them).
-func TestDonationFeedsHungryWorker(t *testing.T) {
-	g := starvedGraph(1, 60)
-	opt := Options{K: 1, Delta: 56}
-	s := &searcher{p: PrepareReduced(g, identity(g.N())), k: 1, delta: 56, opt: opt}
-	if got := s.p.Components(); got != 1 {
-		t.Fatalf("fixture has %d components, want 1", got)
-	}
-	d := s.newCompData(s.p.comps[0])
-	pool := sched.NewPool()
-	d.steal = pool
-
-	// The driver Enters first, so the thief's Drain parks instead of
-	// returning on an empty ledger; the driver's first donation check
-	// then sees it.
-	pool.Enter()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		pool.Drain()
-	}()
-	for !pool.Hungry() {
-		runtime.Gosched()
-	}
-
-	driver := newWorker(d)
-	driver.branchRoot()
-	driver.flushNodes()
-	// The driver has not reached Drain, so only the thief can empty the
-	// queue: once it does, every donated subtree ran on the thief.
-	for pool.Pending() > 0 {
-		runtime.Gosched()
-	}
-	pool.Exit()
-	pool.Drain()
-	<-done
-
-	if s.donations.Load() == 0 {
-		t.Fatal("driver never donated despite a parked hungry thief")
-	}
-
-	serial := searchSingleComponent(t, g, Options{K: 1, Delta: 56}, 1)
-	if len(s.best) != len(serial.best) {
-		t.Fatalf("stolen run found %d, serial %d", len(s.best), len(serial.best))
-	}
-	if len(s.best) > 0 && !g.IsFairClique(s.best, 1, 56) {
-		t.Fatal("stolen run produced an invalid clique")
-	}
-}
-
 // BenchmarkBigComponentPaths measures the chunked engine against the
 // slice oracle on the same >4096-vertex instance BENCH_core.json is
 // recorded on, keeping the cap-lift's "at or above the slice-fallback
@@ -461,8 +391,8 @@ func BenchmarkBigComponentPaths(b *testing.B) {
 	}
 }
 
-// Donation must also cooperate with the abort valve: stolen subtrees
-// stop promptly and never corrupt the incumbent.
+// The split must also cooperate with the abort valve: its workers stop
+// promptly and never corrupt the incumbent.
 func TestWorkStealingWithAbort(t *testing.T) {
 	g := starvedGraph(3, 52)
 	s := searchSingleComponent(t, g, Options{K: 1, Delta: 50, MaxNodes: 500}, 8)
@@ -470,6 +400,6 @@ func TestWorkStealingWithAbort(t *testing.T) {
 		t.Skip("search finished before the cap; nothing to verify")
 	}
 	if s.best != nil && !g.IsFairClique(s.best, 1, 50) {
-		t.Fatal("aborted stealing run produced an invalid clique")
+		t.Fatal("aborted split run produced an invalid clique")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"fairclique/internal/gen"
 	"fairclique/internal/graph"
 	"fairclique/internal/reduce"
-	"fairclique/internal/sched"
 )
 
 // rowKind names the successor-row representation a prepared component
@@ -72,29 +71,23 @@ func newWarmEngine(t testing.TB, g *graph.Graph, opt Options, rows string) (*sea
 // per-node colouring runs on worker scratch rows), on a single-chunk
 // component with flat rows and forced onto chunked rows, and on a multi-chunk
 // >4096-vertex component (dense, sparse and run containers all in
-// play), and with the work-stealing state installed: the donation hook
-// on the hot path is a single atomic load and must not allocate while
-// no worker is hungry.
+// play).
 func TestBranchSteadyStateZeroAllocs(t *testing.T) {
 	small := random(42, 80, 0.4)
 	big := gen.BigComponent(42, 36, 0.5, graph.ChunkBits+120)
 	bounded := Options{K: 2, Delta: 1, UseBounds: true, Extra: bounds.ColorfulDegeneracy}
 	for _, tc := range []struct {
-		name  string
-		g     *graph.Graph
-		opt   Options
-		rows  string
-		steal bool
+		name string
+		g    *graph.Graph
+		opt  Options
+		rows string
 	}{
-		{"plain", small, Options{K: 2, Delta: 1}, "flat", false},
-		{"bounds", small, bounded, "flat", false},
-		{"chunked-plain", small, Options{K: 2, Delta: 1}, "chunked", false},
-		{"chunked-bounds", small, bounded, "chunked", false},
-		{"multichunk-plain", big, Options{K: 2, Delta: 1}, "chunked", false},
-		{"multichunk-bounds", big, bounded, "chunked", false},
-		{"steal-config", small, Options{K: 2, Delta: 1, Workers: 2}, "flat", true},
-		{"chunked-steal", small, Options{K: 2, Delta: 1, Workers: 2}, "chunked", true},
-		{"multichunk-steal", big, Options{K: 2, Delta: 1, Workers: 2}, "chunked", true},
+		{"plain", small, Options{K: 2, Delta: 1}, "flat"},
+		{"bounds", small, bounded, "flat"},
+		{"chunked-plain", small, Options{K: 2, Delta: 1}, "chunked"},
+		{"chunked-bounds", small, bounded, "chunked"},
+		{"multichunk-plain", big, Options{K: 2, Delta: 1}, "chunked"},
+		{"multichunk-bounds", big, bounded, "chunked"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.rows == "chunked" {
@@ -103,12 +96,6 @@ func TestBranchSteadyStateZeroAllocs(t *testing.T) {
 			_, w := newWarmEngine(t, tc.g, tc.opt, tc.rows)
 			if tc.name[:4] == "mult" && w.d.words <= graph.ChunkWords {
 				t.Fatalf("multichunk fixture spans %d words; want > %d", w.d.words, graph.ChunkWords)
-			}
-			if tc.steal {
-				// The Workers > 1 configuration: donation pool armed, no
-				// hungry worker. Every branch pays exactly one atomic
-				// load.
-				w.d.steal = sched.NewPool()
 			}
 			avg := testing.AllocsPerRun(20, func() {
 				w.branchRoot()

@@ -96,7 +96,7 @@
 //     skips chunks dead in the candidate row, with fused
 //     per-attribute popcounts.
 //   - Both forms hold the same bits and walk the same search tree, so
-//     donation, bound checks and anytime pricing treat them alike.
+//     bound checks and anytime pricing treat them alike.
 //   - All per-node state lives in per-worker arenas indexed by search
 //     depth: the clique buffer rbuf and one candidate row (or slice)
 //     per depth. Steady-state branching performs zero heap allocations
@@ -107,17 +107,13 @@
 //     candidate row's live chunks and and-nots container by container
 //     (ChunkedMatrix.AndNot). It and the root's bounds.Profile compute
 //     ubAD with the one formula bounds.AD.
-//   - Options.Workers > 1 parallelizes *inside* a component: the
-//     branches of the root node are split across workers that share
-//     the atomic incumbent, and once the root branches run dry, idle
-//     workers are fed by subtree-level work donation — a busy worker
-//     that notices a waiter ships the frontier node it was about to
-//     branch into (R prefix, counts and candidate row) instead of
-//     recursing, so deep-left trees no longer starve the split late
-//     in a run. A component takes this split when it is large or when
-//     fewer components than workers remain; smaller ones are fanned
-//     out one per goroutine. Node counting is batched per worker to
-//     keep the shared counters off the hot path.
+//   - Options.Workers > 1 parallelizes *inside* a component: workers
+//     pull the branches of the root node from one atomic cursor and
+//     share the atomic incumbent (splitRoot). A component takes this
+//     split when it is large or when fewer components than workers
+//     remain; smaller ones are fanned out one per goroutine. Node
+//     counting is batched per worker to keep the shared counters off
+//     the hot path.
 //
 // The old binary-search slice path survives only as a differential-test
 // oracle behind the test-only useSliceOracle flag.
@@ -137,7 +133,6 @@ import (
 	"fairclique/internal/graph"
 	"fairclique/internal/heuristic"
 	"fairclique/internal/reduce"
-	"fairclique/internal/sched"
 )
 
 // Options configures a MaxRFC run. The zero value of the feature flags
@@ -170,8 +165,8 @@ type Options struct {
 	// budget is checked at branch granularity, and on expiry the search
 	// stops with the best incumbent found so far plus a certified upper
 	// bound on the optimum (Result.UpperBound) priced from the
-	// unexplored frontier — §IV's bounds over unexplored root branches,
-	// donated subtrees and components double as gap certifiers.
+	// unexplored frontier — §IV's bounds over unexplored root branches
+	// and components double as gap certifiers.
 	// Stats.Aborted is set when the deadline fired.
 	Deadline time.Time
 	// Injector, when non-nil, lets concurrently running searches (the
@@ -181,15 +176,14 @@ type Options struct {
 	// Workers sets the number of goroutines branching concurrently.
 	// A component is root-split when it has more than
 	// smallComponentLimit vertices or fewer than Workers components
-	// remain from it on: its root branches are split across workers
-	// sharing the atomic incumbent, and idle workers are re-fed by
-	// subtree work donation, so Workers > 1 helps even when the reduced
-	// graph is a single component with a skewed tree. The remaining
-	// components are fanned out one per goroutine. Every goroutine
-	// returns before Search does. 0 or 1 searches serially (fully
-	// deterministic). With more workers the optimum size is still
-	// exact, but which of several equally-sized cliques is returned
-	// may vary between runs.
+	// remain from it on: up to Workers goroutines pull its root branches
+	// from one cursor and share the atomic incumbent, so Workers > 1
+	// helps even when the reduced graph is a single component. The
+	// remaining components are fanned out one per goroutine. Every
+	// goroutine returns before Search does. 0 or 1 searches serially
+	// (fully deterministic). With more workers the optimum size is
+	// still exact, but which of several equally-sized cliques is
+	// returned may vary between runs.
 	Workers int
 	// StopAtSize, when positive, is a caller-supplied trusted upper
 	// bound on the optimum (the session layer derives one from already
@@ -227,9 +221,6 @@ type Stats struct {
 	// their component. Neither counts the per-node ubAD bound, and the
 	// check runs only on roots that bound kept.
 	BoundChecks, BoundPrunes int64
-	// Donations counts subtree nodes shipped from busy workers to idle
-	// ones (0 for serial runs).
-	Donations int64
 	// ReducedVertices/ReducedEdges is the graph size after reduction.
 	ReducedVertices, ReducedEdges int32
 	// Components is the number of connected components searched.
@@ -237,8 +228,8 @@ type Stats struct {
 	// HeuristicSize is the size of the HeurRFC seed (0 if unused/none).
 	HeuristicSize int
 	// FrontierPriced counts the unexplored frontier nodes (root
-	// branches, donated subtrees, whole components) priced into the
-	// certificate after an anytime abort (0 for exact runs).
+	// branches, whole components) priced into the certificate after an
+	// anytime abort (0 for exact runs).
 	FrontierPriced int64
 	// Aborted is set when MaxNodes or Deadline stopped the search
 	// early; the result is then inexact with a certified UpperBound.
@@ -584,7 +575,6 @@ func (p *Prepared) Search(opt Options, seed []int32) (*Result, error) {
 	res.Stats.Nodes = s.nodes.Load()
 	res.Stats.BoundChecks = s.boundChecks.Load()
 	res.Stats.BoundPrunes = s.boundPrunes.Load()
-	res.Stats.Donations = s.donations.Load()
 	aborted := s.aborted.Load()
 	if st := s.stopAt.Load(); !s.collectAll && aborted && st > 0 && s.bestSize.Load() >= st {
 		// The incumbent meets a trusted optimum bound, so it is provably
@@ -655,7 +645,6 @@ type searcher struct {
 	nodes       atomic.Int64
 	boundChecks atomic.Int64
 	boundPrunes atomic.Int64
-	donations   atomic.Int64
 	aborted     atomic.Bool // MaxNodes/Deadline tripped: result inexact
 	done        atomic.Bool // StopAtSize reached: stop early, still exact
 
@@ -821,9 +810,6 @@ type compPrep struct {
 	wmu  sync.Mutex
 	free []*worker // recycled workers, arenas sized for this component
 
-	tmu   sync.Mutex
-	tfree []*subtreeTask // recycled donation buffers, rows sized for this component
-
 	pmu      sync.Mutex
 	profiles map[bounds.Extra]bounds.Profile // the whole component's, by Extra
 }
@@ -882,41 +868,12 @@ func (c *compPrep) putWorker(w *worker) {
 	c.wmu.Unlock()
 }
 
-// getTask pops a recycled donation buffer or builds a fresh one. The
-// freelist lives on the compPrep — task rows are sized for this
-// component — so steady-state donation allocates nothing, across
-// searches and across the grid cells of a session.
-func (c *compPrep) getTask() *subtreeTask {
-	c.tmu.Lock()
-	var t *subtreeTask
-	if n := len(c.tfree); n > 0 {
-		t = c.tfree[n-1]
-		c.tfree = c.tfree[:n-1]
-	}
-	c.tmu.Unlock()
-	if t == nil {
-		t = &subtreeTask{cand: graph.NewLiveRow(c.n)}
-	}
-	return t
-}
-
-// putTask recycles a donation buffer after its subtree ran. The
-// per-search reference is dropped so a parked task does not retain a
-// finished search's state.
-func (c *compPrep) putTask(t *subtreeTask) {
-	t.d = nil
-	c.tmu.Lock()
-	c.tfree = append(c.tfree, t)
-	c.tmu.Unlock()
-}
-
 // compData is one search's view of a prepared component: the shared
-// immutable compPrep plus the searcher (incumbent, counters) and the
-// donation pool of this particular query's root split.
+// immutable compPrep plus the searcher (incumbent, counters) of this
+// particular query.
 type compData struct {
 	*compPrep
-	s     *searcher
-	steal *sched.Pool // subtree work donation; nil when searched serially
+	s *searcher
 }
 
 // newCompData builds a fresh per-search component view over a freshly
@@ -1096,79 +1053,16 @@ func (w *worker) flushNodes() {
 	}
 }
 
-// subtreeTask is one donated branch node: the complete state branchBits
-// needs to resume the subtree on another worker of the split — the
-// per-search component view (which names the searcher whose incumbent
-// the subtree feeds) and the frontier node itself (R prefix, counts,
-// candidate row). It implements sched.Task. Buffers are recycled
-// through the compPrep freelist, so steady-state donation does not
-// allocate.
-type subtreeTask struct {
-	d *compData
-
-	depth      int
-	r          []int32 // R of the node (length depth)
-	cnt, avail [2]int32
-	cand       graph.LiveRow
-}
-
-// Run resumes the donated subtree on the calling goroutine (sched.Task):
-// it binds a worker from the component's freelist — the thief returned
-// its own arenas there when its root cursor ran dry — runs the subtree
-// to completion against the search's incumbent, and recycles both the
-// worker and the task buffer.
-func (t *subtreeTask) Run() {
-	d := t.d
-	w := d.getWorker(d)
-	w.runStolen(t)
-	if d.s.aborted.Load() {
-		// The donated subtree may have been cut short (or, when it was
-		// queued behind a halt, never explored at all): price its root
-		// into the certificate. The task buffer still holds the node
-		// untouched (runStolen copies it into the worker's arenas).
-		// Over-pricing a subtree that actually finished just before the
-		// abort only loosens the bound.
-		w.priceNode(t.depth, t.cnt, t.avail, &t.cand)
-	}
-	w.flushNodes()
-	d.putWorker(w)
-	d.putTask(t)
-}
-
-// donate publishes the child node the caller was about to branch into
-// onto the split's pool. It reports false when no worker is actually
-// waiting (the caller then recurses as usual). The demand re-check and
-// the queue push are separate critical sections; racing donors can
-// over-donate by at most workers-1 tasks, which Drain retires.
-func (w *worker) donate(pool *sched.Pool, depth int, cnt, avail [2]int32, cand graph.LiveRow) bool {
-	if !pool.Wanted() {
-		return false
-	}
-	d := w.d
-	// The O(row) copies happen outside the pool's lock so concurrent
-	// donors and thieves are not serialized behind a memcpy.
-	t := d.getTask()
-	t.d = d
-	t.depth = depth
-	t.r = append(t.r[:0], w.rbuf[:depth]...)
-	t.cnt, t.avail = cnt, avail
-	cand.CopyInto(t.cand)
-	pool.Submit(t)
-	d.s.donations.Add(1)
-	return true
-}
-
 // searchComponent branches the connected component at index ci of the
 // prepared graph. The driver worker runs the root node's prologue
 // (recording, size and attribute feasibility, δ-caps, ubAD) with
 // collect set, so the expansion step yields the root branch vertices
 // instead of recursing; with UseBounds the component's Table II bound
-// then gets its one check (rootCut). With workers > 1 those branches
-// are split across a private pool (splitRoot); otherwise the driver
-// runs them one by one. Root branches are driven explicitly so an
-// anytime abort knows exactly which of them are unexplored and can
-// price them into the certificate; once they are priced the component
-// is accounted, so the frontier sweep does not price it whole again.
+// then gets its one check (rootCut), and splitRoot runs the branches.
+// Root branches are driven explicitly so an anytime abort knows exactly
+// which of them are unexplored and can price them into the certificate;
+// once they are priced the component is accounted, so the frontier
+// sweep does not price it whole again.
 func (s *searcher) searchComponent(ci, workers int) {
 	// Re-checked here (not only at scheduling time) so a component
 	// queued while the incumbent was small is pruned by the incumbent
@@ -1197,27 +1091,7 @@ func (s *searcher) searchComponent(ci, workers int) {
 		prep.putWorker(driver)
 		return
 	}
-	if workers > 1 {
-		s.splitRoot(ci, driver, tasks, workers)
-		return
-	}
-	complete := 0 // tasks[:complete] are fully explored
-	for _, u := range tasks {
-		if s.halted() {
-			break
-		}
-		driver.runRootBranch(u)
-		if s.halted() {
-			break // this branch may have been cut short mid-subtree
-		}
-		complete++
-	}
-	driver.flushNodes()
-	if s.aborted.Load() {
-		driver.priceRootBranches(tasks[complete:])
-	}
-	s.accountComp(ci)
-	prep.putWorker(driver)
+	s.splitRoot(ci, driver, tasks, workers)
 }
 
 // rootCut is the component-root check: the Table II bound of the whole
@@ -1232,93 +1106,63 @@ func (s *searcher) rootCut(prep *compPrep) bool {
 	return true
 }
 
-// splitRoot is the private root split of component ci (the shape of
-// PMC, Rossi et al.): workers pull root branches from a shared cursor;
-// once the cursor runs dry they park in the split's sched.Pool and are
-// re-fed by subtree donation until the whole tree is exhausted. Root
-// branches themselves are never donated: only nodes below the root
-// are. The branch prologue re-checks the incumbent, so branches queued
-// behind a growing incumbent are pruned when claimed. Workers beyond
-// the root-branch count are still useful — they start hungry in Drain
-// and immediately receive donated subtrees. Every worker Enters before
-// its goroutine starts, so the ledger can never momentarily read zero
-// while peers are still spinning up, and every goroutine has returned
-// when splitRoot does.
+// splitRoot runs the root branches of component ci (the shape of PMC,
+// Rossi et al.): the driver, on the calling goroutine, and
+// min(workers, len(tasks))−1 goroutines with workers of their own pull
+// branches from one atomic cursor and run each to completion against
+// the shared incumbent. With one worker no goroutine starts and the
+// branches run in order: the serial search. The branch prologue
+// re-checks the incumbent, so a branch claimed behind a grown incumbent
+// is pruned at once. The WaitGroup join is the whole termination
+// protocol: every goroutine has returned when splitRoot does. After an
+// abort, the claimed branches it may have cut short and the unclaimed
+// ones are priced whole into the certificate.
 func (s *searcher) splitRoot(ci int, driver *worker, tasks []int32, workers int) {
-	d := driver.d
-	prep := d.compPrep
-	// The driver returns to the freelist before its peers finish, and
-	// another search's rootTasks on it would overwrite the collect
-	// buffer tasks aliases: keep a private copy.
-	tasks = append([]int32(nil), tasks...)
-	pool := sched.NewPool()
-	d.steal = pool
-	var next atomic.Int32
-	var wg sync.WaitGroup
-	// Claimed root branches whose subtree a halt may have cut short;
-	// priced after the join when the halt was an abort (anytime only).
-	var incMu sync.Mutex
-	var incomplete []int32
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		wk := driver
-		if i > 0 {
-			wk = prep.getWorker(d)
-		}
-		pool.Enter()
-		go func(wk *worker) {
-			defer wg.Done()
-			for {
-				// The Load guard keeps the cursor bounded (at most one
-				// overshoot per worker): without it, every donation
-				// cycle would Add once more and a long run could wrap
-				// the counter past the task count into negative indices.
-				if !s.halted() && int(next.Load()) < len(tasks) {
-					if t := next.Add(1) - 1; int(t) < len(tasks) {
-						wk.runRootBranch(tasks[t])
-						if s.compAccounted != nil && s.halted() {
-							incMu.Lock()
-							incomplete = append(incomplete, tasks[t])
-							incMu.Unlock()
-						}
-						continue
-					}
-				}
-				break
+	prep := driver.d.compPrep
+	var next atomic.Int32 // overshoots len(tasks) by at most one per worker
+	var mu sync.Mutex
+	var cut []int32 // claimed branches an abort may have cut short
+	run := func(w *worker) {
+		for !s.halted() {
+			i := int(next.Add(1)) - 1
+			if i >= len(tasks) {
+				return
 			}
-			wk.flushNodes()
-			prep.putWorker(wk)
-			// Root cursor dry: this worker stops branching and lives off
-			// donated subtrees (running them through the same freelist it
-			// just returned its arenas to) until the component's ledger
-			// is empty.
-			pool.Exit()
-			pool.Drain()
-		}(wk)
-	}
-	wg.Wait()
-	d.steal = nil
-	if s.aborted.Load() {
-		// Unclaimed root branches plus the claimed-but-interrupted ones
-		// carry the component's unexplored frontier (donated subtrees
-		// price themselves in subtreeTask.Run).
-		rest := int(next.Load())
-		if rest > len(tasks) {
-			rest = len(tasks)
+			w.runRootBranch(tasks[i])
+			if s.aborted.Load() {
+				mu.Lock()
+				cut = append(cut, tasks[i])
+				mu.Unlock()
+			}
 		}
-		pw := prep.getWorker(d)
-		pw.priceRootBranches(tasks[rest:])
-		pw.priceRootBranches(incomplete)
-		prep.putWorker(pw)
+	}
+	var wg sync.WaitGroup
+	for range min(workers, len(tasks)) - 1 {
+		w := prep.getWorker(driver.d)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(w)
+			w.flushNodes()
+			prep.putWorker(w)
+		}()
+	}
+	run(driver)
+	wg.Wait()
+	driver.flushNodes()
+	if s.aborted.Load() {
+		driver.priceRootBranches(cut)
+		driver.priceRootBranches(tasks[min(int(next.Load()), len(tasks)):])
 	}
 	s.accountComp(ci)
+	prep.putWorker(driver)
 }
 
 // rootTasks runs the root node in collect mode and returns the root
-// branch vertices — the tasks a parallel split distributes. The
-// collect arena must be non-nil even when empty: expandBits/expandSlice
-// switch on `collect != nil`, so a nil buffer would silently degrade
-// the split (and the donation machinery behind it) to a serial search.
+// branch vertices — the tasks splitRoot distributes. The collect arena
+// must be non-nil even when empty: expandBits/expandSlice switch on
+// `collect != nil`, so a nil buffer would silently degrade the split to
+// a serial search.
 func (w *worker) rootTasks() []int32 {
 	if w.collectBuf == nil {
 		w.collectBuf = make([]int32, 0, w.d.n)
@@ -1341,8 +1185,7 @@ func (w *worker) branchRoot() {
 }
 
 // runRootBranch executes the root branch on vertex u: the child node
-// the root's expand step would have recursed into. The branch itself is
-// never donated; a split worker donates only below it.
+// the root's expand step would have recursed into.
 func (w *worker) runRootBranch(u int32) {
 	d := w.d
 	var cnt [2]int32
@@ -1357,15 +1200,6 @@ func (w *worker) runRootBranch(u int32) {
 	w.ensureBits(1)
 	avail := w.makeChildBits(w.cand[1], d.fullRow, u, false)
 	w.branchBits(1, cnt, avail)
-}
-
-// runStolen resumes a donated subtree on this worker: the task's R
-// prefix and candidate row are copied into the worker's own arenas.
-func (w *worker) runStolen(t *subtreeTask) {
-	copy(w.rbuf, t.r)
-	w.ensureBits(t.depth)
-	t.cand.CopyInto(w.cand[t.depth])
-	w.branchBits(t.depth, t.cnt, t.avail)
 }
 
 // ensureBits guarantees a candidate row exists for the given depth.
@@ -1656,8 +1490,7 @@ func (w *worker) branchBits(depth int, cnt, avail [2]int32) {
 
 // expandBits branches on every candidate of the given attribute, in id
 // (= peel rank) order, visiting only the live chunks of the candidate
-// row. When another worker is hungry, the child node is donated to it
-// instead of being branched locally.
+// row.
 func (w *worker) expandBits(depth int, attr graph.Attr, declare bool, cnt [2]int32) {
 	d := w.d
 	s := d.s
@@ -1679,17 +1512,12 @@ func (w *worker) expandBits(depth int, attr graph.Attr, declare bool, cnt [2]int
 		w.expandFlat(depth, src, dst, am, declare, ncnt)
 		return
 	}
-	st := d.steal
 	w.forEachLive(src, am, func(u int32) bool {
 		if s.halted() {
 			return false
 		}
 		avail := w.makeChildBits(dst, src, u, declare)
 		w.rbuf[depth] = u
-		if st != nil && avail[0]+avail[1] > 0 && st.Hungry() &&
-			w.donate(st, depth+1, ncnt, avail, dst) {
-			return true // the subtree went to an idle executor
-		}
 		w.branchBits(depth+1, ncnt, avail)
 		return true
 	})
@@ -1704,7 +1532,6 @@ func (w *worker) expandBits(depth int, attr graph.Attr, declare bool, cnt [2]int
 func (w *worker) expandFlat(depth int, src, dst graph.LiveRow, am []uint64, declare bool, ncnt [2]int32) {
 	d := w.d
 	s := d.s
-	st := d.steal
 	restrict := d.fullRow.Words
 	if declare {
 		restrict = am
@@ -1720,13 +1547,8 @@ func (w *worker) expandFlat(depth int, src, dst graph.LiveRow, am []uint64, decl
 				return
 			}
 			a, t := andFlat(dst.Words, src.Words, d.flatRow(u), restrict, maskA)
-			avail := [2]int32{a, t - a}
 			w.rbuf[depth] = u
-			if st != nil && t > 0 && st.Hungry() &&
-				w.donate(st, depth+1, ncnt, avail, dst) {
-				continue // the subtree went to an idle executor
-			}
-			w.branchBits(depth+1, ncnt, avail)
+			w.branchBits(depth+1, ncnt, [2]int32{a, t - a})
 		}
 	}
 }

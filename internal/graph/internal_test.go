@@ -126,9 +126,11 @@ func TestSortHelpersLarge(t *testing.T) {
 	}
 }
 
+// The Fig. 9 vertex sweep induces a random permutation prefix, an
+// unsorted vertex list, with Induce.
 func TestRandomVertexSubset(t *testing.T) {
 	g := FromEdges([]Attr{0, 1, 0, 1}, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {0, 3}})
-	sub := RandomVertexSubset(g, []int32{0, 1, 2})
+	sub := Induce(g, []int32{2, 0, 1})
 	if sub.G.N() != 3 || sub.G.M() != 2 {
 		t.Fatalf("subset n=%d m=%d", sub.G.N(), sub.G.M())
 	}

@@ -169,13 +169,6 @@ func components(g *Graph, alive []bool) [][]int32 {
 	return comps
 }
 
-// RandomVertexSubset is used by the scalability experiment (Fig. 9): it
-// returns the subgraph induced by the given fraction of vertices chosen
-// by the provided picker (a permutation prefix computed by the caller).
-func RandomVertexSubset(g *Graph, keep []int32) *Subgraph {
-	return Induce(g, keep)
-}
-
 // EdgeSubset returns a graph with all vertices of g but only the edges
 // whose ids appear in keep. Used by the Fig. 9 edge-scalability sweep.
 func EdgeSubset(g *Graph, keep []int32) *Graph {

@@ -130,6 +130,25 @@ func BenchmarkPipelineN(b *testing.B) {
 	}
 }
 
+// BenchmarkPipelineNSearchCold reduces the instances of perfbench's
+// search-cold workload in its rotation: op j runs PipelineN on one
+// worker over seed 1's instance (j/6) mod 6, gen.BigComponent(16+i,
+// 230, 0.5, 5120), at the k of rotation cell j mod 6. Every stage keeps
+// the whole 230-vertex nucleus (TestReductionSizesPinned).
+func BenchmarkPipelineNSearchCold(b *testing.B) {
+	ks := []int32{2, 2, 3, 2, 4, 2}
+	gs := make([]*graph.Graph, 6)
+	for i := range gs {
+		gs[i] = gen.BigComponent(16+uint64(i), 230, 0.5, graph.ChunkBits+1024)
+	}
+	b.ReportAllocs()
+	for j := 0; b.Loop(); j++ {
+		if sub, _ := PipelineN(gs[j/len(ks)%len(gs)], ks[j%len(ks)], 1); sub.G.N() != 230 {
+			b.Fatalf("reduced to n=%d; want the 230-vertex nucleus", sub.G.N())
+		}
+	}
+}
+
 // BenchmarkEnColorfulCore runs the first colorful stage of the
 // ingest-answer query, EnColorfulCore at k − 1 = 7, over each of the
 // 601 components of gen.IngestGiant(1, 1.0)'s (2k−1)-core at k = 8,

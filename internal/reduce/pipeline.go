@@ -111,30 +111,41 @@ func PipelineN(g *graph.Graph, k int32, workers int) (*graph.Subgraph, []StageSt
 
 // runStages runs the three colorful reduction stages of Algorithm 2
 // lines 1-3 on one (component) graph: EnColorfulCore with threshold
-// k-1, then ColorfulSup, then EnColorfulSup at k. Each stage
-// re-induces and re-colors the shrunken graph, which only sharpens the
-// next stage.
+// k-1, then ColorfulSup, then EnColorfulSup at k. A stage that removes
+// a vertex or an edge hands the next stage its survivors, re-induced
+// and re-coloured, which only sharpens the next stage. A stage that
+// keeps every vertex and edge hands on its own input graph and
+// colouring unchanged: InduceAlive with everything alive rebuilds the
+// same CSR, and color.Greedy is deterministic on it, so the rebuild
+// would give the next stage exactly the inputs it already has.
 func runStages(g *graph.Graph, k int32) (*graph.Subgraph, [3]StageStats) {
 	var stats [3]StageStats
-
-	col := color.Greedy(g)
-	r := EnColorfulCore(g, col, k-1)
-	sub := r.Materialize(g)
-	stats[0] = StageStats{"EnColorfulCore", r.VerticesLeft, r.EdgesLeft}
-
-	col = color.Greedy(sub.G)
-	r = ColorfulSup(sub.G, col, k)
-	sub2 := r.Materialize(sub.G)
-	sub2.ToParent = chain(sub.ToParent, sub2.ToParent)
-	stats[1] = StageStats{"ColorfulSup", r.VerticesLeft, r.EdgesLeft}
-
-	col = color.Greedy(sub2.G)
-	r = EnColorfulSup(sub2.G, col, k)
-	sub3 := r.Materialize(sub2.G)
-	sub3.ToParent = chain(sub2.ToParent, sub3.ToParent)
-	stats[2] = StageStats{"EnColorfulSup", r.VerticesLeft, r.EdgesLeft}
-
-	return sub3, stats
+	sub := &graph.Subgraph{G: g, ToParent: make([]int32, g.N())}
+	for v := range sub.ToParent {
+		sub.ToParent[v] = int32(v)
+	}
+	var col *color.Coloring // sub.G's colouring; nil until coloured
+	for i, st := range []struct {
+		name string
+		run  func(*graph.Graph, *color.Coloring, int32) *Result
+		k    int32
+	}{
+		{"EnColorfulCore", EnColorfulCore, k - 1},
+		{"ColorfulSup", ColorfulSup, k},
+		{"EnColorfulSup", EnColorfulSup, k},
+	} {
+		if col == nil {
+			col = color.Greedy(sub.G)
+		}
+		r := st.run(sub.G, col, st.k)
+		stats[i] = StageStats{st.name, r.VerticesLeft, r.EdgesLeft}
+		if r.VerticesLeft < sub.G.N() || r.EdgesLeft < sub.G.M() {
+			next := r.Materialize(sub.G)
+			next.ToParent = chain(sub.ToParent, next.ToParent)
+			sub, col = next, nil
+		}
+	}
+	return sub, stats
 }
 
 // chain composes two vertex mappings: outer maps an inner-subgraph id

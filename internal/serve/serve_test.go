@@ -168,7 +168,7 @@ func TestGraphInfoSessionStatsKeys(t *testing.T) {
 	}
 	want := []string{
 		"applies", "bound_checks", "bound_injections", "bound_prunes",
-		"comp_preps_reused", "dominance_skips", "donations", "enum_cache_hits",
+		"comp_preps_reused", "dominance_skips", "enum_cache_hits",
 		"enum_maintained", "enum_recomputed", "enumerations", "epoch", "nodes",
 		"pool_dropped", "pool_retained", "queries", "reduction_builds",
 		"reduction_chained", "reduction_reuses", "seed_injections",

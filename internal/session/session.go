@@ -65,8 +65,9 @@
 // branches a full tree instead of dominance-skipping). Parallelism
 // lives inside each search: with Workers > 1 every Find, grid cell,
 // Enumerate and post-Apply requery runs core's private root split
-// (core.Options.Workers), whose goroutines all return before the
-// query does. A dominance-skipped cell starts none.
+// (core.Options.Workers): its workers pull root branches from one
+// cursor, and all of them return before the query does, a
+// budget-aborted one included. A dominance-skipped cell starts none.
 package session
 
 import (
@@ -146,9 +147,9 @@ type Stats struct {
 	// Enumerate calls answered from the enumeration cache are not
 	// counted.
 	Queries int64
-	// Nodes, Donations, BoundChecks and BoundPrunes sum the
-	// corresponding per-query search stats.
-	Nodes, Donations, BoundChecks, BoundPrunes int64
+	// Nodes, BoundChecks and BoundPrunes sum the corresponding
+	// per-query search stats.
+	Nodes, BoundChecks, BoundPrunes int64
 	// ReductionBuilds counts reduction pipeline runs; ReductionChained
 	// is how many of them started from a smaller-k snapshot instead of
 	// the original graph.
@@ -181,10 +182,10 @@ type Stats struct {
 	// Steals, WorkerReleases and PoolSearches are always 0.
 	//
 	// Deprecated: the session-lifetime worker pool they counted was
-	// removed; every parallel search runs core's private root split,
-	// whose donations Donations counts. The fields stay because the
-	// benchmark harness (perfbench/layers.go, whose files define the
-	// benchmark) reads them.
+	// removed; every parallel search runs core's private root split.
+	// The fields stay because the benchmark harness
+	// (perfbench/layers.go, whose files define the benchmark) reads
+	// them.
 	Steals, WorkerReleases, PoolSearches int64
 	// SpeculativeStarts and SpeculativeWins are always 0.
 	//
@@ -482,7 +483,6 @@ func (s *Session) search(e *epoch, q Query, seed []int32, shape core.Options) (*
 	}
 	s.mu.Lock()
 	s.stats.Nodes += res.Stats.Nodes
-	s.stats.Donations += res.Stats.Donations
 	s.stats.BoundChecks += res.Stats.BoundChecks
 	s.stats.BoundPrunes += res.Stats.BoundPrunes
 	if seed != nil {

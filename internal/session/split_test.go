@@ -72,10 +72,35 @@ func ringWithCore(seed uint64, n int) *graph.Graph {
 	return b.Build()
 }
 
+// starvedGraph is one G(n, 0.5) component with exactly three
+// attribute-a vertices: its root has three branches, fewer than the
+// workers a Workers: 8 split could start.
+func starvedGraph(seed uint64, n int) *graph.Graph {
+	r := rng.New(seed)
+	b := graph.NewBuilder(n)
+	for v := 0; v < n; v++ {
+		attr := graph.AttrB
+		if v < 3 {
+			attr = graph.AttrA
+		}
+		b.SetAttr(int32(v), attr)
+	}
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if r.Bool(0.5) {
+				b.AddEdge(int32(u), int32(v))
+			}
+		}
+	}
+	return b.Build()
+}
+
 // An open Workers: 4 session answers Find, FindGrid and Enumerate on
 // the private split exactly like an independent serial run, and every
 // goroutine a call starts has returned when the call does: a session
-// holds no worker between queries, so nobody needs to Close it.
+// holds no worker between queries, so nobody needs to Close it. The
+// same holds after a budget aborts a split and when a component has
+// fewer root branches than workers.
 func TestOpenSessionRunsPrivateSplit(t *testing.T) {
 	g := ringWithCore(4, 1200)
 	opt := Options{UseBounds: true, Extra: bounds.ColorfulDegeneracy, UseHeuristic: true, SkipReduction: true}
@@ -142,4 +167,41 @@ func TestOpenSessionRunsPrivateSplit(t *testing.T) {
 		t.Fatalf("Enumerate: open session %v, independent serial %v", set.Cliques, want.Cliques)
 	}
 	settled("Enumerate")
+
+	// A fresh session, so no earlier answer settles the query before
+	// the budget trips.
+	aq := Query{K: 2, Delta: 1, MaxNodes: 100}
+	if res, err = New(g, par).Find(aq); err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stats.Aborted {
+		t.Fatalf("budgeted Find ran %d nodes without aborting", res.Stats.Nodes)
+	}
+	if res.Size() > 0 && !g.IsFairClique(res.Clique, int(aq.K), int(aq.Delta)) {
+		t.Fatal("aborted Find: invalid clique")
+	}
+	settled("aborted Find")
+
+	sg := starvedGraph(3, 52)
+	sopt := Options{SkipReduction: true}
+	sq := Query{K: 1, Delta: 50}
+	serialSize := independent(t, sg, sq, sopt).Size()
+	sopt.Workers = 8
+	for _, maxNodes := range []int64{0, 500} {
+		sq.MaxNodes = maxNodes
+		got, err := New(sg, sopt).Find(sq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Size() > 0 && !sg.IsFairClique(got.Clique, int(sq.K), int(sq.Delta)) {
+			t.Fatalf("starved Find (MaxNodes %d): invalid clique", maxNodes)
+		}
+		if maxNodes == 0 && got.Size() != serialSize {
+			t.Fatalf("starved Find: split %d, independent %d", got.Size(), serialSize)
+		}
+		if maxNodes > 0 && !got.Stats.Aborted {
+			t.Fatalf("starved Find ran %d nodes without aborting at MaxNodes %d", got.Stats.Nodes, maxNodes)
+		}
+		settled("starved Find")
+	}
 }

@@ -34,9 +34,9 @@ func independentFind(t *testing.T, g *Graph, spec QuerySpec, bound UpperBound) *
 // all six Table II bound configurations and both weak and strong modes
 // alongside the relative cells. Every configuration runs twice: a
 // serial session and a Workers=4 session, the latter splitting every
-// cell's search across workers (root branches from a shared cursor,
-// idle workers fed donated subtrees) on exactly the same grid — the
-// differential guard of the parallel search.
+// cell's search across workers (root branches from a shared cursor)
+// on exactly the same grid — the differential guard of the parallel
+// search.
 func TestSessionGridMatchesIndependentFindAllBounds(t *testing.T) {
 	var reuses int64
 	for seed := uint64(0); seed < 6; seed++ {
