@@ -31,8 +31,8 @@ build:
 test:
 	$(GO) test ./...
 
-# The engine's parallel paths — the root split, the chunked-row
-# kernels, concurrent grids and queries on
+# The engine's parallel paths — the root split (with each worker's
+# per-root tables), concurrent grids and queries on
 # one session (every parallel search on the split), the serve layer
 # (registry, write buffer, cache, admission gate) and the public
 # Graph's lazy freeze — under the race detector. The root package runs
@@ -46,7 +46,7 @@ race: test-race
 
 # Regenerate BENCH_core.json: nodes/sec, allocs/node and the Workers
 # 1-vs-4 wall-clock comparison of the branch-and-bound engine on the
-# >4096-vertex single-component instance (chunked candidate rows), plus
+# >4096-vertex single-component instance (per-root candidate rows), plus
 # the multi-query session experiment (9-cell grid, amortized vs
 # independent) embedded under "grid", the dynamic-session experiment
 # (single-edge Apply+requery vs NewSession+requery) embedded under
@@ -76,7 +76,7 @@ bench:
 # more than 10% on the same instance. The grid and delta experiments
 # hard-fail when a session answer diverges from its independent run.
 # The anytime experiment is the end-to-end run of a bounded search on
-# a multi-chunk component (chunked rows, per-node bound included): it
+# a >4096-vertex component (per-root rows, per-node bound included): it
 # hard-fails if its zero-deadline run reports inexact or any budgeted
 # run breaks the incumbent <= optimum <= certificate sandwich.
 # CI uploads the fresh records as a workflow artifact (see ci.yml).

@@ -22,9 +22,10 @@
 // -attrs-out writes the companion attribute file.
 //
 // The bigcomp model emits a single connected component guaranteed to
-// exceed 4096 vertices (a dense nucleus welded to a long alternating
-// cycle), the instance class the chunked branch-and-bound engine and
-// its benchmarks use to exercise multi-chunk candidate rows.
+// exceed 4096 (graph.ChunkBits) vertices (a dense nucleus welded to a
+// long alternating cycle): too large for one flat row table, so the
+// branch-and-bound engine and its benchmarks search it on per-root
+// rows.
 package main
 
 import (
@@ -85,7 +86,7 @@ func main() {
 		// uniform assignment below is skipped.
 		shell := *n - *core
 		if *n <= graph.ChunkBits {
-			fatal(fmt.Errorf("bigcomp needs -n > %d so the component crosses the chunk boundary (got -n %d)", graph.ChunkBits, *n))
+			fatal(fmt.Errorf("bigcomp needs -n > %d so the component is too large for one flat row table (got -n %d)", graph.ChunkBits, *n))
 		}
 		if *core < 3 {
 			fatal(fmt.Errorf("bigcomp needs -core >= 3 for the nucleus (got -core %d)", *core))

@@ -651,7 +651,7 @@ type SessionStats struct {
 }
 
 // Session prepares a graph — CSR, reduction snapshots per k, peel-rank
-// relabeling, per-component chunked successor masks, attribute
+// relabeling, per-component flat successor rows, attribute
 // histograms — and answers any number of (k, δ, mode) queries against
 // it without repeating that work. Queries also warm-start each other:
 // every exact answer seeds the incumbent of later compatible queries

@@ -16,9 +16,9 @@ import (
 // CoreBenchGraph describes the benchmark instance of the core engine
 // benchmark: a single connected component with more than 4096 vertices
 // (a dense nucleus carrying the branching workload, welded to a long
-// alternating cycle), so every measured run exercises the chunked
-// multi-chunk candidate rows — the regime the old fixed bitset silently
-// fell back to slices on — while remaining the worst case for
+// alternating cycle), so every measured run exercises the per-root
+// rows — a list root whose root branches each build a row table over
+// their own candidates — while remaining the worst case for
 // component-level parallelism (one giant component).
 type CoreBenchGraph struct {
 	Name     string `json:"name"`
@@ -80,7 +80,7 @@ type CoreBenchResult struct {
 
 // coreBenchInstance builds the deterministic single-giant-component
 // instance — gen.BigComponentGiant, the definition shared with the
-// chunked-vs-slice benchmark in internal/core.
+// per-root-vs-slice benchmark in internal/core.
 func coreBenchInstance(scale float64) (*graph.Graph, CoreBenchGraph) {
 	g := gen.BigComponentGiant(scale)
 	return g, CoreBenchGraph{Name: "bigcomp-giant", Vertices: g.N(), Edges: g.M()}

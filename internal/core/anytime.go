@@ -120,19 +120,21 @@ func (s *searcher) price(ub int32) {
 // R with attribute counts cnt and C with avail: by the size and fairness
 // caps and the component's root bound — a region never prices above
 // the component — and, when those leave it above the floor, by
-// nodeBound on the candidate row (nil on the slice oracle path).
-func (w *worker) priceNode(depth int, cnt, avail [2]int32, cand *graph.LiveRow) {
+// nodeBound on the table row cand or, when cand is nil, the list (not
+// on the slice oracle path).
+func (w *worker) priceNode(depth int, cnt, avail [2]int32, cand []uint64, list []int32) {
 	s := w.d.s
 	ub := min(int32(depth)+avail[0]+avail[1], s.fairCap(cnt, avail),
 		w.d.profile(s.opt.Extra).Bound(s.delta))
-	if cand != nil && ub >= 2*s.k && ub > s.priceFloor() {
-		ub = min(ub, w.nodeBound(cnt, avail, *cand))
+	if !w.d.oracle && ub >= 2*s.k && ub > s.priceFloor() {
+		ub = min(ub, w.nodeBound(cnt, avail, cand, list))
 	}
 	s.price(ub)
 }
 
 // priceRootBranches prices each unexplored root branch of a component:
-// the branch vertex u with its full candidate row. A degree pre-filter
+// the branch vertex u with its whole candidate set, a table row when
+// the component has a table and a list otherwise. A degree pre-filter
 // skips branches that cannot move the certificate before any row work
 // happens.
 func (w *worker) priceRootBranches(tasks []int32) {
@@ -143,15 +145,19 @@ func (w *worker) priceRootBranches(tasks []int32) {
 		}
 		var cnt [2]int32
 		cnt[d.comp.Attr(u)]++
-		if !d.bitset() {
+		switch {
+		case d.rows != nil:
+			w.ensureBits(1)
+			avail := w.makeChildBits(w.cand[1], w.cand[0], u, false)
+			w.priceNode(1, cnt, avail, w.cand[1], nil)
+		case d.oracle:
 			w.ensureSlice(1, len(d.allVerts))
 			_, avail := w.makeChildSlice(1, d.allVerts, u, false)
-			w.priceNode(1, cnt, avail, nil)
-			continue
+			w.priceNode(1, cnt, avail, nil, nil)
+		default:
+			child, avail := w.childList(1, d.allVerts, u, false)
+			w.priceNode(1, cnt, avail, nil, child)
 		}
-		w.ensureBits(1)
-		avail := w.makeChildBits(w.cand[1], d.fullRow, u, false)
-		w.priceNode(1, cnt, avail, &w.cand[1])
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 
 // runWithSliceOracle runs MaxRFC with the legacy binary-search slice
 // path forced, which is the independent reference implementation the
-// chunked engine is differentially tested against.
+// bitset engine is differentially tested against.
 func runWithSliceOracle(t *testing.T, g *graph.Graph, opt Options) *Result {
 	t.Helper()
 	old := useSliceOracle
@@ -37,23 +37,28 @@ func sixBoundConfigs(k, delta int) []Options {
 	return out
 }
 
-// runWithChunkedRows runs MaxRFC with chunked successor rows forced on
-// every component, including those that would take flat rows.
-func runWithChunkedRows(t *testing.T, g *graph.Graph, opt Options) *Result {
+// runForced runs MaxRFC with a row-form hook (forcePerRootRows or
+// forceListNodes) in force.
+func runForced(t *testing.T, g *graph.Graph, opt Options, force func() func()) *Result {
 	t.Helper()
-	defer forceChunkedRows()()
+	defer force()()
 	return mustMaxRFC(t, g, opt)
 }
 
 // Differential fuzz: random attributed graphs from the generator suite
-// run through the bitset engine — with flat successor rows where a
-// component qualifies and with chunked rows forced everywhere — and the
-// slice oracle must agree on the maximum fair clique size, and produce
-// valid cliques, across all six Table II bound configurations. The two
-// row representations must also walk the identical search tree: serial
-// runs are deterministic, so their node, bound-check and bound-prune
-// counts must be equal.
+// run through the bitset engine in three regimes — the default rows
+// (a flat table where a component qualifies), per-root rows forced on
+// every component, and list nodes everywhere — and the slice oracle
+// must agree on the maximum fair clique size, with valid cliques,
+// across all six Table II bound configurations. The three regimes must
+// also walk the identical search tree: serial runs are deterministic,
+// so their node, bound-check and bound-prune counts must be equal, and
+// in collect mode they must return the same set of optima.
 func TestDifferentialChunkedVsSliceOracle(t *testing.T) {
+	regimes := []struct {
+		name  string
+		force func() func()
+	}{{"per-root", forcePerRootRows}, {"lists", forceListNodes}}
 	for _, inst := range differentialInstances() {
 		for _, kd := range [][2]int{{1, 1}, {2, 1}, {2, 3}} {
 			k, delta := kd[0], kd[1]
@@ -68,16 +73,31 @@ func TestDifferentialChunkedVsSliceOracle(t *testing.T) {
 					t.Fatalf("%s k=%d δ=%d extra=%v: bitset result not a fair clique",
 						inst.name, k, delta, opt.Extra)
 				}
-				chunked := runWithChunkedRows(t, inst.g, opt)
-				if chunked.Size() != got.Size() {
-					t.Fatalf("%s k=%d δ=%d extra=%v: forced-chunked %d, default rows %d",
-						inst.name, k, delta, opt.Extra, chunked.Size(), got.Size())
+				all := opt
+				all.CollectAll, all.StopAtSize = true, got.Size()
+				var optima [][]int32
+				if got.Size() > 0 {
+					optima = mustMaxRFC(t, inst.g, all).Cliques
 				}
-				if c, f := chunked.Stats, got.Stats; c.Nodes != f.Nodes ||
-					c.BoundChecks != f.BoundChecks || c.BoundPrunes != f.BoundPrunes {
-					t.Fatalf("%s k=%d δ=%d extra=%v: forced-chunked tree (nodes %d, checks %d, prunes %d) != default tree (%d, %d, %d)",
-						inst.name, k, delta, opt.Extra, c.Nodes, c.BoundChecks, c.BoundPrunes,
-						f.Nodes, f.BoundChecks, f.BoundPrunes)
+				for _, r := range regimes {
+					forced := runForced(t, inst.g, opt, r.force)
+					if forced.Size() != got.Size() {
+						t.Fatalf("%s k=%d δ=%d extra=%v: %s %d, default rows %d",
+							inst.name, k, delta, opt.Extra, r.name, forced.Size(), got.Size())
+					}
+					if c, f := forced.Stats, got.Stats; c.Nodes != f.Nodes ||
+						c.BoundChecks != f.BoundChecks || c.BoundPrunes != f.BoundPrunes {
+						t.Fatalf("%s k=%d δ=%d extra=%v: %s tree (nodes %d, checks %d, prunes %d) != default tree (%d, %d, %d)",
+							inst.name, k, delta, opt.Extra, r.name, c.Nodes, c.BoundChecks, c.BoundPrunes,
+							f.Nodes, f.BoundChecks, f.BoundPrunes)
+					}
+					if got.Size() == 0 {
+						continue
+					}
+					if forcedAll := runForced(t, inst.g, all, r.force); !slices.EqualFunc(forcedAll.Cliques, optima, slices.Equal[[]int32]) {
+						t.Fatalf("%s k=%d δ=%d extra=%v: %s collects %d optima, default rows %d",
+							inst.name, k, delta, opt.Extra, r.name, len(forcedAll.Cliques), len(optima))
+					}
 				}
 				// The oracle too must hand back a valid clique under the
 				// same bound configuration.
@@ -91,9 +111,10 @@ func TestDifferentialChunkedVsSliceOracle(t *testing.T) {
 	}
 }
 
-// The differential fuzz above compares flat with chunked rows only if
-// its instances' reduced components take flat rows by default: at
-// least half of the (instance, k) reductions must contain one.
+// The differential fuzz above compares a flat table with per-root rows
+// and list nodes only if its instances' reduced components take flat
+// rows by default: at least half of the (instance, k) reductions must
+// contain one.
 func TestDifferentialInstancesTakeFlatRows(t *testing.T) {
 	flat, total := 0, 0
 	for _, inst := range differentialInstances() {
@@ -138,19 +159,17 @@ func differentialInstances() []instance {
 	return instances
 }
 
-// bigComponentInstance is the force-the-cap fixture: one connected
-// component comfortably past the 4096-vertex chunk boundary, small
+// bigComponentInstance is a fixture past the flat-row rule: one
+// connected component comfortably past graph.ChunkBits vertices, small
 // enough to search exhaustively in a test.
 func bigComponentInstance(seed uint64) *graph.Graph {
 	return gen.BigComponent(seed, 48, 0.55, graph.ChunkBits+160)
 }
 
-// Before the chunked rows landed, a >4096-vertex component silently
-// fell back to the slice path. It must now build the chunked successor
-// matrix — multi-chunk rows included — and match the slice oracle
-// exactly. This is the test-level verification required by the
-// acceptance criteria (not a benchmark-only claim).
-func TestBigComponentUsesChunkedPath(t *testing.T) {
+// A >4096-vertex component gets no flat table: its root is a list node
+// and each root branch builds per-root rows, and the search must match
+// the slice oracle exactly, with and without bounds.
+func TestBigComponentUsesPerRootRows(t *testing.T) {
 	g := bigComponentInstance(11)
 	if g.N() <= graph.ChunkBits {
 		t.Fatalf("fixture has %d vertices; want > %d", g.N(), graph.ChunkBits)
@@ -159,53 +178,124 @@ func TestBigComponentUsesChunkedPath(t *testing.T) {
 	if len(comps) != 1 {
 		t.Fatalf("fixture has %d components, want 1", len(comps))
 	}
-
-	// White-box: the component must be routed to the chunked
-	// representation, never flat rows or the slice fallback.
 	s := &searcher{p: PrepareReduced(g, identity(g.N())), k: 2, delta: 1, opt: Options{K: 2, Delta: 1}}
 	d := s.newCompData(comps[0])
-	if got := rowKind(d.compPrep); got != "chunked" {
-		t.Fatalf("component of %d vertices took %s rows, want chunked", d.n, got)
+	if got := rowKind(d.compPrep); got != "per-root" {
+		t.Fatalf("component of %d vertices took %s rows, want per-root", d.n, got)
 	}
-	if d.words <= graph.ChunkWords {
-		t.Fatalf("candidate rows span %d words; want > one chunk (%d)", d.words, graph.ChunkWords)
-	}
-	multiChunkRows := 0
-	for v := int32(0); v < d.n; v++ {
-		if d.succ.RowBytes(v) > 0 && d.comp.Deg(v) > 2 {
-			multiChunkRows++
-		}
-	}
-	if multiChunkRows == 0 {
-		t.Fatal("no non-trivial successor rows built")
-	}
+	checkRootTables(t, newWorker(d))
 
-	// End to end: chunked result == slice-oracle result, on the exact
+	// End to end: per-root result == slice-oracle result, on the exact
 	// same >4096-vertex component (SkipReduction keeps it intact).
 	for _, kd := range [][2]int{{1, 1}, {2, 1}} {
 		k, delta := kd[0], kd[1]
 		opt := Options{K: k, Delta: delta, SkipReduction: true}
-		chunked := mustMaxRFC(t, g, opt)
+		perRoot := mustMaxRFC(t, g, opt)
 		oracle := runWithSliceOracle(t, g, opt)
-		if chunked.Size() != oracle.Size() {
-			t.Fatalf("k=%d δ=%d: chunked %d, slice oracle %d", k, delta, chunked.Size(), oracle.Size())
+		if perRoot.Size() != oracle.Size() {
+			t.Fatalf("k=%d δ=%d: per-root %d, slice oracle %d", k, delta, perRoot.Size(), oracle.Size())
 		}
-		if chunked.Size() > 0 && !g.IsFairClique(chunked.Clique, k, delta) {
-			t.Fatalf("k=%d δ=%d: chunked result invalid", k, delta)
+		if perRoot.Size() > 0 && !g.IsFairClique(perRoot.Clique, k, delta) {
+			t.Fatalf("k=%d δ=%d: per-root result invalid", k, delta)
 		}
 		// With bounds enabled the big component must still agree.
 		opt.UseBounds, opt.Extra = true, bounds.ColorfulDegeneracy
 		withBounds := mustMaxRFC(t, g, opt)
 		if withBounds.Size() != oracle.Size() {
-			t.Fatalf("k=%d δ=%d with bounds: chunked %d, slice oracle %d",
+			t.Fatalf("k=%d δ=%d with bounds: per-root %d, slice oracle %d",
 				k, delta, withBounds.Size(), oracle.Size())
 		}
 	}
 }
 
+// A hub with more successors than graph.ChunkBits: gen.HubFan(2100)
+// gives the hub 4,200 b-neighbours, so its root branch is a list node
+// whatever its peel rank. At K 1 and 2, with and without the
+// reduction, the search must match the slice oracle, and no worker's
+// table may grow past ChunkBits rows.
+func TestHubRootBranchIsListNode(t *testing.T) {
+	g := gen.HubFan(2100)
+	for _, k := range []int{1, 2} {
+		opt := Options{K: k, Delta: 1, UseBounds: true, Extra: bounds.ColorfulDegeneracy}
+		want := runWithSliceOracle(t, g, Options{K: k, Delta: 1, SkipReduction: true}).Size()
+		if want != 4 {
+			t.Fatalf("k=%d: slice oracle %d, want the hub's K4s", k, want)
+		}
+		for _, skip := range []bool{true, false} {
+			work, toOrig := g, identity(g.N())
+			if !skip {
+				sub, _ := reduce.PipelineN(g, int32(k), 1)
+				work, toOrig = sub.G, sub.ToParent
+			}
+			p := PrepareReduced(work, toOrig)
+			if p.Components() != 1 {
+				t.Fatalf("k=%d skip=%v: %d components, want 1", k, skip, p.Components())
+			}
+			d := p.comp(0)
+			if got := rowKind(d); got != "per-root" {
+				t.Fatalf("k=%d skip=%v: %s rows, want per-root", k, skip, got)
+			}
+			hub := int32(0)
+			for v := range d.n {
+				if d.comp.Deg(v) > d.comp.Deg(hub) {
+					hub = v
+				}
+			}
+			s := &searcher{p: p, k: int32(k), delta: 1, opt: opt}
+			w := newWorker(&compData{compPrep: d, s: s})
+			w.runRootBranch(hub)
+			if got := len(w.cs[1]); got <= graph.ChunkBits {
+				t.Fatalf("k=%d skip=%v: the hub's root branch has %d candidates; want > %d", k, skip, got, graph.ChunkBits)
+			}
+			res, err := p.Search(opt, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Size() != want || !g.IsFairClique(res.Clique, k, 1) {
+				t.Fatalf("k=%d skip=%v: clique %v, slice oracle size %d", k, skip, res.Clique, want)
+			}
+			for _, w := range append(d.free, w) {
+				if rows := cap(w.own.ids); rows > graph.ChunkBits {
+					t.Fatalf("k=%d skip=%v: a worker's table grew to %d rows", k, skip, rows)
+				}
+			}
+		}
+	}
+}
+
+// checkRootTables checks the rows a table-less component's root
+// branches build: for every root u, the child list is succ(u), and the
+// table over it holds, in row i, succ(ids[i]) restricted to the list,
+// as table indices.
+func checkRootTables(t *testing.T, w *worker) {
+	t.Helper()
+	d := w.d
+	all := identity(d.n)
+	for u := int32(0); u < d.n; u++ {
+		child, avail := w.childList(1, all, u, false)
+		want := succList(d.comp, all, u, false)
+		if !slices.Equal(child, want) {
+			t.Fatalf("root branch %d: child list %v, want %v", u, child, want)
+		}
+		if int(avail[0]+avail[1]) != len(want) {
+			t.Fatalf("root branch %d: counts %v for %d candidates", u, avail, len(want))
+		}
+		if int32(len(child)) > tableMaxVertices {
+			continue
+		}
+		w.own.fill(d.comp, child)
+		for i := range child {
+			got := rowIDs(&w.own, w.own.row(int32(i)))
+			if want := succList(d.comp, child, child[i], false); !slices.Equal(got, want) {
+				t.Fatalf("root branch %d, table row of %d: %v, want %v", u, child[i], got, want)
+			}
+		}
+	}
+}
+
 // alternatingCycle is a cycle on n vertices whose attributes alternate:
-// one connected single-chunk component with m = n edges, sparser than
-// the n·⌈n/64⌉ words flat rows would need once n > 64.
+// one connected component with m = n edges, sparser than the n·⌈n/64⌉
+// words flat rows would need once n > 64.
 func alternatingCycle(n int) *graph.Graph {
 	b := graph.NewBuilder(n)
 	for v := 0; v < n; v++ {
@@ -215,10 +305,10 @@ func alternatingCycle(n int) *graph.Graph {
 	return b.Build()
 }
 
-// Which successor rows each fixture takes: the search-cold nucleus
-// (dense, one chunk) takes flat rows unless chunked rows are forced; a
-// >4096-vertex component and a sparse single-chunk cycle take chunked
-// rows. Either way the rows hold the same successor bits.
+// Which rows each fixture takes: the search-cold nucleus (dense, ≤ 4096
+// vertices) takes one flat table unless per-root rows are forced; a
+// >4096-vertex component and a sparse cycle take per-root rows. Either
+// way the rows hold the successor bits of the adjacency lists.
 func TestRowRepresentationSelection(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -227,13 +317,13 @@ func TestRowRepresentationSelection(t *testing.T) {
 		want   string
 	}{
 		{"searchcold-nucleus", searchColdNucleus(), false, "flat"},
-		{"searchcold-nucleus-forced", searchColdNucleus(), true, "chunked"},
-		{"big-component", bigComponentInstance(11), false, "chunked"},
-		{"alternating-cycle", alternatingCycle(1000), false, "chunked"},
+		{"searchcold-nucleus-forced", searchColdNucleus(), true, "per-root"},
+		{"big-component", bigComponentInstance(11), false, "per-root"},
+		{"alternating-cycle", alternatingCycle(1000), false, "per-root"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.forced {
-				t.Cleanup(forceChunkedRows())
+				t.Cleanup(forcePerRootRows())
 			}
 			p := prepare(tc.g)
 			if p.Components() != 1 {
@@ -244,21 +334,20 @@ func TestRowRepresentationSelection(t *testing.T) {
 				t.Fatalf("component of %d vertices, %d edges took %s rows, want %s",
 					d.n, d.comp.M(), got, tc.want)
 			}
+			w := newWorker(&compData{compPrep: d, s: &searcher{}})
+			if d.rows == nil {
+				checkRootTables(t, w)
+				return
+			}
 			// Decode every successor row through the child kernel (a full
 			// source row, no declaration) and compare it with the
 			// adjacency-list definition of succ.
-			w := newWorker(&compData{compPrep: d, s: &searcher{}})
 			w.ensureBits(1)
+			all := identity(d.n)
 			for u := int32(0); u < d.n; u++ {
-				avail := w.makeChildBits(w.cand[1], d.fullRow, u, false)
-				var want []int32
-				for _, v := range d.comp.Neighbors(u) {
-					if d.comp.Attr(v) != d.comp.Attr(u) || v > u {
-						want = append(want, v)
-					}
-				}
-				got := w.cand[1].Append(nil)
-				if !slices.Equal(got, want) {
+				avail := w.makeChildBits(w.cand[1], w.cand[0], u, false)
+				want := succList(d.comp, all, u, false)
+				if got := rowIDs(w.t, w.cand[1]); !slices.Equal(got, want) {
 					t.Fatalf("row %d = %v, want %v", u, got, want)
 				}
 				if int(avail[0]+avail[1]) != len(want) {
@@ -359,7 +448,7 @@ func TestRootSplitCollectsTasks(t *testing.T) {
 	}
 }
 
-// BenchmarkBigComponentPaths measures the chunked engine against the
+// BenchmarkBigComponentPaths measures the per-root engine against the
 // slice oracle on the same >4096-vertex instance BENCH_core.json is
 // recorded on, keeping the cap-lift's "at or above the slice-fallback
 // baseline" claim measurable: go test -bench BigComponentPaths.
@@ -370,7 +459,7 @@ func BenchmarkBigComponentPaths(b *testing.B) {
 		name  string
 		slice bool
 	}{
-		{"chunked", false},
+		{"per-root", false},
 		{"slice-oracle", true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {

@@ -10,27 +10,34 @@ import (
 	"fairclique/internal/reduce"
 )
 
-// rowKind names the successor-row representation a prepared component
-// took: "flat", "chunked", "slice" (the test-only oracle) or "invalid"
-// when both bitset forms are set.
+// rowKind names the row form a prepared component took: "flat" (one
+// table over the whole component), "per-root" (a list root whose root
+// branches build their own tables) or "slice" (the test-only oracle).
 func rowKind(d *compPrep) string {
 	switch {
-	case !d.bitset():
+	case d.oracle:
 		return "slice"
-	case d.flat != nil && d.succ == nil:
+	case d.rows != nil:
 		return "flat"
-	case d.flat == nil && d.succ != nil:
-		return "chunked"
 	}
-	return "invalid"
+	return "per-root"
 }
 
-// forceChunkedRows makes every component prepared until restore runs
-// take chunked successor rows, whatever its size.
-func forceChunkedRows() (restore func()) {
+// forcePerRootRows makes every component prepared until restore runs
+// take per-root rows, whatever its size and density.
+func forcePerRootRows() (restore func()) {
 	old := flatMaxVertices
 	flatMaxVertices = 0
 	return func() { flatMaxVertices = old }
+}
+
+// forceListNodes makes every non-empty candidate set a list node until
+// restore runs: no component or child gets a row table.
+func forceListNodes() (restore func()) {
+	restoreRows := forcePerRootRows()
+	old := tableMaxVertices
+	tableMaxVertices = 0
+	return func() { tableMaxVertices = old; restoreRows() }
 }
 
 // searchColdNucleus is the component the search-cold benchmark
@@ -68,34 +75,38 @@ func newWarmEngine(t testing.TB, g *graph.Graph, opt Options, rows string) (*sea
 // Steady-state branching must allocate zero heap objects per node —
 // the acceptance criterion of the allocation-free engine. Checked for
 // the plain baseline and the default bounds configuration (whose
-// per-node colouring runs on worker scratch rows), on a single-chunk
-// component with flat rows and forced onto chunked rows, and on a multi-chunk
-// >4096-vertex component (dense, sparse and run containers all in
-// play).
+// per-node colouring runs on worker scratch rows), on a small component
+// with one flat table, forced onto per-root rows and forced onto list
+// nodes everywhere, and on a >4096-vertex component, whose root is a
+// list node and whose root branches build per-root tables.
 func TestBranchSteadyStateZeroAllocs(t *testing.T) {
 	small := random(42, 80, 0.4)
 	big := gen.BigComponent(42, 36, 0.5, graph.ChunkBits+120)
 	bounded := Options{K: 2, Delta: 1, UseBounds: true, Extra: bounds.ColorfulDegeneracy}
+	plain := Options{K: 2, Delta: 1}
 	for _, tc := range []struct {
-		name string
-		g    *graph.Graph
-		opt  Options
-		rows string
+		name  string
+		g     *graph.Graph
+		opt   Options
+		force func() func()
+		rows  string
 	}{
-		{"plain", small, Options{K: 2, Delta: 1}, "flat"},
-		{"bounds", small, bounded, "flat"},
-		{"chunked-plain", small, Options{K: 2, Delta: 1}, "chunked"},
-		{"chunked-bounds", small, bounded, "chunked"},
-		{"multichunk-plain", big, Options{K: 2, Delta: 1}, "chunked"},
-		{"multichunk-bounds", big, bounded, "chunked"},
+		{"plain", small, plain, nil, "flat"},
+		{"bounds", small, bounded, nil, "flat"},
+		{"perroot-plain", small, plain, forcePerRootRows, "per-root"},
+		{"perroot-bounds", small, bounded, forcePerRootRows, "per-root"},
+		{"lists-plain", small, plain, forceListNodes, "per-root"},
+		{"lists-bounds", small, bounded, forceListNodes, "per-root"},
+		{"multichunk-plain", big, plain, nil, "per-root"},
+		{"multichunk-bounds", big, bounded, nil, "per-root"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.rows == "chunked" {
-				t.Cleanup(forceChunkedRows())
+			if tc.force != nil {
+				t.Cleanup(tc.force())
 			}
 			_, w := newWarmEngine(t, tc.g, tc.opt, tc.rows)
-			if tc.name[:4] == "mult" && w.d.words <= graph.ChunkWords {
-				t.Fatalf("multichunk fixture spans %d words; want > %d", w.d.words, graph.ChunkWords)
+			if tc.g == big && w.d.n <= graph.ChunkBits {
+				t.Fatalf("multichunk fixture has %d vertices; want > %d", w.d.n, graph.ChunkBits)
 			}
 			avg := testing.AllocsPerRun(20, func() {
 				w.branchRoot()
@@ -174,20 +185,20 @@ func BenchmarkBranchAllocs(b *testing.B) {
 // BenchmarkBranchSearchCold times one full search of the branch loop,
 // with the search-cold workload's per-node bound (ubAD at every node;
 // the component-root check sits outside the loop, in searchComponent),
-// on the search-cold nucleus with flat
-// rows and forced onto chunked rows: the two sides of the flat-row
-// cutoff on one tree (go test -bench BranchSearchCold). Compare ns/op,
-// the time per search: the per-node bound makes each node dearer and
-// the tree smaller, so nodes/sec alone no longer tracks the loop's
-// speed; nodes/search reports the tree size. BenchmarkBigComponentPaths
-// keeps the multi-chunk number.
+// on the search-cold nucleus with its flat table and forced onto
+// per-root rows: the two sides of the flat-row rule on one tree (go
+// test -bench BranchSearchCold). Compare ns/op, the time per search:
+// the per-node bound makes each node dearer and the tree smaller, so
+// nodes/sec alone no longer tracks the loop's speed; nodes/search
+// reports the tree size. BenchmarkBigComponentPaths times a
+// >4096-vertex component.
 func BenchmarkBranchSearchCold(b *testing.B) {
 	g := searchColdNucleus()
 	opt := Options{K: 2, Delta: 2, UseBounds: true, Extra: bounds.ColorfulDegeneracy}
-	for _, rows := range []string{"flat", "chunked"} {
+	for _, rows := range []string{"flat", "per-root"} {
 		b.Run(rows, func(b *testing.B) {
-			if rows == "chunked" {
-				b.Cleanup(forceChunkedRows())
+			if rows == "per-root" {
+				b.Cleanup(forcePerRootRows())
 			}
 			s, w := newWarmEngine(b, g, opt, rows)
 			start := s.nodes.Load()
@@ -209,49 +220,71 @@ func BenchmarkBranchSearchCold(b *testing.B) {
 var nodeBoundSink int32
 
 // BenchmarkNodeBound times the per-node bound alone (worker.nodeBound:
-// the attribute bound plus the greedy colouring of C) on the largest
-// depth-1 candidate row of the search-cold nucleus, on flat rows, and
-// of the multi-chunk bigComponentInstance, on chunked rows.
+// the attribute bound plus the greedy colouring of C) on the widest
+// root branch of the search-cold nucleus, on its flat table, and of the
+// >4096-vertex bigComponentInstance, on that branch's own table and as
+// a list node.
 func BenchmarkNodeBound(b *testing.B) {
 	for _, tc := range []struct {
 		name, rows string
 		g          *graph.Graph
 	}{
 		{"searchcold-flat", "flat", searchColdNucleus()},
-		{"multichunk-chunked", "chunked", bigComponentInstance(11)},
+		{"multichunk-perroot", "per-root", bigComponentInstance(11)},
+		{"multichunk-list", "per-root", bigComponentInstance(11)},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			opt := Options{K: 2, Delta: 2, UseBounds: true, Extra: bounds.ColorfulDegeneracy}
 			s, w := newWarmEngine(b, tc.g, opt, tc.rows)
 			s.bestSize.Store(0) // an empty incumbent: the colouring always runs
-			d := w.d
-			w.ensureBits(1)
-			var best [2]int32
-			var cnt [2]int32
-			for u := int32(0); u < d.n; u++ {
-				if avail := w.makeChildBits(w.cand[1], d.fullRow, u, false); avail[0]+avail[1] > best[0]+best[1] {
-					best, cnt = avail, [2]int32{}
-					cnt[d.comp.Attr(u)] = 1
-					w.rbuf[0] = u
-				}
-			}
-			w.makeChildBits(w.cand[1], d.fullRow, w.rbuf[0], false)
-			if ub := bounds.Combine(cnt[0]+best[0], cnt[1]+best[1], s.delta); ub < 2*s.k {
+			cnt, avail, cand, list := widestRootBranch(w)
+			if ub := bounds.Combine(cnt[0]+avail[0], cnt[1]+avail[1], s.delta); ub < 2*s.k {
 				b.Fatalf("the attribute bound %d alone prunes the row", ub)
+			}
+			if tc.name == "multichunk-list" {
+				cand = nil
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				nodeBoundSink = w.nodeBound(cnt, best, w.cand[1])
+				nodeBoundSink = w.nodeBound(cnt, avail, cand, list)
 			}
-			b.ReportMetric(float64(best[0]+best[1]), "candidates")
+			b.ReportMetric(float64(avail[0]+avail[1]), "candidates")
 		})
 	}
 }
 
+// widestRootBranch sets up the root branch of w's component with the
+// most candidates as the depth-1 node: R = {u} (w.rbuf[0]), counts
+// cnt, and C with counts avail as a row of w's current table (the
+// component's, or u's own) and as a component-id list.
+func widestRootBranch(w *worker) (cnt, avail [2]int32, cand []uint64, list []int32) {
+	d := w.d
+	var best int32 = -1
+	for u := int32(0); u < d.n; u++ {
+		if s := succList(d.comp, identity(d.n), u, false); int32(len(s)) > best {
+			best, w.rbuf[0] = int32(len(s)), u
+		}
+	}
+	u := w.rbuf[0]
+	cnt[d.comp.Attr(u)] = 1
+	list = succList(d.comp, identity(d.n), u, false)
+	w.ensureBits(1)
+	if d.rows != nil {
+		avail = w.makeChildBits(w.cand[1], w.cand[0], u, false)
+	} else {
+		w.own.fill(d.comp, list)
+		copy(w.cand[1], w.own.full)
+		for _, v := range list {
+			avail[d.comp.Attr(v)]++
+		}
+	}
+	return cnt, avail, w.cand[1][:w.t.words], list
+}
+
 // The slice oracle path must agree with the Bron–Kerbosch oracle, so
 // it stays trustworthy as the differential-test reference for the
-// chunked engine.
+// bitset engine.
 func TestSlicePathMatchesOracle(t *testing.T) {
 	old := useSliceOracle
 	useSliceOracle = true

@@ -19,11 +19,12 @@ func withoutNodeBound() (restore func()) {
 
 // boundWorker prepares the single component of g without reduction and
 // returns a worker over it for a bounded (k, δ) search with an empty
-// incumbent, on the successor rows named by rows (see rowKind).
+// incumbent, on the rows named by rows (see rowKind; "per-root" is
+// forced when the component would take a flat table).
 func boundWorker(t *testing.T, g *graph.Graph, k, delta int32, rows string) *worker {
 	t.Helper()
-	if rows == "chunked" {
-		defer forceChunkedRows()()
+	if rows == "per-root" {
+		defer forcePerRootRows()()
 	}
 	opt := Options{K: int(k), Delta: int(delta), UseBounds: true}
 	s := &searcher{p: PrepareReduced(g, identity(g.N())), k: k, delta: delta, opt: opt}
@@ -37,26 +38,63 @@ func boundWorker(t *testing.T, g *graph.Graph, k, delta int32, rows string) *wor
 	return newWorker(d)
 }
 
-// walkNodes visits the (R, C) nodes below the worker's node at depth in
-// depth-first order, at most *budget of them: every candidate u is
-// branched on, its child being C ∩ succ(u), restricted to u's attribute
-// for a deterministic third of the children (the declare branches).
-// R = w.rbuf[:depth] is always a clique adjacent to all of C.
-func walkNodes(w *worker, depth int, cnt, avail [2]int32, budget *int, visit func(depth int, cnt, avail [2]int32)) {
+// succList is the child list of branching on u from the ascending list
+// c, built from u's adjacency list and a binary search in c per
+// neighbour: the neighbours v of u in c with v > u or, unless declare
+// is set, of the other attribute.
+func succList(g *graph.Graph, c []int32, u int32, declare bool) []int32 {
+	var out []int32
+	for _, v := range g.Neighbors(u) {
+		if _, in := slices.BinarySearch(c, v); !in {
+			continue
+		}
+		if same := g.Attr(v) == g.Attr(u); same && v > u || !same && !declare {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// rowIDs returns the component ids of the table indices set in row.
+func rowIDs(t *rowTable, row []uint64) []int32 {
+	var out []int32
+	for i := int32(0); i < t.n; i++ {
+		if graph.BitTest(row, i) {
+			out = append(out, t.ids[i])
+		}
+	}
+	return out
+}
+
+// walkNodes visits the (R, C) nodes below the node (R = w.rbuf[:depth],
+// C = c) in depth-first order, at most *budget of them: every candidate
+// u is branched on, its child being C ∩ succ(u), restricted to u's
+// attribute for a deterministic third of the children (the declare
+// branches). R is always a clique adjacent to all of C.
+func walkNodes(w *worker, depth int, c []int32, cnt [2]int32, budget *int, visit func(depth int, c []int32, cnt [2]int32)) {
 	if *budget <= 0 {
 		return
 	}
 	*budget--
-	visit(depth, cnt, avail)
-	w.ensureBits(depth + 1)
-	src := w.cand[depth]
-	for _, u := range src.Append(nil) {
+	visit(depth, c, cnt)
+	for _, u := range c {
 		ncnt := cnt
 		ncnt[w.d.comp.Attr(u)]++
 		w.rbuf[depth] = u
-		navail := w.makeChildBits(w.cand[depth+1], src, u, (int(u)+depth)%3 == 0)
-		walkNodes(w, depth+1, ncnt, navail, budget, visit)
+		walkNodes(w, depth+1, succList(w.d.comp, c, u, (int(u)+depth)%3 == 0), ncnt, budget, visit)
 	}
+}
+
+// tableRow writes the candidates c, a subset of t's vertices, as a row
+// of t into dst and returns it.
+func tableRow(t *rowTable, dst []uint64, c []int32) []uint64 {
+	dst = dst[:t.words]
+	clear(dst)
+	for _, v := range c {
+		i, _ := slices.BinarySearch(t.ids, v)
+		graph.BitSet(dst, int32(i))
+	}
+	return dst
 }
 
 // bruteExtend returns the size of the largest (k, δ)-fair S with
@@ -95,9 +133,11 @@ func bruteExtend(g *graph.Graph, cnt [2]int32, c []int32, k, delta int32) int32 
 }
 
 // The per-node bound is an upper bound: on random instances of at most
-// 18 vertices, at every node of the walk — flat and chunked rows alike
-// — it is at least the largest fair clique that contains R and lies in
-// R ∪ C.
+// 18 vertices, at every node of the walk it is at least the largest
+// fair clique that contains R and lies in R ∪ C. On a flat table, C is
+// a row of the component's table. On per-root rows it is priced as a
+// list node and, below the root, as a row of the table over the root
+// branch's candidates; the two must agree.
 func TestNodeBoundSound(t *testing.T) {
 	r := rng.New(20261017)
 	checked := 0
@@ -109,15 +149,31 @@ func TestNodeBoundSound(t *testing.T) {
 			continue
 		}
 		k, delta := int32(1+trial%2), int32(trial%3)
-		for _, rows := range []string{"flat", "chunked"} {
+		for _, rows := range []string{"flat", "per-root"} {
 			if rows == "flat" && !useFlatRows(g.N(), g.M()) {
 				continue
 			}
 			w := boundWorker(t, g, k, delta, rows)
+			w.ensureBits(1)
 			budget := 1500
-			walkNodes(w, 0, [2]int32{}, w.d.cnt, &budget, func(depth int, cnt, avail [2]int32) {
-				c := w.cand[depth].Append(nil)
-				ub := w.nodeBound(cnt, avail, w.cand[depth])
+			walkNodes(w, 0, identity(g.N()), [2]int32{}, &budget, func(depth int, c []int32, cnt [2]int32) {
+				var avail [2]int32
+				for _, v := range c {
+					avail[w.d.comp.Attr(v)]++
+				}
+				var ub int32
+				if rows == "flat" {
+					ub = w.nodeBound(cnt, avail, tableRow(w.t, w.cand[1], c), nil)
+				} else {
+					ub = w.nodeBound(cnt, avail, nil, c)
+					if depth >= 1 {
+						w.own.fill(w.d.comp, succList(w.d.comp, identity(g.N()), w.rbuf[0], false))
+						if tb := w.nodeBound(cnt, avail, tableRow(w.t, w.cand[1], c), nil); tb != ub {
+							t.Fatalf("trial %d k=%d δ=%d: R=%v C=%v: per-root table bound %d, list bound %d",
+								trial, k, delta, w.rbuf[:depth], c, tb, ub)
+						}
+					}
+				}
 				if want := bruteExtend(w.d.comp, cnt, c, k, delta); ub < want {
 					t.Fatalf("trial %d %s rows k=%d δ=%d: R=%v C=%v: bound %d < largest fair extension %d",
 						trial, rows, k, delta, w.rbuf[:depth], c, ub, want)
@@ -179,15 +235,15 @@ func firstFitSplit(g *graph.Graph, c []int32, col []int32) (ca, cb, cm int32) {
 }
 
 // The colouring kernels are exact: on random nodes of the search-cold
-// nucleus (flat and forced-chunked rows) and of two three-chunk
-// components (a dense nucleus in a sparse shell, and a uniform random
-// graph whose neighbourhoods span every chunk), the class count and its a-only/b-only/mixed split equal
-// first-fit colouring of C in id order built from adjacency lists. The
-// candidate row is handed over with its dead chunks poisoned, as stale
-// words from earlier nodes would be. On chunked rows the root is also
-// checked with random chunks killed, and on the three-chunk components
-// every node is, so dead chunks fall before, between and after live
-// ones. (Flat rows keep their one chunk live.)
+// nucleus (its flat table, and forced onto per-root rows) and of two
+// components of more than two ChunkBits vertices (a dense nucleus in a
+// sparse shell, and a uniform random graph whose neighbourhoods span
+// the whole id range), the class count and its a-only/b-only/mixed
+// split — of the table colouring on the node's row and of the list
+// colouring on its list — equal first-fit colouring of C in id order
+// built from adjacency lists. Per-root tables are rebuilt at every
+// root branch over candidate sets of every size, so a table never
+// reads rows or words left from a larger one.
 func TestColourClassesMatchFirstFit(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -195,58 +251,61 @@ func TestColourClassesMatchFirstFit(t *testing.T) {
 		rows string
 	}{
 		{"searchcold-flat", searchColdNucleus(), "flat"},
-		{"searchcold-chunked", searchColdNucleus(), "chunked"},
-		{"multichunk-bigcomp", gen.BigComponent(11, 48, 0.55, 2*graph.ChunkBits+160), "chunked"},
-		{"multichunk-er", gen.AssignUniform(12, gen.ErdosRenyi(12, 2*graph.ChunkBits+200, 20*(2*graph.ChunkBits+200)), 0.5), "chunked"},
+		{"searchcold-perroot", searchColdNucleus(), "per-root"},
+		{"multichunk-bigcomp", gen.BigComponent(11, 48, 0.55, 2*graph.ChunkBits+160), "per-root"},
+		{"multichunk-er", gen.AssignUniform(12, gen.ErdosRenyi(12, 2*graph.ChunkBits+200, 20*(2*graph.ChunkBits+200)), 0.5), "per-root"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := boundWorker(t, tc.g, 2, 1, tc.rows)
 			d := w.d
-			chunks := graph.ChunkCount(d.n)
-			if tc.name[:5] == "multi" && chunks < 3 {
-				t.Fatalf("fixture spans %d chunks; want ≥ 3", chunks)
+			if tc.name[:5] == "multi" && d.n <= 2*graph.ChunkBits {
+				t.Fatalf("fixture has %d vertices; want > %d", d.n, 2*graph.ChunkBits)
 			}
 			col := make([]int32, d.n)
 			for i := range col {
 				col[i] = -1
 			}
-			r := rng.New(7)
-			probe := graph.NewLiveRow(d.n)
-			var check func(depth int, kill bool)
-			check = func(depth int, kill bool) {
-				for i := range probe.Words {
-					probe.Words[i] = ^uint64(0)
-				}
-				w.cand[depth].CopyInto(probe)
-				for c := int32(0); kill && c < chunks; c++ {
-					if r.Bool(0.4) {
-						probe.Live[c>>6] &^= 1 << uint(c&63)
-					}
-				}
-				c := probe.Append(nil)
+			// The list colouring needs its scratch on every row form.
+			w.col, w.used, w.kinds = slices.Clone(col), make([]bool, d.comp.MaxDegree()+1), make([]uint8, d.comp.MaxDegree()+1)
+			check := func(depth int) {
+				row := w.cand[depth][:w.t.words]
+				c := rowIDs(w.t, row)
 				wa, wb, wm := firstFitSplit(d.comp, c, col)
-				if a, b, m := w.colourClasses(probe); a != wa || b != wb || m != wm {
-					t.Fatalf("depth %d, |C|=%d, live chunks %b: classes a/b/mixed %d/%d/%d, first-fit %d/%d/%d",
-						depth, len(c), probe.Live[0], a, b, m, wa, wb, wm)
+				if a, b, m := w.colourClasses(row); a != wa || b != wb || m != wm {
+					t.Fatalf("depth %d, |C|=%d: table classes a/b/mixed %d/%d/%d, first-fit %d/%d/%d",
+						depth, len(c), a, b, m, wa, wb, wm)
 				}
-				if !kill && chunks > 1 {
-					check(depth, true)
+				if a, b, m := w.classesList(c); a != wa || b != wb || m != wm {
+					t.Fatalf("depth %d, |C|=%d: list classes a/b/mixed %d/%d/%d, first-fit %d/%d/%d",
+						depth, len(c), a, b, m, wa, wb, wm)
 				}
 			}
-			check(0, false)
-			for kill := 0; kill < 20 && tc.rows == "chunked"; kill++ {
-				check(0, true)
+			r := rng.New(7)
+			w.ensureBits(1)
+			if d.rows != nil {
+				check(0)
 			}
 			for nodes := 0; nodes < 500; {
-				for depth := 0; ; depth++ {
-					c := w.cand[depth].Append(nil)
-					if len(c) == 0 {
+				top := 0
+				if d.rows == nil {
+					// A random root branch, on its own table.
+					u := int32(r.Intn(int(d.n)))
+					w.own.fill(d.comp, succList(d.comp, identity(d.n), u, false))
+					copy(w.cand[1], w.own.full)
+					check(1)
+					nodes++
+					top = 1
+				}
+				for depth := top; ; depth++ {
+					c := w.cand[depth][:w.t.words]
+					ids := rowIDs(w.t, c)
+					if len(ids) == 0 {
 						break
 					}
-					u := c[r.Intn(len(c))]
+					i, _ := slices.BinarySearch(w.t.ids, ids[r.Intn(len(ids))])
 					w.ensureBits(depth + 1)
-					w.makeChildBits(w.cand[depth+1], w.cand[depth], u, r.Bool(0.2))
-					check(depth+1, false)
+					w.makeChildBits(w.cand[depth+1], c, int32(i), r.Bool(0.2))
+					check(depth + 1)
 					nodes++
 				}
 			}

@@ -111,3 +111,35 @@ func TestParallelOnDataset(t *testing.T) {
 		t.Fatalf("serial %d vs parallel %d", serial.Size(), par.Size())
 	}
 }
+
+// The root split over per-root tables: every worker rebuilds its own
+// table at each root branch it claims, so on table-less components —
+// the >4096-vertex bigComponentInstance and gen.HubFan(2100), whose
+// hub branches as a list node — Workers = 4 must match Workers = 1 and
+// the slice oracle (make test-race runs this under the race detector).
+func TestPerRootSplitMatchesSerial(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		k    int
+	}{
+		{"bigcomp", bigComponentInstance(11), 2},
+		{"hubfan", gen.HubFan(2100), 1},
+	} {
+		want := runWithSliceOracle(t, tc.g, Options{K: tc.k, Delta: 1, SkipReduction: true}).Size()
+		for _, bounded := range []bool{false, true} {
+			opt := Options{K: tc.k, Delta: 1, SkipReduction: true, UseBounds: bounded, Extra: bounds.ColorfulDegeneracy}
+			for _, workers := range []int{1, 4} {
+				opt.Workers = workers
+				res := mustMaxRFC(t, tc.g, opt)
+				if res.Size() != want {
+					t.Fatalf("%s bounds=%v workers=%d: size %d, slice oracle %d",
+						tc.name, bounded, workers, res.Size(), want)
+				}
+				if want > 0 && !tc.g.IsFairClique(res.Clique, tc.k, 1) {
+					t.Fatalf("%s bounds=%v workers=%d: invalid clique", tc.name, bounded, workers)
+				}
+			}
+		}
+	}
+}

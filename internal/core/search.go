@@ -76,37 +76,35 @@
 //     its CalColorOD peel rank. The later-rank rule then becomes a
 //     plain id comparison, and candidate sets iterated in id order are
 //     already in peel order.
-//   - Candidate sets are graph.LiveRow values: flat packed bitsets
-//     paired with a chunk-liveness bitmap, so per-node work scales
-//     with the chunks a vertex actually touches, not with the
-//     component size. The per-vertex successor masks (adjacency AND
-//     (same-attribute-later OR other-attribute)) come in two forms,
-//     and each component gets exactly one (useFlatRows):
-//   - Flat rows, for a component of n ≤ graph.ChunkBits vertices and
-//     m edges with n·⌈n/64⌉ ≤ m: n rows of ⌈n/64⌉ words, never more
-//     memory than the component's adjacency lists. The branch loop
-//     (expandFlat) walks the candidate words directly and builds each
-//     child with one inline AND over the row's words, the
-//     per-attribute popcounts fused in, and marks the row's single
-//     chunk live.
-//   - Chunked rows, for larger or sparser components: a
-//     graph.ChunkedMatrix of roaring-style dense/sparse/run containers
-//     per 4096-bit chunk, with no dense n×n matrix and no size cap.
-//     Child construction is one ChunkedMatrix.AndInto call, which
-//     skips chunks dead in the candidate row, with fused
-//     per-attribute popcounts.
-//   - Both forms hold the same bits and walk the same search tree, so
-//     bound checks and anytime pricing treat them alike.
+//   - Candidate sets are flat packed bitsets ([]uint64) over a row
+//     table (rowTable): the successor masks (adjacency AND
+//     (same-attribute-later OR other-attribute)) of an id-ordered
+//     vertex set, one row of ⌈n/64⌉ words per vertex. A node builds
+//     each child with one inline AND over the row's words, the
+//     per-attribute popcounts fused in.
+//   - A component of n ≤ graph.ChunkBits vertices and m edges with
+//     n·⌈n/64⌉ ≤ m gets one table over all of it (useFlatRows): never
+//     more memory than its adjacency lists.
+//   - Any other component's root is a list node (branchList): its
+//     candidates are a sorted id list. Each root branch u reads only
+//     vertices of S = succ(u), so the child builds a table over S, in
+//     id order, in its worker's own arena, and the search continues on
+//     flat rows. A candidate set of more than graph.ChunkBits vertices
+//     (a hub's) stays a list node, so a worker never holds more than
+//     ChunkBits rows of ChunkBits/64 words (2 MiB). List nodes build
+//     their children by sorted intersection (graph.IntersectSorted)
+//     and price C with first-fit colouring over the adjacency lists.
+//   - Every form walks the same search tree: a table or a list over
+//     the same candidates gives the same counts and colour classes.
 //   - All per-node state lives in per-worker arenas indexed by search
-//     depth: the clique buffer rbuf and one candidate row (or slice)
-//     per depth. Steady-state branching performs zero heap allocations
-//     per node (asserted by TestBranchSteadyStateZeroAllocs).
-//   - The per-node colouring uses two scratch rows per worker. On flat
-//     rows it and-nots successor rows inline, over the span of
-//     non-zero candidate words; on chunked rows it copies only the
-//     candidate row's live chunks and and-nots container by container
-//     (ChunkedMatrix.AndNot). It and the root's bounds.Profile compute
-//     ubAD with the one formula bounds.AD.
+//     depth: the clique buffer rbuf, in component ids, and one
+//     candidate row or list per depth. Steady-state branching performs
+//     zero heap allocations per node (asserted by
+//     TestBranchSteadyStateZeroAllocs).
+//   - The per-node colouring uses two scratch rows per worker and
+//     and-nots successor rows inline, over the span of non-zero
+//     candidate words. It and the root's bounds.Profile compute ubAD
+//     with the one formula bounds.AD.
 //   - Options.Workers > 1 parallelizes *inside* a component: workers
 //     pull the branches of the root node from one atomic cursor and
 //     share the atomic incumbent (splitRoot). A component takes this
@@ -293,11 +291,11 @@ func MaxRFC(g *graph.Graph, opt Options) (*Result, error) {
 
 // Prepared is a reduced graph frozen for repeated searching: connected
 // components sorted largest-first, and — built lazily, once, per
-// component — the peel-rank relabeling, the chunked successor masks,
-// the attribute histograms and a freelist of worker arenas. A Prepared
-// is immutable after construction apart from those internally
-// synchronized caches, so concurrent Search calls (different queries
-// over the same graph) may share it freely.
+// component — the peel-rank relabeling, the flat successor rows (when
+// the component takes them), the attribute histogram and a freelist of
+// worker arenas. A Prepared is immutable after construction apart from
+// those internally synchronized caches, so concurrent Search calls
+// (different queries over the same graph) may share it freely.
 type Prepared struct {
 	work   *graph.Graph
 	toOrig []int32
@@ -752,17 +750,22 @@ func cliqueEqual(a, b []int32) bool {
 // path is always a bitset one, with no component-size cap.
 var useSliceOracle = false
 
-// flatMaxVertices is the largest component whose successor rows may be
-// stored flat (see useFlatRows). A variable so tests can force the
-// chunked rows (0) on single-chunk components.
+// flatMaxVertices is the largest component that may get one row table
+// over all of it (see useFlatRows). A variable so tests can force
+// per-root rows (0) on every component.
 var flatMaxVertices int32 = graph.ChunkBits
 
+// tableMaxVertices is the largest candidate set a list node's child
+// builds a row table over; a larger one is a list node itself (see
+// branchList). A variable so tests can force list nodes everywhere (0).
+var tableMaxVertices int32 = graph.ChunkBits
+
 // useFlatRows reports whether a component of n vertices and m edges
-// gets flat successor rows: it must fit in one chunk, and its
-// n·⌈n/64⌉ words must not exceed m, so the rows never take more
-// memory than the component's own adjacency lists (2m int32s). Larger
-// or sparser components use the chunked rows, whose containers skip
-// dead chunks and cost memory in proportion to the edges.
+// gets one row table over all of it: n must not exceed flatMaxVertices,
+// and its n·⌈n/64⌉ words must not exceed m, so the rows never take
+// more memory than the component's own adjacency lists (2m int32s).
+// Any other component's root is a list node, and each root branch
+// builds a table over its own candidates.
 func useFlatRows(n, m int32) bool {
 	return n <= flatMaxVertices && int64(n)*int64(graph.BitWords(n)) <= int64(m)
 }
@@ -780,32 +783,28 @@ var perNodeBound = true
 const smallComponentLimit = 1024
 
 // compPrep is the query-independent prepared machinery of one
-// component: the peel-rank-relabeled induced graph, the flat or
-// chunked successor masks, the attribute masks/histogram, the Table II
-// profiles and the recycled worker arenas. It is built once per
-// component (per Prepared) and shared — read-only apart from the locked
-// freelists and profile cache — by every search and every worker that
-// ever branches inside the component. Because it
-// references vertices only in its own component ids and in ORIGINAL
-// graph ids (toOrig), a compPrep is also valid across re-reduced
-// Prepared instances whose component is structurally unchanged — the
-// basis of PrepareIncremental's adoption.
+// component: the peel-rank-relabeled induced graph, the whole
+// component's row table when it takes one, the attribute histogram, the
+// Table II profiles and the recycled worker arenas. It is built once
+// per component (per Prepared) and shared — read-only apart from the
+// locked freelists and profile cache — by every search and every worker
+// that ever branches inside the component. Because it references
+// vertices only in its own component ids and in ORIGINAL graph ids
+// (toOrig), a compPrep is also valid across re-reduced Prepared
+// instances whose component is structurally unchanged — the basis of
+// PrepareIncremental's adoption.
 type compPrep struct {
 	comp   *graph.Graph // induced component, relabeled so id == peel rank
 	toOrig []int32      // component id -> ORIGINAL graph id
 	n      int32
 	cnt    [2]int32 // attribute histogram of the whole component
 
-	// Bitset representation (zero when useSliceOracle forces the
-	// test-only slice path). The per-vertex branch-successor masks are
-	// either flat or chunked (see useFlatRows); exactly one is set.
-	words    int32                // flat words per candidate row
-	flat     []uint64             // flat masks: row u is flat[u*words:(u+1)*words]
-	succ     *graph.ChunkedMatrix // chunked masks
-	attrMask [2][]uint64          // vertices of each attribute
-	fullRow  graph.LiveRow        // all n bits set: the root candidate set
-
-	allVerts []int32 // 0..n-1: the root candidate slice (oracle path only)
+	// rows is the row table over the whole component (ids 0..n−1), or
+	// nil: then the root is a list node over allVerts. The test-only
+	// slice oracle (oracle set) also branches from allVerts.
+	rows     *rowTable
+	allVerts []int32 // 0..n-1: the root candidate list when rows is nil
+	oracle   bool
 
 	wmu  sync.Mutex
 	free []*worker // recycled workers, arenas sized for this component
@@ -814,9 +813,86 @@ type compPrep struct {
 	profiles map[bounds.Extra]bounds.Profile // the whole component's, by Extra
 }
 
-// bitset reports whether the component runs the bitset engine (flat
-// or chunked successor rows) rather than the test-only slice oracle.
-func (c *compPrep) bitset() bool { return c.allVerts == nil }
+// rowTable holds the flat successor rows of an ascending set of
+// component vertices: the whole component, or the candidates of one
+// list node's child. Table index i stands for component vertex ids[i];
+// ids ascend, so the later-rank rule and the colouring's id order hold
+// on table indices unchanged.
+type rowTable struct {
+	n, words int32
+	flat     []uint64    // row i is flat[i*words:(i+1)*words]: succ(ids[i]) ∩ ids
+	attrMask [2][]uint64 // table indices of each attribute
+	full     []uint64    // bits [0, n) set: the table's whole vertex set
+	ids      []int32     // table index -> component id
+	pos      []int32     // fill's scratch: component id -> table index, −1 outside
+}
+
+// row returns table index i's successor row.
+func (t *rowTable) row(i int32) []uint64 {
+	return t.flat[i*t.words : (i+1)*t.words]
+}
+
+// fill builds the table over vs, ascending vertices of g, reusing t's
+// arrays when they are large enough. Row i is succ(vs[i]) ∩ vs, with
+// succ[u] = N(u) ∩ (same-attribute vertices after u ∪ the other
+// attribute): exactly the vertices expandBits may keep in u's child.
+// Each row marks vs[i]'s neighbours through the pos map and then keeps
+// the other attribute's bits and the same attribute's above i. A hub's
+// row instead binary-searches vs in its adjacency list
+// (graph.IntersectSorted), so a hub in many small tables does not cost
+// its degree in each.
+func (t *rowTable) fill(g *graph.Graph, vs []int32) {
+	n := int32(len(vs))
+	t.n, t.words = n, graph.BitWords(n)
+	t.ids = append(t.ids[:0], vs...)
+	t.flat = zeroed(t.flat, int(n*t.words))
+	for x := range t.attrMask {
+		t.attrMask[x] = zeroed(t.attrMask[x], int(t.words))
+	}
+	t.full = zeroed(t.full, int(t.words))
+	graph.BitFillN(t.full, n)
+	if t.pos == nil {
+		t.pos = make([]int32, g.N())
+		for v := range t.pos {
+			t.pos[v] = -1
+		}
+	}
+	for i, v := range vs {
+		t.pos[v] = int32(i)
+		graph.BitSet(t.attrMask[g.Attr(v)], int32(i))
+	}
+	for i, v := range vs {
+		row := t.row(int32(i))
+		if nb := g.Neighbors(v); len(nb) > 8*len(vs) {
+			graph.IntersectSorted(nb, vs, func(_, j int) { graph.BitSet(row, int32(j)) })
+		} else {
+			for _, u := range nb {
+				if j := t.pos[u]; j >= 0 {
+					graph.BitSet(row, j)
+				}
+			}
+		}
+		other, wi := t.attrMask[1-g.Attr(v)], i>>6
+		for w := range wi {
+			row[w] &= other[w]
+		}
+		row[wi] &= other[wi] | ^uint64(0)<<(uint(i&63)+1)
+	}
+	for _, v := range vs {
+		t.pos[v] = -1
+	}
+}
+
+// zeroed returns s resized to n zero words, reallocating only when its
+// capacity is short.
+func zeroed(s []uint64, n int) []uint64 {
+	if cap(s) < n {
+		return make([]uint64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
 
 // profile returns the Table II profile of the whole component under
 // extra, built on first use. The lock is held across the build so
@@ -884,10 +960,10 @@ func (s *searcher) newCompData(comp []int32) *compData {
 }
 
 // prepareComp induces comp from the reduced graph and relabels it by
-// CalColorOD peel rank (Algorithm 2 line 9), then precomputes the
-// bitset machinery (or the slice oracle's vertex list). toOrig
-// maps the reduced graph's ids to original ids; the compPrep composes
-// the two so it is self-contained.
+// CalColorOD peel rank (Algorithm 2 line 9), then builds the whole
+// component's row table when useFlatRows admits one. toOrig maps the
+// reduced graph's ids to original ids; the compPrep composes the two so
+// it is self-contained.
 func prepareComp(g *graph.Graph, comp []int32, toOrig []int32) *compPrep {
 	sub := graph.Induce(g, comp)
 	col := color.Greedy(sub.G)
@@ -908,53 +984,11 @@ func prepareComp(g *graph.Graph, comp []int32, toOrig []int32) *compPrep {
 	for v := int32(0); v < n; v++ {
 		d.cnt[d.comp.Attr(v)]++
 	}
-
-	if !useSliceOracle {
-		d.words = graph.BitWords(n)
-		d.attrMask[0] = make([]uint64, d.words)
-		d.attrMask[1] = make([]uint64, d.words)
-		for v := int32(0); v < n; v++ {
-			graph.BitSet(d.attrMask[d.comp.Attr(v)], v)
-		}
-		d.fullRow = graph.NewLiveRow(n)
-		d.fullRow.FillN(n)
-		// succ[u] = N(u) ∩ (same-attribute vertices after u ∪ the other
-		// attribute): exactly the vertices expand may keep in u's child.
-		// Built row by row from the sorted adjacency lists; the chunked
-		// form never materializes a dense n×n matrix, so there is no
-		// size cap.
-		var cb *graph.ChunkedBuilder
-		if useFlatRows(n, d.comp.M()) {
-			d.flat = make([]uint64, int(n)*int(d.words))
-		} else {
-			cb = graph.NewChunkedBuilder(n, n)
-		}
-		var buf []int32
-		for u := int32(0); u < n; u++ {
-			buf = buf[:0]
-			au := d.comp.Attr(u)
-			for _, v := range d.comp.Neighbors(u) {
-				if d.comp.Attr(v) != au || v > u {
-					buf = append(buf, v)
-				}
-			}
-			if cb != nil {
-				cb.AddRow(buf)
-				continue
-			}
-			row := d.flatRow(u)
-			for _, v := range buf {
-				graph.BitSet(row, v)
-			}
-		}
-		if cb != nil {
-			d.succ = cb.Build()
-		}
-	} else {
-		d.allVerts = make([]int32, n)
-		for i := range d.allVerts {
-			d.allVerts[i] = int32(i)
-		}
+	d.allVerts = identity(n)
+	if d.oracle = useSliceOracle; !d.oracle && useFlatRows(n, d.comp.M()) {
+		d.rows = &rowTable{}
+		d.rows.fill(d.comp, d.allVerts)
+		d.allVerts = nil
 	}
 	return d
 }
@@ -964,21 +998,35 @@ func prepareComp(g *graph.Graph, comp []int32, toOrig []int32) *compPrep {
 //
 // Invariant for rbuf (the clique arena): the branch node at depth d
 // owns slot rbuf[d]; slots below d are frozen for the lifetime of that
-// node, and rbuf[:d] is the current clique R. The buffer is allocated
-// once per worker at full component capacity, so the old
-// append(r, u)-style re-allocation (and its aliasing footgun: siblings
-// sharing a backing array) cannot occur.
+// node, and rbuf[:d] is the current clique R, in component ids. The
+// buffer is allocated once per worker at full component capacity, so
+// the old append(r, u)-style re-allocation (and its aliasing footgun:
+// siblings sharing a backing array) cannot occur.
 type worker struct {
 	d *compData
 
-	rbuf []int32         // clique arena; rbuf[:depth] is R
-	cand []graph.LiveRow // candidate rows, one per depth; cand[0] is d.fullRow (never written)
-	cs   [][]int32       // slice candidates, one per depth (oracle path)
+	rbuf []int32 // clique arena; rbuf[:depth] is R
 
-	// colU and colQ are the per-node colouring's scratch rows, of the
-	// component's flat width: the uncoloured candidates and the open
-	// class's remaining candidates (see classesFlat).
+	// t is the row table the bitset nodes read: the component's, or
+	// own, which each list node's child rebuilds over its candidates.
+	// cand holds one candidate row per depth, of words words, as table
+	// indices (cand[0] is the component table's full row, never
+	// written); cs one candidate list per depth, for list nodes and the
+	// oracle (cs[0] is allVerts, never written).
+	t     *rowTable
+	own   rowTable
+	words int32
+	cand  [][]uint64
+	cs    [][]int32
+
+	// colU and colQ are the per-node colouring's scratch rows: the
+	// uncoloured candidates and the open class's remaining candidates
+	// (see classesFlat). col, used and kinds are the list colouring's
+	// (see classesList).
 	colU, colQ []uint64
+	col        []int32
+	used       []bool
+	kinds      []uint8
 
 	// collect, when non-nil, makes a depth-0 expand record the branch
 	// vertices here instead of recursing — how the root is split into
@@ -1013,13 +1061,28 @@ func newWorker(d *compData) *worker {
 		rbuf:       make([]int32, d.n),
 		flushEvery: flushEvery(d.s.opt),
 	}
-	if d.bitset() {
-		w.cand = append(w.cand, d.fullRow)
-		w.colU = make([]uint64, d.words)
-		w.colQ = make([]uint64, d.words)
-	} else {
+	switch {
+	case d.rows != nil:
+		w.t, w.words = d.rows, d.rows.words
+		w.cand = append(w.cand, d.rows.full)
+	case d.oracle:
 		w.cs = append(w.cs, d.allVerts)
+		return w
+	default:
+		// A list node's child builds a table of at most ChunkBits rows.
+		w.t, w.words = &w.own, graph.BitWords(min(d.n, graph.ChunkBits))
+		w.cand = append(w.cand, nil) // the root is a list node
+		w.cs = append(w.cs, d.allVerts)
+		// First-fit colouring uses at most maxDegree+1 colours.
+		w.col = make([]int32, d.n)
+		for i := range w.col {
+			w.col[i] = -1
+		}
+		w.used = make([]bool, d.comp.MaxDegree()+1)
+		w.kinds = make([]uint8, len(w.used))
 	}
+	w.colU = make([]uint64, w.words)
+	w.colQ = make([]uint64, w.words)
 	return w
 }
 
@@ -1160,7 +1223,7 @@ func (s *searcher) splitRoot(ci int, driver *worker, tasks []int32, workers int)
 
 // rootTasks runs the root node in collect mode and returns the root
 // branch vertices — the tasks splitRoot distributes. The collect arena
-// must be non-nil even when empty: expandBits/expandSlice switch on
+// must be non-nil even when empty: the expand steps switch on
 // `collect != nil`, so a nil buffer would silently degrade the split to
 // a serial search.
 func (w *worker) rootTasks() []int32 {
@@ -1177,10 +1240,14 @@ func (w *worker) rootTasks() []int32 {
 
 // branchRoot enters the root node: R = ∅, C = the whole component.
 func (w *worker) branchRoot() {
-	if w.d.bitset() {
-		w.branchBits(0, [2]int32{}, w.d.cnt)
-	} else {
-		w.branchSlice(0, w.d.allVerts, [2]int32{}, w.d.cnt)
+	d := w.d
+	switch {
+	case d.rows != nil:
+		w.branchBits(0, [2]int32{}, d.cnt)
+	case d.oracle:
+		w.branchSlice(0, d.allVerts, [2]int32{}, d.cnt)
+	default:
+		w.branchList(0, d.allVerts, [2]int32{}, d.cnt)
 	}
 }
 
@@ -1190,22 +1257,26 @@ func (w *worker) runRootBranch(u int32) {
 	d := w.d
 	var cnt [2]int32
 	cnt[d.comp.Attr(u)]++
-	w.rbuf[0] = u
-	if !d.bitset() {
+	switch {
+	case d.rows != nil:
+		w.rbuf[0] = u
+		w.ensureBits(1)
+		avail := w.makeChildBits(w.cand[1], w.cand[0], u, false)
+		w.branchBits(1, cnt, avail)
+	case d.oracle:
+		w.rbuf[0] = u
 		w.ensureSlice(1, len(d.allVerts))
 		child, avail := w.makeChildSlice(1, d.allVerts, u, false)
 		w.branchSlice(1, child, cnt, avail)
-		return
+	default:
+		w.listChild(0, d.allVerts, u, false, cnt)
 	}
-	w.ensureBits(1)
-	avail := w.makeChildBits(w.cand[1], d.fullRow, u, false)
-	w.branchBits(1, cnt, avail)
 }
 
 // ensureBits guarantees a candidate row exists for the given depth.
 func (w *worker) ensureBits(depth int) {
 	for len(w.cand) <= depth {
-		w.cand = append(w.cand, graph.NewLiveRow(w.d.n))
+		w.cand = append(w.cand, make([]uint64, w.words))
 	}
 }
 
@@ -1221,36 +1292,21 @@ func (w *worker) ensureSlice(depth, need int) {
 }
 
 // makeChildBits writes into dst the child candidate set of branching on
-// u from src: src ∩ succ(u), restricted to u's attribute when declare
-// is set. Per-attribute candidate counts are fused into the AND pass,
-// which on chunked rows touches only chunks live in src and stored
-// for u.
-func (w *worker) makeChildBits(dst, src graph.LiveRow, u int32, declare bool) [2]int32 {
-	d := w.d
-	var restrict []uint64
+// table index u from src: src ∩ succ(u), restricted to u's attribute
+// when declare is set, with its per-attribute counts.
+func (w *worker) makeChildBits(dst, src []uint64, u int32, declare bool) [2]int32 {
+	t := w.t
+	restrict := t.full // no restriction: src has no bits past n
 	if declare {
-		restrict = d.attrMask[d.comp.Attr(u)]
+		restrict = t.attrMask[w.d.comp.Attr(t.ids[u])]
 	}
-	if d.flat == nil {
-		a, b := d.succ.AndInto(dst, src, u, restrict, d.attrMask[0])
-		return [2]int32{a, b}
-	}
-	if restrict == nil {
-		restrict = d.fullRow.Words // all ones: no restriction
-	}
-	a, t := andFlat(dst.Words, src.Words, d.flatRow(u), restrict, d.attrMask[0])
-	dst.Live[0] = 1
-	return [2]int32{a, t - a}
+	a, n := andFlat(dst, src, t.row(u), restrict, t.attrMask[0])
+	return [2]int32{a, n - a}
 }
 
-// flatRow returns u's flat successor row.
-func (c *compPrep) flatRow(u int32) []uint64 {
-	return c.flat[u*c.words : (u+1)*c.words]
-}
-
-// andFlat is ChunkedMatrix.AndInto on flat rows: dst = src ∧ row ∧
-// restrict over every word, returning a = |dst ∧ maskA| and t = |dst|
-// from the same pass. All five rows have the same length.
+// andFlat sets dst = src ∧ row ∧ restrict over every word of row and
+// returns a = |dst ∧ maskA| and t = |dst| from the same pass. All five
+// rows have at least len(row) words.
 func andFlat(dst, src, row, restrict, maskA []uint64) (a, t int32) {
 	src, dst, restrict, maskA = src[:len(row)], dst[:len(row)], restrict[:len(row)], maskA[:len(row)]
 	for j, x := range row {
@@ -1289,14 +1345,35 @@ func (w *worker) makeChildSlice(depth int, src []int32, u int32, declare bool) (
 	return child, avail
 }
 
+// childList is makeChildBits for list nodes: it writes into the depth's
+// list arena c ∩ succ(u), restricted to u's attribute when declare is
+// set, from one sorted intersection of u's adjacency list with c, and
+// returns it with its per-attribute counts.
+func (w *worker) childList(depth int, c []int32, u int32, declare bool) ([]int32, [2]int32) {
+	g := w.d.comp
+	au := g.Attr(u)
+	w.ensureSlice(depth, 0)
+	child := w.cs[depth][:0]
+	var avail [2]int32
+	graph.IntersectSorted(g.Neighbors(u), c, func(_, j int) {
+		v := c[j]
+		if av := g.Attr(v); av == au && v > u || av != au && !declare {
+			avail[av]++
+			child = append(child, v)
+		}
+	})
+	w.cs[depth] = child // keep the (possibly grown) backing array
+	return child, avail
+}
+
 // prologue runs the shared per-node bookkeeping and pruning (see the
 // package comment's per-node pruning steps 1-5): node accounting,
 // fairness recording, the size bound ubs and 2k floor (lines 19-20),
-// attribute feasibility (lines 21-23), δ-caps and ubAD on the bitset
-// paths (cand non-nil). It returns false when the node is pruned; the
-// caller then picks the expansion sides by the count-difference state
-// machine.
-func (w *worker) prologue(depth int, cnt, avail [2]int32, cand *graph.LiveRow) bool {
+// attribute feasibility (lines 21-23), δ-caps, and ubAD on a table
+// node's row cand or, when cand is nil, on a list node's list (never on
+// the slice oracle). It returns false when the node is pruned; the
+// caller then picks the expansion sides with searcher.sides.
+func (w *worker) prologue(depth int, cnt, avail [2]int32, cand []uint64, list []int32) bool {
 	s := w.d.s
 	if s.halted() {
 		return false
@@ -1322,56 +1399,59 @@ func (w *worker) prologue(depth int, cnt, avail [2]int32, cand *graph.LiveRow) b
 			return false
 		}
 	}
-	if s.opt.UseBounds && cand != nil && perNodeBound {
-		if ub := w.nodeBound(cnt, avail, *cand); s.cut(ub) || ub < 2*s.k {
+	if s.opt.UseBounds && perNodeBound && !w.d.oracle {
+		if ub := w.nodeBound(cnt, avail, cand, list); s.cut(ub) || ub < 2*s.k {
 			return false
 		}
 	}
 	return true
 }
 
-// nodeBound returns ubAD (Lemmas 5-9) of the bitset node (R, C): the
-// attribute bound from the counts alone when that already prunes, and
-// otherwise the full group over a greedy colouring of C. R is a clique
-// adjacent to every candidate, so each R vertex is a colour class of
-// its own, exclusive to its attribute.
-func (w *worker) nodeBound(cnt, avail [2]int32, cand graph.LiveRow) int32 {
+// sides applies the count-difference state machine to a node whose R
+// has attribute counts cnt: it returns the attribute to branch on, and
+// whether the node also gets a declare branch on the other one.
+func (s *searcher) sides(cnt [2]int32) (graph.Attr, bool) {
+	switch diff := cnt[0] - cnt[1]; {
+	case diff >= 2:
+		return graph.AttrA, false
+	case diff <= -1:
+		return graph.AttrB, false
+	case diff == 0:
+		return graph.AttrA, cnt[0] >= s.k // declare side a complete
+	default: // diff == 1
+		return graph.AttrB, cnt[1] >= s.k // declare side b complete
+	}
+}
+
+// nodeBound returns ubAD (Lemmas 5-9) of the node (R, C), C being the
+// table row cand or, when cand is nil, the list: the attribute bound
+// from the counts alone when that already prunes, and otherwise the
+// full group over a greedy colouring of C. R is a clique adjacent to
+// every candidate, so each R vertex is a colour class of its own,
+// exclusive to its attribute.
+func (w *worker) nodeBound(cnt, avail [2]int32, cand []uint64, list []int32) int32 {
 	s := w.d.s
 	na, nb := cnt[0]+avail[0], cnt[1]+avail[1]
 	if ub := bounds.Combine(na, nb, s.delta); s.cut(ub) || ub < 2*s.k {
 		return ub
 	}
-	ca, cb, cm := w.colourClasses(cand)
+	var ca, cb, cm int32
+	if cand != nil {
+		ca, cb, cm = w.colourClasses(cand)
+	} else {
+		ca, cb, cm = w.classesList(list)
+	}
 	return bounds.AD(na, nb, cnt[0]+ca, cnt[1]+cb, cm, s.delta)
 }
 
 // colourClasses colours the candidate row greedily in id (= peel rank)
-// order and returns its number of a-only, b-only and mixed classes.
-// The row is copied into the colU scratch first: its span of non-zero
-// words on flat rows, only its live chunks on chunked rows, whose dead
-// chunks hold stale words.
-func (w *worker) colourClasses(cand graph.LiveRow) (ca, cb, cm int32) {
-	if w.d.flat != nil {
-		lo, hi := nonZeroSpan(cand.Words, 0, len(cand.Words))
-		copy(w.colU[lo:hi], cand.Words[lo:hi])
-		return w.classesFlat(lo, hi)
-	}
-	lo, hi := -1, 0
-	cand.ForEachLiveChunk(func(w0, w1 int32) bool {
-		if lo < 0 {
-			lo = int(w0)
-		} else {
-			clear(w.colU[hi:w0]) // dead chunks between live ones
-		}
-		copy(w.colU[w0:w1], cand.Words[w0:w1])
-		hi = int(w1)
-		return true
-	})
-	if lo < 0 {
-		return 0, 0, 0
-	}
-	lo, hi = nonZeroSpan(w.colU, lo, hi)
-	return w.classesChunked(lo, hi)
+// order and returns its number of a-only, b-only and mixed classes,
+// after copying the row's span of non-zero words into the colU
+// scratch.
+func (w *worker) colourClasses(cand []uint64) (ca, cb, cm int32) {
+	lo, hi := nonZeroSpan(cand, 0, len(cand))
+	copy(w.colU[lo:hi], cand[lo:hi])
+	return w.classesFlat(lo, hi)
 }
 
 // nonZeroSpan narrows [lo, hi) to the words from the first to the last
@@ -1386,17 +1466,17 @@ func nonZeroSpan(q []uint64, lo, hi int) (int, int) {
 	return lo, hi
 }
 
-// classesFlat colours the uncoloured candidates colU[lo:hi] on flat
-// rows, one class at a time. A class starts as Q = the uncoloured
-// candidates and repeatedly takes v = the lowest vertex of Q and sets
-// Q &^= succ(v). Every vertex left in Q lies above v, and succ(v)
-// holds every neighbour of v above v, so this drops exactly v's
+// classesFlat colours the uncoloured candidates colU[lo:hi] on the
+// worker's table, one class at a time. A class starts as Q = the
+// uncoloured candidates and repeatedly takes v = the lowest vertex of Q
+// and sets Q &^= succ(v). Every vertex left in Q lies above v, and
+// succ(v) holds every neighbour of v above v, so this drops exactly v's
 // neighbours; the and-not runs from v's word to hi only. The classes
 // are those of first-fit colouring in id order.
 func (w *worker) classesFlat(lo, hi int) (ca, cb, cm int32) {
-	d := w.d
-	maskA := d.attrMask[0]
-	nw := int(d.words)
+	t := w.t
+	maskA := t.attrMask[0]
+	nw := int(t.words)
 	for lo < hi {
 		unc, q := w.colU[:hi], w.colQ[:hi]
 		copy(q[lo:], unc[lo:])
@@ -1406,7 +1486,7 @@ func (w *worker) classesFlat(lo, hi int) (ca, cb, cm int32) {
 			for x := q[qi]; x != 0; {
 				bit := x & -x
 				took |= bit
-				row := d.flat[(qi<<6+bits.TrailingZeros64(x))*nw+qi:]
+				row := t.flat[(qi<<6+bits.TrailingZeros64(x))*nw+qi:]
 				x &^= bit | row[0]
 				qs := q[qi+1:]
 				row = row[1 : len(qs)+1]
@@ -1424,30 +1504,44 @@ func (w *worker) classesFlat(lo, hi int) (ca, cb, cm int32) {
 	return ca, cb, cm
 }
 
-// classesChunked is classesFlat on chunked rows: the and-not is
-// ChunkedMatrix.AndNot over Q's words below hi (those below lo are
-// stale and never read).
-func (w *worker) classesChunked(lo, hi int) (ca, cb, cm int32) {
-	d := w.d
-	maskA := d.attrMask[0]
-	for lo < hi {
-		unc, q := w.colU[:hi], w.colQ[:hi]
-		copy(q[lo:], unc[lo:])
-		var inA, inB uint64
-		for qi := lo; qi < hi; qi++ {
-			var took uint64
-			for x := q[qi]; x != 0; x = q[qi] {
-				bit := x & -x
-				took |= bit
-				q[qi] = x &^ bit
-				d.succ.AndNot(q, int32(qi<<6+bits.TrailingZeros64(x)))
+// classesList is classesFlat on a list node: first-fit colouring of the
+// ascending list c from the adjacency lists, each vertex taking the
+// smallest colour that no earlier vertex of c adjacent to it wears —
+// the classes classesFlat builds over the same candidates. w.col holds
+// each coloured vertex's colour and is −1 everywhere between calls;
+// w.kinds folds each class's attributes.
+func (w *worker) classesList(c []int32) (ca, cb, cm int32) {
+	g := w.d.comp
+	col, used, kinds := w.col, w.used, w.kinds
+	var ncol int32
+	for _, v := range c {
+		nb := g.Neighbors(v)
+		for _, u := range nb {
+			if x := col[u]; x >= 0 {
+				used[x] = true
 			}
-			unc[qi] &^= took
-			inA |= took & maskA[qi]
-			inB |= took &^ maskA[qi]
 		}
-		ca, cb, cm = tally(ca, cb, cm, inA, inB)
-		lo, hi = nonZeroSpan(unc, lo, hi)
+		x := int32(0)
+		for used[x] {
+			x++
+		}
+		for _, u := range nb {
+			if y := col[u]; y >= 0 {
+				used[y] = false
+			}
+		}
+		col[v] = x
+		if x == ncol {
+			kinds[x] = 0
+			ncol++
+		}
+		kinds[x] |= 1 << g.Attr(v)
+	}
+	for _, v := range c {
+		col[v] = -1
+	}
+	for _, k := range kinds[:ncol] {
+		ca, cb, cm = tally(ca, cb, cm, uint64(k&1), uint64(k>>1))
 	}
 	return ca, cb, cm
 }
@@ -1461,84 +1555,47 @@ func tally(ca, cb, cm int32, inA, inB uint64) (int32, int32, int32) {
 	return ca + a&^b, cb + b&^a, cm + a&b
 }
 
-// branchBits is one node of the search tree on the bitset path (flat or
-// chunked rows). The candidates live in w.cand[depth], R in
-// w.rbuf[:depth]. The expansion sides follow the count-difference
-// state machine.
+// branchBits is one node of the search tree on the worker's row table.
+// The candidates live in w.cand[depth], R in w.rbuf[:depth].
 func (w *worker) branchBits(depth int, cnt, avail [2]int32) {
-	if !w.prologue(depth, cnt, avail, &w.cand[depth]) {
+	if !w.prologue(depth, cnt, avail, w.cand[depth][:w.t.words], nil) {
 		return
 	}
-	s := w.d.s
-	switch diff := cnt[0] - cnt[1]; {
-	case diff >= 2:
-		w.expandBits(depth, graph.AttrA, false, cnt)
-	case diff <= -1:
-		w.expandBits(depth, graph.AttrB, false, cnt)
-	case diff == 0:
-		w.expandBits(depth, graph.AttrA, false, cnt)
-		if cnt[0] >= s.k {
-			w.expandBits(depth, graph.AttrB, true, cnt) // declare side a complete
-		}
-	default: // diff == 1
-		w.expandBits(depth, graph.AttrB, false, cnt)
-		if cnt[1] >= s.k {
-			w.expandBits(depth, graph.AttrA, true, cnt) // declare side b complete
-		}
+	attr, declare := w.d.s.sides(cnt)
+	w.expandBits(depth, attr, false, cnt)
+	if declare {
+		w.expandBits(depth, 1-attr, true, cnt)
 	}
 }
 
 // expandBits branches on every candidate of the given attribute, in id
-// (= peel rank) order, visiting only the live chunks of the candidate
-// row.
+// (= peel rank) order: it walks src ∧ am word by word and builds each
+// child with one AND over the row's words. Every candidate has
+// attribute attr, so the declare mask is am itself; without a
+// declaration the table's full row stands in for it.
 func (w *worker) expandBits(depth int, attr graph.Attr, declare bool, cnt [2]int32) {
-	d := w.d
-	s := d.s
-	src := w.cand[depth]
-	am := d.attrMask[attr]
+	t := w.t
+	src := w.cand[depth][:t.words]
+	am := t.attrMask[attr]
 	if w.collect != nil && depth == 0 {
 		// Root split: record the branch vertices for the task queue.
-		w.forEachLive(src, am, func(u int32) bool {
-			w.collect = append(w.collect, u)
-			return true
-		})
+		for wi, sw := range src {
+			for word := sw & am[wi]; word != 0; word &= word - 1 {
+				w.collect = append(w.collect, int32(wi<<6+bits.TrailingZeros64(word)))
+			}
+		}
 		return
 	}
 	w.ensureBits(depth + 1)
 	dst := w.cand[depth+1]
-	ncnt := cnt
-	ncnt[attr]++
-	if d.flat != nil {
-		w.expandFlat(depth, src, dst, am, declare, ncnt)
-		return
-	}
-	w.forEachLive(src, am, func(u int32) bool {
-		if s.halted() {
-			return false
-		}
-		avail := w.makeChildBits(dst, src, u, declare)
-		w.rbuf[depth] = u
-		w.branchBits(depth+1, ncnt, avail)
-		return true
-	})
-}
-
-// expandFlat is expandBits on flat successor rows: it walks src ∧ am
-// word by word, with no chunk scan and no closure per candidate, and
-// builds each child with one AND over the row's words. Every candidate
-// has attribute attr, so the declare mask is am itself; without a
-// declaration the all-ones root row stands in for it. dst's single
-// chunk is marked live once, since every AND writes all its words.
-func (w *worker) expandFlat(depth int, src, dst graph.LiveRow, am []uint64, declare bool, ncnt [2]int32) {
-	d := w.d
-	s := d.s
-	restrict := d.fullRow.Words
+	restrict := t.full
 	if declare {
 		restrict = am
 	}
-	maskA := d.attrMask[0]
-	dst.Live[0] = 1
-	for wi, sw := range src.Words {
+	ncnt := cnt
+	ncnt[attr]++
+	s := w.d.s
+	for wi, sw := range src {
 		word := sw & am[wi]
 		for word != 0 {
 			u := int32(wi<<6 + bits.TrailingZeros64(word))
@@ -1546,53 +1603,80 @@ func (w *worker) expandFlat(depth int, src, dst graph.LiveRow, am []uint64, decl
 			if s.halted() {
 				return
 			}
-			a, t := andFlat(dst.Words, src.Words, d.flatRow(u), restrict, maskA)
-			w.rbuf[depth] = u
-			w.branchBits(depth+1, ncnt, [2]int32{a, t - a})
+			a, n := andFlat(dst, src, t.row(u), restrict, t.attrMask[0])
+			w.rbuf[depth] = t.ids[u]
+			w.branchBits(depth+1, ncnt, [2]int32{a, n - a})
 		}
 	}
 }
 
-// forEachLive calls fn for every bit of src ∧ mask in increasing id
-// order, skipping dead chunks. fn returning false stops the scan.
-func (w *worker) forEachLive(src graph.LiveRow, mask []uint64, fn func(u int32) bool) {
-	src.ForEachLiveChunk(func(w0, w1 int32) bool {
-		for wi := w0; wi < w1; wi++ {
-			word := src.Words[wi] & mask[wi]
-			base := wi << 6
-			for word != 0 {
-				if !fn(base + int32(bits.TrailingZeros64(word))) {
-					return false
-				}
-				word &= word - 1
+// branchList is one node of the search tree whose candidates are the
+// ascending list c of component ids: the root of a component without a
+// whole-component table, or a candidate set of more than
+// tableMaxVertices vertices. It runs the table node's prologue, ubAD
+// from classesList, and branches through listChild.
+func (w *worker) branchList(depth int, c []int32, cnt, avail [2]int32) {
+	if !w.prologue(depth, cnt, avail, nil, c) {
+		return
+	}
+	attr, declare := w.d.s.sides(cnt)
+	w.expandList(depth, c, attr, false, cnt)
+	if declare {
+		w.expandList(depth, c, 1-attr, true, cnt)
+	}
+}
+
+func (w *worker) expandList(depth int, c []int32, attr graph.Attr, declare bool, cnt [2]int32) {
+	d := w.d
+	if w.collect != nil && depth == 0 {
+		for _, u := range c {
+			if d.comp.Attr(u) == attr {
+				w.collect = append(w.collect, u)
 			}
 		}
-		return true
-	})
+		return
+	}
+	ncnt := cnt
+	ncnt[attr]++
+	for _, u := range c {
+		if d.comp.Attr(u) != attr {
+			continue
+		}
+		if d.s.halted() {
+			return
+		}
+		w.listChild(depth, c, u, declare, ncnt)
+	}
+}
+
+// listChild branches from the list node (depth, c) on u into the child
+// with R's counts ncnt. A child of at most tableMaxVertices candidates
+// continues as a table node over the worker's own table, rebuilt over
+// its candidates (every deeper candidate set is a subset of them); a
+// larger one is a list node.
+func (w *worker) listChild(depth int, c []int32, u int32, declare bool, ncnt [2]int32) {
+	child, avail := w.childList(depth+1, c, u, declare)
+	w.rbuf[depth] = u
+	if int32(len(child)) > tableMaxVertices {
+		w.branchList(depth+1, child, ncnt, avail)
+		return
+	}
+	w.own.fill(w.d.comp, child)
+	w.ensureBits(depth + 1)
+	copy(w.cand[depth+1], w.own.full)
+	w.branchBits(depth+1, ncnt, avail)
 }
 
 // branchSlice is branchBits on the oracle path (binary-search adjacency
 // tests over candidate slices).
 func (w *worker) branchSlice(depth int, c []int32, cnt, avail [2]int32) {
-	if !w.prologue(depth, cnt, avail, nil) {
+	if !w.prologue(depth, cnt, avail, nil, nil) {
 		return
 	}
-	s := w.d.s
-	switch diff := cnt[0] - cnt[1]; {
-	case diff >= 2:
-		w.expandSlice(depth, c, graph.AttrA, false, cnt)
-	case diff <= -1:
-		w.expandSlice(depth, c, graph.AttrB, false, cnt)
-	case diff == 0:
-		w.expandSlice(depth, c, graph.AttrA, false, cnt)
-		if cnt[0] >= s.k {
-			w.expandSlice(depth, c, graph.AttrB, true, cnt) // declare side a complete
-		}
-	default: // diff == 1
-		w.expandSlice(depth, c, graph.AttrB, false, cnt)
-		if cnt[1] >= s.k {
-			w.expandSlice(depth, c, graph.AttrA, true, cnt) // declare side b complete
-		}
+	attr, declare := w.d.s.sides(cnt)
+	w.expandSlice(depth, c, attr, false, cnt)
+	if declare {
+		w.expandSlice(depth, c, 1-attr, true, cnt)
 	}
 }
 

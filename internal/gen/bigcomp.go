@@ -59,14 +59,37 @@ func BigComponent(seed uint64, core int, coreP float64, shell int) *graph.Graph 
 
 // BigComponentGiant is the canonical engine-benchmark instance: the
 // single definition shared by BENCH_core.json (internal/bench) and the
-// chunked-vs-slice comparison benchmark in internal/core, so the two
+// per-root-vs-slice comparison benchmark in internal/core, so the two
 // always measure the same graph. The nucleus scales with scale; the
-// cycle shell is fixed at one chunk plus change so the instance crosses
-// the 4096-vertex boundary at every scale.
+// cycle shell is fixed at graph.ChunkBits+1024 vertices so the instance
+// is too large for one flat row table at every scale.
 func BigComponentGiant(scale float64) *graph.Graph {
 	nucleus := int(230 * scale)
 	if nucleus < 40 {
 		nucleus = 40
 	}
 	return BigComponent(20260729, nucleus, 0.5, graph.ChunkBits+1024)
+}
+
+// HubFan builds one a-vertex (id 0) adjacent to every vertex of t
+// disjoint triangles of one a- and two b-vertices, so the hub and each
+// triangle form a balanced K4. The hub's degree is 3t, the whole graph:
+// the fixture for work that must not cost a hub's degree once per
+// incident edge or per subproblem.
+func HubFan(t int) *graph.Graph {
+	b := graph.NewBuilder(1 + 3*t)
+	b.SetAttr(0, graph.AttrA)
+	for i := 0; i < t; i++ {
+		x := int32(1 + 3*i)
+		b.SetAttr(x, graph.AttrA)
+		b.SetAttr(x+1, graph.AttrB)
+		b.SetAttr(x+2, graph.AttrB)
+		b.AddEdge(x, x+1)
+		b.AddEdge(x, x+2)
+		b.AddEdge(x+1, x+2)
+		for v := x; v < x+3; v++ {
+			b.AddEdge(0, v)
+		}
+	}
+	return b.Build()
 }

@@ -1,9 +1,13 @@
 package graph
 
-// Packed-bitset primitives shared by the chunked candidate rows
-// (chunked.go) and the branch-and-bound engine. The old dense BitMatrix
-// that lived here was replaced by ChunkedMatrix when the engine's
-// 4096-vertex cap was lifted.
+// Packed-bitset primitives of the branch-and-bound engine's flat
+// candidate rows.
+
+// ChunkBits = 4096 is the vertex count past which the engine stops
+// building flat rows (a row table holds at most ChunkBits rows of
+// ChunkBits/64 words, 2 MiB) and the reduction leaves its dense bitset
+// kernels for sorted adjacency lists.
+const ChunkBits = 4096
 
 // BitWords returns the number of 64-bit words needed for n bits.
 func BitWords(n int32) int32 { return (n + 63) / 64 }

@@ -13,6 +13,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -143,18 +144,49 @@ func (g *Graph) AttrCount() (na, nb int32) {
 }
 
 // CommonNeighbors calls fn for every common neighbour w of u and v, in
-// increasing order of w. It is a linear merge of the two sorted lists.
+// increasing order of w (IntersectSorted of the two adjacency lists).
 func (g *Graph) CommonNeighbors(u, v int32, fn func(w int32)) {
-	au, av := g.Neighbors(u), g.Neighbors(v)
+	au := g.Neighbors(u)
+	IntersectSorted(au, g.Neighbors(v), func(i, _ int) { fn(au[i]) })
+}
+
+// IntersectSorted calls fn(i, j) for every common value a[i] == b[j] of
+// two ascending lists without duplicates, in increasing order. It is a
+// linear merge unless one list is more than eight times longer than the
+// other; then each value of the shorter list is binary-searched in the
+// rest of the longer one, for O(short·log long) instead of O(long), so
+// a hub's adjacency list does not cost its whole length per call.
+func IntersectSorted(a, b []int32, fn func(i, j int)) {
+	if len(b) > 8*len(a) || len(a) > 8*len(b) {
+		short, long, swap := a, b, false
+		if len(a) > len(b) {
+			short, long, swap = b, a, true
+		}
+		lo := 0
+		for i, x := range short {
+			j, ok := slices.BinarySearch(long[lo:], x)
+			lo += j
+			if !ok {
+				continue
+			}
+			if swap {
+				fn(lo, i)
+			} else {
+				fn(i, lo)
+			}
+			lo++
+		}
+		return
+	}
 	i, j := 0, 0
-	for i < len(au) && j < len(av) {
+	for i < len(a) && j < len(b) {
 		switch {
-		case au[i] < av[j]:
+		case a[i] < b[j]:
 			i++
-		case au[i] > av[j]:
+		case a[i] > b[j]:
 			j++
 		default:
-			fn(au[i])
+			fn(i, j)
 			i++
 			j++
 		}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -144,6 +145,47 @@ func TestCommonNeighbors(t *testing.T) {
 	}
 	if p.CountCommonNeighbors(0, 2) != 1 {
 		t.Fatal("0 and 2 share exactly vertex 1")
+	}
+}
+
+// IntersectSorted must report every common value once, in increasing
+// order, with its positions in both lists: on balanced lengths (the
+// linear merge) and on lengths skewed past 8× either way (the binary
+// search from the shorter side).
+func TestIntersectSorted(t *testing.T) {
+	r := rng.New(3)
+	sorted := func(n, span int) []int32 {
+		seen := map[int32]bool{}
+		var s []int32
+		for len(s) < n {
+			if v := int32(r.Intn(span)); !seen[v] {
+				seen[v] = true
+				s = append(s, v)
+			}
+		}
+		slices.Sort(s)
+		return s
+	}
+	for _, lens := range [][2]int{{0, 0}, {0, 5}, {5, 0}, {40, 50}, {3, 200}, {200, 3}, {1, 1000}, {25, 25}} {
+		for trial := 0; trial < 20; trial++ {
+			a, b := sorted(lens[0], 1200), sorted(lens[1], 1200)
+			var want []int32
+			for _, x := range a {
+				if _, ok := slices.BinarySearch(b, x); ok {
+					want = append(want, x)
+				}
+			}
+			var got []int32
+			IntersectSorted(a, b, func(i, j int) {
+				if a[i] != b[j] {
+					t.Fatalf("lens %v: fn(%d, %d) on a[i]=%d, b[j]=%d", lens, i, j, a[i], b[j])
+				}
+				got = append(got, a[i])
+			})
+			if !slices.Equal(got, want) {
+				t.Fatalf("lens %v: common values %v, want %v", lens, got, want)
+			}
+		}
 	}
 }
 

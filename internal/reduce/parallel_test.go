@@ -149,6 +149,20 @@ func BenchmarkPipelineNSearchCold(b *testing.B) {
 	}
 }
 
+// BenchmarkPipelineNHub reduces gen.HubFan(20000) at k = 2 on one
+// worker: 60,001 vertices, every edge a triangle edge or a hub edge, so
+// each support count intersects the hub's 60,000-entry adjacency list
+// with a list of three. Every vertex survives.
+func BenchmarkPipelineNHub(b *testing.B) {
+	g := gen.HubFan(20000)
+	b.ReportAllocs()
+	for b.Loop() {
+		if sub, _ := PipelineN(g, 2, 1); sub.G.N() != g.N() {
+			b.Fatalf("reduced to n=%d; want all %d vertices", sub.G.N(), g.N())
+		}
+	}
+}
+
 // BenchmarkEnColorfulCore runs the first colorful stage of the
 // ingest-answer query, EnColorfulCore at k − 1 = 7, over each of the
 // 601 components of gen.IngestGiant(1, 1.0)'s (2k−1)-core at k = 8,

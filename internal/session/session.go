@@ -10,7 +10,7 @@
 //
 //   - Reductions: one entry per distinct k holds the reduced subgraph
 //     and the core.Prepared built over it — the connected components,
-//     their peel-rank relabeling, the chunked successor masks, attribute
+//     their peel-rank relabeling, the flat successor rows, attribute
 //     histograms and recycled worker arenas — built once and shared by
 //     every query, including concurrent ones, at that k. The pipeline
 //     run for k reduces the subgraph of the largest smaller k already
