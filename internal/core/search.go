@@ -864,7 +864,7 @@ func (t *rowTable) fill(g *graph.Graph, vs []int32) {
 	for i, v := range vs {
 		row := t.row(int32(i))
 		if nb := g.Neighbors(v); len(nb) > 8*len(vs) {
-			graph.IntersectSorted(nb, vs, func(_, j int) { graph.BitSet(row, int32(j)) })
+			graph.IntersectSorted(nb, vs, func(u int32) { graph.BitSet(row, t.pos[u]) })
 		} else {
 			for _, u := range nb {
 				if j := t.pos[u]; j >= 0 {
@@ -1355,8 +1355,7 @@ func (w *worker) childList(depth int, c []int32, u int32, declare bool) ([]int32
 	w.ensureSlice(depth, 0)
 	child := w.cs[depth][:0]
 	var avail [2]int32
-	graph.IntersectSorted(g.Neighbors(u), c, func(_, j int) {
-		v := c[j]
+	graph.IntersectSorted(g.Neighbors(u), c, func(v int32) {
 		if av := g.Attr(v); av == au && v > u || av != au && !declare {
 			avail[av]++
 			child = append(child, v)

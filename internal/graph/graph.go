@@ -146,35 +146,27 @@ func (g *Graph) AttrCount() (na, nb int32) {
 // CommonNeighbors calls fn for every common neighbour w of u and v, in
 // increasing order of w (IntersectSorted of the two adjacency lists).
 func (g *Graph) CommonNeighbors(u, v int32, fn func(w int32)) {
-	au := g.Neighbors(u)
-	IntersectSorted(au, g.Neighbors(v), func(i, _ int) { fn(au[i]) })
+	IntersectSorted(g.Neighbors(u), g.Neighbors(v), fn)
 }
 
-// IntersectSorted calls fn(i, j) for every common value a[i] == b[j] of
-// two ascending lists without duplicates, in increasing order. It is a
+// IntersectSorted calls fn for every value that both ascending lists
+// hold, in increasing order; neither list may repeat a value. It is a
 // linear merge unless one list is more than eight times longer than the
 // other; then each value of the shorter list is binary-searched in the
 // rest of the longer one, for O(short·log long) instead of O(long), so
 // a hub's adjacency list does not cost its whole length per call.
-func IntersectSorted(a, b []int32, fn func(i, j int)) {
-	if len(b) > 8*len(a) || len(a) > 8*len(b) {
-		short, long, swap := a, b, false
-		if len(a) > len(b) {
-			short, long, swap = b, a, true
-		}
+func IntersectSorted(a, b []int32, fn func(w int32)) {
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	if len(b) > 8*len(a) {
 		lo := 0
-		for i, x := range short {
-			j, ok := slices.BinarySearch(long[lo:], x)
-			lo += j
-			if !ok {
-				continue
+		for _, x := range a {
+			j, ok := slices.BinarySearch(b[lo:], x)
+			if lo += j; ok {
+				fn(x)
+				lo++
 			}
-			if swap {
-				fn(lo, i)
-			} else {
-				fn(i, lo)
-			}
-			lo++
 		}
 		return
 	}
@@ -186,7 +178,7 @@ func IntersectSorted(a, b []int32, fn func(i, j int)) {
 		case a[i] > b[j]:
 			j++
 		default:
-			fn(i, j)
+			fn(a[i])
 			i++
 			j++
 		}
