@@ -80,8 +80,8 @@ func TestCLIModels(t *testing.T) {
 }
 
 // The bigcomp preset must emit a reproducible single-component instance
-// that crosses the 4096-vertex chunk boundary — the instance class the
-// chunked engine's cap-lift tests and benchmarks rely on.
+// of more than 4096 vertices — too large for one flat row table, the
+// instance class the per-root rows' tests and benchmarks rely on.
 func TestCLIBigComponentPreset(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI integration in -short mode")

@@ -6,8 +6,8 @@ import (
 	"fairclique/internal/graph"
 )
 
-// BigComponent must produce a single connected component that crosses
-// the 4096-vertex chunk boundary, with both attributes present, and be
+// BigComponent must produce a single connected component of more than
+// graph.ChunkBits (4096) vertices, with both attributes present, and be
 // bit-for-bit reproducible for a given seed.
 func TestBigComponentShape(t *testing.T) {
 	g := BigComponent(7, 60, 0.5, graph.ChunkBits+100)

@@ -256,8 +256,9 @@ func TestSessionValidation(t *testing.T) {
 	}
 }
 
-// Multi-chunk components must flow through the session unchanged: the
-// >4096-vertex bigcomp instance against independent runs.
+// Components too large for one flat row table must flow through the
+// session unchanged: the >4096-vertex bigcomp instance against
+// independent runs.
 func TestSessionBigComponent(t *testing.T) {
 	g := gen.BigComponent(5, 40, 0.5, graph.ChunkBits+100)
 	opt := Options{SkipReduction: true}
