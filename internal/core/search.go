@@ -887,11 +887,21 @@ func (t *rowTable) fill(g *graph.Graph, vs []int32) {
 // capacity is short.
 func zeroed(s []uint64, n int) []uint64 {
 	if cap(s) < n {
-		return make([]uint64, n)
+		return lineWords(n)
 	}
 	s = s[:n]
 	clear(s)
 	return s
+}
+
+// lineWords returns n zero words in an allocation of whole 64-byte
+// cache lines (Go places such objects on line boundaries), so a row one
+// worker writes never shares a line with a row another worker reads.
+// Without it, a second worker's colouring scratch could sit beside the
+// component table's masks, and a Workers 2 search spent several
+// percent more CPU in its child ANDs.
+func lineWords(n int) []uint64 {
+	return make([]uint64, n, (n+7)&^7)
 }
 
 // profile returns the Table II profile of the whole component under
@@ -1081,8 +1091,8 @@ func newWorker(d *compData) *worker {
 		w.used = make([]bool, d.comp.MaxDegree()+1)
 		w.kinds = make([]uint8, len(w.used))
 	}
-	w.colU = make([]uint64, w.words)
-	w.colQ = make([]uint64, w.words)
+	w.colU = lineWords(int(w.words))
+	w.colQ = lineWords(int(w.words))
 	return w
 }
 
@@ -1276,7 +1286,7 @@ func (w *worker) runRootBranch(u int32) {
 // ensureBits guarantees a candidate row exists for the given depth.
 func (w *worker) ensureBits(depth int) {
 	for len(w.cand) <= depth {
-		w.cand = append(w.cand, make([]uint64, w.words))
+		w.cand = append(w.cand, lineWords(int(w.words)))
 	}
 }
 
