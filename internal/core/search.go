@@ -98,8 +98,9 @@
 //     the same candidates gives the same counts and colour classes.
 //   - All per-node state lives in per-worker arenas indexed by search
 //     depth: the clique buffer rbuf, in component ids, and one
-//     candidate row or list per depth. Steady-state branching performs
-//     zero heap allocations per node (asserted by
+//     candidate row or list per depth. Rows take whole cache lines, so
+//     workers never write a line another reads. Steady-state branching
+//     performs zero heap allocations per node (asserted by
 //     TestBranchSteadyStateZeroAllocs).
 //   - The per-node colouring uses two scratch rows per worker and
 //     and-nots successor rows inline, over the span of non-zero
