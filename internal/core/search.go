@@ -1636,6 +1636,8 @@ func (w *worker) branchList(depth int, c []int32, cnt, avail [2]int32) {
 	}
 }
 
+// expandList is expandBits on a list node: it branches on every
+// candidate of the given attribute in c, in id order.
 func (w *worker) expandList(depth int, c []int32, attr graph.Attr, declare bool, cnt [2]int32) {
 	d := w.d
 	if w.collect != nil && depth == 0 {
