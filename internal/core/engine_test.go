@@ -260,15 +260,16 @@ func BenchmarkNodeBound(b *testing.B) {
 // component's, or u's own) and as a component-id list.
 func widestRootBranch(w *worker) (cnt, avail [2]int32, cand []uint64, list []int32) {
 	d := w.d
+	all := identity(d.n)
 	var best int32 = -1
 	for u := int32(0); u < d.n; u++ {
-		if s := succList(d.comp, identity(d.n), u, false); int32(len(s)) > best {
+		if s := succList(d.comp, all, u, false); int32(len(s)) > best {
 			best, w.rbuf[0] = int32(len(s)), u
 		}
 	}
 	u := w.rbuf[0]
 	cnt[d.comp.Attr(u)] = 1
-	list = succList(d.comp, identity(d.n), u, false)
+	list = succList(d.comp, all, u, false)
 	w.ensureBits(1)
 	if d.rows != nil {
 		avail = w.makeChildBits(w.cand[1], w.cand[0], u, false)

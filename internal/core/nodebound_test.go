@@ -281,6 +281,7 @@ func TestColourClassesMatchFirstFit(t *testing.T) {
 				}
 			}
 			r := rng.New(7)
+			all := identity(d.n)
 			w.ensureBits(1)
 			if d.rows != nil {
 				check(0)
@@ -290,7 +291,7 @@ func TestColourClassesMatchFirstFit(t *testing.T) {
 				if d.rows == nil {
 					// A random root branch, on its own table.
 					u := int32(r.Intn(int(d.n)))
-					w.own.fill(d.comp, succList(d.comp, identity(d.n), u, false))
+					w.own.fill(d.comp, succList(d.comp, all, u, false))
 					copy(w.cand[1], w.own.full)
 					check(1)
 					nodes++
