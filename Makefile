@@ -56,10 +56,10 @@ race: test-race
 # degeneracy pre-prune, component-parallel reduction on the
 # ~2.2M-edge IngestGiant instance) embedded under "ingest", and the
 # anytime experiment (the gap-vs-budget curve:
-# deadline runs at fractions of the exact wall clock with certified
-# optimality gaps; hard-fails if a zero-deadline run reports inexact
-# or any budgeted run breaks the incumbent <= optimum <= certificate
-# sandwich) embedded under "anytime".
+# MaxNodes runs at fractions of the exact run's node count with
+# certified optimality gaps; hard-fails if the unbudgeted run reports
+# inexact or any budgeted run breaks the incumbent <= optimum <=
+# certificate sandwich) embedded under "anytime".
 # Future engine PRs compare against the committed record (bench-check).
 bench:
 	$(GO) run ./cmd/benchmark -exp core -out BENCH_core.json
@@ -77,7 +77,7 @@ bench:
 # hard-fail when a session answer diverges from its independent run.
 # The anytime experiment is the end-to-end run of a bounded search on
 # a >4096-vertex component (per-root rows, per-node bound included): it
-# hard-fails if its zero-deadline run reports inexact or any budgeted
+# hard-fails if its unbudgeted run reports inexact or any node-budgeted
 # run breaks the incumbent <= optimum <= certificate sandwich.
 # CI uploads the fresh records as a workflow artifact (see ci.yml).
 bench-check:

@@ -21,8 +21,8 @@ func sameClique(a, b []int) bool {
 // Without a deadline the search must stay bit-deterministic: every
 // bound configuration answers exactly, with a zero gap, at the oracle
 // optimum — and re-running the same configuration returns the
-// identical clique (the anytime machinery, including the heuristic
-// portfolio racing, must stay dormant when no budget is set).
+// identical clique (the anytime certificate machinery must stay
+// dormant when no budget is set).
 func TestAnytimeOffPreservesExactness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive oracle in -short mode")

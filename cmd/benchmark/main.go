@@ -29,9 +29,10 @@
 // deterministic streaming high-water against the final CSR bytes,
 // -min-speedup gates parallel-over-serial reduction, -graph-dir caches
 // the generated SNAP pair), and "anytime" measures the gap-vs-budget
-// curve: deadline-budgeted searches at fractions of the exact wall
-// clock, each reporting its incumbent and certified optimality gap (hard-failing if a zero-deadline run is
-// inexact or a budgeted run breaks the sandwich), and "enum" measures
+// curve: node-budgeted searches at fractions of the exact run's node
+// count, each reporting its incumbent and certified optimality gap
+// (hard-failing if the unbudgeted run is inexact or a budgeted run
+// breaks the sandwich), and "enum" measures
 // enumeration: the engine's collect-at-optimum KindEnumerateAll versus
 // the Bron–Kerbosch all-optima baseline on the same cell — hard-failing
 // unless both return the identical clique set — plus the diversified
@@ -151,9 +152,9 @@ func main() {
 	}
 	if *exp == "anytime" {
 		// The anytime-search experiment: the gap-vs-budget curve on the
-		// core instance — deadline runs at fractions of the exact wall
-		// clock, each with its certified optimality gap. Hard-fails if
-		// the zero-deadline run reports inexact or any point breaks the
+		// core instance — MaxNodes runs at fractions of the exact run's
+		// node count, each with its certified optimality gap. Hard-fails
+		// if the unbudgeted run reports inexact or any point breaks the
 		// incumbent <= optimum <= certificate sandwich. JSON-only;
 		// -merge embeds it under "anytime".
 		if err := bench.WriteAnytimeBench(cfg, w, *merge); err != nil {

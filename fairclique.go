@@ -45,6 +45,7 @@ package fairclique
 import (
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"time"
 
@@ -296,11 +297,16 @@ type Options struct {
 	// Result.Exact == false and a certified Result.UpperBound on the
 	// optimum.
 	MaxNodes int64
-	// Deadline, when positive, turns the search anytime: it stops within
-	// a branch-granularity check interval of the wall-clock budget and
+	// Deadline, when positive, turns the search anytime: on expiry it
 	// returns the best incumbent found plus a certified upper bound on
 	// the optimum (Result.UpperBound / Result.Gap). A search that proves
-	// optimality before the deadline returns exact as usual.
+	// optimality before the deadline returns exact as usual. The clock
+	// is read only around branching (before the first branch, then
+	// every 128 nodes): the reduction, the HeurRFC seeding and each
+	// component's preparation run before a check can see the budget,
+	// and the upper bound is priced after the last one, so a budget
+	// shorter than their cost is overrun by it. A deadline that never
+	// fires changes nothing: the search is the unbudgeted one.
 	Deadline time.Duration
 	// Workers branches concurrently when > 1. A connected component
 	// with more than 1,024 vertices, or one of fewer than Workers
@@ -419,6 +425,9 @@ func Heuristic(g *Graph, k, delta int) (clique []int, upperBound int, err error)
 	if delta < 0 {
 		return nil, 0, fmt.Errorf("fairclique: delta must be >= 0, got %d", delta)
 	}
+	if k > math.MaxInt32 || delta > math.MaxInt32 {
+		return nil, 0, fmt.Errorf("fairclique: k and delta must be <= %d, got %d and %d", math.MaxInt32, k, delta)
+	}
 	res := heuristic.HeurRFC(g.freeze(), int32(k), int32(delta))
 	return toInt(res.Clique), int(res.UB), nil
 }
@@ -438,6 +447,9 @@ type ReduceStats struct {
 func Reduce(g *Graph, k int) (kept []int, stages []ReduceStats, err error) {
 	if k < 1 {
 		return nil, nil, fmt.Errorf("fairclique: k must be >= 1, got %d", k)
+	}
+	if k > math.MaxInt32 {
+		return nil, nil, fmt.Errorf("fairclique: k must be <= %d, got %d", math.MaxInt32, k)
 	}
 	sub, st := reduce.Pipeline(g.freeze(), int32(k))
 	for _, s := range st {
@@ -712,6 +724,9 @@ func (s *Session) normalize(spec QuerySpec) (session.Query, error) {
 	if spec.K < 1 {
 		return session.Query{}, fmt.Errorf("fairclique: k must be >= 1, got %d", spec.K)
 	}
+	if spec.K > math.MaxInt32 {
+		return session.Query{}, fmt.Errorf("fairclique: k must be <= %d, got %d", math.MaxInt32, spec.K)
+	}
 	if spec.MaxNodes < 0 {
 		return session.Query{}, fmt.Errorf("fairclique: max nodes must be >= 0, got %d", spec.MaxNodes)
 	}
@@ -726,6 +741,9 @@ func (s *Session) normalize(spec QuerySpec) (session.Query, error) {
 	case ModeRelative:
 		if spec.Delta < 0 {
 			return session.Query{}, fmt.Errorf("fairclique: delta must be >= 0, got %d", spec.Delta)
+		}
+		if spec.Delta > math.MaxInt32 {
+			return session.Query{}, fmt.Errorf("fairclique: delta must be <= %d, got %d", math.MaxInt32, spec.Delta)
 		}
 		q.Delta = int32(spec.Delta)
 		return q, nil

@@ -2,6 +2,8 @@ package fairclique
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -95,6 +97,42 @@ func TestFindOptionValidation(t *testing.T) {
 	}
 	if _, err := Find(g, Options{K: 1, Delta: -1}); err == nil {
 		t.Fatal("negative Delta must error")
+	}
+}
+
+// The engine holds k and δ in int32. A wider value must be rejected,
+// not wrapped into a different cell: k = 2³² + 2 once answered as k = 2
+// and δ = 2³² as δ = 0. The int32 maximum itself is a valid query. A
+// want of -1 asks for an error.
+func TestKAndDeltaBeyondInt32(t *testing.T) {
+	g := buildComplete(8, 5) // 5 a's, 3 b's
+	for _, c := range []struct{ k, delta, want int }{
+		{math.MaxInt32 + 1, 0, -1},
+		{1<<32 + 2, 0, -1},
+		{3, math.MaxInt32 + 1, -1},
+		{3, 1 << 32, -1},
+		{math.MaxInt32, 0, 0},
+		{3, math.MaxInt32, 8},
+	} {
+		spec := QuerySpec{K: c.k, Delta: c.delta}
+		one, err1 := Find(g, Options{K: c.k, Delta: c.delta})
+		warm, err2 := NewSession(g).Find(spec)
+		set, err3 := NewSession(g).Enumerate(spec)
+		if c.want < 0 {
+			if err1 == nil || err2 == nil || err3 == nil {
+				t.Errorf("(k=%d, δ=%d): errors %v, %v, %v; want three", c.k, c.delta, err1, err2, err3)
+			}
+		} else if err := errors.Join(err1, err2, err3); err != nil ||
+			one.Size() != c.want || warm.Size() != c.want || set.Size != c.want {
+			t.Errorf("(k=%d, δ=%d): want size %d from Find, Session.Find and Session.Enumerate; err %v",
+				c.k, c.delta, c.want, err)
+		}
+	}
+	if _, _, err := Heuristic(g, 3, 1<<32); err == nil {
+		t.Error("Heuristic accepted δ = 2³²")
+	}
+	if _, _, err := Reduce(g, 1<<32+2); err == nil {
+		t.Error("Reduce accepted k = 2³² + 2")
 	}
 }
 

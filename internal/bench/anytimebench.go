@@ -9,9 +9,9 @@ import (
 	"fairclique/internal/core"
 )
 
-// AnytimePoint is one deadline-budgeted run on the gap-vs-budget curve.
+// AnytimePoint is one node-budgeted run on the gap-vs-budget curve.
 type AnytimePoint struct {
-	BudgetMs   float64 `json:"budget_ms"`
+	MaxNodes   int64   `json:"max_nodes"`
 	Seconds    float64 `json:"seconds"`
 	Size       int     `json:"size"`
 	UpperBound int     `json:"upper_bound"`
@@ -22,12 +22,13 @@ type AnytimePoint struct {
 
 // AnytimeBenchResult is the anytime-search record merged into
 // BENCH_core.json (`benchmark -exp anytime`): the exact reference run
-// on the giant-component instance, then deadline-budgeted runs at
-// fractions of the exact wall clock, each reporting its incumbent and
-// certified gap. The curve is the receipt that budgets buy monotone
-// utility: tiny budgets return a heuristic-quality incumbent with a
-// sound certificate, and the gap closes toward zero as the budget
-// approaches the exact runtime.
+// on the giant-component instance, then node-budgeted runs at
+// fractions of the exact run's node count, each reporting its
+// incumbent and certified gap. The curve is the receipt that budgets
+// buy monotone utility: tiny budgets return a heuristic-quality
+// incumbent with a sound certificate, and the gap closes toward zero
+// as the budget approaches the exact tree. The search is serial, so
+// every point's (nodes, size, upper bound) is the same on every run.
 type AnytimeBenchResult struct {
 	Graph        CoreBenchGraph `json:"graph"`
 	ExactSeconds float64        `json:"exact_seconds"`
@@ -37,7 +38,7 @@ type AnytimeBenchResult struct {
 }
 
 // anytimeBudgetFractions are the budget points, as fractions of the
-// measured exact wall clock.
+// exact run's branch nodes; each point runs as Options.MaxNodes.
 var anytimeBudgetFractions = []float64{0.01, 0.05, 0.10, 0.25, 0.50, 1.00}
 
 // anytimeOptions is the anytime experiment's search: the core
@@ -56,7 +57,7 @@ func AnytimeBench(cfg Config) (AnytimeBenchResult, error) {
 	opt := anytimeOptions
 
 	// Reference: no budget. This run must be exact with a zero gap —
-	// the anytime machinery must stay dormant without a deadline.
+	// the anytime machinery must stay dormant without a budget.
 	start := time.Now()
 	exact, err := core.MaxRFC(g, opt)
 	if err != nil {
@@ -66,26 +67,22 @@ func AnytimeBench(cfg Config) (AnytimeBenchResult, error) {
 	res.ExactSize = exact.Size()
 	res.ExactNodes = exact.Stats.Nodes
 	if exact.Stats.Aborted {
-		return res, fmt.Errorf("anytime bench: zero-deadline run reported Exact == false")
+		return res, fmt.Errorf("anytime bench: unbudgeted run reported Exact == false")
 	}
 	if exact.UpperBound != int32(exact.Size()) {
 		return res, fmt.Errorf("anytime bench: exact run gap %d != 0", exact.UpperBound-int32(exact.Size()))
 	}
 
 	for _, frac := range anytimeBudgetFractions {
-		budget := time.Duration(frac * res.ExactSeconds * float64(time.Second))
-		if budget < time.Millisecond {
-			budget = time.Millisecond
-		}
 		bopt := opt
-		bopt.Deadline = time.Now().Add(budget)
+		bopt.MaxNodes = max(int64(frac*float64(res.ExactNodes)), 1)
 		start := time.Now()
 		r, err := core.MaxRFC(g, bopt)
 		if err != nil {
 			return res, err
 		}
 		p := AnytimePoint{
-			BudgetMs:   float64(budget.Microseconds()) / 1000,
+			MaxNodes:   bopt.MaxNodes,
 			Seconds:    time.Since(start).Seconds(),
 			Size:       r.Size(),
 			UpperBound: int(r.UpperBound),
@@ -94,12 +91,12 @@ func AnytimeBench(cfg Config) (AnytimeBenchResult, error) {
 			Nodes:      r.Stats.Nodes,
 		}
 		if p.Size > res.ExactSize || p.UpperBound < res.ExactSize {
-			return res, fmt.Errorf("anytime bench: budget %.1fms broke the sandwich: size=%d ub=%d optimum=%d",
-				p.BudgetMs, p.Size, p.UpperBound, res.ExactSize)
+			return res, fmt.Errorf("anytime bench: budget of %d nodes broke the sandwich: size=%d ub=%d optimum=%d",
+				p.MaxNodes, p.Size, p.UpperBound, res.ExactSize)
 		}
 		if p.Exact && p.Size != res.ExactSize {
-			return res, fmt.Errorf("anytime bench: budget %.1fms claims exact at size %d; optimum is %d",
-				p.BudgetMs, p.Size, res.ExactSize)
+			return res, fmt.Errorf("anytime bench: budget of %d nodes claims exact at size %d; optimum is %d",
+				p.MaxNodes, p.Size, res.ExactSize)
 		}
 		res.Points = append(res.Points, p)
 	}

@@ -63,8 +63,8 @@ type CoreBenchResult struct {
 	// reproducible multi-million-edge instance.
 	Ingest *IngestBenchResult `json:"ingest,omitempty"`
 	// Anytime, when present, is the anytime-search experiment
-	// (`benchmark -exp anytime`): the gap-vs-budget curve — deadline
-	// runs at fractions of the exact wall clock, each with its
+	// (`benchmark -exp anytime`): the gap-vs-budget curve — MaxNodes
+	// runs at fractions of the exact run's node count, each with its
 	// incumbent size and certified optimality gap.
 	Anytime *AnytimeBenchResult `json:"anytime,omitempty"`
 	// Enum, when present, is the enumeration experiment

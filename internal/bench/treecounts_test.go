@@ -2,6 +2,7 @@ package bench
 
 import (
 	"testing"
+	"time"
 
 	"fairclique/internal/core"
 	"fairclique/internal/session"
@@ -10,10 +11,11 @@ import (
 // Serial search trees on the full-scale bigcomp-giant instance are
 // deterministic, so their sizes are pinned: the W1 9-cell grid of
 // `-exp grid` and `-exp sched`, the exact reference run of
-// `-exp anytime`, the W1 run of `-exp core`, and the anytime
-// certificate under node budgets. Parallel runs may branch a few more
-// or fewer nodes, but Workers = 1 must not move. A change that alters a
-// tree updates these numbers and reports old → new in CHANGES.md.
+// `-exp anytime` (also under a deadline that never fires), the W1 run
+// of `-exp core`, and the anytime certificate under node budgets.
+// Parallel runs may branch a few more or fewer nodes, but Workers = 1
+// must not move. A change that alters a tree updates these numbers and
+// reports old → new in CHANGES.md.
 func TestBigCompSerialTreeSizes(t *testing.T) {
 	g, _ := coreBenchInstance(1)
 	_, qs, err := gridBenchQueries("")
@@ -33,6 +35,18 @@ func TestBigCompSerialTreeSizes(t *testing.T) {
 	}
 	if got, want := res.Stats.Nodes, int64(57030); got != want {
 		t.Errorf("anytime exact run branched %d nodes, pinned %d", got, want)
+	}
+	// A deadline that never fires walks the same tree to the same exact
+	// answer: a budget only stops the search.
+	late := anytimeOptions
+	late.Deadline = time.Now().Add(time.Hour)
+	res, err = core.MaxRFC(g, late)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Nodes != 57030 || res.Size() != 12 || res.UpperBound != 12 || res.Stats.Aborted {
+		t.Errorf("anytime run with an hour's deadline: (nodes, size, UB, aborted) = (%d, %d, %d, %v), pinned (57030, 12, 12, false)",
+			res.Stats.Nodes, res.Size(), res.UpperBound, res.Stats.Aborted)
 	}
 
 	// `-exp core`'s serial search: no bounds, no heuristic.

@@ -160,13 +160,18 @@ type Options struct {
 	// Because node counting is batched per worker, the abort may
 	// trigger a few dozen nodes past the cap.
 	MaxNodes int64
-	// Deadline, when non-zero, makes the search anytime: the wall-clock
-	// budget is checked at branch granularity, and on expiry the search
-	// stops with the best incumbent found so far plus a certified upper
-	// bound on the optimum (Result.UpperBound) priced from the
+	// Deadline, when non-zero, makes the search anytime: on expiry the
+	// search stops with the best incumbent found so far plus a certified
+	// upper bound on the optimum (Result.UpperBound) priced from the
 	// unexplored frontier — §IV's bounds over unexplored root branches
 	// and components double as gap certifiers.
-	// Stats.Aborted is set when the deadline fired.
+	// Stats.Aborted is set when the deadline fired. The clock is read
+	// only around branching: once after HeurRFC, then at every 128-node
+	// counter flush. The reduction (MaxRFC's, or the caller's), HeurRFC
+	// and each component's preparation run before a check can see the
+	// budget, and the certificate is priced after the last one, so a
+	// run overshoots a budget shorter than their cost. A deadline that
+	// never fires walks the unbudgeted tree.
 	Deadline time.Time
 	// Injector, when non-nil, lets concurrently running searches (the
 	// session layer's grid cells) push proven bounds and valid
@@ -506,29 +511,6 @@ func (p *Prepared) Search(opt Options, seed []int32) (*Result, error) {
 		s.aborted.Store(true) // budget already spent: certificate only
 	}
 
-	// Anytime mode races the auxiliary heuristic portfolio
-	// (degree-guided growth and Ramsey clique-removal, both
-	// fairness-repaired) against the branch-and-bound on goroutines
-	// joined before the result is read. Every member returns a valid
-	// fair clique, so record() trusts it; gated on Deadline so
-	// budget-free runs stay bit-deterministic.
-	workers := max(opt.Workers, 1)
-	var heurWG sync.WaitGroup
-	if opt.UseHeuristic && !opt.Deadline.IsZero() && !s.halted() {
-		for _, fn := range heuristic.Portfolio() {
-			heurWG.Add(1)
-			go func() {
-				defer heurWG.Done()
-				if s.halted() {
-					return
-				}
-				if c := fn(p.work, s.k, s.delta); len(c) > 0 {
-					s.record(c, p.toOrig)
-				}
-			}()
-		}
-	}
-
 	// Lines 6-11: branch each connected component under CalColorOD.
 	// Components are searched largest-first so good incumbents surface
 	// early. Workers > 1 parallelizes on two levels: a component gets
@@ -538,6 +520,7 @@ func (p *Prepared) Search(opt Options, seed []int32) (*Result, error) {
 	// otherwise the tail of small components — where per-component
 	// setup would dwarf an intra-split — is distributed across Workers
 	// one component per goroutine.
+	workers := max(opt.Workers, 1)
 	idx := 0
 	for ; idx < len(p.comps); idx++ {
 		if workers > 1 && len(p.comps[idx]) <= smallComponentLimit && len(p.comps)-idx >= workers {
@@ -569,7 +552,6 @@ func (p *Prepared) Search(opt Options, seed []int32) (*Result, error) {
 		close(jobs)
 		wg.Wait()
 	}
-	heurWG.Wait()
 
 	res.Stats.Nodes = s.nodes.Load()
 	res.Stats.BoundChecks = s.boundChecks.Load()

@@ -249,6 +249,23 @@ func TestServeFlushFailureIs500(t *testing.T) {
 	queryGraph(t, ts, "g", QueryRequest{K: 1, Delta: 5}, http.StatusOK)
 }
 
+// A k beyond the engine's int32 range is the client's 400, never a
+// different cell: k = 2³² + 2 once answered, and cached, as k = 2.
+func TestServeKBeyondInt32Is400(t *testing.T) {
+	_, ts := startServer(t, Config{})
+	createGraph(t, ts, "g", testGraphText)
+	const big = `{"k":4294967298,"delta":0}`
+	for range 2 { // nothing may be cached for the repeat to hit
+		request(t, ts, "POST", "/v1/graphs/g/query", "application/json", big, http.StatusBadRequest)
+	}
+	request(t, ts, "POST", "/v1/graphs/g/grid", "application/json",
+		`{"cells":[{"k":2,"delta":0},`+big+`]}`, http.StatusBadRequest)
+	request(t, ts, "POST", "/v1/graphs/g/enumerate", "application/json", big, http.StatusBadRequest)
+	if r := queryGraph(t, ts, "g", QueryRequest{K: 2, Delta: 0}, http.StatusOK); r.Size != 4 || r.Cached {
+		t.Fatalf("k=2 after the rejected queries: %+v; want a fresh size-4 answer", r)
+	}
+}
+
 func TestServePathCreateGate(t *testing.T) {
 	// Path create is refused unless the operator opted in.
 	_, ts := startServer(t, Config{})

@@ -1,11 +1,15 @@
 package session
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fairclique/internal/bounds"
+	"fairclique/internal/gen"
+	"fairclique/internal/graph"
 )
 
 // Concurrent grid cells share the per-k reductions, the prepared
@@ -128,4 +132,57 @@ func TestSessionRequeryZeroAllocsPerNode(t *testing.T) {
 	if st := s.Stats(); st.DominanceSkips < 20 {
 		t.Fatalf("repeats were not dominance-skipped: %+v", st)
 	}
+}
+
+// BenchmarkConcurrentCells is the A/B of live injection on the regime
+// it exists for: concurrent cells on one session. Each op builds a
+// fresh session with perfbench's search options (Workers 1, the
+// colorful degeneracy bound, HeurRFC) on each of the first two
+// search-cold instances of seed 13, gen.BigComponent(208+i, 230, 0.5,
+// 5120), and answers perfbench's six cells on it from C goroutines, so
+// a cell that finishes first broadcasts its bound and clique into the
+// cells still branching. "off" skips broadcast. Compare nodes/op and
+// ns/op between off and on.
+func BenchmarkConcurrentCells(b *testing.B) {
+	cells := []Query{{K: 2, Delta: 4}, {K: 2, Delta: 1}, {K: 3, Delta: 2}, {K: 2, Delta: 2}, {K: 4, Delta: 3}, {K: 2, Delta: 3}}
+	gs := []*graph.Graph{
+		gen.BigComponent(208, 230, 0.5, graph.ChunkBits+1024),
+		gen.BigComponent(209, 230, 0.5, graph.ChunkBits+1024),
+	}
+	opt := Options{UseBounds: true, Extra: bounds.ColorfulDegeneracy, UseHeuristic: true, Workers: 1}
+	for _, c := range []int{2, 6} {
+		for _, mode := range []string{"off", "on"} {
+			b.Run(fmt.Sprintf("C%d/%s", c, mode), func(b *testing.B) {
+				defer func(old bool) { liveInjection = old }(liveInjection)
+				liveInjection = mode == "on"
+				var nodes int64
+				for b.Loop() {
+					for _, g := range gs {
+						nodes += answerConcurrently(b, New(g, opt), cells, c)
+					}
+				}
+				b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+			})
+		}
+	}
+}
+
+// answerConcurrently answers qs on s from c goroutines pulling from one
+// cursor and returns the nodes the session branched.
+func answerConcurrently(b *testing.B, s *Session, qs []Query, c int) int64 {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range c {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(qs)); i = next.Add(1) - 1 {
+				if _, err := s.Find(qs[i]); err != nil {
+					b.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return s.Stats().Nodes
 }

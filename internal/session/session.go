@@ -492,6 +492,10 @@ func (s *Session) search(e *epoch, q Query, seed []int32, shape core.Options) (*
 	return res, nil
 }
 
+// liveInjection switches broadcast on. Tests turn it off to measure what
+// live injection buys (BenchmarkConcurrentCells).
+var liveInjection = true
+
 // broadcast pushes a fresh exact answer into every search still running
 // on the same epoch: by monotonicity its size is a proven optimum upper
 // bound for any dominated cell (k' >= k, δ' <= δ), and its clique is a
@@ -499,6 +503,9 @@ func (s *Session) search(e *epoch, q Query, seed []int32, shape core.Options) (*
 // searches adopt both live — the bound can finish them early and exact,
 // or tighten an anytime certificate; the incumbent sharpens pruning.
 func (s *Session) broadcast(e *epoch, q Query, res *core.Result) {
+	if !liveInjection {
+		return
+	}
 	size := int32(res.Size())
 	var na, nb, diff int32
 	if res.Clique != nil {
