@@ -103,6 +103,51 @@ func TestReductionSizesPinned(t *testing.T) {
 			}
 		}
 	})
+	t.Run("reduced", func(t *testing.T) {
+		// The reduced graph alone, without the stage rows, on graphs of
+		// many components and of one, at k = 1…8.
+		type reduced struct {
+			n, m int32
+			hash uint64
+		}
+		const empty = 0xcbf29ce484222325 // FNV-64a of no input
+		cases := []struct {
+			name string
+			g    *graph.Graph
+			want [8]reduced // k = 1…8
+		}{
+			{"IngestGiant(1, 0.09)", gen.IngestGiant(1, 0.09), [8]reduced{
+				{16112, 125812, 0xc9d22e40a8e336fc}, {3213, 36617, 0xb73b3d1a1d0d8fe8},
+				{2683, 33213, 0xae47c6c660ad7460}, {865, 6789, 0x65955cc372e0db4c},
+				{30, 235, 0x5ca5e6009422e23d}, {20, 190, 0x3d4e1161cbe62c5d},
+				{20, 190, 0x3d4e1161cbe62c5d}, {20, 190, 0x3d4e1161cbe62c5d}}},
+			{"BigComponent(16, 230, 0.5, 5120)", gen.BigComponent(16, 230, 0.5, graph.ChunkBits+1024), [8]reduced{
+				{5350, 18485, 0x8a64173fc1f300e8}, {230, 13364, 0xb3e1ebf96fc272b6},
+				{230, 13364, 0xb3e1ebf96fc272b6}, {230, 13364, 0xb3e1ebf96fc272b6},
+				{230, 13364, 0xb3e1ebf96fc272b6}, {230, 13364, 0xb3e1ebf96fc272b6},
+				{230, 13364, 0xb3e1ebf96fc272b6}, {230, 13364, 0xb3e1ebf96fc272b6}}},
+			{"BA(3000, 12)", gen.AssignUniform(2, gen.BarabasiAlbert(2, 3000, 12), 0.5), [8]reduced{
+				{3000, 23532, 0xaf1d53e3a5cd4d96}, {499, 2648, 0x6a4ee15d7ec481da},
+				{65, 505, 0x99693612eec1eb5e}, {28, 241, 0x70639391e11a76aa},
+				{18, 129, 0x7468f0173dd3e036}, {0, 0, empty}, {0, 0, empty}, {0, 0, empty}}},
+			{"ER(2000, 24000)", gen.AssignUniform(3, gen.ErdosRenyi(3, 2000, 24000), 0.5), [8]reduced{
+				{2000, 13659, 0x30527912c4188e5}, {4, 6, 0x54ecd1d333b48498},
+				{0, 0, empty}, {0, 0, empty}, {0, 0, empty}, {0, 0, empty}, {0, 0, empty}, {0, 0, empty}}},
+			// Every vertex has attribute a, so nothing survives at any k.
+			{"TeamGraph(1, 5000, 300, 14)", gen.TeamGraph(1, 5000, 300, 14), [8]reduced{
+				{0, 0, empty}, {0, 0, empty}, {0, 0, empty}, {0, 0, empty},
+				{0, 0, empty}, {0, 0, empty}, {0, 0, empty}, {0, 0, empty}}},
+		}
+		for _, c := range cases {
+			for i, want := range c.want {
+				k := int32(i + 1)
+				sub, _ := PipelineN(c.g, k, 1)
+				if got := (reduced{sub.G.N(), sub.G.M(), subHash(sub)}); got != want {
+					t.Errorf("%s k=%d: reduced to %+v, want %+v", c.name, k, got, want)
+				}
+			}
+		}
+	})
 	t.Run("merge", func(t *testing.T) {
 		// The merge/* fixtures of BenchmarkColorfulSup at the benchmark's
 		// k = 3, plus the k where each peels part of its graph.
