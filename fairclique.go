@@ -432,7 +432,12 @@ func Heuristic(g *Graph, k, delta int) (clique []int, upperBound int, err error)
 	return toInt(res.Clique), int(res.UB), nil
 }
 
-// ReduceStats reports the sizes after each reduction stage.
+// ReduceStats reports the sizes after each reduction stage: the
+// vertices and edges left once the stage has run on every component of
+// the degeneracy pre-prune's survivors. A component whose greedy colour
+// classes cannot hold k a-vertices and k b-vertices of one clique is
+// dropped before the colorful stages and counts as removed by the
+// EnColorfulCore row.
 type ReduceStats struct {
 	Stage    string
 	Vertices int
@@ -443,7 +448,10 @@ type ReduceStats struct {
 // EnColorfulCore -> ColorfulSup -> EnColorfulSup) for the size
 // constraint k and returns the surviving subgraph (vertex ids refer to
 // g) plus per-stage statistics. Every (k, δ)-fair clique of g survives
-// in full.
+// in full. The EnColorfulCore row also counts the components that a
+// colour-class test removes before any colorful stage runs (see
+// ReduceStats), so at k = 1, where EnColorfulCore itself keeps every
+// vertex, it can read below the DegeneracyPrune row.
 func Reduce(g *Graph, k int) (kept []int, stages []ReduceStats, err error) {
 	if k < 1 {
 		return nil, nil, fmt.Errorf("fairclique: k must be >= 1, got %d", k)

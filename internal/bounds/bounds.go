@@ -97,7 +97,7 @@ func Color(col *color.Coloring) int32 { return col.Num }
 // where a color counts toward attribute a if any a-vertex wears it
 // (colors may count toward both sides).
 func AttributeColor(g *graph.Graph, col *color.Coloring, delta int32) int32 {
-	ca, cb, cm := colorful.ClassCounts(g, col)
+	ca, cb, cm := colorful.ClassCounts(g, nil, col)
 	return Combine(ca+cm, cb+cm, delta)
 }
 
@@ -108,7 +108,7 @@ func AttributeColor(g *graph.Graph, col *color.Coloring, delta int32) int32 {
 // t = min(ca,cb)+cm when that still does not exceed max(ca,cb), and
 // ⌊(ca+cb+cm)/2⌋ otherwise; the bound is min(ca+cb+cm, 2t+δ).
 func EnhancedAttributeColor(g *graph.Graph, col *color.Coloring, delta int32) int32 {
-	ca, cb, cm := colorful.ClassCounts(g, col)
+	ca, cb, cm := colorful.ClassCounts(g, nil, col)
 	return enhanced(ca, cb, cm, delta)
 }
 
@@ -247,7 +247,7 @@ func NewProfile(g *graph.Graph, extra Extra) Profile {
 	}
 	col := color.Greedy(g)
 	p.na, p.nb = g.AttrCount()
-	p.ca, p.cb, p.cm = colorful.ClassCounts(g, col)
+	p.ca, p.cb, p.cm = colorful.ClassCounts(g, nil, col)
 	switch extra {
 	case Degeneracy:
 		p.stat = kcore.Degeneracy(g)

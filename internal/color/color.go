@@ -29,15 +29,32 @@ func (c *Coloring) Of(v int32) int32 { return c.Colors[v] }
 // assigned the smallest color absent from its colored neighbours.
 // Runs in O(|V| + |E|) using counting sort on degrees.
 func Greedy(g *graph.Graph) *Coloring {
-	n := g.N()
-	order := DegreeDescOrder(g)
-	colors := make([]int32, n)
-	for i := range colors {
-		colors[i] = -1
+	return GreedyOn(g, nil, nil, make([]int32, g.N()))
+}
+
+// GreedyOn colours the vertex set vs of g in place: it writes colors[v]
+// for each v in vs and returns a Coloring over colors, which is valid
+// only at vs. vs must ascend and be closed under alive adjacency (every
+// neighbour of a member that alive marks is a member), as a component
+// of the subgraph alive induces is. A member's degree in Induce(g, vs).G
+// is then its alive degree, and ids order the members the same way in
+// both graphs, so vs[i] gets the colour that Greedy gives vertex i of
+// Induce(g, vs).G. A nil vs stands for every vertex of g and a nil
+// alive for every vertex alive; Greedy(g) is GreedyOn on all of g.
+//
+// colors must be negative at every neighbour of vs that alive leaves
+// out: the colouring loop reads a neighbour's colour without asking
+// alive, which keeps it as fast as Greedy's. A caller colouring several
+// sets fills colors with -1 once. GreedyOn writes colors only at vs, so
+// goroutines may colour disjoint sets of one alive mask into one slice.
+func GreedyOn(g *graph.Graph, vs []int32, alive []bool, colors []int32) *Coloring {
+	order := degreeDescOrder(g, vs, alive, colors)
+	for _, v := range order {
+		colors[v] = -1
 	}
-	// usedBy[c] == v marks color c as used by a neighbour of the vertex
-	// currently being colored; reusing the array avoids clearing.
-	used := make([]int32, n+1)
+	// used[c] == v marks color c as used by a neighbour of the vertex v
+	// being colored; reusing the array avoids clearing.
+	used := make([]int32, len(order)+1)
 	for i := range used {
 		used[i] = -1
 	}
@@ -63,25 +80,54 @@ func Greedy(g *graph.Graph) *Coloring {
 // DegreeDescOrder returns the vertices of g sorted by non-increasing
 // degree, ties broken by increasing id. Counting sort, O(|V| + dmax).
 func DegreeDescOrder(g *graph.Graph) []int32 {
-	n := g.N()
-	maxDeg := g.MaxDegree()
-	buckets := make([]int32, maxDeg+2)
-	for v := int32(0); v < n; v++ {
-		buckets[g.Deg(v)]++
+	return degreeDescOrder(g, nil, nil, make([]int32, g.N()))
+}
+
+// degreeDescOrder returns the ascending vertex set vs (every vertex of g
+// when nil) sorted by non-increasing alive degree, ties broken by
+// increasing id: a counting sort over the degrees, which it keeps in
+// deg[v] for each member v.
+func degreeDescOrder(g *graph.Graph, vs []int32, alive []bool, deg []int32) []int32 {
+	n := int32(len(vs))
+	if vs == nil {
+		n = g.N()
 	}
-	// Prefix sums for descending order: bucket d starts after all
-	// buckets with larger degree.
-	starts := make([]int32, maxDeg+2)
+	member := func(i int32) int32 {
+		if vs == nil {
+			return i
+		}
+		return vs[i]
+	}
+	var maxDeg int32
+	for i := int32(0); i < n; i++ {
+		v := member(i)
+		d := g.Deg(v)
+		if alive != nil {
+			d = 0
+			for _, w := range g.Neighbors(v) {
+				if alive[w] {
+					d++
+				}
+			}
+		}
+		deg[v] = d
+		maxDeg = max(maxDeg, d)
+	}
+	// Prefix sums for descending order: degree d's slots start after
+	// those of every larger degree.
+	starts := make([]int32, maxDeg+1)
+	for i := int32(0); i < n; i++ {
+		starts[deg[member(i)]]++
+	}
 	var acc int32
 	for d := maxDeg; d >= 0; d-- {
-		starts[d] = acc
-		acc += buckets[d]
+		starts[d], acc = acc, acc+starts[d]
 	}
 	order := make([]int32, n)
-	for v := int32(0); v < n; v++ {
-		d := g.Deg(v)
-		order[starts[d]] = v
-		starts[d]++
+	for i := int32(0); i < n; i++ {
+		v := member(i)
+		order[starts[deg[v]]] = v
+		starts[deg[v]]++
 	}
 	return order
 }

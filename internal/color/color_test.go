@@ -115,6 +115,38 @@ func TestDegreeDescOrder(t *testing.T) {
 	}
 }
 
+// GreedyOn colours each component of an alive mask in place, all into
+// one slice and in any order, exactly as Greedy colours the component's
+// induced graph: the same colour at every member and the same Num.
+func TestGreedyOnMatchesInduce(t *testing.T) {
+	for seed := uint64(0); seed < 300; seed++ {
+		r := rng.New(seed)
+		g := random(seed, r.Intn(90), []float64{0.02, 0.05, 0.15}[seed%3])
+		alive := make([]bool, g.N())
+		for v := range alive {
+			alive[v] = r.Bool(0.75)
+		}
+		colors := make([]int32, g.N())
+		for v := range colors {
+			colors[v] = -1
+		}
+		comps := graph.Components(g, alive)
+		for _, i := range r.Perm(len(comps)) {
+			vs := comps[i]
+			got := GreedyOn(g, vs, alive, colors)
+			want := Greedy(graph.Induce(g, vs).G)
+			if got.Num != want.Num {
+				t.Fatalf("seed %d component %v: %d colours, want %d", seed, vs, got.Num, want.Num)
+			}
+			for j, v := range vs {
+				if colors[v] != want.Colors[j] {
+					t.Fatalf("seed %d component %v: vertex %d colour %d, want %d", seed, vs, v, colors[v], want.Colors[j])
+				}
+			}
+		}
+	}
+}
+
 func TestGreedyDeterministic(t *testing.T) {
 	g := random(9, 80, 0.2)
 	c1, c2 := Greedy(g), Greedy(g)

@@ -132,11 +132,17 @@ func (t *Tally) degree(row int32) int32 {
 }
 
 // ClassCounts returns the a-only, b-only and mixed colour classes of
-// g's vertices under col: how many colours only a-vertices wear, only
-// b-vertices wear, and both wear.
-func ClassCounts(g *graph.Graph, col *color.Coloring) (ca, cb, cm int32) {
+// the vertices vs of g (every vertex of g when vs is nil) under col:
+// how many colours only a-vertices wear, only b-vertices wear, and both
+// wear. col is read only at vs.
+func ClassCounts(g *graph.Graph, vs []int32, col *color.Coloring) (ca, cb, cm int32) {
 	t := NewTally(1, col.Num, true)
-	for v := int32(0); v < g.N(); v++ {
+	if vs == nil {
+		for v := int32(0); v < g.N(); v++ {
+			t.Add(0, g.Attr(v), col.Of(v))
+		}
+	}
+	for _, v := range vs {
 		t.Add(0, g.Attr(v), col.Of(v))
 	}
 	return t.Classes(0)

@@ -122,7 +122,7 @@ func edgesOf(g *Graph, toSub []int32, edgeAlive []bool) [][2]int32 {
 }
 
 // Every CSR constructor — Builder, InduceAlive, Induce and
-// AliveComponents — returns exactly the reference CSR of its edge set.
+// InduceComponent — returns exactly the reference CSR of its edge set.
 func TestConstructionMatchesReference(t *testing.T) {
 	t.Run("Builder", func(t *testing.T) {
 		constructionCases(t, func(name string, r *rng.RNG, g *Graph) {
@@ -249,24 +249,28 @@ func TestConstructionMatchesReference(t *testing.T) {
 	})
 
 	t.Run("AliveComponents", func(t *testing.T) {
+		// Components of an alive mask, each induced with a local id
+		// table shared by all of them, as PipelineN induces them.
 		constructionCases(t, func(name string, r *rng.RNG, g *Graph) {
 			alive := make([]bool, g.N())
 			for v := range alive {
 				alive[v] = r.Bool(0.7)
 			}
-			got := AliveComponents(g, alive)
+			comps := Components(g, alive)
 			pre := InduceAlive(g, alive, nil)
 			want := ConnectedComponents(pre.G)
-			if len(got) != len(want) {
-				t.Fatalf("%s: %d components, want %d", name, len(got), len(want))
+			if len(comps) != len(want) {
+				t.Fatalf("%s: %d components, want %d", name, len(comps), len(want))
 			}
+			local := make([]int32, g.N())
 			for ci, comp := range want {
 				what := fmt.Sprintf("%s component %d", name, ci)
+				got := InduceComponent(g, comps[ci], alive, local)
 				ref := Induce(pre.G, comp)
-				requireCSR(t, what, got[ci].G, ref.G)
+				requireCSR(t, what, got.G, ref.G)
 				toParent := pre.MapToParent(ref.ToParent)
-				if !slices.Equal(got[ci].ToParent, toParent) {
-					t.Fatalf("%s: ToParent %v, want %v", what, got[ci].ToParent, toParent)
+				if !slices.Equal(got.ToParent, toParent) {
+					t.Fatalf("%s: ToParent %v, want %v", what, got.ToParent, toParent)
 				}
 				toSub := make([]int32, g.N())
 				for v := range toSub {
@@ -275,7 +279,7 @@ func TestConstructionMatchesReference(t *testing.T) {
 				for i, v := range toParent {
 					toSub[v] = int32(i)
 				}
-				requireCSR(t, what, got[ci].G, referenceCSR(ref.G.attrs, edgesOf(g, toSub, nil)))
+				requireCSR(t, what, got.G, referenceCSR(ref.G.attrs, edgesOf(g, toSub, nil)))
 			}
 		})
 	})

@@ -98,50 +98,45 @@ func InduceAlive(g *Graph, alive []bool, edgeAlive []bool) *Subgraph {
 	return &Subgraph{G: fromSortedEdges(attrs, edges), ToParent: vs}
 }
 
-// AliveComponents returns the connected components of the subgraph
-// induced by the vertices with alive[v] true, ordered by smallest
-// vertex, each induced from g with its vertices in increasing id order
-// and ToParent in g's ids. It equals ConnectedComponents on
-// InduceAlive(g, alive, nil).G followed by Induce of each component,
-// without building that intermediate graph.
-func AliveComponents(g *Graph, alive []bool) []*Subgraph {
-	// local[v] is v's id inside its component. Each alive vertex joins
-	// exactly one component, so one table serves them all.
-	local := make([]int32, g.N())
-	var out []*Subgraph
-	for _, members := range components(g, alive) {
-		attrs := make([]Attr, len(members))
-		for i, v := range members {
-			local[v] = int32(i)
-			attrs[i] = g.Attr(v)
-		}
-		// local increases with the parent id inside a component, so
-		// each member's larger alive neighbours, in row order, list
-		// the component's edges sorted by (i, j).
-		var edges [][2]int32
-		for i, v := range members {
-			for _, w := range g.Neighbors(v) {
-				if w > v && alive[w] {
-					edges = append(edges, [2]int32{int32(i), local[w]})
-				}
+// InduceComponent returns the subgraph of g induced by vs, which must
+// ascend and be closed under alive adjacency (every neighbour of a
+// member that alive marks is a member), as a set Components returns
+// is: vs[i] becomes vertex i, and ToParent is vs itself. It returns the
+// CSR Induce(g, vs) returns, without a search per neighbour: local is a
+// table over g's ids that it writes only at vs and reads only at their
+// alive neighbours, so goroutines inducing disjoint sets of one alive
+// mask may share it.
+func InduceComponent(g *Graph, vs []int32, alive []bool, local []int32) *Subgraph {
+	attrs := make([]Attr, len(vs))
+	for i, v := range vs {
+		local[v] = int32(i)
+		attrs[i] = g.Attr(v)
+	}
+	// local increases with the parent id inside vs, so each member's
+	// larger alive neighbours, in row order, list the edges sorted by
+	// (i, j).
+	var edges [][2]int32
+	for i, v := range vs {
+		for _, w := range g.Neighbors(v) {
+			if w > v && alive[w] {
+				edges = append(edges, [2]int32{int32(i), local[w]})
 			}
 		}
-		out = append(out, &Subgraph{G: fromSortedEdges(attrs, edges), ToParent: members})
 	}
-	return out
+	return &Subgraph{G: fromSortedEdges(attrs, edges), ToParent: vs}
 }
 
 // ConnectedComponents returns the vertex sets of the connected
 // components of g, each sorted by vertex id, ordered by smallest
 // contained vertex. Isolated vertices form singleton components.
 func ConnectedComponents(g *Graph) [][]int32 {
-	return components(g, nil)
+	return Components(g, nil)
 }
 
-// components returns the vertex sets of the connected components of
-// the subgraph induced by alive (all of g when alive is nil), each
-// sorted, ordered by smallest vertex.
-func components(g *Graph, alive []bool) [][]int32 {
+// Components returns the vertex sets of the connected components of
+// the subgraph induced by the vertices with alive[v] true (all of g
+// when alive is nil), each sorted, ordered by smallest vertex.
+func Components(g *Graph, alive []bool) [][]int32 {
 	seen := make([]bool, g.N())
 	var comps [][]int32
 	var stack []int32

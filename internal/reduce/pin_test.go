@@ -74,7 +74,7 @@ func TestReductionSizesPinned(t *testing.T) {
 		// colorful stages keep of the 601 prune components.
 		g := gen.IngestGiant(1, 1.0)
 		alive, _ := kcore.FairCliquePrune(g, 8)
-		if n := len(graph.AliveComponents(g, alive)); n != 601 {
+		if n := len(graph.Components(g, alive)); n != 601 {
 			t.Errorf("prune components %d, want 601", n)
 		}
 		checkStages(t, "IngestGiant(1, 1.0)", g, 8, stageRow{

@@ -1,6 +1,7 @@
 package reduce
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -358,6 +359,45 @@ func TestPipeline(t *testing.T) {
 	}
 	if got := Stages(g, int32(k)); len(got) != 3 {
 		t.Fatalf("Stages returned %d entries", len(got))
+	}
+}
+
+// threeComponents is a fixture for k = 1 with one component per fate:
+// an all-a triangle {0, 1, 2}, which EnColorfulCore keeps at threshold
+// 0 but whose colour classes price it out; a path 3(a)–4(a)–5(b), which
+// passes the price test and loses the a–a edge to ColorfulSup (no
+// b-vertex shares it); and a triangle 6(a), 7(b), 8(b), which survives
+// every stage.
+func threeComponents() *graph.Graph {
+	a, b := graph.AttrA, graph.AttrB
+	return graph.FromEdges([]graph.Attr{a, a, a, a, a, b, a, b, b},
+		[][2]int32{{0, 1}, {0, 2}, {1, 2}, {3, 4}, {4, 5}, {6, 7}, {6, 8}, {7, 8}})
+}
+
+// A component that fails the price test is gone from the EnColorfulCore
+// row on, though EnColorfulCore itself would keep it; the others run
+// the stages as before.
+func TestPipelinePricesComponents(t *testing.T) {
+	sub, stats := Pipeline(threeComponents(), 1)
+	want := []StageStats{
+		{"DegeneracyPrune", 9, 8},
+		{"EnColorfulCore", 6, 5}, // the all-a triangle is priced out
+		{"ColorfulSup", 5, 4},    // the path loses 3–4 and vertex 3
+		{"EnColorfulSup", 5, 4},
+	}
+	if !slices.Equal(stats, want) {
+		t.Fatalf("stages %v, want %v", stats, want)
+	}
+	if want := []int32{4, 5, 6, 7, 8}; !slices.Equal(sub.ToParent, want) {
+		t.Fatalf("kept %v, want %v", sub.ToParent, want)
+	}
+	var edges [][2]int32
+	for e := int32(0); e < sub.G.M(); e++ {
+		u, v := sub.G.Edge(e)
+		edges = append(edges, [2]int32{sub.ToParent[u], sub.ToParent[v]})
+	}
+	if want := [][2]int32{{4, 5}, {6, 7}, {6, 8}, {7, 8}}; !slices.Equal(edges, want) {
+		t.Fatalf("kept edges %v, want %v", edges, want)
 	}
 }
 
