@@ -61,7 +61,7 @@ func main() {
 		format      = flag.String("format", "markdown", "output format: markdown, json or chart (json/chart run the full suite)")
 		maxNodes    = flag.Int64("max-nodes", 0, "branch-node cap per search (0 = unlimited)")
 		baseline    = flag.String("baseline", "", "for -exp core: committed BENCH_core.json to diff against; exits 1 on a >10% nodes/sec regression")
-		merge       = flag.String("merge", "", "for -exp grid/delta/sched: existing BENCH_core.json to embed the record into")
+		merge       = flag.String("merge", "", "for -exp grid/delta/sched/ingest/anytime/enum: existing BENCH_core.json whose block for the experiment the record replaces (every other key keeps its bytes)")
 		gridSpec    = flag.String("grid", "", "for -exp grid/sched: override the cell spec, e.g. 'k=2..4,delta=1..3[,mode=weak|strong]'")
 		minSpeedup  = flag.Float64("min-speedup", 0, "for -exp sched/ingest/enum: exit 1 unless the measured speedup strictly exceeds this (0 = no gate)")
 		workersCrv  = flag.String("workers-curve", "", "for -exp sched: comma-separated worker counts of the scaling curve (default 1,2,4,8)")

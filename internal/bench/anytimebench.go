@@ -119,10 +119,5 @@ func WriteAnytimeBench(cfg Config, w io.Writer, mergePath string) error {
 	if mergePath == "" {
 		return nil
 	}
-	rec, err := LoadCoreBench(mergePath)
-	if err != nil {
-		return fmt.Errorf("load %s: %w", mergePath, err)
-	}
-	rec.Anytime = &res
-	return writeCoreRecord(mergePath, rec)
+	return mergeCoreBlock(mergePath, "anytime", res)
 }

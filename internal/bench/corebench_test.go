@@ -3,6 +3,8 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -84,5 +86,72 @@ func TestCompareCoreBench(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "skipped") {
 		t.Fatalf("instance mismatch not reported:\n%s", out.String())
+	}
+}
+
+// A merge replaces only its experiment's top-level key: every other
+// key, including ones no struct here declares, keeps its bytes and its
+// place, and the new block reads back through LoadCoreBench.
+func TestMergeCoreBlockKeepsOtherKeys(t *testing.T) {
+	const record = `{
+  "graph": {
+    "name": "bigcomp-giant",
+    "vertices": 5350,
+    "edges": 18485
+  },
+  "gomaxprocs": 2,
+  "sched": {
+    "speedup_w4_over_w1": 1.11,
+    "donations": 13
+  },
+  "ingest": {
+    "instance": "old"
+  },
+  "retired": [1, 2]
+}
+`
+	path := filepath.Join(t.TempDir(), "BENCH_core.json")
+	if err := os.WriteFile(path, []byte(record), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ingest := IngestBenchResult{Instance: "ingest-giant", Components: 601}
+	if err := mergeCoreBlock(path, "ingest", ingest); err != nil {
+		t.Fatal(err)
+	}
+	block, err := json.MarshalIndent(ingest, "  ", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := "{\n    \"instance\": \"old\"\n  }"
+	want := strings.Replace(record, old, string(block), 1)
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Fatalf("merged record:\n%s\nwant:\n%s", got, want)
+	}
+	rec, err := LoadCoreBench(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Ingest == nil || rec.Ingest.Components != 601 || rec.Graph.Name != "bigcomp-giant" {
+		t.Fatalf("merged record reads back as %+v", rec)
+	}
+
+	// A key the record lacks goes after the last one.
+	if err := mergeCoreBlock(path, "enum", EnumBenchResult{}); err != nil {
+		t.Fatal(err)
+	}
+	got2, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := strings.TrimSuffix(string(got), "\n}\n") + ",\n  \"enum\": "
+	if !strings.HasPrefix(string(got2), head) {
+		t.Fatalf("appended record:\n%s\nwant it to start:\n%s", got2, head)
+	}
+	if rec, err := LoadCoreBench(path); err != nil || rec.Enum == nil {
+		t.Fatalf("appended enum block reads back as %+v, %v", rec.Enum, err)
 	}
 }

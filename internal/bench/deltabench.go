@@ -232,10 +232,5 @@ func WriteDeltaBench(cfg Config, w io.Writer, mergePath string) error {
 	if mergePath == "" {
 		return nil
 	}
-	rec, err := LoadCoreBench(mergePath)
-	if err != nil {
-		return fmt.Errorf("load %s: %w", mergePath, err)
-	}
-	rec.Delta = &res
-	return writeCoreRecord(mergePath, rec)
+	return mergeCoreBlock(mergePath, "delta", res)
 }

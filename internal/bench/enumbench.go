@@ -215,10 +215,5 @@ func WriteEnumBench(cfg Config, w io.Writer, mergePath string, minSpeedup float6
 	if mergePath == "" {
 		return nil
 	}
-	rec, err := LoadCoreBench(mergePath)
-	if err != nil {
-		return fmt.Errorf("load %s: %w", mergePath, err)
-	}
-	rec.Enum = &res
-	return writeCoreRecord(mergePath, rec)
+	return mergeCoreBlock(mergePath, "enum", res)
 }

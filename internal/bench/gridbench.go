@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -183,24 +184,69 @@ func WriteGridBench(cfg Config, w io.Writer, mergePath string) error {
 	if mergePath == "" {
 		return nil
 	}
-	rec, err := LoadCoreBench(mergePath)
-	if err != nil {
-		return fmt.Errorf("load %s: %w", mergePath, err)
-	}
-	rec.Grid = &res
-	return writeCoreRecord(mergePath, rec)
+	return mergeCoreBlock(mergePath, "grid", res)
 }
 
-// writeCoreRecord atomically replaces the committed perf-trajectory
-// file: encode fully before touching it, then swap with a rename so a
-// failure mid-write cannot destroy the record.
-func writeCoreRecord(path string, rec CoreBenchResult) error {
-	data, err := json.MarshalIndent(rec, "", "  ")
+// mergeCoreBlock writes block as the value of the top-level key of the
+// BENCH_core.json record at path, in place of that key's value, or
+// after the last key when the record has none. Every other key keeps
+// its bytes and its place in the file, so a key that the structs here
+// no longer declare survives the merge of another experiment. The file
+// is replaced atomically: the new record is encoded in full before the
+// file is touched, then swapped in with a rename, so a failed run
+// cannot truncate it.
+func mergeCoreBlock(path, key string, block any) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("load %s: %w", path, err)
+	}
+	value, err := json.MarshalIndent(block, "  ", "  ")
 	if err != nil {
 		return err
 	}
+	type member struct {
+		key   string
+		value json.RawMessage
+	}
+	var members []member
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return fmt.Errorf("load %s: not a JSON object", path)
+	}
+	found := false
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return fmt.Errorf("load %s: %w", path, err)
+		}
+		m := member{key: tok.(string)}
+		if err := dec.Decode(&m.value); err != nil {
+			return fmt.Errorf("load %s: %w", path, err)
+		}
+		if m.key == key {
+			m.value, found = value, true
+		}
+		members = append(members, m)
+	}
+	if !found {
+		members = append(members, member{key, value})
+	}
+	// The layout json.MarshalIndent(record, "", "  ") writes.
+	var out bytes.Buffer
+	out.WriteByte('{')
+	for i, m := range members {
+		if i > 0 {
+			out.WriteByte(',')
+		}
+		name, _ := json.Marshal(m.key) // a string always encodes
+		out.WriteString("\n  ")
+		out.Write(name)
+		out.WriteString(": ")
+		out.Write(m.value)
+	}
+	out.WriteString("\n}\n")
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(tmp, out.Bytes(), 0o644); err != nil {
 		return err
 	}
 	return os.Rename(tmp, path)

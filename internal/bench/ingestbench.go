@@ -351,12 +351,7 @@ func WriteIngestBench(cfg Config, w io.Writer, mergePath string, minSpeedup, max
 			ingestK, ingestDelta, res.BestSize, ingestPlantSize)
 	}
 	if mergePath != "" {
-		rec, err := LoadCoreBench(mergePath)
-		if err != nil {
-			return fmt.Errorf("load %s: %w", mergePath, err)
-		}
-		rec.Ingest = &res
-		if err := writeCoreRecord(mergePath, rec); err != nil {
+		if err := mergeCoreBlock(mergePath, "ingest", res); err != nil {
 			return err
 		}
 	}

@@ -69,8 +69,11 @@ func TestIngestBenchSmoke(t *testing.T) {
 func TestIngestBenchMergeAndGates(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "BENCH_core.json")
-	rec := CoreBenchResult{Graph: CoreBenchGraph{Name: "bigcomp-giant"}}
-	if err := writeCoreRecord(path, rec); err != nil {
+	rec, err := json.MarshalIndent(CoreBenchResult{Graph: CoreBenchGraph{Name: "bigcomp-giant"}}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, rec, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteIngestBench(Config{Scale: 0.01}, io.Discard, path, 0, 2.0, dir); err != nil {

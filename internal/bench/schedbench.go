@@ -200,12 +200,7 @@ func WriteSchedBench(cfg Config, w io.Writer, mergePath string, minSpeedup float
 		return fmt.Errorf("sched bench: runs disagree on cell answers; record not trustworthy")
 	}
 	if mergePath != "" {
-		rec, err := LoadCoreBench(mergePath)
-		if err != nil {
-			return fmt.Errorf("load %s: %w", mergePath, err)
-		}
-		rec.Sched = &res
-		if err := writeCoreRecord(mergePath, rec); err != nil {
+		if err := mergeCoreBlock(mergePath, "sched", res); err != nil {
 			return err
 		}
 	}
