@@ -44,9 +44,10 @@ func Greedy(g *graph.Graph) *Coloring {
 //
 // colors must be negative at every neighbour of vs that alive leaves
 // out: the colouring loop reads a neighbour's colour without asking
-// alive, which keeps it as fast as Greedy's. A caller colouring several
-// sets fills colors with -1 once. GreedyOn writes colors only at vs, so
-// goroutines may colour disjoint sets of one alive mask into one slice.
+// alive (an alive test there cost Greedy about 6%), so a caller
+// colouring several sets fills colors with -1 once. GreedyOn writes
+// colors only at vs, so goroutines may colour disjoint sets of one
+// alive mask into one slice.
 func GreedyOn(g *graph.Graph, vs []int32, alive []bool, colors []int32) *Coloring {
 	order := degreeDescOrder(g, vs, alive, colors)
 	for _, v := range order {
@@ -77,16 +78,10 @@ func GreedyOn(g *graph.Graph, vs []int32, alive []bool, colors []int32) *Colorin
 	return &Coloring{Colors: colors, Num: numColors}
 }
 
-// DegreeDescOrder returns the vertices of g sorted by non-increasing
-// degree, ties broken by increasing id. Counting sort, O(|V| + dmax).
-func DegreeDescOrder(g *graph.Graph) []int32 {
-	return degreeDescOrder(g, nil, nil, make([]int32, g.N()))
-}
-
 // degreeDescOrder returns the ascending vertex set vs (every vertex of g
 // when nil) sorted by non-increasing alive degree, ties broken by
-// increasing id: a counting sort over the degrees, which it keeps in
-// deg[v] for each member v.
+// increasing id: a counting sort over the degrees, O(|vs| + their
+// degrees), which it keeps in deg[v] for each member v.
 func degreeDescOrder(g *graph.Graph, vs []int32, alive []bool, deg []int32) []int32 {
 	n := int32(len(vs))
 	if vs == nil {

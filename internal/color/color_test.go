@@ -103,7 +103,7 @@ func TestDegreeDescOrder(t *testing.T) {
 		b.AddEdge(0, int32(v))
 	}
 	g := b.Build()
-	order := DegreeDescOrder(g)
+	order := degreeDescOrder(g, nil, nil, make([]int32, g.N()))
 	if order[0] != 0 {
 		t.Fatalf("star center not first: %v", order)
 	}

@@ -87,7 +87,7 @@ func TestPipelineNBitIdentical(t *testing.T) {
 		multiComponent(3, 3, 30, 0.25),
 		random(4, 60, 0.2), // likely one giant component
 		plantClique(5, 50, 3),
-		lopsided(6, 10, 12, 0.6),
+		lopsided(6, 48, 10, 0.6), // enough sets that workers claim several at a time
 		threeComponents(),
 		graph.NewBuilder(0).Build(),
 	}

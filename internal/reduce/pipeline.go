@@ -119,6 +119,12 @@ func PipelineN(g *graph.Graph, k int32, workers int) (*graph.Subgraph, []StageSt
 		if workers > len(comps) {
 			workers = len(comps)
 		}
+		// A worker claims a chunk of consecutive sets at a time. Sets
+		// next to each other in the list tend to hold neighbouring ids,
+		// whose entries in the shared colour table share cache lines;
+		// claimed one by one, they kept two workers writing the same
+		// lines. About eight chunks per worker keep the load balanced.
+		chunk := max(1, len(comps)/(8*workers))
 		var next int64
 		var wg sync.WaitGroup
 		wg.Add(workers)
@@ -126,11 +132,13 @@ func PipelineN(g *graph.Graph, k int32, workers int) (*graph.Subgraph, []StageSt
 			go func() {
 				defer wg.Done()
 				for {
-					ci := int(atomic.AddInt64(&next, 1)) - 1
-					if ci >= len(comps) {
+					lo := int(atomic.AddInt64(&next, int64(chunk))) - chunk
+					if lo >= len(comps) {
 						return
 					}
-					run(ci)
+					for ci := lo; ci < min(lo+chunk, len(comps)); ci++ {
+						run(ci)
+					}
 				}
 			}()
 		}
