@@ -4,9 +4,59 @@ import (
 	"testing"
 	"time"
 
+	"fairclique/internal/bounds"
 	"fairclique/internal/core"
+	"fairclique/internal/gen"
+	"fairclique/internal/graph"
+	"fairclique/internal/heuristic"
+	"fairclique/internal/reduce"
 	"fairclique/internal/session"
 )
+
+// perfbench's search-cold workload replays, per seed, one rotation of
+// six cells over six bigcomp instances through its static pipeline,
+// and reports the total node count as core.nodes. Workers 1 makes that
+// count exact, so it is pinned here per seed. The recipe mirrors
+// staticChain and the instance set in perfbench/ (gen.BigComponent with
+// a 230-vertex nucleus and a ChunkBits+1024 shell, the cells in
+// rotation order, HeurRFC's clique as the search's seed) and must
+// change with it. A change that moves a total updates the table and
+// reports old → new in CHANGES.md.
+func TestSearchColdPerfbenchTrees(t *testing.T) {
+	cells := [][2]int32{{2, 4}, {2, 1}, {3, 2}, {2, 2}, {4, 3}, {2, 3}}
+	for _, tc := range []struct {
+		seed  uint64
+		nodes int64
+	}{
+		{1, 2808291},
+		{7, 3380597},
+		{13, 3213788},
+	} {
+		var total int64
+		for i := uint64(0); i < 6; i++ {
+			g := gen.BigComponent(tc.seed*16+i, 230, 0.5, graph.ChunkBits+1024)
+			for _, c := range cells {
+				k, delta := c[0], c[1]
+				sub, _ := reduce.PipelineN(g, k, 1)
+				p := core.PrepareReduced(sub.G, sub.ToParent)
+				var seed []int32
+				for _, v := range heuristic.HeurRFC(p.Work(), k, delta).Clique {
+					seed = append(seed, sub.ToParent[v])
+				}
+				res, err := p.Search(core.Options{
+					K: int(k), Delta: int(delta), UseBounds: true, Extra: bounds.ColorfulDegeneracy, Workers: 1,
+				}, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				total += res.Stats.Nodes
+			}
+		}
+		if total != tc.nodes {
+			t.Errorf("seed %d: search-cold rotation branched %d nodes, pinned %d", tc.seed, total, tc.nodes)
+		}
+	}
+}
 
 // Serial search trees on the full-scale bigcomp-giant instance are
 // deterministic, so their sizes are pinned: the W1 9-cell grid of
