@@ -338,6 +338,10 @@ func Fig9(cfg Config) []ScaleRow {
 
 	vertPerm := r.Perm(int(g.N()))
 	edgePerm := r.Perm(int(g.M()))
+	all := make([]bool, g.N())
+	for v := range all {
+		all[v] = true
+	}
 	for _, pct := range []int{20, 40, 60, 80, 100} {
 		// Vertex-induced subgraph.
 		nKeep := int(g.N()) * pct / 100
@@ -349,13 +353,12 @@ func Fig9(cfg Config) []ScaleRow {
 		rows = append(rows, scaleRow(cfg, w, sub.G, "n", pct, k, delta))
 
 		// Edge subgraph on all vertices.
-		mKeep := int(g.M()) * pct / 100
-		eKeep := make([]int32, mKeep)
-		for i := 0; i < mKeep; i++ {
-			eKeep[i] = int32(edgePerm[i])
+		eKeep := make([]bool, g.M())
+		for _, e := range edgePerm[:int(g.M())*pct/100] {
+			eKeep[e] = true
 		}
-		es := graph.EdgeSubset(g, eKeep)
-		rows = append(rows, scaleRow(cfg, w, es, "m", pct, k, delta))
+		es := graph.InduceAlive(g, all, eKeep)
+		rows = append(rows, scaleRow(cfg, w, es.G, "m", pct, k, delta))
 	}
 	return rows
 }

@@ -166,8 +166,11 @@ func (w *worker) priceRootBranches(tasks []int32) {
 // the search never started — is priced whole: from the component's
 // attribute histogram (cheap) and, under frontierEvalBudget, the Table
 // II bound of the induced component. Runs after every worker has
-// returned, so no contribution can arrive later.
+// returned, so no contribution can arrive later. It induces through an
+// id table of its own: a concurrent search on the same Prepared may be
+// building one of these components on the Prepared's table.
 func (s *searcher) sweepFrontier() {
+	var local []int32
 	for ci, comp := range s.p.comps {
 		if s.compAccounted[ci].Load() {
 			continue
@@ -178,7 +181,10 @@ func (s *searcher) sweepFrontier() {
 		}
 		ub := min(s.fairCap(cnt, [2]int32{}), int32(len(comp)))
 		if ub >= 2*s.k && ub > s.priceFloor() && s.evalBudget.Add(-1) >= 0 {
-			ub = min(ub, bounds.Evaluate(graph.Induce(s.p.work, comp).G, s.delta, s.opt.Extra))
+			if local == nil {
+				local = make([]int32, s.p.work.N())
+			}
+			ub = min(ub, bounds.Evaluate(graph.InduceComponent(s.p.work, comp, nil, local).G, s.delta, s.opt.Extra))
 		}
 		s.price(ub)
 	}

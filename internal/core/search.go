@@ -307,6 +307,10 @@ type Prepared struct {
 	toOrig []int32
 	comps  [][]int32
 	once   []sync.Once
+	// local is the id table over work's ids that component builds
+	// induce through. Builds of different components write disjoint
+	// entries (their own members), each under its sync.Once.
+	local []int32
 	// preps are atomic so an incremental re-prepare (PrepareIncremental,
 	// during a session Apply) can observe which components finished
 	// building without racing a build that is still in flight.
@@ -328,6 +332,7 @@ func PrepareReduced(work *graph.Graph, toOrig []int32) *Prepared {
 	sort.SliceStable(p.comps, func(i, j int) bool { return len(p.comps[i]) > len(p.comps[j]) })
 	p.once = make([]sync.Once, len(p.comps))
 	p.preps = make([]atomic.Pointer[compPrep], len(p.comps))
+	p.local = make([]int32, work.N())
 	return p
 }
 
@@ -406,7 +411,7 @@ func (p *Prepared) Components() int { return len(p.comps) }
 // comp returns component i's prepared machinery, building it on first
 // use. sync.Once makes the lazy build safe under concurrent searches.
 func (p *Prepared) comp(i int) *compPrep {
-	p.once[i].Do(func() { p.preps[i].Store(prepareComp(p.work, p.comps[i], p.toOrig)) })
+	p.once[i].Do(func() { p.preps[i].Store(prepareComp(p.work, p.comps[i], p.toOrig, p.local)) })
 	return p.preps[i].Load()
 }
 
@@ -949,16 +954,17 @@ type compData struct {
 // prepared component (test entry point; Search goes through
 // Prepared.comp for the cached build).
 func (s *searcher) newCompData(comp []int32) *compData {
-	return &compData{compPrep: prepareComp(s.p.work, comp, s.p.toOrig), s: s}
+	return &compData{compPrep: prepareComp(s.p.work, comp, s.p.toOrig, make([]int32, s.p.work.N())), s: s}
 }
 
-// prepareComp induces comp from the reduced graph and relabels it by
+// prepareComp induces comp, a connected component of the reduced graph
+// g, through the id table local over g's ids, and relabels it by
 // CalColorOD peel rank (Algorithm 2 line 9), then builds the whole
 // component's row table when useFlatRows admits one. toOrig maps the
 // reduced graph's ids to original ids; the compPrep composes the two so
 // it is self-contained.
-func prepareComp(g *graph.Graph, comp []int32, toOrig []int32) *compPrep {
-	sub := graph.Induce(g, comp)
+func prepareComp(g *graph.Graph, comp []int32, toOrig []int32, local []int32) *compPrep {
+	sub := graph.InduceComponent(g, comp, nil, local)
 	col := color.Greedy(sub.G)
 	rank := colorful.PeelRank(sub.G, col)
 	n := sub.G.N()

@@ -283,17 +283,6 @@ func TestInduceAlive(t *testing.T) {
 	}
 }
 
-func TestEdgeSubset(t *testing.T) {
-	g := completeGraph(4, 2) // 6 edges
-	sub := EdgeSubset(g, []int32{0, 1, 2})
-	if sub.N() != 4 || sub.M() != 3 {
-		t.Fatalf("n=%d m=%d; want 4,3", sub.N(), sub.M())
-	}
-	if err := sub.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	g := pathGraph(4)
 	c := g.Clone()
