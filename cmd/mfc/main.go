@@ -23,8 +23,8 @@
 // fairness model (the delta range is then ignored).
 //
 // The -apply form runs the query (or grid) on a session, applies the
-// given delta — see the op syntax in internal/cli.ParseDelta: +e:U:V,
-// -e:U:V, +v:a|b, -v:ID — and re-answers on the mutated graph, printing
+// given delta — in the daemon's op syntax, internal/serve.ParseOps:
+// +e:U:V, -e:U:V, +v:a|b, -v:ID — and re-answers on the mutated graph, printing
 // what the incremental invalidation retained. The -repl form reads
 // find/grid/apply/stats commands from stdin against one long-lived
 // session (try "help").
@@ -43,6 +43,7 @@ import (
 	"fairclique/internal/cli"
 	"fairclique/internal/enum"
 	"fairclique/internal/graph"
+	"fairclique/internal/serve"
 )
 
 var boundNames = map[string]fairclique.UpperBound{
@@ -295,21 +296,28 @@ func parseGrid(spec string) ([]fairclique.QuerySpec, error) {
 	return specs, nil
 }
 
-// parseDelta maps a cli delta spec onto the public Delta type.
+// parseDelta maps a delta spec in the daemon's op syntax onto the
+// public Delta type.
 func parseDelta(spec string) (fairclique.Delta, error) {
-	gd, err := cli.ParseDelta(spec)
+	ops, err := serve.ParseOps(spec)
 	if err != nil {
 		return fairclique.Delta{}, err
 	}
-	d := fairclique.Delta{AddVertices: gd.AddVertices}
-	for _, e := range gd.AddEdges {
-		d.AddEdges = append(d.AddEdges, [2]int{int(e[0]), int(e[1])})
+	if len(ops) == 0 {
+		return fairclique.Delta{}, fmt.Errorf("empty delta spec")
 	}
-	for _, e := range gd.DelEdges {
-		d.DelEdges = append(d.DelEdges, [2]int{int(e[0]), int(e[1])})
-	}
-	for _, v := range gd.DelVertices {
-		d.DelVertices = append(d.DelVertices, int(v))
+	var d fairclique.Delta
+	for _, op := range ops {
+		switch op.Kind {
+		case serve.OpAddEdge:
+			d.AddEdges = append(d.AddEdges, [2]int{op.U, op.V})
+		case serve.OpDelEdge:
+			d.DelEdges = append(d.DelEdges, [2]int{op.U, op.V})
+		case serve.OpAddVertex:
+			d.AddVertices = append(d.AddVertices, op.Attr)
+		case serve.OpDelVertex:
+			d.DelVertices = append(d.DelVertices, op.U)
+		}
 	}
 	return d, nil
 }

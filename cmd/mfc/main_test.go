@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -299,6 +300,36 @@ func TestCLIApply(t *testing.T) {
 	// Malformed delta specs are usage errors.
 	if _, err := runCLI(t, "-graph", path, "-apply", "+e:1"); err == nil {
 		t.Fatal("malformed delta spec should fail")
+	}
+}
+
+// -apply and the REPL's apply parse the daemon's op syntax
+// (serve.ParseOps) and keep every id whole, so Session.Apply can reject
+// one beyond int32; leading signs and zeros are rejected, as the
+// daemon rejects them.
+func TestParseDelta(t *testing.T) {
+	d, err := parseDelta("+v:a +v:b, +e:0:12 -e:3:4 -v:7 -v:4294967298")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fairclique.Delta{
+		AddVertices: []fairclique.Attr{fairclique.AttrA, fairclique.AttrB},
+		AddEdges:    [][2]int{{0, 12}},
+		DelEdges:    [][2]int{{3, 4}},
+		DelVertices: []int{7, 1<<32 + 2},
+	}
+	if !reflect.DeepEqual(d, want) {
+		t.Fatalf("parseDelta = %+v; want %+v", d, want)
+	}
+	for _, bad := range []string{"e:1:2", "+e:1", "+e:1:x", "+v:q", "-v:x", "nope", "+e:+1:2", "+e:007:2"} {
+		if _, err := parseDelta(bad); err == nil {
+			t.Errorf("parseDelta(%q) should fail", bad)
+		}
+	}
+	for _, empty := range []string{"", " ,\t"} {
+		if _, err := parseDelta(empty); err == nil || err.Error() != "empty delta spec" {
+			t.Errorf("parseDelta(%q): error %v; want \"empty delta spec\"", empty, err)
+		}
 	}
 }
 

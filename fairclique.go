@@ -129,16 +129,18 @@ func (g *Graph) AddVertex(a Attr) int {
 // SetAttr sets the attribute of vertex v. Like all mutators it must
 // not race any other method of g.
 func (g *Graph) SetAttr(v int, a Attr) {
+	id := mustID32(v)
 	g.invalidate()
-	g.b.SetAttr(int32(v), a)
+	g.b.SetAttr(id, a)
 }
 
 // AddEdge adds the undirected edge (u, v). Self-loops are ignored and
 // duplicates are deduplicated. Panics if an endpoint does not exist.
 // Like all mutators it must not race any other method of g.
 func (g *Graph) AddEdge(u, v int) {
+	iu, iv := mustID32(u), mustID32(v)
 	g.invalidate()
-	g.b.AddEdge(int32(u), int32(v))
+	g.b.AddEdge(iu, iv)
 }
 
 // invalidate drops the frozen snapshot ahead of a mutation. Taking the
@@ -158,17 +160,17 @@ func (g *Graph) N() int { return int(g.b.N()) }
 func (g *Graph) M() int { return int(g.freeze().M()) }
 
 // Attr returns the attribute of v.
-func (g *Graph) Attr(v int) Attr { return g.freeze().Attr(int32(v)) }
+func (g *Graph) Attr(v int) Attr { return g.freeze().Attr(mustID32(v)) }
 
 // Degree returns the degree of v.
-func (g *Graph) Degree(v int) int { return int(g.freeze().Deg(int32(v))) }
+func (g *Graph) Degree(v int) int { return int(g.freeze().Deg(mustID32(v))) }
 
 // HasEdge reports whether u and v are adjacent.
-func (g *Graph) HasEdge(u, v int) bool { return g.freeze().HasEdge(int32(u), int32(v)) }
+func (g *Graph) HasEdge(u, v int) bool { return g.freeze().HasEdge(mustID32(u), mustID32(v)) }
 
 // Neighbors returns the sorted neighbour list of v (a fresh slice).
 func (g *Graph) Neighbors(v int) []int {
-	nbrs := g.freeze().Neighbors(int32(v))
+	nbrs := g.freeze().Neighbors(mustID32(v))
 	out := make([]int, len(nbrs))
 	for i, w := range nbrs {
 		out[i] = int(w)
@@ -179,7 +181,11 @@ func (g *Graph) Neighbors(v int) []int {
 // IsFairClique reports whether s is a (k, delta)-relative fair clique
 // of g, per Definition 1 condition (i).
 func (g *Graph) IsFairClique(s []int, k, delta int) bool {
-	return g.freeze().IsFairClique(toInt32(s), k, delta)
+	ids, err := toInt32(s)
+	if err != nil {
+		panic(err)
+	}
+	return g.freeze().IsFairClique(ids, k, delta)
 }
 
 // freeze materializes the immutable snapshot queries run against. It
@@ -837,11 +843,16 @@ type EnumDiff struct {
 // graph. Concurrent Apply calls are serialized. It returns what was
 // invalidated versus retained, for observability.
 func (s *Session) Apply(d Delta) (ApplyStats, error) {
-	gd := &graph.Delta{
-		AddVertices: d.AddVertices,
-		AddEdges:    toEdge32(d.AddEdges),
-		DelEdges:    toEdge32(d.DelEdges),
-		DelVertices: toInt32(d.DelVertices),
+	gd := &graph.Delta{AddVertices: d.AddVertices}
+	var err error
+	if gd.AddEdges, err = toEdge32(d.AddEdges); err != nil {
+		return ApplyStats{}, err
+	}
+	if gd.DelEdges, err = toEdge32(d.DelEdges); err != nil {
+		return ApplyStats{}, err
+	}
+	if gd.DelVertices, err = toInt32(d.DelVertices); err != nil {
+		return ApplyStats{}, err
 	}
 	ast, err := s.inner.Apply(gd)
 	if err != nil {
@@ -904,12 +915,20 @@ func (s *Session) N() int { return int(s.inner.Graph().N()) }
 // M returns the current edge count of the session's graph.
 func (s *Session) M() int { return int(s.inner.Graph().M()) }
 
-func toEdge32(es [][2]int) [][2]int32 {
+func toEdge32(es [][2]int) ([][2]int32, error) {
 	out := make([][2]int32, len(es))
 	for i, e := range es {
-		out[i] = [2]int32{int32(e[0]), int32(e[1])}
+		u, err := id32(e[0])
+		if err != nil {
+			return nil, err
+		}
+		v, err := id32(e[1])
+		if err != nil {
+			return nil, err
+		}
+		out[i] = [2]int32{u, v}
 	}
-	return out
+	return out, nil
 }
 
 // Find answers one query on the warm session. The result is identical
@@ -1041,12 +1060,36 @@ func (s *Session) Stats() SessionStats {
 	}
 }
 
-func toInt32(s []int) []int32 {
+func toInt32(s []int) ([]int32, error) {
 	out := make([]int32, len(s))
 	for i, v := range s {
-		out[i] = int32(v)
+		id, err := id32(v)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = id
 	}
-	return out
+	return out, nil
+}
+
+// id32 narrows a vertex id to the engine's int32. An id beyond int32
+// names no vertex of any graph; an unchecked conversion would wrap it
+// onto another vertex.
+func id32(v int) (int32, error) {
+	if int(int32(v)) != v {
+		return 0, fmt.Errorf("fairclique: vertex id %d out of range", v)
+	}
+	return int32(v), nil
+}
+
+// mustID32 is id32 for the Graph methods, which panic on an id beyond
+// int32 as they do on any id >= N.
+func mustID32(v int) int32 {
+	id, err := id32(v)
+	if err != nil {
+		panic(err)
+	}
+	return id
 }
 
 func toInt(s []int32) []int {

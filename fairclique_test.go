@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"fairclique/internal/rng"
 )
@@ -133,6 +134,73 @@ func TestKAndDeltaBeyondInt32(t *testing.T) {
 	}
 	if _, _, err := Reduce(g, 1<<32+2); err == nil {
 		t.Error("Reduce accepted k = 2³² + 2")
+	}
+}
+
+// A vertex id beyond int32 names no vertex. The Graph methods panic on
+// it as on any id >= N, and Session.Apply rejects it and leaves the
+// session as it was. An unchecked narrowing once wrapped 2³²+1 onto
+// vertex 1: AddEdge(2³²+1, 2) added edge 1–2.
+func TestVertexIDsBeyondInt32(t *testing.T) {
+	g := buildComplete(4, 2)
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"SetAttr", func() { g.SetAttr(1<<32, AttrB) }},
+		{"AddEdge", func() { g.AddEdge(1<<32+1, 2) }},
+		{"AddEdge", func() { g.AddEdge(0, -1<<32+3) }},
+		{"Attr", func() { g.Attr(1 << 32) }},
+		{"Degree", func() { g.Degree(1<<32 + 1) }},
+		{"HasEdge", func() { g.HasEdge(1<<32+1, 2) }},
+		{"Neighbors", func() { g.Neighbors(1<<32 + 2) }},
+		{"IsFairClique", func() { g.IsFairClique([]int{0, 1<<32 + 1, 2, 3}, 2, 0) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a vertex id beyond int32", c.name)
+				}
+			}()
+			c.call()
+		}()
+	}
+	if g.M() != 6 || g.Attr(0) != AttrA || g.Attr(2) != AttrB {
+		t.Fatalf("graph changed: m=%d, attrs %v %v; want the balanced K4", g.M(), g.Attr(0), g.Attr(2))
+	}
+
+	s := NewSession(g)
+	for _, d := range []Delta{
+		{AddEdges: [][2]int{{1 << 32, 3}}, DelVertices: []int{1<<32 + 2}},
+		{DelVertices: []int{1<<32 + 2}},
+		{DelEdges: [][2]int{{0, -1<<32 + 1}}},
+	} {
+		if _, err := s.Apply(d); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("Apply(%+v): error %v; want an out-of-range vertex id", d, err)
+		}
+	}
+	r, err := s.Find(QuerySpec{K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Size() != 4 || s.M() != 6 {
+		t.Fatalf("after the rejected deltas: size %d, m %d; want the untouched K4", r.Size(), s.M())
+	}
+}
+
+// A far deadline never reads as spent. Core once stored it as
+// UnixNano, which overflows past 2262, so a 250-year budget answered
+// inexactly at once.
+func TestFarDeadlineAnswersExactly(t *testing.T) {
+	g := buildComplete(8, 4)
+	for _, budget := range []time.Duration{time.Hour, 250 * 365 * 24 * time.Hour, math.MaxInt64} {
+		r, err := NewSession(g).Find(QuerySpec{K: 2, Delta: 0, Deadline: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Exact || r.Size() != 8 {
+			t.Errorf("deadline %v: (size, exact) = (%d, %v); want (8, true)", budget, r.Size(), r.Exact)
+		}
 	}
 }
 

@@ -1,17 +1,14 @@
 // Package cli holds the flag-value parsers shared by the repo's
 // command-line tools (cmd/mfc, cmd/benchmark): inclusive integer
-// ranges, (k, δ, mode) grid specs, and graph-delta specs. Keeping them
-// in one place means both CLIs reject malformed input with the same
-// usage errors — descending or empty ranges are errors, never a
-// silently empty grid.
+// ranges and (k, δ, mode) grid specs. Keeping them in one place means
+// both CLIs reject malformed input with the same usage errors —
+// descending or empty ranges are errors, never a silently empty grid.
 package cli
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"fairclique/internal/graph"
 )
 
 // ParseRange parses "N" or "LO..HI" into an inclusive [lo, hi].
@@ -115,75 +112,4 @@ func ParseGrid(spec string) ([]GridCell, error) {
 		return nil, fmt.Errorf("grid %q expands to no cells", spec)
 	}
 	return specs, nil
-}
-
-// ParseDelta parses a graph-delta spec: whitespace- or comma-separated
-// operations
-//
-//	+e:U:V   insert edge (U, V)
-//	-e:U:V   delete edge (U, V)
-//	+v:a     append a vertex with attribute a (or b); new vertices get
-//	         ids N, N+1, ... in spec order and may appear in later +e
-//	-v:ID    delete vertex ID (drops its edges; the id stays valid)
-//
-// e.g. "+v:a +e:0:12 -e:3:4".
-func ParseDelta(spec string) (*graph.Delta, error) {
-	d := &graph.Delta{}
-	fields := strings.FieldsFunc(spec, func(r rune) bool { return r == ' ' || r == ',' || r == '\t' })
-	for _, f := range fields {
-		parts := strings.Split(f, ":")
-		atoi := func(s string) (int, error) {
-			v, err := strconv.Atoi(s)
-			if err != nil {
-				return 0, fmt.Errorf("delta op %q: %q is not a vertex id", f, s)
-			}
-			return v, nil
-		}
-		switch {
-		case parts[0] == "+e" || parts[0] == "-e":
-			if len(parts) != 3 {
-				return d, fmt.Errorf("delta op %q: want %s:U:V", f, parts[0])
-			}
-			u, err := atoi(parts[1])
-			if err != nil {
-				return d, err
-			}
-			v, err := atoi(parts[2])
-			if err != nil {
-				return d, err
-			}
-			if parts[0] == "+e" {
-				d.AddEdges = append(d.AddEdges, [2]int32{int32(u), int32(v)})
-			} else {
-				d.DelEdges = append(d.DelEdges, [2]int32{int32(u), int32(v)})
-			}
-		case parts[0] == "+v":
-			if len(parts) != 2 {
-				return d, fmt.Errorf("delta op %q: want +v:a or +v:b", f)
-			}
-			switch parts[1] {
-			case "a", "A", "0":
-				d.AddVertices = append(d.AddVertices, graph.AttrA)
-			case "b", "B", "1":
-				d.AddVertices = append(d.AddVertices, graph.AttrB)
-			default:
-				return d, fmt.Errorf("delta op %q: unknown attribute %q (want a or b)", f, parts[1])
-			}
-		case parts[0] == "-v":
-			if len(parts) != 2 {
-				return d, fmt.Errorf("delta op %q: want -v:ID", f)
-			}
-			v, err := atoi(parts[1])
-			if err != nil {
-				return d, err
-			}
-			d.DelVertices = append(d.DelVertices, int32(v))
-		default:
-			return d, fmt.Errorf("unknown delta op %q (want +e:U:V, -e:U:V, +v:a|b or -v:ID)", f)
-		}
-	}
-	if len(fields) == 0 {
-		return d, fmt.Errorf("empty delta spec")
-	}
-	return d, nil
 }

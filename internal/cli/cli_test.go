@@ -3,8 +3,6 @@ package cli
 import (
 	"strings"
 	"testing"
-
-	"fairclique/internal/graph"
 )
 
 func TestParseRangeTable(t *testing.T) {
@@ -81,30 +79,6 @@ func TestParseGridTable(t *testing.T) {
 		}
 		if len(specs) != tc.cells {
 			t.Errorf("ParseGrid(%q) = %d cells, want %d", tc.in, len(specs), tc.cells)
-		}
-	}
-}
-
-func TestParseDelta(t *testing.T) {
-	d, err := ParseDelta("+v:a +v:b, +e:0:12 -e:3:4 -v:7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.AddVertices) != 2 || d.AddVertices[0] != graph.AttrA || d.AddVertices[1] != graph.AttrB {
-		t.Fatalf("AddVertices = %v", d.AddVertices)
-	}
-	if len(d.AddEdges) != 1 || d.AddEdges[0] != [2]int32{0, 12} {
-		t.Fatalf("AddEdges = %v", d.AddEdges)
-	}
-	if len(d.DelEdges) != 1 || d.DelEdges[0] != [2]int32{3, 4} {
-		t.Fatalf("DelEdges = %v", d.DelEdges)
-	}
-	if len(d.DelVertices) != 1 || d.DelVertices[0] != 7 {
-		t.Fatalf("DelVertices = %v", d.DelVertices)
-	}
-	for _, bad := range []string{"", "e:1:2", "+e:1", "+e:1:x", "+v:q", "-v:x", "nope"} {
-		if _, err := ParseDelta(bad); err == nil {
-			t.Errorf("ParseDelta(%q) should fail", bad)
 		}
 	}
 }

@@ -453,9 +453,6 @@ func (p *Prepared) Search(opt Options, seed []int32) (*Result, error) {
 		collectAll: opt.CollectAll,
 	}
 	s.stopAt.Store(int32(opt.StopAtSize))
-	if !opt.Deadline.IsZero() {
-		s.deadline = opt.Deadline.UnixNano()
-	}
 	if opt.anytime() {
 		s.compAccounted = make([]atomic.Bool, len(p.comps))
 		s.evalBudget.Store(frontierEvalBudget)
@@ -512,7 +509,7 @@ func (p *Prepared) Search(opt Options, seed []int32) (*Result, error) {
 	if st := s.stopAt.Load(); !s.collectAll && st > 0 && s.bestSize.Load() >= st {
 		s.done.Store(true) // the incumbent already meets the trusted bound
 	}
-	if s.deadline != 0 && time.Now().UnixNano() >= s.deadline {
+	if s.pastDeadline() {
 		s.aborted.Store(true) // budget already spent: certificate only
 	}
 
@@ -611,7 +608,6 @@ type searcher struct {
 	k, delta int32
 	opt      Options
 	seed     []int32 // caller's warm-start clique, in original ids
-	deadline int64   // UnixNano wall-clock budget; 0 = none
 
 	// stopAt is the trusted optimum upper bound (0 = none). Atomic
 	// because Injector.InjectBound tightens it while workers branch.
@@ -1110,9 +1106,16 @@ func (w *worker) flushNodes() {
 	if s.opt.MaxNodes > 0 && n > s.opt.MaxNodes {
 		s.aborted.Store(true)
 	}
-	if s.deadline != 0 && time.Now().UnixNano() >= s.deadline {
+	if s.pastDeadline() {
 		s.aborted.Store(true)
 	}
+}
+
+// pastDeadline reports whether the wall-clock budget, if any, has run
+// out. It compares times rather than UnixNano counts, which overflow
+// past the year 2262: a far deadline must never read as spent.
+func (s *searcher) pastDeadline() bool {
+	return !s.opt.Deadline.IsZero() && !time.Now().Before(s.opt.Deadline)
 }
 
 // searchComponent branches the connected component at index ci of the

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"strings"
@@ -336,8 +337,8 @@ type QueryRequest struct {
 
 func (q QueryRequest) spec() (fairclique.QuerySpec, error) {
 	spec := fairclique.QuerySpec{K: q.K, Delta: q.Delta}
-	if q.DeadlineMs < 0 {
-		return spec, fmt.Errorf("serve: deadline_ms must be >= 0, got %d", q.DeadlineMs)
+	if q.DeadlineMs < 0 || q.DeadlineMs > math.MaxInt64/int64(time.Millisecond) {
+		return spec, fmt.Errorf("serve: deadline_ms must be in [0, %d], got %d", math.MaxInt64/int64(time.Millisecond), q.DeadlineMs)
 	}
 	if q.MaxNodes < 0 {
 		return spec, fmt.Errorf("serve: max_nodes must be >= 0, got %d", q.MaxNodes)
@@ -721,9 +722,11 @@ func (s *Server) handleMutateStream(w http.ResponseWriter, r *http.Request, e *G
 	writeJSON(w, http.StatusOK, total)
 }
 
-// ParseOps parses one line of the mutation op syntax shared with the
-// mfc CLI: "+e:U:V", "-e:U:V", "+v:a|b", "-v:ID", separated by spaces
-// or commas.
+// ParseOps parses one line of the mutation op syntax, the one parser
+// of mfcd's mutation streams and mfc's -apply and REPL: "+e:U:V",
+// "-e:U:V", "+v:a|b", "-v:ID", separated by spaces, commas or tabs. An
+// id is accepted only in its canonical decimal form: no leading "+"
+// and no leading zeros.
 func ParseOps(s string) ([]Op, error) {
 	fields := strings.FieldsFunc(s, func(r rune) bool { return r == ' ' || r == ',' || r == '\t' })
 	ops := make([]Op, 0, len(fields))

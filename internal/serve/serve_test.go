@@ -266,6 +266,25 @@ func TestServeKBeyondInt32Is400(t *testing.T) {
 	}
 }
 
+// A deadline_ms whose nanoseconds overflow int64 is the client's 400
+// on every endpoint: 9,223,372,036,855 ms once became a negative
+// budget and 18,446,744,073,710 ms a 448 µs one. The largest budget
+// that fits, about 292 years, never fires: the answer is exact.
+func TestServeDeadlineBeyondDurationIs400(t *testing.T) {
+	_, ts := startServer(t, Config{})
+	createGraph(t, ts, "g", testGraphText)
+	for _, ms := range []string{"9223372036855", "18446744073710"} {
+		q := `{"k":2,"delta":0,"deadline_ms":` + ms + `}`
+		request(t, ts, "POST", "/v1/graphs/g/query", "application/json", q, http.StatusBadRequest)
+		request(t, ts, "POST", "/v1/graphs/g/grid", "application/json", `{"cells":[`+q+`]}`, http.StatusBadRequest)
+		request(t, ts, "POST", "/v1/graphs/g/enumerate", "application/json", q, http.StatusBadRequest)
+	}
+	r := queryGraph(t, ts, "g", QueryRequest{K: 2, Delta: 0, DeadlineMs: 9223372036854}, http.StatusOK)
+	if r.Size != 4 || !r.Exact {
+		t.Fatalf("k=2 with a 292-year budget: %+v; want an exact size-4 answer", r)
+	}
+}
+
 func TestServePathCreateGate(t *testing.T) {
 	// Path create is refused unless the operator opted in.
 	_, ts := startServer(t, Config{})
@@ -437,11 +456,48 @@ func TestParseOps(t *testing.T) {
 			t.Errorf("op %d = %+v; want %+v", i, ops[i], want[i])
 		}
 	}
-	for _, bad := range []string{"+e:0", "e:0:1", "+v:c", "-v:x", "+e:0:1:2", "?"} {
+	for _, bad := range []string{"+e:0", "e:0:1", "+v:c", "-v:x", "+e:0:1:2", "?", "+e:1:x"} {
 		if _, err := ParseOps(bad); err == nil {
 			t.Errorf("ParseOps(%q) accepted garbage", bad)
 		}
 	}
+}
+
+// FuzzParseOps checks that parsing never panics, and that an accepted
+// stream, written back in the op syntax, parses to the same ops.
+func FuzzParseOps(f *testing.F) {
+	for _, s := range []string{
+		"+e:0:1 -e:2:3,+v:a\t-v:7", "+v:B,+v:1 +v:0", "-v:-3", "-e:9223372036854775807:0",
+		"+e:+1:2", "+e:007:2", "+e:1:x", "+e:0:1:2", "-v:", "", " ,\t",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		ops, err := ParseOps(s)
+		if err != nil {
+			return
+		}
+		var b strings.Builder
+		for _, op := range ops {
+			switch op.Kind {
+			case OpAddEdge:
+				fmt.Fprintf(&b, "+e:%d:%d ", op.U, op.V)
+			case OpDelEdge:
+				fmt.Fprintf(&b, "-e:%d:%d ", op.U, op.V)
+			case OpAddVertex:
+				fmt.Fprintf(&b, "+v:%s ", op.Attr)
+			case OpDelVertex:
+				fmt.Fprintf(&b, "-v:%d ", op.U)
+			}
+		}
+		again, err := ParseOps(b.String())
+		if err != nil {
+			t.Fatalf("ParseOps(%q) accepted %v, but its write-back %q fails: %v", s, ops, b.String(), err)
+		}
+		if !slices.Equal(ops, again) {
+			t.Fatalf("ParseOps(%q) = %v, but its write-back %q parses to %v", s, ops, b.String(), again)
+		}
+	})
 }
 
 func TestServeAdmissionHTTP(t *testing.T) {
