@@ -24,10 +24,10 @@
 //
 // The -apply form runs the query (or grid) on a session, applies the
 // given delta — in the daemon's op syntax, internal/serve.ParseOps:
-// +e:U:V, -e:U:V, +v:a|b, -v:ID — and re-answers on the mutated graph, printing
-// what the incremental invalidation retained. The -repl form reads
-// find/grid/apply/stats commands from stdin against one long-lived
-// session (try "help").
+// +e:U:V, -e:U:V, +v:a|b, -v:ID — and re-answers on the mutated graph,
+// printing what the incremental invalidation retained. The -repl form
+// reads find/grid/apply/stats commands from stdin against one
+// long-lived session (try "help").
 package main
 
 import (
