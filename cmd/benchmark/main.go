@@ -1,6 +1,6 @@
 // Command benchmark regenerates the paper's evaluation tables and
 // figures (§VI) on the synthetic dataset stand-ins and prints them as
-// Markdown. EXPERIMENTS.md is produced by piping this command's output.
+// Markdown (`make bench-full` runs the whole suite at scale 0.5).
 //
 // Usage:
 //
@@ -58,7 +58,6 @@ func main() {
 		exp         = flag.String("exp", "all", "experiment to run")
 		scale       = flag.Float64("scale", 1.0, "dataset scale factor")
 		out         = flag.String("out", "", "output path (default stdout)")
-		format      = flag.String("format", "markdown", "output format: markdown, json or chart (json/chart run the full suite)")
 		maxNodes    = flag.Int64("max-nodes", 0, "branch-node cap per search (0 = unlimited)")
 		baseline    = flag.String("baseline", "", "for -exp core: committed BENCH_core.json to diff against; exits 1 on a >10% nodes/sec regression")
 		merge       = flag.String("merge", "", "for -exp grid/delta/sched/ingest/anytime/enum: existing BENCH_core.json whose block for the experiment the record replaces (every other key keeps its bytes)")
@@ -94,8 +93,8 @@ func main() {
 
 	start := time.Now()
 	if *exp == "core" {
-		// The engine benchmark is JSON-only regardless of -format: it is
-		// a machine-readable perf record, not a paper table.
+		// The engine benchmark is JSON: a machine-readable perf record,
+		// not a paper table.
 		if err := bench.WriteCoreBench(cfg, w, *baseline); err != nil {
 			fmt.Fprintln(os.Stderr, "benchmark:", err)
 			os.Exit(1)
@@ -175,23 +174,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "benchmark: ingest pipeline bench finished in %v\n", time.Since(start))
 		return
-	}
-	switch *format {
-	case "json":
-		if err := bench.WriteJSON(cfg, w); err != nil {
-			fmt.Fprintln(os.Stderr, "benchmark:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "benchmark: json suite finished in %v\n", time.Since(start))
-		return
-	case "chart":
-		bench.RunCharts(cfg)
-		fmt.Fprintf(os.Stderr, "benchmark: chart suite finished in %v\n", time.Since(start))
-		return
-	case "markdown":
-	default:
-		fmt.Fprintf(os.Stderr, "benchmark: unknown format %q\n", *format)
-		os.Exit(2)
 	}
 	switch *exp {
 	case "all":

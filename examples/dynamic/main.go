@@ -1,11 +1,11 @@
 // Dynamic: keep one warm Session alive while the graph changes
 // underneath it. Session.Apply takes a batched delta (edge/vertex
 // inserts and deletes), bumps the session to a new epoch, and
-// invalidates only the state the delta touches: reduction snapshots
-// and per-component search machinery of untouched components carry
-// over, surviving answers keep seeding and bounding, and a requery
-// after a local change typically costs a small fraction of building a
-// fresh session.
+// invalidates only the state the delta touches: a reduction snapshot
+// keeps its untouched components (and, when the delta cannot change
+// it, its built search machinery), surviving answers keep seeding and
+// bounding, and a requery after a local change typically costs a
+// small fraction of building a fresh session.
 //
 //	go run ./examples/dynamic
 package main
@@ -48,8 +48,10 @@ func main() {
 	fmt.Printf("initial maximum fair clique: size %d %v\n", res.Size(), res.Clique)
 
 	// A member of the big community leaves one friendship: the witness
-	// clique breaks, the optimum shrinks — but only that community's
-	// state is invalidated.
+	// clique breaks and the optimum shrinks. The re-peel touches only
+	// that community's part of the reduced graph, and the changed
+	// reduction's search machinery is built afresh on the next query
+	// (0 component preps reused).
 	ast, err := s.Apply(fairclique.Delta{DelEdges: [][2]int{{0, 1}}})
 	if err != nil {
 		log.Fatal(err)
@@ -62,7 +64,9 @@ func main() {
 	}
 	fmt.Printf("maximum fair clique now: size %d\n", res.Size())
 
-	// Two newcomers join and wire into the smaller community.
+	// Two newcomers join and wire into the smaller community. The
+	// insertion changes the reduced graph again, so again nothing of
+	// its search machinery is reused: 0 component preps.
 	delta := fairclique.Delta{AddVertices: []fairclique.Attr{fairclique.AttrA, fairclique.AttrB}}
 	for v := 8; v < 14; v++ {
 		delta.AddEdges = append(delta.AddEdges, [2]int{v, 20}, [2]int{v, 21})

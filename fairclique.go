@@ -629,10 +629,11 @@ type SessionStats struct {
 	SnapshotsPatched int64 `json:"snapshots_patched"`
 	SnapshotsReused  int64 `json:"snapshots_reused"`
 	SnapshotsRippled int64 `json:"snapshots_rippled"`
-	// CompPrepsReused counts per-component search machinery (peel-rank
-	// relabeling, successor masks, worker arenas) adopted across an
-	// Apply instead of rebuilt — the receipt that invalidation is
-	// component-scoped.
+	// CompPrepsReused counts built per-component search machinery
+	// (peel-rank relabeling, successor rows, worker arenas) that an
+	// Apply kept because the reduced subgraph it belongs to was kept
+	// as it was. A changed reduced subgraph builds its machinery
+	// afresh on its next search.
 	CompPrepsReused int64 `json:"comp_preps_reused"`
 	// PoolRetained and PoolDropped count warm-start cliques that
 	// survived an Apply versus ones destroyed by its deletions.
@@ -687,12 +688,12 @@ type SessionStats struct {
 //
 // A Session is dynamic: Apply mutates its graph with a batched Delta
 // and invalidates only the prepared state the delta touches —
-// untouched components keep their reduction snapshots and search
-// machinery, surviving answers keep seeding and bounding, and a
-// requery after a local delta typically costs a small fraction of a
-// fresh NewSession. The Session snapshots the public Graph at
-// creation: later mutations of the *Graph object* are not observed;
-// mutate through Apply instead.
+// untouched components keep their reduction snapshots, a reduction
+// the delta cannot change keeps its search machinery, surviving
+// answers keep seeding and bounding, and a requery after a local
+// delta typically costs a small fraction of a fresh NewSession. The
+// Session snapshots the public Graph at creation: later mutations of
+// the *Graph object* are not observed; mutate through Apply instead.
 //
 // A Session is safe for concurrent use, including queries racing an
 // Apply: in-flight queries finish race-free on the graph generation
@@ -803,7 +804,8 @@ type ApplyStats struct {
 	// SnapshotsRippled counts ones a delete-only delta re-peeled.
 	SnapshotsPatched, SnapshotsReused int64
 	SnapshotsRippled                  int64
-	// CompPrepsReused counts adopted per-component search machinery.
+	// CompPrepsReused counts the built per-component search machinery
+	// of the reduced subgraphs kept as they were (SnapshotsReused).
 	CompPrepsReused int64
 	// PoolRetained and PoolDropped count surviving vs destroyed
 	// warm-start cliques.

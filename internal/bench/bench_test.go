@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -257,54 +256,5 @@ func TestAblation(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "Ablation") {
 		t.Fatal("missing header")
-	}
-}
-
-func TestWriteJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteJSON(Config{Scale: 0.04, MaxNodes: 1_000_000}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var res Results
-	if err := json.Unmarshal(buf.Bytes(), &res); err != nil {
-		t.Fatalf("output is not valid JSON: %v", err)
-	}
-	if res.Scale != 0.04 {
-		t.Fatalf("scale %v", res.Scale)
-	}
-	if len(res.Fig4) != 25 || len(res.Fig8) != 6 || len(res.CaseStudies) != 4 || len(res.Ablation) != 30 {
-		t.Fatalf("row counts wrong: %d %d %d %d",
-			len(res.Fig4), len(res.Fig8), len(res.CaseStudies), len(res.Ablation))
-	}
-}
-
-func TestCharts(t *testing.T) {
-	var buf bytes.Buffer
-	RunCharts(Config{Scale: 0.04, Out: &buf, MaxNodes: 1_000_000})
-	out := buf.String()
-	for _, want := range []string{"Fig. 4", "Fig. 6", "Fig. 8", "Fig. 9", "MaxRFC+ub+HeurRFC", "#"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("chart output missing %q", want)
-		}
-	}
-}
-
-func TestLogBar(t *testing.T) {
-	if logBar(1, 1000) != "" && len(logBar(1, 1000)) > 1 {
-		t.Fatalf("value 1 should render near-empty, got %q", logBar(1, 1000))
-	}
-	full := logBar(1000, 1000)
-	if len(full) != barWidth {
-		t.Fatalf("max value should fill the bar: %d chars", len(full))
-	}
-	mid := logBar(31.6, 1000) // sqrt(1000): half the log range
-	if len(mid) < barWidth/2-2 || len(mid) > barWidth/2+2 {
-		t.Fatalf("log midpoint renders %d chars; want ~%d", len(mid), barWidth/2)
-	}
-	if len(logBar(2000, 1000)) != barWidth {
-		t.Fatal("overflow should clamp to full bar")
-	}
-	if len(logBar(0.5, 1000)) != 0 {
-		t.Fatal("sub-1 values clamp to empty")
 	}
 }

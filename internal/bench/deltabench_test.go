@@ -10,9 +10,9 @@ import (
 
 // The delta experiment must agree with the cold rebuild and answer
 // every post-delta requery without branching (the retained seed meets
-// the relaxed bound). The shell deltas keep the reduction and adopt the
-// nucleus machinery; the nucleus deletion re-peels the reduction, so
-// the touched nucleus adopts nothing.
+// the relaxed bound). The shell deltas keep the reduction by pointer,
+// and with it the built nucleus machinery; the nucleus deletion
+// re-peels the reduction, which gets a fresh Prepared and keeps none.
 func TestDeltaBenchSmoke(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteDeltaBench(Config{Scale: 0.2}, &buf, ""); err != nil {
@@ -25,7 +25,7 @@ func TestDeltaBenchSmoke(t *testing.T) {
 	want := []struct {
 		name                     string
 		reused, patched, rippled int64
-		adopts                   bool // at least one compPrep, or none
+		keepsPreps               bool // at least one built compPrep kept, or none
 	}{
 		{"insert-shell-chord", 1, 0, 0, true},
 		{"delete-shell-edge", 1, 0, 0, true},
@@ -52,8 +52,8 @@ func TestDeltaBenchSmoke(t *testing.T) {
 			t.Fatalf("%s: reused/patched/rippled = %d/%d/%d, want %d/%d/%d", run.Name,
 				run.SnapshotsReused, run.SnapshotsPatched, run.SnapshotsRippled, w.reused, w.patched, w.rippled)
 		}
-		if (run.CompPrepsReused > 0) != w.adopts {
-			t.Fatalf("%s: adopted %d compPreps, want adoption %v", run.Name, run.CompPrepsReused, w.adopts)
+		if (run.CompPrepsReused > 0) != w.keepsPreps {
+			t.Fatalf("%s: kept %d compPreps, want some kept: %v", run.Name, run.CompPrepsReused, w.keepsPreps)
 		}
 		if run.ApplySeconds <= 0 || run.RebuildSeconds <= 0 {
 			t.Fatalf("%s: unmeasured run: %+v", run.Name, run)

@@ -311,9 +311,10 @@ type Prepared struct {
 	// induce through. Builds of different components write disjoint
 	// entries (their own members), each under its sync.Once.
 	local []int32
-	// preps are atomic so an incremental re-prepare (PrepareIncremental,
-	// during a session Apply) can observe which components finished
-	// building without racing a build that is still in flight.
+	// preps are atomic so PreparedComponents (a session Apply counting
+	// the components of a Prepared it keeps) can observe which
+	// components finished building without racing a build that is
+	// still in flight.
 	preps []atomic.Pointer[compPrep]
 }
 
@@ -334,72 +335,6 @@ func PrepareReduced(work *graph.Graph, toOrig []int32) *Prepared {
 	p.preps = make([]atomic.Pointer[compPrep], len(p.comps))
 	p.local = make([]int32, work.N())
 	return p
-}
-
-// PrepareIncremental freezes a re-reduced graph for searching while
-// adopting the already-built per-component machinery of a previous
-// Prepared wherever it is still valid. A component of the new graph may
-// adopt a previous component's compPrep when (a) none of its vertices
-// is a delta endpoint (touched reports endpoints in ORIGINAL ids) and
-// (b) its original-id vertex set is identical to the previous
-// component's — together these guarantee the induced structure, and
-// therefore the peel-rank relabeling and successor masks, are
-// unchanged. Everything else is rebuilt lazily as usual. The adopted
-// count is returned for the session layer's invalidation accounting.
-//
-// Adoption is safe while searches are still running on prev: compPreps
-// are immutable apart from their internally locked freelists and
-// profile cache, so old-epoch and new-epoch searches may share one. An
-// adopted compPrep keeps its Table II profiles: its component graph is
-// unchanged.
-func PrepareIncremental(work *graph.Graph, toOrig []int32, prev *Prepared, touched func(orig int32) bool) (*Prepared, int) {
-	p := PrepareReduced(work, toOrig)
-	if prev == nil {
-		return p, 0
-	}
-	// Components are keyed by their smallest original id: comps list
-	// vertices in ascending work id, and both Prepared's toOrig maps are
-	// monotone (reduction survivors are induced in ascending original
-	// order), so element-wise comparison settles set equality.
-	prevByMin := make(map[int32]int, len(prev.comps))
-	for i, c := range prev.comps {
-		prevByMin[prev.toOrig[c[0]]] = i
-	}
-	adopted := 0
-	for i, c := range p.comps {
-		clean := true
-		for _, v := range c {
-			if touched(toOrig[v]) {
-				clean = false
-				break
-			}
-		}
-		if !clean {
-			continue
-		}
-		j, ok := prevByMin[toOrig[c[0]]]
-		if !ok || len(prev.comps[j]) != len(c) {
-			continue
-		}
-		pc := prev.comps[j]
-		same := true
-		for x := range c {
-			if prev.toOrig[pc[x]] != toOrig[c[x]] {
-				same = false
-				break
-			}
-		}
-		if !same {
-			continue
-		}
-		cp := prev.preps[j].Load()
-		if cp == nil {
-			continue // never built (or build in flight): nothing to adopt
-		}
-		p.once[i].Do(func() { p.preps[i].Store(cp) })
-		adopted++
-	}
-	return p, adopted
 }
 
 // Work returns the reduced graph searches run against.
@@ -769,14 +704,10 @@ const smallComponentLimit = 1024
 // compPrep is the query-independent prepared machinery of one
 // component: the peel-rank-relabeled induced graph, the whole
 // component's row table when it takes one, the attribute histogram, the
-// Table II profiles and the recycled worker arenas. It is built once
-// per component (per Prepared) and shared — read-only apart from the
+// Table II profiles and the recycled worker arenas. It is built once,
+// by and for one Prepared, and shared — read-only apart from the
 // locked freelists and profile cache — by every search and every worker
-// that ever branches inside the component. Because it references
-// vertices only in its own component ids and in ORIGINAL graph ids
-// (toOrig), a compPrep is also valid across re-reduced Prepared
-// instances whose component is structurally unchanged — the basis of
-// PrepareIncremental's adoption.
+// that ever branches inside the component.
 type compPrep struct {
 	comp   *graph.Graph // induced component, relabeled so id == peel rank
 	toOrig []int32      // component id -> ORIGINAL graph id

@@ -85,23 +85,13 @@ func fromSortedEdges(attrs []Attr, edges [][2]int32) *Graph {
 	}
 	n := len(attrs)
 	offsets := make([]int32, n+1)
-	for _, e := range edges {
-		offsets[e[0]+1]++
-		offsets[e[1]+1]++
-	}
+	countRows(offsets[1:], edges)
 	for v := 0; v < n; v++ {
 		offsets[v+1] += offsets[v]
 	}
 	nbrs := make([]int32, offsets[n])
 	eids := make([]int32, offsets[n])
-	fill := slices.Clone(offsets[:n])
-	for e, uv := range edges {
-		u, v := uv[0], uv[1]
-		nbrs[fill[u]], eids[fill[u]] = v, int32(e)
-		fill[u]++
-		nbrs[fill[v]], eids[fill[v]] = u, int32(e)
-		fill[v]++
-	}
+	placeRows(nbrs, eids, slices.Clone(offsets[:n]), edges, 0)
 	return &Graph{
 		offsets: offsets,
 		nbrs:    nbrs,

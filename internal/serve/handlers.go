@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -106,19 +107,33 @@ func errCode(status int) string {
 	}
 }
 
-// errLine extracts the line number from a "line N:" fragment in the
-// message (graph readers and the op stream both mark errors that way);
-// 0 when the error names no line.
-func errLine(msg string) int {
-	i := strings.Index(msg, "line ")
-	if i < 0 {
-		return 0
-	}
+// lineError is an error found on a line of a line-oriented request
+// body — an uploaded graph or a mutation op stream. Its message is
+// err's, which names the line; the envelope's line field carries it,
+// and no other error sets that field.
+type lineError struct {
+	line int // 1-based
+	err  error
+}
+
+func (e *lineError) Error() string { return e.err.Error() }
+func (e *lineError) Unwrap() error { return e.err }
+
+// atLine prefixes err with "line N: " and marks it as found on that
+// line.
+func atLine(line int, err error) error {
+	return &lineError{line: line, err: fmt.Errorf("line %d: %w", line, err)}
+}
+
+// readerErr marks an error of the graph text reader with the line its
+// message names (the reader's messages start "graph: line N: "); an
+// error that names none, such as a failed body read, stays as it is.
+func readerErr(err error) error {
 	var n int
-	if _, err := fmt.Sscanf(msg[i:], "line %d", &n); err != nil || n < 0 {
-		return 0
+	if _, serr := fmt.Sscanf(err.Error(), "graph: line %d:", &n); serr != nil || n < 1 {
+		return err
 	}
-	return n
+	return &lineError{line: n, err: err}
 }
 
 // writeErr writes the error envelope with the status's default code.
@@ -126,14 +141,15 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeErrCode(w, status, errCode(status), err)
 }
 
-// writeErrCode writes {"error": {"code", "message", "line"}}.
+// writeErrCode writes {"error": {"code", "message", "line"}}; line is
+// set only for a lineError.
 func writeErrCode(w http.ResponseWriter, status int, code string, err error) {
-	msg := err.Error()
-	writeJSON(w, status, ErrorEnvelope{Error: ErrorBody{
-		Code:    code,
-		Message: msg,
-		Line:    errLine(msg),
-	}})
+	body := ErrorBody{Code: code, Message: err.Error()}
+	var le *lineError
+	if errors.As(err, &le) {
+		body.Line = le.line
+	}
+	writeJSON(w, status, ErrorEnvelope{Error: body})
 }
 
 // writeEntryErr maps a GraphEntry error to a status: a failed
@@ -147,12 +163,16 @@ func writeEntryErr(w http.ResponseWriter, err error) {
 	writeErr(w, http.StatusBadRequest, err)
 }
 
-// decodeJSON strictly decodes the request body into v.
+// decodeJSON strictly decodes the request body into v: one JSON value
+// with no unknown field, followed by nothing but whitespace.
 func decodeJSON(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("serve: bad request body: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("serve: bad request body: data after the JSON value")
 	}
 	return nil
 }
@@ -193,7 +213,7 @@ func (s *Server) handleCreateGraph(w http.ResponseWriter, r *http.Request) {
 		name = r.URL.Query().Get("name")
 		g, err = fairclique.ReadGraphLimited(r.Body, lim)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			writeErr(w, http.StatusBadRequest, readerErr(err))
 			return
 		}
 	} else {
@@ -207,7 +227,7 @@ func (s *Server) handleCreateGraph(w http.ResponseWriter, r *http.Request) {
 		case req.Text != "":
 			g, err = fairclique.ReadGraphLimited(strings.NewReader(req.Text), lim)
 			if err != nil {
-				writeErr(w, http.StatusBadRequest, err)
+				writeErr(w, http.StatusBadRequest, readerErr(err))
 				return
 			}
 		case req.Path != "":
@@ -647,11 +667,14 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Flush {
+		// Flush does nothing on an empty buffer (say, after a batch that
+		// MaxBufferedOps already flushed): count only a flush that ran.
+		before := e.Flushes()
 		if _, err := e.Flush(); err != nil {
 			writeEntryErr(w, err)
 			return
 		}
-		res.Flushes++
+		res.Flushes += int(e.Flushes() - before)
 		res.BufferedOps = 0
 		res.Epoch = e.Epoch()
 	}
@@ -681,7 +704,7 @@ func (s *Server) handleMutateStream(w http.ResponseWriter, r *http.Request, e *G
 		res, err := e.Mutate(ops)
 		if err != nil {
 			// %w keeps ErrFlushFailed visible through the line prefix.
-			writeEntryErr(w, fmt.Errorf("line %d: %w", line, err))
+			writeEntryErr(w, atLine(line, err))
 			return false
 		}
 		total.BufferedOps = res.BufferedOps
@@ -699,7 +722,7 @@ func (s *Server) handleMutateStream(w http.ResponseWriter, r *http.Request, e *G
 		}
 		parsed, err := ParseOps(text)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("line %d: %w", line, err))
+			writeErr(w, http.StatusBadRequest, atLine(line, err))
 			return
 		}
 		ops = append(ops, parsed...)
@@ -710,7 +733,7 @@ func (s *Server) handleMutateStream(w http.ResponseWriter, r *http.Request, e *G
 		}
 	}
 	if err := sc.Err(); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("line %d: %w", line+1, err))
+		writeErr(w, http.StatusBadRequest, atLine(line+1, err))
 		return
 	}
 	if !flushBatch() {

@@ -437,6 +437,108 @@ func TestServeTextOpStream(t *testing.T) {
 	}
 }
 
+// A JSON request body is one value followed by nothing but
+// whitespace: trailing garbage or a second value is a 400 in the
+// envelope (and a rejected mutation buffers nothing); a trailing
+// newline is fine.
+func TestServeJSONBodyTrailingData(t *testing.T) {
+	_, ts := startServer(t, Config{})
+	createGraph(t, ts, "g", testGraphText)
+	for _, body := range []string{
+		`{"k":2,"delta":0} garbage`,
+		`{"k":2,"delta":0}{"k":3,"delta":0}`,
+		`{"k":2,"delta":0} }`,
+	} {
+		data := request(t, ts, "POST", "/v1/graphs/g/query", "application/json", body, http.StatusBadRequest)
+		var env ErrorEnvelope
+		if err := json.Unmarshal(data, &env); err != nil || env.Error.Code != "bad_request" {
+			t.Fatalf("query body %q: answer %s; want the bad_request envelope", body, data)
+		}
+	}
+	request(t, ts, "POST", "/v1/graphs/g/mutate", "application/json", `{"add_edges":[[4,1]]} x`, http.StatusBadRequest)
+	var info GraphInfoResponse
+	if err := json.Unmarshal(request(t, ts, "GET", "/v1/graphs/g", "", "", http.StatusOK), &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.BufferedOps != 0 {
+		t.Fatalf("a rejected mutation buffered %d ops", info.BufferedOps)
+	}
+	data := request(t, ts, "POST", "/v1/graphs/g/query", "application/json", "{\"k\":2,\"delta\":0}\n", http.StatusOK)
+	var r QueryResponse
+	if err := json.Unmarshal(data, &r); err != nil || r.Size != 4 {
+		t.Fatalf("query with a trailing newline: %s; want size 4", data)
+	}
+}
+
+// The envelope's line field is set only for bodies made of lines — an
+// uploaded graph, raw or as JSON text, and an op stream — never from a
+// message that merely reads "line N", such as a graph's name.
+func TestServeErrorLineOnlyForLineBodies(t *testing.T) {
+	_, ts := startServer(t, Config{})
+	createGraph(t, ts, "line 3", testGraphText)
+	lineOf := func(data []byte) int {
+		t.Helper()
+		var env ErrorEnvelope
+		if err := json.Unmarshal(data, &env); err != nil {
+			t.Fatalf("error body is not the envelope: %v; body: %s", err, data)
+		}
+		return env.Error.Line
+	}
+	if l := lineOf(request(t, ts, "GET", "/v1/graphs/baseline%207", "", "", http.StatusNotFound)); l != 0 {
+		t.Fatalf("404 for the graph \"baseline 7\" names line %d", l)
+	}
+	body, _ := json.Marshal(CreateRequest{Name: "line 3", Text: testGraphText})
+	if l := lineOf(request(t, ts, "POST", "/v1/graphs", "application/json", string(body), http.StatusConflict)); l != 0 {
+		t.Fatalf("409 for the duplicate name \"line 3\" names line %d", l)
+	}
+	if l := lineOf(request(t, ts, "POST", "/v1/graphs?name=bad", "text/plain", "v 0 a\nv 1 b\nwhat is this\n", http.StatusBadRequest)); l != 3 {
+		t.Fatalf("raw upload failure names line %d, want 3", l)
+	}
+	body, _ = json.Marshal(CreateRequest{Name: "bad", Text: "v 0 a\nnope\n"})
+	if l := lineOf(request(t, ts, "POST", "/v1/graphs", "application/json", string(body), http.StatusBadRequest)); l != 2 {
+		t.Fatalf("JSON text upload failure names line %d, want 2", l)
+	}
+	if l := lineOf(request(t, ts, "POST", "/v1/graphs/line%203/mutate", "text/plain", "+e:0:4\n\nmangled\n", http.StatusBadRequest)); l != 3 {
+		t.Fatalf("op stream failure names line %d, want 3", l)
+	}
+}
+
+// "flush": true on /mutate counts a flush only when one ran: on a
+// fresh graph, or after MaxBufferedOps already flushed the batch, the
+// buffer is empty and neither the answer's flushes nor the entry's
+// flush count and epoch move.
+func TestServeMutateFlushCountsOnlyRealFlushes(t *testing.T) {
+	s, ts := startServer(t, Config{MaxBufferedOps: 2})
+	createGraph(t, ts, "g", testGraphText)
+	e, ok := s.reg.Get("g")
+	if !ok {
+		t.Fatal("graph g not registered")
+	}
+	mutate := func(req MutateRequest) MutateResponse {
+		t.Helper()
+		body, _ := json.Marshal(req)
+		var res MutateResponse
+		if err := json.Unmarshal(request(t, ts, "POST", "/v1/graphs/g/mutate", "application/json", string(body), http.StatusOK), &res); err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for i, c := range []struct {
+		req                   MutateRequest
+		flushes, total, epoch int64
+	}{
+		{MutateRequest{Flush: true}, 0, 0, 0},                                     // nothing buffered
+		{MutateRequest{AddEdges: [][2]int{{4, 1}, {4, 2}}, Flush: true}, 1, 1, 1}, // the cap flushed
+		{MutateRequest{AddEdges: [][2]int{{4, 3}}, Flush: true}, 1, 2, 2},         // the flag flushed
+	} {
+		res := mutate(c.req)
+		if int64(res.Flushes) != c.flushes || res.Epoch != c.epoch || e.Flushes() != c.total || e.Epoch() != c.epoch {
+			t.Fatalf("mutate %d: answer %+v, entry flushes %d, epoch %d; want %d flushes, %d in total, epoch %d",
+				i, res, e.Flushes(), e.Epoch(), c.flushes, c.total, c.epoch)
+		}
+	}
+}
+
 func TestParseOps(t *testing.T) {
 	ops, err := ParseOps("+e:0:1 -e:2:3,+v:a\t-v:7")
 	if err != nil {

@@ -93,9 +93,65 @@ func TestApplyDifferentialAgainstFreshSession(t *testing.T) {
 	}
 }
 
-// Component-scoped invalidation must be observable: a delta confined to
-// one component leaves the other components' prepared machinery (and
-// the untouched reduction snapshots) in place, and Stats proves it.
+// FuzzApplyDifferential drives random Delta sequences through Apply on
+// a warm session over multiBlob — seven blobs and a planted K8, so the
+// reductions have several components — and after every Apply checks
+// each cell's size against a fresh session on the mutated graph, and
+// each clique for fairness.
+func FuzzApplyDifferential(f *testing.F) {
+	for _, seed := range []uint64{0, 1, 2, 5, 11} {
+		f.Add(seed)
+	}
+	qs := []Query{
+		{K: 1, Delta: 1}, {K: 2, Delta: 0}, {K: 2, Delta: 2},
+		{K: 3, Delta: 1}, {K: 2, Weak: true},
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		extras := bounds.Extras()
+		opt := Options{UseBounds: true, Extra: extras[seed%uint64(len(extras))], UseHeuristic: true}
+		s := New(multiBlob(seed), opt)
+		if _, err := s.FindGrid(qs); err != nil {
+			t.Fatal(err)
+		}
+		r := rng.New(seed)
+		for round, rounds := 0, 1+r.Intn(3); round < rounds; round++ {
+			d := randomDelta(r, s.Graph())
+			if _, err := s.Apply(d); err != nil {
+				t.Fatalf("round %d: Apply(%+v): %v", round, d, err)
+			}
+			g := s.Graph()
+			fresh := New(g, opt)
+			for _, q := range qs {
+				got, err := s.Find(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := fresh.Find(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Size() != want.Size() {
+					t.Fatalf("round %d q=%+v: warm session %d, fresh session %d", round, q, got.Size(), want.Size())
+				}
+				delta := int(q.Delta)
+				if q.Weak {
+					delta = int(g.N())
+				}
+				if got.Size() > 0 && !g.IsFairClique(got.Clique, int(q.K), delta) {
+					t.Fatalf("round %d q=%+v: clique %v is not fair", round, q, got.Clique)
+				}
+			}
+		}
+	})
+}
+
+// A delta confined to one component re-peels the reduction from the
+// deleted edge's endpoints, so the untouched components stay in the
+// reduced subgraph and their cliques in the pool; the new entry gets a
+// fresh Prepared with no component built (a rippled Apply carries no
+// component machinery; a search builds what it needs), the answer
+// stays exact, and the retained pool and table still answer a solved
+// cell without branching.
 func TestApplyReusesUntouchedComponents(t *testing.T) {
 	// Three disjoint balanced K6s.
 	b := graph.NewBuilder(18)
@@ -116,15 +172,17 @@ func TestApplyReusesUntouchedComponents(t *testing.T) {
 	}
 
 	// Delete one edge inside the third K6: components one and two are
-	// untouched. Only the first was actually built (the incumbent's
-	// size prune skips the equal-sized others), and exactly that one
-	// must be adopted rather than rebuilt.
+	// untouched, but the re-peeled subgraph is a new one, so its
+	// Prepared is new too and carries no built component.
 	ast, err := s.Apply(&graph.Delta{DelEdges: [][2]int32{{12, 13}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ast.CompPrepsReused != 1 {
-		t.Fatalf("adopted %d compPreps, want 1 (the built untouched K6): %+v", ast.CompPrepsReused, ast)
+	if ast.CompPrepsReused != 0 {
+		t.Fatalf("reused %d compPreps after a rippled Apply, want 0: %+v", ast.CompPrepsReused, ast)
+	}
+	if built := s.cur.Load().ks[1].p.PreparedComponents(); built != 0 {
+		t.Fatalf("the new entry's Prepared has %d built components before any search, want 0", built)
 	}
 	// A delete-only delta is served by the fairness-floor re-peel, not
 	// a dirty-region re-reduction.

@@ -337,7 +337,7 @@ func (s *Session) maintainEnums(ne *epoch, oldEnums map[enumKey]*enumSet, floor 
 			maintained++
 		default:
 			// The optimum may have moved either way: re-enumerate on the
-			// new epoch, reusing its adopted prepared machinery.
+			// new epoch.
 			q := Query{K: key.K, Delta: key.Delta, Weak: key.Weak, Kind: KindEnumerateAll}
 			rs, err := s.enumerateOn(ne, q)
 			recomputed++

@@ -44,10 +44,11 @@
 //     delta endpoints are retained, and the rest are re-peeled
 //     (delete-only deltas) or re-reduced together with the inserted
 //     edges' common neighborhoods.
-//   - A patched subgraph is re-prepared incrementally
-//     (core.PrepareIncremental): structurally unchanged components
-//     adopt the previous epoch's relabeling, successor masks and
-//     arenas; merged, split or touched components rebuild lazily.
+//   - A subgraph Patch changed gets a fresh Prepared
+//     (core.PrepareReduced): its components' relabeling, successor
+//     rows and arenas build lazily on the next search, as on a cold
+//     session. Two Prepared values never share a component's
+//     machinery.
 //   - The clique pool keeps every clique that still is one in the new
 //     graph (deletions kill witnesses; insertions never do).
 //   - The monotonicity table survives as upper bounds: a new clique
@@ -171,10 +172,11 @@ type Stats struct {
 	// re-peeled at the fairness floor (no pipeline run).
 	SnapshotsPatched, SnapshotsReused int64
 	SnapshotsRippled                  int64
-	// CompPrepsReused counts per-component prepared machinery
-	// (relabeling, successor masks, arenas) adopted across an Apply
-	// instead of being rebuilt — the component-scoped invalidation
-	// receipt.
+	// CompPrepsReused counts built per-component prepared machinery
+	// (relabeling, successor rows, arenas) that an Apply kept: the
+	// built components of every Prepared it kept by pointer together
+	// with an unchanged reduced subgraph. A changed subgraph gets a
+	// fresh Prepared, whose components build on their next search.
 	CompPrepsReused int64
 	// PoolRetained and PoolDropped count warm-start cliques that
 	// survived an Apply versus ones its deletions destroyed.
@@ -629,7 +631,8 @@ type ApplyStats struct {
 	// SnapshotsRippled counts ones a delete-only delta re-peeled.
 	SnapshotsPatched, SnapshotsReused int64
 	SnapshotsRippled                  int64
-	// CompPrepsReused counts adopted per-component machinery.
+	// CompPrepsReused counts the built components of the Prepared
+	// values kept by pointer (the SnapshotsReused entries).
 	CompPrepsReused int64
 	// PoolRetained/PoolDropped count surviving vs destroyed warm-start
 	// cliques.
@@ -641,13 +644,14 @@ type ApplyStats struct {
 }
 
 // Apply mutates the session's graph with a batched delta and swaps in
-// a new epoch whose state is invalidated component-locally: untouched
-// reduction-snapshot components and prepared components carry over,
-// surviving pooled cliques keep seeding, and the monotonicity table is
-// relaxed into safe upper bounds instead of being flushed. Queries
-// already in flight finish race-free on the previous epoch (their
-// answers describe the pre-delta graph); queries started after Apply
-// returns see the new graph. Concurrent Apply calls are serialized.
+// a new epoch whose state is invalidated component-locally: a reduced
+// subgraph keeps its untouched components (and, when the delta cannot
+// change it at all, its Prepared by pointer), surviving pooled cliques
+// keep seeding, and the monotonicity table is relaxed into safe upper
+// bounds instead of being flushed. Queries already in flight finish
+// race-free on the previous epoch (their answers describe the
+// pre-delta graph); queries started after Apply returns see the new
+// graph. Concurrent Apply calls are serialized.
 func (s *Session) Apply(d *graph.Delta) (ApplyStats, error) {
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
@@ -706,9 +710,10 @@ func (s *Session) Apply(d *graph.Delta) (ApplyStats, error) {
 	}
 
 	// Reductions: patch each built k's subgraph. One the delta cannot
-	// change keeps its Prepared by pointer; a patched one is re-prepared,
-	// adopting every structurally untouched component. Entries never
-	// built, or still building, are rebuilt lazily on the new epoch.
+	// change keeps its Prepared by pointer; a changed one gets a fresh
+	// Prepared whose components build on their next search. Entries
+	// never built, or still building, are rebuilt lazily on the new
+	// epoch.
 	for key, ent := range oldKs {
 		if !ent.done.Load() {
 			continue
@@ -731,9 +736,7 @@ func (s *Session) Apply(d *graph.Delta) (ApplyStats, error) {
 			nent.p = ent.p
 			ast.CompPrepsReused += int64(ent.p.PreparedComponents())
 		} else {
-			var adopted int
-			nent.p, adopted = core.PrepareIncremental(nent.sub.G, nent.sub.ToParent, ent.p, info.Touches)
-			ast.CompPrepsReused += int64(adopted)
+			nent.p = core.PrepareReduced(nent.sub.G, nent.sub.ToParent)
 		}
 		nent.once.Do(func() {}) // built
 		nent.done.Store(true)
@@ -743,8 +746,9 @@ func (s *Session) Apply(d *graph.Delta) (ApplyStats, error) {
 	// Enumeration sets: maintain each cached cell across the delta —
 	// survivor filtering when the insertion floor proves no new optimum
 	// can appear, a fresh collect search otherwise — and report the
-	// per-cell died/born diff. Runs after the preps adoption above so a
-	// re-enumeration reuses the carried machinery.
+	// per-cell died/born diff. Runs after the k-entries above so a
+	// re-enumeration searches the new epoch's reductions, including a
+	// Prepared kept by pointer with its built components.
 	var maintained, recomputed int64
 	ast.EnumDiffs, maintained, recomputed = s.maintainEnums(ne, oldEnums, floor)
 
